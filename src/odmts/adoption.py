@@ -91,10 +91,10 @@ class DesignEvaluation:
         ]
 
 
-def design_objective(inst: Instance, design: Design, threads: int = 1) -> float:
+def design_objective(inst: Instance, design: Design) -> float:
     """eval(z) alone, for hot loops that do not need metrics."""
     w = weights_of(inst)
-    routes = route_batch(inst.trips, design, threads=threads)
+    routes = route_batch(inst.trips, design)
     total = arcs_cost(inst, design.open_arcs)
     for trip, r in zip(inst.trips, routes):
         if trip.is_latent:
@@ -105,7 +105,7 @@ def design_objective(inst: Instance, design: Design, threads: int = 1) -> float:
     return total
 
 
-def eval_design(inst: Instance, design: Design, tset, threads: int = 1) -> DesignEvaluation:
+def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
     """Evaluate a design against the full trip set.
 
     ``tset`` is the trip-id set that produced the design; it anchors the
@@ -119,7 +119,7 @@ def eval_design(inst: Instance, design: Design, tset, threads: int = 1) -> Desig
         raise ValidationError("tset references unknown trip ids")
     w = weights_of(inst)
     p = inst.params
-    routes = route_batch(inst.trips, design, threads=threads)
+    routes = route_batch(inst.trips, design)
 
     objective = arcs_cost(inst, design.open_arcs)
     adopters = set()

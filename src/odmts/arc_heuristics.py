@@ -113,7 +113,7 @@ def expand(rule: str, latent, design: Design, routes, inst: Instance) -> set:
     return out
 
 
-def _arc_stage(inst, rule, state, trace, stage, cache, threads, expanded=False):
+def _arc_stage(inst, rule, state, trace, stage, cache, expanded=False):
     """One greedy fixing phase; mutates state {z_fixed, tbar, B, k}.
 
     ``expanded`` records whether the current fixed design has already
@@ -132,11 +132,11 @@ def _arc_stage(inst, rule, state, trace, stage, cache, threads, expanded=False):
         cycles = find_cycles(unfixed)
         if not cycles:
             if not expanded:
-                routes = route_batch(latent, state["z_fixed"], threads=threads)
+                routes = route_batch(latent, state["z_fixed"])
                 state["tbar"] = state["tbar"] | expand(
                     rule, latent, state["z_fixed"], routes, inst
                 )
-            ev = eval_design(inst, state["z_fixed"], state["tbar"], threads=threads)
+            ev = eval_design(inst, state["z_fixed"], state["tbar"])
             trace.add(
                 state["k"], stage, len(state["tbar"]), state["z_fixed"],
                 ev.objective, len(ev.adopters), time.perf_counter() - t0,
@@ -145,13 +145,11 @@ def _arc_stage(inst, rule, state, trace, stage, cache, threads, expanded=False):
         best_obj = None
         best_cycle = None
         for c in cycles:  # pre-sorted: ties go to the shorter, lex-smaller cycle
-            obj = design_objective(
-                inst, state["z_fixed"].with_arcs(c.arcs), threads=threads
-            )
+            obj = design_objective(inst, state["z_fixed"].with_arcs(c.arcs))
             if best_obj is None or obj < best_obj:
                 best_obj, best_cycle = obj, c
         if best_obj >= state["B"]:
-            ev = eval_design(inst, state["z_fixed"], state["tbar"], threads=threads)
+            ev = eval_design(inst, state["z_fixed"], state["tbar"])
             trace.add(
                 state["k"], stage, len(state["tbar"]), state["z_fixed"],
                 ev.objective, len(ev.adopters), time.perf_counter() - t0,
@@ -159,10 +157,10 @@ def _arc_stage(inst, rule, state, trace, stage, cache, threads, expanded=False):
             return
         state["B"] = best_obj
         state["z_fixed"] = state["z_fixed"].with_arcs(best_cycle.arcs)
-        routes = route_batch(latent, state["z_fixed"], threads=threads)
+        routes = route_batch(latent, state["z_fixed"])
         state["tbar"] = state["tbar"] | expand(rule, latent, state["z_fixed"], routes, inst)
         expanded = True
-        ev = eval_design(inst, state["z_fixed"], state["tbar"], threads=threads)
+        ev = eval_design(inst, state["z_fixed"], state["tbar"])
         trace.add(
             state["k"], stage, len(state["tbar"]), state["z_fixed"],
             ev.objective, len(ev.adopters), time.perf_counter() - t0,
@@ -170,7 +168,7 @@ def _arc_stage(inst, rule, state, trace, stage, cache, threads, expanded=False):
         state["k"] += 1
 
 
-def arc_s1(inst: Instance, rule: str = "a", fixed_init=(), threads: int = 1):
+def arc_s1(inst: Instance, rule: str = "a", fixed_init=()):
     """Single-stage arc-based greedy. Returns (design, trace)."""
     if rule not in RULES:
         raise ValueError(f"unknown expansion rule {rule!r}")
@@ -178,8 +176,8 @@ def arc_s1(inst: Instance, rule: str = "a", fixed_init=(), threads: int = 1):
     core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
     state = {"z_fixed": z0, "tbar": core_ids, "B": float("inf"), "k": 0}
     trace = HeuristicTrace()
-    cache = _DfdCache(inst, threads=threads)
-    _arc_stage(inst, rule, state, trace, 1, cache, threads)
+    cache = _DfdCache(inst)
+    _arc_stage(inst, rule, state, trace, 1, cache)
     return state["z_fixed"], trace.finish(state["z_fixed"], state["tbar"])
 
 
@@ -188,7 +186,6 @@ def arc_s2(
     rule_stage1: str = "d",
     rule_stage2: str = "a",
     fixed_init=(),
-    threads: int = 1,
 ):
     """Two-stage extension: a conservative expansion rule to convergence,
     then a faster one continuing from the resulting fixed design and
@@ -201,15 +198,15 @@ def arc_s2(
     core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
     state = {"z_fixed": z0, "tbar": core_ids, "B": float("inf"), "k": 0}
     trace = HeuristicTrace()
-    cache = _DfdCache(inst, threads=threads)
-    _arc_stage(inst, rule_stage1, state, trace, 1, cache, threads)
+    cache = _DfdCache(inst)
+    _arc_stage(inst, rule_stage1, state, trace, 1, cache)
     # hand the stage-2 rule a first look at the converged design so the
     # second phase starts from an expanded trip set rather than re-solving
     # the exact fixed point stage 1 stopped at
     latent = inst.latent_trips
-    routes = route_batch(latent, state["z_fixed"], threads=threads)
+    routes = route_batch(latent, state["z_fixed"])
     state["tbar"] = state["tbar"] | expand(
         rule_stage2, latent, state["z_fixed"], routes, inst
     )
-    _arc_stage(inst, rule_stage2, state, trace, 2, cache, threads, expanded=True)
+    _arc_stage(inst, rule_stage2, state, trace, 2, cache, expanded=True)
     return state["z_fixed"], trace.finish(state["z_fixed"], state["tbar"])

@@ -32,6 +32,7 @@ from .trip_heuristics import eta_grre, rho_gagr, rho_grad
 from .arc_heuristics import CycleCapError, arc_s1, arc_s2
 
 ALGORITHMS = ("dfd", "exact", "grad", "grre", "gagr", "arc-s1", "arc-s2")
+THREADS_HELP = "accepted for compatibility and has no effect; runs are single-threaded"
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -80,12 +81,11 @@ def cmd_generate(args) -> int:
 
 def _run_algorithm(inst: Instance, alg: str, args):
     """Returns (design, tset, trace, extra) where extra documents bounds."""
-    threads = args.threads
     if alg == "dfd":
         tset = [t.id for t in inst.trips]
         trace_path = getattr(args, "solver_trace", None)
         sol = solve_dfd(
-            inst, tset, eps_gap=args.eps_gap, threads=threads, trace_path=trace_path,
+            inst, tset, eps_gap=args.eps_gap, trace_path=trace_path,
             max_rounds=args.max_rounds,
         )
         trace = HeuristicTrace()
@@ -100,25 +100,25 @@ def _run_algorithm(inst: Instance, alg: str, args):
         trace.finish(res.design, res.tset)
         return res.design, res.tset, trace, {"resolve_matches": res.resolve_matches}
     if alg == "grad":
-        design, tset, trace = rho_grad(inst, rho=args.rho, threads=threads)
+        design, tset, trace = rho_grad(inst, rho=args.rho)
         return design, tset, trace, {}
     if alg == "grre":
-        design, trace = eta_grre(inst, eta=args.eta, threads=threads)
+        design, trace = eta_grre(inst, eta=args.eta)
         return design, trace.tset, trace, {"truncated": trace.truncated}
     if alg == "gagr":
         design, trace = rho_gagr(
-            inst, rho=args.rho, eta=args.eta, time_limit=args.time_limit, threads=threads
+            inst, rho=args.rho, eta=args.eta, time_limit=args.time_limit
         )
         return design, trace.tset, trace, {}
     if alg == "arc-s1":
         rules = args.rules.split(",") if args.rules else ["a"]
-        design, trace = arc_s1(inst, rules[0], threads=threads)
+        design, trace = arc_s1(inst, rules[0])
         return design, trace.tset, trace, {}
     if alg == "arc-s2":
         rules = args.rules.split(",") if args.rules else ["d", "a"]
         if len(rules) != 2:
             raise ValueError("arc-s2 needs --rules stage1,stage2")
-        design, trace = arc_s2(inst, rules[0], rules[1], threads=threads)
+        design, trace = arc_s2(inst, rules[0], rules[1])
         return design, trace.tset, trace, {}
     raise ValueError(f"unknown algorithm {alg!r}")
 
@@ -135,14 +135,14 @@ def cmd_solve(args) -> int:
         design, tset, trace, extra = _run_algorithm(inst, args.alg, args)
     except SolveError as e:
         if e.best is not None:
-            ev = eval_design(inst, e.best.design, e.best.tset, threads=args.threads)
+            ev = eval_design(inst, e.best.design, e.best.tset)
             _write_json(out / "design.json",
                         _design_doc(e.best.design, args.alg, e.best.tset, e.best.objective))
             _write_json(out / "evaluation.json", {"tool_version": __version__, **ev.to_dict()})
         print(f"solver failure: {e}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - t0
-    ev = eval_design(inst, design, tset, threads=args.threads)
+    ev = eval_design(inst, design, tset)
     _write_json(out / "design.json", _design_doc(design, args.alg, tset, ev.objective))
     doc = {"tool_version": __version__, **ev.to_dict(), **extra}
     _write_json(out / "evaluation.json", doc)
@@ -155,9 +155,11 @@ def cmd_solve(args) -> int:
 def cmd_evaluate(args) -> int:
     inst = load_instance(args.instance)
     doc = json.loads(Path(args.design).read_text())
+    if not isinstance(doc, dict) or "open_arcs" not in doc:
+        raise InstanceParseError(f"{args.design}: design file has no 'open_arcs' key")
     design = Design(inst, frozenset(tuple(a) for a in doc["open_arcs"]))
     tset = frozenset(doc.get("tset", [t.id for t in inst.trips]))
-    ev = eval_design(inst, design, tset, threads=args.threads)
+    ev = eval_design(inst, design, tset)
     out = {"tool_version": __version__, **ev.to_dict()}
     if args.out:
         _write_json(Path(args.out), out)
@@ -188,7 +190,7 @@ def cmd_compare(args) -> int:
             t0 = time.perf_counter()
             try:
                 design, tset, trace, _ = _run_algorithm(inst, alg, args)
-                ev = eval_design(inst, design, tset, threads=args.threads)
+                ev = eval_design(inst, design, tset)
                 rows.append({
                     "instance": inst_path, "algorithm": alg, "status": "ok",
                     "objective": ev.objective, "r_false": ev.r_false,
@@ -258,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--time-limit", type=float, default=None)
         sp.add_argument("--eps-gap", type=float, default=1e-9)
         sp.add_argument("--max-rounds", type=int, default=200)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
 
     s = sub.add_parser("solve", help="run one algorithm and write a result bundle")
     s.add_argument("--instance", required=True)
@@ -273,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--instance", required=True)
     e.add_argument("--design", required=True)
     e.add_argument("--out", default=None)
-    e.add_argument("--threads", type=int, default=1)
+    e.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     e.set_defaults(func=cmd_evaluate)
 
     c = sub.add_parser("compare", help="run several algorithms and tabulate")

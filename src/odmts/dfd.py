@@ -19,15 +19,16 @@ suffix under every design; taking the single worst opened arc yields
 the bound. Potentials taken under z0 itself would over-tighten coeffs
 and break validity on routes crossing two or more closed arcs.
 
-The master is a deterministic branch and bound over the arc variables:
-undecided arcs count as open inside every cut (optimistic completion)
+The master is a deterministic branch and bound over the arc variables.
+It prices each cut by the access + tau + egress of the cheapest support
+arc still open, which dominates the affine form (see ``solve_master``).
+Undecided arcs count as open inside every cut (optimistic completion)
 and as closed in the investment term, which is a valid node bound.
-Branching picks the undecided arc with the largest current aggregate
-weight across the cut pool (the rider-weighted minima it heads, plus
-static affine support), closed child first; when no undecided arc can
-move the trip term any more the whole subtree reduces to a cheapest
-balanced completion, found by a memoized subset search, so arcs no cut
-cares about are never branched on.
+Branching picks the undecided arc heading the most rider-weighted cut
+minima, closed child first; when no undecided arc can move the trip
+term any more the whole subtree reduces to a cheapest balanced
+completion, found by a memoized subset search, so arcs no cut cares
+about are never branched on.
 """
 
 from __future__ import annotations
@@ -39,15 +40,7 @@ import numpy as np
 
 from .instance import Instance, Trip, ValidationError
 from .adoption import arcs_cost
-from .router import (
-    Design,
-    _build_full,
-    _build_restricted,
-    is_direct_trip,
-    route,
-    route_batch,
-    weights_of,
-)
+from .router import Design, _build_graph, is_direct_trip, route, route_batch, weights_of
 
 
 class SolveError(RuntimeError):
@@ -67,10 +60,11 @@ class CapExceeded(RuntimeError):
 class BendersCut:
     """Affine lower bound on one trip's weighted cost over arc variables.
 
-    ``access``/``egress``, when present, carry per-support-arc potentials
-    computed with every candidate arc except the support open; the master
-    uses them for a bound that dominates the affine form (see
-    ``solve_master``). They do not affect the cut's own contract.
+    ``access``/``egress`` carry per-support-arc potentials computed with
+    every candidate arc except the support open; the master prices the
+    cut from them alone (see ``solve_master``), so every cut with a
+    non-empty ``coeff`` must carry both. They do not affect the cut's own
+    contract or fingerprint.
     """
 
     trip_id: int
@@ -104,10 +98,7 @@ def _arc_potentials(inst: Instance, trip: Trip, open_arcs):
     """Min weighted cost origin->hub and hub->destination over routes
     whose bus legs stay within ``open_arcs``."""
     o, d = trip.origin, trip.destination
-    if inst.metric_consistent:
-        adj = _build_restricted(inst, open_arcs, o, d)
-    else:
-        adj = _build_full(inst, open_arcs, o, d)
+    adj = _build_graph(inst, open_arcs, o, d)
     fwd = _settle_all(adj, o)
     radj = {u: [] for u in adj}
     for u, arcs in adj.items():
@@ -219,13 +210,16 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
     Returns (design, bound). ``fixed`` arcs are forced open on top of the
     instance backbone; ``warm`` designs seed the incumbent.
 
-    The search bound applies each cut's through-costs one arc at a time:
-    a route beating its base crosses at least one arc closed at the
-    generating design, so only the single largest opened coefficient is
-    subtracted. That dominates the affine sum over all opened arcs (the
-    cuts themselves remain valid in that weaker form), stays exact at
-    each generating design, and closes the tail of bound improvements
-    the affine relaxation never finishes on dense candidate sets.
+    Every cut row is priced from its access/egress potentials: a route
+    beating the base crosses at least one open support arc (h, l), so the
+    row is min(base, min access + min tau + min egress) over the open
+    support, and just base when no support arc is open (always so for a
+    cut with empty ``coeff``). That dominates the affine sum over all
+    opened arcs (the cuts themselves remain valid in that weaker form),
+    stays exact at each generating design, and closes the tail of bound
+    improvements the affine relaxation never finishes on dense candidate
+    sets. A cut with a non-empty ``coeff`` but no potentials raises
+    ``ValueError``.
     """
     fixed = frozenset(tuple(a) for a in fixed) | inst.fixed_arcs
     cand = list(inst.candidate_arcs)
@@ -240,33 +234,21 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
         beta[i] = float(w.beta[hubs[h], hubs[l]])
 
     cuts = sorted(cuts, key=lambda c: (c.trip_id, c.fingerprint()))
+    for cut in cuts:
+        if cut.coeff and not (cut.access and cut.egress):
+            raise ValueError(
+                f"cut for trip {cut.trip_id} has coefficients but no access/egress potentials"
+            )
     nc = len(cuts)
     bases = np.array([c.base for c in cuts], dtype=float)
-    # structural rows price routes by the access/egress of the support
-    # arcs they open; rows without that data fall back to the affine sum
-    struct_rows = [bool(c.access) for c in cuts]
-    alists = [None] * nc
-    blists = [None] * nc
-    tlists = [None] * nc
-    occ_sum = [[] for _ in range(na)]
+    # per row, (value, arc index) entries sorted ascending; empty for a
+    # constant row
     tau_of = {
         (h, l): float(w.tau[hubs[h], hubs[l]]) for h, l in cand
     }
-    for row, cut in enumerate(cuts):
-        if struct_rows[row]:
-            alists[row] = sorted(
-                ((v, arc_pos[arc]) for arc, v in cut.access), key=lambda e: (e[0], e[1])
-            )
-            blists[row] = sorted(
-                ((v, arc_pos[arc]) for arc, v in cut.egress), key=lambda e: (e[0], e[1])
-            )
-            tlists[row] = sorted(
-                ((tau_of[arc], arc_pos[arc]) for arc, _ in cut.access),
-                key=lambda e: (e[0], e[1]),
-            )
-        else:
-            for arc, c in cut.coeff:
-                occ_sum[arc_pos[arc]].append((row, c))
+    alists = [sorted((v, arc_pos[arc]) for arc, v in cut.access) for cut in cuts]
+    blists = [sorted((v, arc_pos[arc]) for arc, v in cut.egress) for cut in cuts]
+    tlists = [sorted((tau_of[arc], arc_pos[arc]) for arc, _ in cut.access) for cut in cuts]
     if nc:
         trip_ids = [c.trip_id for c in cuts]
         starts = np.array(
@@ -288,27 +270,20 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
     def master_value(open_set):
         open_idx = {arc_pos[a] for a in open_set}
         rhs = bases.copy()
-        for row, cut in enumerate(cuts):
-            if struct_rows[row]:
-                amin = min((v for v, ai in alists[row] if ai in open_idx), default=None)
-                bmin = min((v for v, ai in blists[row] if ai in open_idx), default=None)
-                tmin = min((v for v, ai in tlists[row] if ai in open_idx), default=None)
-                if amin is not None and bmin is not None:
-                    rhs[row] = min(bases[row], amin + tmin + bmin)
-            else:
-                rhs[row] = bases[row] - sum(
-                    c for arc, c in cut.coeff if arc_pos[arc] in open_idx
-                )
+        for row in range(nc):
+            amin = min((v for v, ai in alists[row] if ai in open_idx), default=None)
+            bmin = min((v for v, ai in blists[row] if ai in open_idx), default=None)
+            tmin = min((v for v, ai in tlists[row] if ai in open_idx), default=None)
+            if amin is not None and bmin is not None:
+                rhs[row] = min(bases[row], amin + tmin + bmin)
         return sum(float(beta[i]) for i in open_idx) + trip_term(rhs)
 
     agg = np.zeros(na)
-    for row, cut in enumerate(cuts):
+    for cut in cuts:
         p = float(inst.trip_by_id(cut.trip_id).riders)
         for arc, c in cut.coeff:
             agg[arc_pos[arc]] += p * c
     active = [i for i in range(na) if agg[i] > 0 and cand[i] not in fixed]
-    active.sort(key=lambda i: (-agg[i], cand[i]))
-    active_set = set(active)
     inactive = [i for i in range(na) if agg[i] <= 0 and cand[i] not in fixed]
     inactive.sort(key=lambda i: (beta[i], cand[i]))
     inactive_arcs = [cand[i] for i in inactive]
@@ -325,10 +300,9 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
         base_deficit[hubs[l]] -= 1
         beta_fixed += float(beta[arc_pos[(h, l)]])
 
-    # search state: every arc starts open-or-undecided. Structural rows
-    # keep pointers at the smallest not-closed access/egress entries;
-    # affine rows regain a coefficient whenever one of their arcs closes.
-    # All mutations are undone on backtrack.
+    # search state: every arc starts open-or-undecided. Each row keeps
+    # pointers at its smallest not-closed access/egress/tau entries. All
+    # mutations are undone on backtrack.
     closed = np.zeros(na, dtype=bool)
     pa = [0] * nc
     pb = [0] * nc
@@ -336,7 +310,7 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
     ptrs3 = (pa, pb, pt)
     lists3 = (alists, blists, tlists)
     rhs = bases.copy()
-    # front index: for each arc, the structural rows whose current access,
+    # front index: for each arc, the rows whose current access,
     # egress, or tau minimum sits on that arc; closing an arc then only
     # touches the rows it actually fronts. score[i] accumulates the
     # rider weight of everything arc i currently fronts, which drives the
@@ -347,25 +321,18 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
     fronts3 = (front_a, front_b, front_t)
     score = np.zeros(na)
     for row in range(nc):
-        if struct_rows[row]:
-            al, bl, tl = alists[row], blists[row], tlists[row]
-            if al:
-                rhs[row] = min(bases[row], al[0][0] + tl[0][0] + bl[0][0])
-                p = row_p[row]
-                front_a[al[0][1]].add(row)
-                score[al[0][1]] += p
-                front_b[bl[0][1]].add(row)
-                score[bl[0][1]] += p
-                front_t[tl[0][1]].add(row)
-                score[tl[0][1]] += p
-        else:
-            rhs[row] = bases[row] - sum(c for _, c in cuts[row].coeff)
-            # affine support arcs stay relevant until decided, so their
-            # score never decays
-            for arc, _ in cuts[row].coeff:
-                score[arc_pos[arc]] += row_p[row]
+        al, bl, tl = alists[row], blists[row], tlists[row]
+        if al:
+            rhs[row] = min(bases[row], al[0][0] + tl[0][0] + bl[0][0])
+            p = row_p[row]
+            front_a[al[0][1]].add(row)
+            score[al[0][1]] += p
+            front_b[bl[0][1]].add(row)
+            score[bl[0][1]] += p
+            front_t[tl[0][1]].add(row)
+            score[tl[0][1]] += p
 
-    def _struct_rhs(row):
+    def _row_rhs(row):
         al = alists[row]
         if pa[row] < len(al):
             return min(
@@ -376,9 +343,6 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
 
     def close_arc(i, undo):
         closed[i] = True
-        for row, c in occ_sum[i]:
-            undo.append((-1, row, 0, rhs[row]))
-            rhs[row] = rhs[row] + c
         for which in (0, 1, 2):
             front = fronts3[which]
             entries_all = lists3[which]
@@ -400,15 +364,12 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
                     front[nxt].add(row)
                     score[nxt] += p
                 ptrs[row] = q
-                rhs[row] = _struct_rhs(row)
+                rhs[row] = _row_rhs(row)
             rows.clear()
 
     def undo_close(i, undo):
         closed[i] = False
         for which, row, old, old_rhs in reversed(undo):
-            if which < 0:
-                rhs[row] = old_rhs
-                continue
             front = fronts3[which]
             entries = lists3[which][row]
             ptrs = ptrs3[which]
@@ -569,8 +530,8 @@ class DfdSolution:
         return frozenset(self.routes)
 
 
-def _dfd_objective(inst, design, trips, threads=1):
-    routes = route_batch(trips, design, threads=threads)
+def _dfd_objective(inst, design, trips):
+    routes = route_batch(trips, design)
     total = arcs_cost(inst, design.open_arcs)
     for t, r in zip(trips, routes):
         total += t.riders * r.g
@@ -583,7 +544,6 @@ def solve_dfd(
     fixed=(),
     eps_gap: float = 1e-9,
     max_rounds: int = 200,
-    threads: int = 1,
     trace_path=None,
     cut_pool: CutPool | None = None,
 ) -> DfdSolution:
@@ -614,7 +574,7 @@ def solve_dfd(
         const_routes[t.id] = r
 
     def finish(design, objective, bounds, rounds, pool):
-        _, routes = _dfd_objective(inst, design, cut_trips, threads=threads)
+        _, routes = _dfd_objective(inst, design, cut_trips)
         all_routes = dict(const_routes)
         for t, r in zip(cut_trips, routes):
             all_routes[t.id] = r
@@ -644,7 +604,7 @@ def solve_dfd(
             inst, pool.for_trips(cut_trip_ids), fixed=fixed, warm=warm
         )
         lower = master_val + const
-        true_obj, _ = _dfd_objective(inst, z, cut_trips, threads=threads)
+        true_obj, _ = _dfd_objective(inst, z, cut_trips)
         true_obj += const
         if true_obj < incumbent_obj - 1e-15:
             incumbent, incumbent_obj = z, true_obj

@@ -21,7 +21,6 @@ full stop graph.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,6 +249,14 @@ def _build_full(inst: Instance, open_arcs, o: int, d: int):
     return adj
 
 
+def _build_graph(inst: Instance, open_arcs, o: int, d: int):
+    """The trip's search graph: hubs and endpoints when both matrices are
+    metric, else every stop."""
+    if inst.metric_consistent:
+        return _build_restricted(inst, open_arcs, o, d)
+    return _build_full(inst, open_arcs, o, d)
+
+
 def _lex_search(adj, o: int, d: int):
     """Label-setting search; returns the canonical optimal label at d."""
     heap = [(0.0, 0.0, 0, (o,), (), o)]
@@ -287,12 +294,11 @@ def route(trip: Trip, design: Design) -> Route:
         if cached_trip == trip:
             return cached_route
     o, d = trip.origin, trip.destination
-    if inst.metric_consistent:
-        adj = _build_restricted(inst, design.open_arcs, o, d)
-    else:
-        adj = _build_full(inst, design.open_arcs, o, d)
-    hit = _lex_search(adj, o, d)
-    assert hit is not None, "destination unreachable despite full shuttle coverage"
+    hit = _lex_search(_build_graph(inst, design.open_arcs, o, d), o, d)
+    if hit is None:
+        raise RuntimeError(
+            f"trip {trip.id}: destination unreachable despite full shuttle coverage"
+        )
     g, f, seq, moderanks = hit
     w = weights_of(inst)
     sidx = inst.stop_index
@@ -312,12 +318,8 @@ def route(trip: Trip, design: Design) -> Route:
     return result
 
 
-def route_batch(trips, design: Design, threads: int = 1):
-    """Element-wise ``route``; order preserving and schedule independent."""
-    trips = list(trips)
-    if threads > 1 and len(trips) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda t: route(t, design), trips))
+def route_batch(trips, design: Design):
+    """Element-wise ``route``, order preserving."""
     return [route(t, design) for t in trips]
 
 

@@ -50,7 +50,8 @@ class HeuristicTrace:
         self.design = design
         self.tset = frozenset(tset)
         self.truncated = truncated
-        assert any(r.fingerprint == design.fingerprint() for r in self.records)
+        if not any(r.fingerprint == design.fingerprint() for r in self.records):
+            raise RuntimeError(f"finished on design {design.fingerprint()} never traced")
         return self
 
 

@@ -38,9 +38,8 @@ class _DfdCache:
     one cut pool across them; identical (trip set, fixed arcs) inputs
     always yield identical solutions."""
 
-    def __init__(self, inst, threads=1):
+    def __init__(self, inst):
         self.inst = inst
-        self.threads = threads
         self.hits = {}
         self.pool = CutPool()
 
@@ -48,8 +47,7 @@ class _DfdCache:
         key = (frozenset(tset), frozenset(fixed))
         if key not in self.hits:
             self.hits[key] = solve_dfd(
-                self.inst, key[0], fixed=key[1], threads=self.threads,
-                cut_pool=self.pool,
+                self.inst, key[0], fixed=key[1], cut_pool=self.pool
             )
         return self.hits[key]
 
@@ -64,7 +62,6 @@ def rho_grad(
     inst: Instance,
     rho: int | None = None,
     fixed=(),
-    threads: int = 1,
     max_iter: int | None = None,
     _cache: _DfdCache | None = None,
 ):
@@ -75,7 +72,7 @@ def rho_grad(
     latent = inst.latent_trips
     core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
     cap = max_iter if max_iter is not None else len(latent) // rho + 10
-    cache = _cache or _DfdCache(inst, threads=threads)
+    cache = _cache or _DfdCache(inst)
     trace = HeuristicTrace()
     absorbed = set()
     k = 0
@@ -83,7 +80,7 @@ def rho_grad(
         t0 = time.perf_counter()
         tset = core_ids | absorbed
         sol = cache.solve(tset, fixed=fixed)
-        ev = eval_design(inst, sol.design, tset, threads=threads)
+        ev = eval_design(inst, sol.design, tset)
         trace.add(
             k, 1, len(tset), sol.design, ev.objective, len(ev.adopters),
             time.perf_counter() - t0,
@@ -102,9 +99,7 @@ def eta_grre(
     eta: int | None = None,
     fixed=(),
     start_tset=None,
-    threads: int = 1,
     max_iter: int = 100,
-    detect_cycles: bool = False,
     _cache: _DfdCache | None = None,
 ):
     """Greedy rejection. Returns (design, trace); trace.tset is the trip
@@ -114,7 +109,7 @@ def eta_grre(
         raise ValueError("eta must be >= 1")
     latent = inst.latent_trips
     core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
-    cache = _cache or _DfdCache(inst, threads=threads)
+    cache = _cache or _DfdCache(inst)
     trace = HeuristicTrace()
     rejected = set()
     m = 0
@@ -124,11 +119,10 @@ def eta_grre(
     best_design = None
     best_tset = None
     prev_key = None
-    seen_keys = {}
     while k <= max_iter:
         t0 = time.perf_counter()
         sol = cache.solve(tbar, fixed=fixed)
-        ev = eval_design(inst, sol.design, tbar, threads=threads)
+        ev = eval_design(inst, sol.design, tbar)
         trace.add(
             k, 1, len(tbar), sol.design, ev.objective, len(ev.adopters),
             time.perf_counter() - t0,
@@ -149,13 +143,8 @@ def eta_grre(
             adopting, key=lambda t: (net_cost(route(t, sol.design), inst), t.id)
         )
         key = sol.design.key()
-        stable = k >= 2 and prev_key == key and (m - eta) >= len(adopting)
-        # optional extension: a design recurring non-consecutively marks an
-        # oscillation that the stability test alone would never catch
-        oscillating = detect_cycles and k >= 2 and prev_key != key and key in seen_keys
-        if stable or oscillating:
+        if k >= 2 and prev_key == key and (m - eta) >= len(adopting):
             return best_design, trace.finish(best_design, best_tset)
-        seen_keys[key] = k
         tbar = core_ids | {t.id for t in ranked[:m]}
         prev_key = key
         k += 1
@@ -168,7 +157,6 @@ def rho_gagr(
     eta: int | None = None,
     fixed=(),
     time_limit: float | None = None,
-    threads: int = 1,
     max_iter: int | None = None,
     _cache: _DfdCache | None = None,
 ):
@@ -181,7 +169,7 @@ def rho_gagr(
     latent = inst.latent_trips
     core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
     cap = max_iter if max_iter is not None else len(latent) // rho + 10
-    cache = _cache or _DfdCache(inst, threads=threads)
+    cache = _cache or _DfdCache(inst)
     trace = HeuristicTrace()
     started = time.perf_counter()
     absorbed = set()
@@ -193,9 +181,9 @@ def rho_gagr(
         t0 = time.perf_counter()
         tbar = core_ids | absorbed
         design, inner = eta_grre(
-            inst, eta=eta, fixed=fixed, start_tset=tbar, threads=threads, _cache=cache
+            inst, eta=eta, fixed=fixed, start_tset=tbar, _cache=cache
         )
-        ev = eval_design(inst, design, inner.tset, threads=threads)
+        ev = eval_design(inst, design, inner.tset)
         trace.add(
             k, 1, len(inner.tset), design, ev.objective, len(ev.adopters),
             time.perf_counter() - t0,

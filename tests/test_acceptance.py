@@ -339,30 +339,27 @@ def test_criterion_10_determinism():
     inst = generate_synthetic(tiny_config(), seed=17)
     tset = [t.id for t in inst.trips]
 
-    def snapshot(threads):
+    def snapshot():
         outs = []
-        sol = solve_dfd(inst, tset, threads=threads)
+        sol = solve_dfd(inst, tset)
         outs.append(("dfd", sol.design.key(), round(sol.objective, 12)))
         res = exact_tiny(inst)
         outs.append(("exact", res.design.key(), round(res.evaluation.objective, 12)))
-        d, ts, tr = rho_grad(inst, rho=1, threads=threads)
+        d, ts, tr = rho_grad(inst, rho=1)
         outs.append(("grad", d.key(), tuple(r.fingerprint for r in tr.records), tuple(sorted(ts))))
-        d, tr = eta_grre(inst, eta=1, threads=threads)
+        d, tr = eta_grre(inst, eta=1)
         outs.append(("grre", d.key(), tuple(r.fingerprint for r in tr.records)))
-        d, tr = rho_gagr(inst, rho=1, eta=1, threads=threads)
+        d, tr = rho_gagr(inst, rho=1, eta=1)
         outs.append(("gagr", d.key(), tuple(r.fingerprint for r in tr.records)))
-        d, tr = arc_s1(inst, "a", threads=threads)
+        d, tr = arc_s1(inst, "a")
         outs.append(("arc-s1", d.key(), tuple(r.fingerprint for r in tr.records)))
-        d, tr = arc_s2(inst, "d", "a", threads=threads)
+        d, tr = arc_s2(inst, "d", "a")
         outs.append(("arc-s2", d.key(), tuple(r.fingerprint for r in tr.records)))
-        ev = eval_design(inst, Design.minimal(inst), set(), threads=threads)
+        ev = eval_design(inst, Design.minimal(inst), set())
         outs.append(("eval", round(ev.objective, 12), ev.r_false, ev.a_false))
         return outs
 
-    one = snapshot(threads=1)
-    again = snapshot(threads=1)
-    multi = snapshot(threads=4)
+    one = snapshot()
+    again = snapshot()
     assert one == again
-    assert one == multi
-    report(10, f"{len(one)} algorithm outputs identical across re-runs and "
-               f"thread counts 1 vs 4")
+    report(10, f"{len(one)} algorithm outputs identical across re-runs")

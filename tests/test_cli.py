@@ -87,6 +87,16 @@ class TestSolve:
         rc = main(["solve", "--instance", str(tmp_path / "nope.json"), "--alg", "grad"])
         assert rc == 1
 
+    def test_threads_is_a_no_op(self, tmp_path, instance_file):
+        outs = []
+        for n in ("1", "4"):
+            out = tmp_path / f"t{n}"
+            rc = main(["solve", "--instance", str(instance_file), "--alg", "gagr",
+                       "--rho", "1", "--eta", "1", "--threads", n, "--out", str(out)])
+            assert rc == 0
+            outs.append([(out / f).read_bytes() for f in ("design.json", "evaluation.json")])
+        assert outs[0] == outs[1]
+
 
 class TestEvaluate:
     def test_round_trip(self, tmp_path, instance_file, capsys):
@@ -101,6 +111,14 @@ class TestEvaluate:
         solved = json.loads((out / "evaluation.json").read_text())
         evaluated = json.loads((tmp_path / "ev.json").read_text())
         assert evaluated["objective"] == pytest.approx(solved["objective"])
+
+    def test_design_without_open_arcs(self, tmp_path, instance_file, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"tset": []}))
+        rc = main(["evaluate", "--instance", str(instance_file), "--design", str(bad)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "open_arcs" in err[0]
 
 
 class TestCompare:

@@ -48,7 +48,9 @@ class TestMakeCut:
 
 class TestSolveMaster:
     def test_two_design_enumeration(self, example_instance):
-        cut = BendersCut(trip_id=0, base=18.5, coeff=(((1, 2), 4.75),))
+        cut = make_cut(example_instance.trips[0], Design.minimal(example_instance))
+        assert cut.base == pytest.approx(18.5)
+        assert cut.coeff == (((1, 2), pytest.approx(4.75)),)
         design, bound = solve_master(example_instance, [cut])
         assert sorted(design.open_arcs) == [(1, 2), (2, 1)]
         assert bound == pytest.approx(17.75)
@@ -60,10 +62,24 @@ class TestSolveMaster:
 
     def test_connectivity_couples_arcs(self, example_instance):
         # a cut that would love (1,2) alone still pays for the return arc
-        cut = BendersCut(trip_id=0, base=18.5, coeff=(((1, 2), 10.0),))
+        cut = BendersCut(
+            trip_id=0, base=18.5, coeff=(((1, 2), 10.0),),
+            access=(((1, 2), 0.5),), egress=(((1, 2), 0.5),),
+        )
         design, bound = solve_master(example_instance, [cut])
         assert design.open_arcs == frozenset({(1, 2), (2, 1)})
         assert bound == pytest.approx(2 + 2 + 8.5)
+
+    def test_cut_without_potentials_rejected(self, example_instance):
+        cut = BendersCut(trip_id=0, base=18.5, coeff=(((1, 2), 4.75),))
+        with pytest.raises(ValueError, match="access/egress"):
+            solve_master(example_instance, [cut])
+
+    def test_cut_without_coeff_is_constant(self, example_instance):
+        cut = BendersCut(trip_id=0, base=3.0, coeff=())
+        design, bound = solve_master(example_instance, [cut])
+        assert design.open_arcs == frozenset()
+        assert bound == pytest.approx(3.0)
 
 
 class TestSolveDfd:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from odmts import Design, Trip, ValidationError, is_direct_trip, route, route_batch
+from odmts import Design, Instance, Trip, ValidationError, is_direct_trip, route, route_batch
 from odmts.router import BUS, SHUTTLE
 from conftest import oracle_route, random_design, tiny_instance
 
@@ -94,18 +94,36 @@ class TestDirectTrip:
                 assert route(t, z).is_direct_shuttle
 
 
+def assert_matches_oracle(inst, z):
+    for trip in inst.trips:
+        got = route(trip, z)
+        g, f, legs = oracle_route(trip, z)
+        assert got.g == pytest.approx(g, abs=1e-12)
+        assert got.f == pytest.approx(f, abs=1e-12)
+        assert got.legs == legs
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_enumeration(self, seed):
         inst = tiny_instance(seed, n_stops=7, n_hubs=3, core=2, mid=2, high=1)
         rng = np.random.default_rng(seed)
-        z = random_design(inst, rng)
-        for trip in inst.trips:
-            got = route(trip, z)
-            g, f, legs = oracle_route(trip, z)
-            assert got.g == pytest.approx(g, abs=1e-12)
-            assert got.f == pytest.approx(f, abs=1e-12)
-            assert got.legs == legs
+        assert_matches_oracle(inst, random_design(inst, rng))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_non_metric_matches_enumeration(self, seed):
+        # one symmetric random factor on both matrices breaks the triangle
+        # inequality, so routing runs on the full stop graph
+        base = tiny_instance(seed, n_stops=7, n_hubs=3, core=2, mid=2, high=1)
+        rng = np.random.default_rng(seed)
+        factor = rng.uniform(0.5, 2.0, size=base.time.shape)
+        factor = (factor + factor.T) / 2.0
+        inst = Instance(
+            stops=base.stops, hubs=base.hubs, time=base.time * factor,
+            dist=base.dist * factor, trips=base.trips, params=base.params,
+        )
+        assert not inst.metric_consistent
+        assert_matches_oracle(inst, random_design(inst, rng))
 
     def test_full_graph_engine_agrees(self, monkeypatch):
         inst = tiny_instance(3)
@@ -155,11 +173,3 @@ class TestRouteBatch:
         assert out == [route(trips[0], z), route(trips[1], z)]
         rev = route_batch(trips[::-1], z)
         assert rev == out[::-1]
-
-    def test_threads_identical(self):
-        inst = tiny_instance(2)
-        z = Design.minimal(inst)
-        a = route_batch(inst.trips, z, threads=1)
-        z2 = Design(inst, z.open_arcs)
-        b = route_batch(inst.trips, z2, threads=3)
-        assert a == b

@@ -1,6 +1,8 @@
 import pytest
 
 from odmts import (
+    Design,
+    HeuristicTrace,
     Trip,
     eta_grre,
     eval_design,
@@ -178,3 +180,13 @@ class TestDeterminism:
         assert a[0].open_arcs == b[0].open_arcs
         assert a[1] == b[1]
         assert [r.fingerprint for r in a[2].records] == [r.fingerprint for r in b[2].records]
+
+
+class TestHeuristicTrace:
+    def test_finish_on_untraced_design_raises(self, example_instance):
+        z0 = Design.minimal(example_instance)
+        z1 = Design(example_instance, frozenset({(1, 2), (2, 1)}))
+        trace = HeuristicTrace()
+        trace.add(0, 1, 1, z0, 18.5, 0, 0.0)
+        with pytest.raises(RuntimeError, match="never traced"):
+            trace.finish(z1, {0})
