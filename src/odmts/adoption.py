@@ -121,7 +121,8 @@ def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
     p = inst.params
     routes = route_batch(inst.trips, design)
 
-    objective = arcs_cost(inst, design.open_arcs)
+    bus_investment = arcs_cost(inst, design.open_arcs)
+    objective = bus_investment
     adopters = set()
     shuttle_km = 0.0
     convenience = 0.0
@@ -143,7 +144,6 @@ def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
             convenience += trip.riders * r.f
             fare_riders += trip.riders
 
-    bus_investment = arcs_cost(inst, design.open_arcs)
     sidx = inst.stop_index
     bus_cost_dollars = 0.0
     for h, l in design.open_arcs:

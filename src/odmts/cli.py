@@ -152,13 +152,25 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _int_list(value) -> bool:
+    """A JSON list of integers (true/false excluded)."""
+    return isinstance(value, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    )
+
+
 def cmd_evaluate(args) -> int:
     inst = load_instance(args.instance)
     doc = json.loads(Path(args.design).read_text())
     if not isinstance(doc, dict) or "open_arcs" not in doc:
         raise InstanceParseError(f"{args.design}: design file has no 'open_arcs' key")
-    design = Design(inst, frozenset(tuple(a) for a in doc["open_arcs"]))
-    tset = frozenset(doc.get("tset", [t.id for t in inst.trips]))
+    arcs = doc["open_arcs"]
+    if not isinstance(arcs, list) or not all(_int_list(a) and len(a) == 2 for a in arcs):
+        raise InstanceParseError(f"{args.design}: 'open_arcs' must be a list of [h, l] hub pairs")
+    tset = doc.get("tset", [t.id for t in inst.trips])
+    if not _int_list(tset):
+        raise InstanceParseError(f"{args.design}: 'tset' must be a list of trip ids")
+    design = Design(inst, frozenset(tuple(a) for a in arcs))
     ev = eval_design(inst, design, tset)
     out = {"tool_version": __version__, **ev.to_dict()}
     if args.out:

@@ -20,15 +20,18 @@ the bound. Potentials taken under z0 itself would over-tighten coeffs
 and break validity on routes crossing two or more closed arcs.
 
 The master is a deterministic branch and bound over the arc variables.
-It prices each cut by the access + tau + egress of the cheapest support
-arc still open, which dominates the affine form (see ``solve_master``).
+It prices each cut as min(base, min access + min tau + min egress) over
+the support arcs still open, which dominates the affine form (see
+``solve_master``). The potentials sit in one dense array per solve,
+(access, tau, egress) x cut row x arc, with inf off the support;
+closing an arc masks its column and re-takes the row minima it held.
 Undecided arcs count as open inside every cut (optimistic completion)
 and as closed in the investment term, which is a valid node bound.
-Branching picks the undecided arc heading the most rider-weighted cut
-minima, closed child first; when no undecided arc can move the trip
-term any more the whole subtree reduces to a cheapest balanced
-completion, found by a memoized subset search, so arcs no cut cares
-about are never branched on.
+Branching takes the argmax of the rider-weighted count of row minima
+each undecided arc holds, closed child first; when no undecided arc
+can move the trip term any more the whole subtree reduces to a
+cheapest balanced completion, found by a memoized subset search, so
+arcs no cut cares about are never branched on.
 """
 
 from __future__ import annotations
@@ -174,6 +177,15 @@ def make_cut(trip: Trip, design: Design) -> BendersCut:
 
 # -- master problem ----------------------------------------------------
 
+# The master's potential matrix ends in a never-closed dummy column at
+# _DUMMY: a row with no open support arc takes its minima there and
+# prices at its base (3 * _DUMMY is still finite). An unreachable (inf)
+# potential is stored as _CAP, below the dummy, so it still marks its
+# arc as support and heads the row's minimum ahead of the dummy; any sum
+# holding it exceeds the base either way.
+_DUMMY = np.finfo(float).max / 4
+_CAP = np.finfo(float).max / 8
+
 
 def _completion_search(arcs, betas, hubs, memo, idx, deficit):
     """Cheapest subset of arcs[idx:] whose degree vector cancels
@@ -220,6 +232,13 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
     improvements the affine relaxation never finishes on dense candidate
     sets. A cut with a non-empty ``coeff`` but no potentials raises
     ``ValueError``.
+
+    The potentials form one dense matrix ``pot[k, row, arc]`` (k =
+    access, tau, egress; inf off the support; see ``_DUMMY`` for the
+    extra column). Closing an arc sets its column to inf and re-takes
+    the minima of the rows whose argmin sat on it; argmin's first-index
+    rule breaks ties by candidate order. Branching picks the undecided
+    arc holding the most rider-weighted argmins.
     """
     fixed = frozenset(tuple(a) for a in fixed) | inst.fixed_arcs
     cand = list(inst.candidate_arcs)
@@ -241,14 +260,15 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
             )
     nc = len(cuts)
     bases = np.array([c.base for c in cuts], dtype=float)
-    # per row, (value, arc index) entries sorted ascending; empty for a
-    # constant row
-    tau_of = {
-        (h, l): float(w.tau[hubs[h], hubs[l]]) for h, l in cand
-    }
-    alists = [sorted((v, arc_pos[arc]) for arc, v in cut.access) for cut in cuts]
-    blists = [sorted((v, arc_pos[arc]) for arc, v in cut.egress) for cut in cuts]
-    tlists = [sorted((tau_of[arc], arc_pos[arc]) for arc, _ in cut.access) for cut in cuts]
+    tau = np.array([w.tau[hubs[h], hubs[l]] for h, l in cand], dtype=float)
+    pot = np.full((3, nc, na + 1), np.inf)
+    pot[:, :, na] = _DUMMY
+    for row, cut in enumerate(cuts):
+        ia = [arc_pos[arc] for arc, _ in cut.access]
+        ib = [arc_pos[arc] for arc, _ in cut.egress]
+        pot[0, row, ia] = np.minimum([v for _, v in cut.access], _CAP)
+        pot[1, row, ia] = tau[ia]
+        pot[2, row, ib] = np.minimum([v for _, v in cut.egress], _CAP)
     if nc:
         trip_ids = [c.trip_id for c in cuts]
         starts = np.array(
@@ -261,6 +281,9 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
         starts = np.zeros(0, dtype=int)
         pvec = np.zeros(0)
 
+    def price(m, base=bases):
+        return np.minimum(base, m[0] + m[1] + m[2])
+
     def trip_term(rhs):
         if rhs.size == 0:
             return 0.0
@@ -269,28 +292,18 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
 
     def master_value(open_set):
         open_idx = {arc_pos[a] for a in open_set}
-        rhs = bases.copy()
-        for row in range(nc):
-            amin = min((v for v, ai in alists[row] if ai in open_idx), default=None)
-            bmin = min((v for v, ai in blists[row] if ai in open_idx), default=None)
-            tmin = min((v for v, ai in tlists[row] if ai in open_idx), default=None)
-            if amin is not None and bmin is not None:
-                rhs[row] = min(bases[row], amin + tmin + bmin)
+        shut = np.ones(na + 1, dtype=bool)
+        shut[list(open_idx) + [na]] = False
+        rhs = price(np.where(shut, np.inf, pot).min(2))
         return sum(float(beta[i]) for i in open_idx) + trip_term(rhs)
 
-    agg = np.zeros(na)
-    for cut in cuts:
-        p = float(inst.trip_by_id(cut.trip_id).riders)
-        for arc, c in cut.coeff:
-            agg[arc_pos[arc]] += p * c
-    active = [i for i in range(na) if agg[i] > 0 and cand[i] not in fixed]
-    inactive = [i for i in range(na) if agg[i] <= 0 and cand[i] not in fixed]
-    inactive.sort(key=lambda i: (beta[i], cand[i]))
+    free = np.array([a not in fixed for a in cand], dtype=bool)
+    support = np.isfinite(pot[0, :, :na]).any(0)
+    inactive = sorted(np.flatnonzero(free & ~support), key=lambda i: (beta[i], cand[i]))
     inactive_arcs = [cand[i] for i in inactive]
     inactive_beta = [float(beta[i]) for i in inactive]
-    row_p = (
-        np.repeat(pvec, np.diff(np.append(starts, nc))) if nc else np.zeros(0)
-    )
+    inactive_min = inactive_beta[0] if inactive_beta else float("inf")
+    row_w = np.tile(np.repeat(pvec, np.diff(np.append(starts, nc))), 3)
 
     nh = len(inst.hubs)
     base_deficit = [0] * nh
@@ -300,94 +313,36 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
         base_deficit[hubs[l]] -= 1
         beta_fixed += float(beta[arc_pos[(h, l)]])
 
-    # search state: every arc starts open-or-undecided. Each row keeps
-    # pointers at its smallest not-closed access/egress/tau entries. All
-    # mutations are undone on backtrack.
-    closed = np.zeros(na, dtype=bool)
-    pa = [0] * nc
-    pb = [0] * nc
-    pt = [0] * nc
-    ptrs3 = (pa, pb, pt)
-    lists3 = (alists, blists, tlists)
-    rhs = bases.copy()
-    # front index: for each arc, the rows whose current access,
-    # egress, or tau minimum sits on that arc; closing an arc then only
-    # touches the rows it actually fronts. score[i] accumulates the
-    # rider weight of everything arc i currently fronts, which drives the
-    # branching choice.
-    front_a = [set() for _ in range(na)]
-    front_b = [set() for _ in range(na)]
-    front_t = [set() for _ in range(na)]
-    fronts3 = (front_a, front_b, front_t)
-    score = np.zeros(na)
-    for row in range(nc):
-        al, bl, tl = alists[row], blists[row], tlists[row]
-        if al:
-            rhs[row] = min(bases[row], al[0][0] + tl[0][0] + bl[0][0])
-            p = row_p[row]
-            front_a[al[0][1]].add(row)
-            score[al[0][1]] += p
-            front_b[bl[0][1]].add(row)
-            score[bl[0][1]] += p
-            front_t[tl[0][1]].add(row)
-            score[tl[0][1]] += p
+    # search state: ``cur`` is ``pot`` with the closed arcs' columns at
+    # inf, and mins/args/rhs are its row minima; every arc starts
+    # open-or-undecided and every mutation is undone on backtrack.
+    cur = pot.copy()
+    mins, args = cur.min(2), cur.argmin(2)
+    rhs = price(mins)
 
-    def _row_rhs(row):
-        al = alists[row]
-        if pa[row] < len(al):
-            return min(
-                bases[row],
-                al[pa[row]][0] + tlists[row][pt[row]][0] + blists[row][pb[row]][0],
-            )
-        return bases[row]
+    def close_arc(i):
+        cur[:, :, i] = np.inf
+        rows = np.flatnonzero((args == i).any(0))
+        saved = (rows, mins[:, rows], args[:, rows], rhs[rows])
+        sub = cur[:, rows]
+        m = sub.min(2)
+        mins[:, rows] = m
+        args[:, rows] = sub.argmin(2)
+        rhs[rows] = price(m, bases[rows])
+        return saved
 
-    def close_arc(i, undo):
-        closed[i] = True
-        for which in (0, 1, 2):
-            front = fronts3[which]
-            entries_all = lists3[which]
-            ptrs = ptrs3[which]
-            rows = front[i]
-            if not rows:
-                continue
-            for row in sorted(rows):
-                entries = entries_all[row]
-                old = ptrs[row]
-                q = old + 1
-                while q < len(entries) and closed[entries[q][1]]:
-                    q += 1
-                undo.append((which, row, old, rhs[row]))
-                p = row_p[row]
-                score[i] -= p
-                if q < len(entries):
-                    nxt = entries[q][1]
-                    front[nxt].add(row)
-                    score[nxt] += p
-                ptrs[row] = q
-                rhs[row] = _row_rhs(row)
-            rows.clear()
-
-    def undo_close(i, undo):
-        closed[i] = False
-        for which, row, old, old_rhs in reversed(undo):
-            front = fronts3[which]
-            entries = lists3[which][row]
-            ptrs = ptrs3[which]
-            cur = ptrs[row]
-            p = row_p[row]
-            if cur < len(entries):
-                front[entries[cur][1]].discard(row)
-                score[entries[cur][1]] -= p
-            front[entries[old][1]].add(row)
-            score[entries[old][1]] += p
-            ptrs[row] = old
-            rhs[row] = old_rhs
+    def undo_close(i, saved):
+        rows, m, a, r = saved
+        cur[:, :, i] = pot[:, :, i]
+        mins[:, rows] = m
+        args[:, rows] = a
+        rhs[rows] = r
 
     # undecided in/out arc counts per hub for feasibility pruning,
     # maintained as arcs get decided
     remain_in = [0] * nh
     remain_out = [0] * nh
-    for i in active + inactive:
+    for i in np.flatnonzero(free):
         h, l = cand[i]
         remain_out[hubs[h]] += 1
         remain_in[hubs[l]] += 1
@@ -402,12 +357,12 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
             best["open"] = frozenset(wd.open_arcs)
 
     tol = 1e-12
-    undecided = set(active)
+    undecided = free & support
 
     def collapse(open_active, beta_open, deficit):
         """No undecided arc can change the trip term any more: the whole
         subtree reduces to the cheapest balanced completion by beta."""
-        merged = sorted(undecided, key=lambda i: (beta[i], cand[i]))
+        merged = sorted(np.flatnonzero(undecided), key=lambda i: (beta[i], cand[i]))
         arcs = [cand[i] for i in merged] + inactive_arcs
         costs = [float(beta[i]) for i in merged] + inactive_beta
         comp = _completion_search(arcs, costs, hubs, {}, 0, tuple(deficit))
@@ -428,32 +383,19 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
         return True
 
     def pick_arc():
-        """Undecided arc currently heading the most rider-weighted cut
-        minima; None when no undecided arc can move the trip term.
-        Scores are integer-valued, so exact zero is reliable."""
-        best_arc = None
-        best_key = None
-        for i in undecided:
-            s = float(score[i])
-            if s <= 0:
-                continue
-            key = (-s, cand[i])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_arc = i
-        return best_arc
+        """Undecided arc holding the most rider-weighted row minima, first
+        in candidate order on ties; None when no undecided arc can move
+        the trip term. Scores are integer-valued, so exact zero is
+        reliable."""
+        score = np.bincount(args.ravel(), weights=row_w, minlength=na + 1)[:na] * undecided
+        return int(score.argmax()) if score.any() else None
 
     def node(open_active, beta_open, deficit):
         if not feasible(deficit):
             return
         need = sum(abs(v) for v in deficit)
         if need:
-            mb = min(
-                (float(beta[i]) for i in undecided),
-                default=min(inactive_beta, default=float("inf")),
-            )
-            if inactive_beta:
-                mb = min(mb, inactive_beta[0])
+            mb = float(beta[undecided].min(initial=inactive_min))
             extra = (need / 2.0) * (0.0 if mb == float("inf") else mb)
         else:
             extra = 0.0
@@ -465,19 +407,18 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
             collapse(open_active, beta_open, deficit)
             return
         h, l = cand[i]
-        undecided.discard(i)
+        undecided[i] = False
         remain_out[hubs[h]] -= 1
         remain_in[hubs[l]] -= 1
         # closed child first: keeps early incumbents sparse
-        undo = []
-        close_arc(i, undo)
+        saved = close_arc(i)
         node(open_active, beta_open, deficit)
-        undo_close(i, undo)
+        undo_close(i, saved)
         nd = list(deficit)
         nd[hubs[h]] += 1
         nd[hubs[l]] -= 1
         node(open_active + [i], beta_open + float(beta[i]), nd)
-        undecided.add(i)
+        undecided[i] = True
         remain_out[hubs[h]] += 1
         remain_in[hubs[l]] += 1
 

@@ -20,6 +20,8 @@ across threads.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +42,27 @@ class ValidationError(ValueError):
 
 class InstanceParseError(ValueError):
     """The file is not a well-formed instance document."""
+
+
+def _finite(x) -> bool:
+    """A finite real number; bools (JSON true/false) are not numbers here."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, convert, where: str, default=_REQUIRED):
+    """``convert(doc[key])``; a missing or unconvertible value is a parse
+    error naming the key."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise InstanceParseError(f"{where}: missing key {key!r}")
+        return default
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as e:
+        raise InstanceParseError(f"{where}: bad {key!r}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -188,8 +211,8 @@ class Instance:
         nh = len(self.hubs)
         wait = p.wait
         if np.isscalar(wait):
-            if wait < 0:
-                raise ValidationError("wait must be non-negative")
+            if not _finite(wait) or wait < 0:
+                raise ValidationError("wait must be finite and non-negative")
         else:
             wait = np.asarray(wait, dtype=float)
             if wait.shape != (nh, nh):
@@ -197,7 +220,7 @@ class Instance:
             if np.any(wait < 0) or not np.all(np.isfinite(wait)):
                 raise ValidationError("wait entries must be finite and non-negative")
         if p.candidate != "all":
-            if not isinstance(p.candidate, int) or p.candidate < 1:
+            if isinstance(p.candidate, bool) or not isinstance(p.candidate, int) or p.candidate < 1:
                 raise ValidationError("candidate must be 'all' or a positive integer k")
 
     def _validate_trips(self):
@@ -213,16 +236,20 @@ class Instance:
                 raise ValidationError(f"trip {t.id}: unknown stop {t.destination}")
             if t.origin == t.destination:
                 raise ValidationError(f"trip {t.id}: origin equals destination")
-            if t.riders < 1:
-                raise ValidationError(f"trip {t.id}: riders must be positive")
+            if (
+                isinstance(t.riders, bool)
+                or not isinstance(t.riders, numbers.Integral)
+                or t.riders < 1
+            ):
+                raise ValidationError(f"trip {t.id}: riders must be a positive integer")
             if t.kind == CORE:
                 if t.alpha is not None or t.t_cur is not None:
                     raise ValidationError(f"trip {t.id}: core trips carry no alpha/t_cur")
             elif t.kind == LATENT:
-                if t.alpha is None or t.alpha < 1.0:
-                    raise ValidationError(f"trip {t.id}: latent trip needs alpha >= 1")
-                if t.t_cur is None or t.t_cur <= 0:
-                    raise ValidationError(f"trip {t.id}: latent trip needs t_cur > 0")
+                if not _finite(t.alpha) or t.alpha < 1.0:
+                    raise ValidationError(f"trip {t.id}: latent trip needs a finite alpha >= 1")
+                if not _finite(t.t_cur) or t.t_cur <= 0:
+                    raise ValidationError(f"trip {t.id}: latent trip needs a finite t_cur > 0")
             else:
                 raise ValidationError(f"trip {t.id}: unknown kind {t.kind!r}")
 
@@ -347,14 +374,21 @@ class Instance:
         for key in ("stops", "hubs", "time", "dist", "trips", "params"):
             if key not in doc:
                 raise InstanceParseError(f"missing section {key!r}")
+        if not isinstance(doc["trips"], list):
+            raise InstanceParseError("'trips' must be a list")
+        if not isinstance(doc["params"], dict):
+            raise InstanceParseError("'params' must be a mapping")
         trips = []
-        for td in doc["trips"]:
+        for k, td in enumerate(doc["trips"]):
+            where = f"trip entry {k}"
+            if not isinstance(td, dict):
+                raise InstanceParseError(f"{where} must be a mapping")
             trips.append(
                 Trip(
-                    id=int(td["id"]),
-                    origin=int(td["origin"]),
-                    destination=int(td["destination"]),
-                    riders=int(td["riders"]),
+                    id=_field(td, "id", int, where),
+                    origin=_field(td, "origin", int, where),
+                    destination=_field(td, "destination", int, where),
+                    riders=_field(td, "riders", lambda v: v, where),
                     kind=td.get("kind", CORE),
                     alpha=td.get("alpha"),
                     t_cur=td.get("t_cur"),
@@ -365,13 +399,13 @@ class Instance:
         if isinstance(wait, list):
             wait = np.asarray(wait, dtype=float)
         params = CostParams(
-            theta=float(p["theta"]),
-            omega=float(p["omega"]),
+            theta=_field(p, "theta", float, "params"),
+            omega=_field(p, "omega", float, "params"),
             bus_cost_mode=p.get("bus_cost_mode", PER_DISTANCE),
-            bus_rate=float(p.get("bus_rate", 3.87)),
-            buses_per_leg=float(p.get("buses_per_leg", 16.0)),
+            bus_rate=_field(p, "bus_rate", float, "params", 3.87),
+            buses_per_leg=_field(p, "buses_per_leg", float, "params", 16.0),
             wait=wait,
-            ticket=float(p.get("ticket", 2.5)),
+            ticket=_field(p, "ticket", float, "params", 2.5),
             shuttle_between_hubs=bool(p.get("shuttle_between_hubs", False)),
             candidate=p.get("candidate", "all"),
             fixed_arcs=tuple(tuple(a) for a in p.get("fixed_arcs", [])),

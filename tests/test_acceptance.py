@@ -307,6 +307,7 @@ BENCHMARK_CONFIG = GeneratorConfig(
 )
 
 
+@pytest.mark.slow
 def test_criterion_9_desk_scale_benchmark():
     inst = generate_synthetic(BENCHMARK_CONFIG, seed=11)
     assert len(inst.trips) == 200 and len(inst.hubs) == 8

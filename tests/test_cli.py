@@ -112,13 +112,27 @@ class TestEvaluate:
         evaluated = json.loads((tmp_path / "ev.json").read_text())
         assert evaluated["objective"] == pytest.approx(solved["objective"])
 
-    def test_design_without_open_arcs(self, tmp_path, instance_file, capsys):
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"tset": []}, "open_arcs"),
+            ([], "open_arcs"),
+            ({"open_arcs": 5}, "open_arcs"),
+            ({"open_arcs": [[1]]}, "open_arcs"),
+            ({"open_arcs": [[1, "2"]]}, "open_arcs"),
+            ({"open_arcs": [], "tset": 7}, "tset"),
+            ({"open_arcs": [], "tset": [0, "1"]}, "tset"),
+        ],
+        ids=["no_open_arcs", "not_object", "open_arcs_int", "open_arcs_short_pair",
+             "open_arcs_str_hub", "tset_int", "tset_str_id"],
+    )
+    def test_design_without_open_arcs(self, tmp_path, instance_file, capsys, doc, key):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"tset": []}))
+        bad.write_text(json.dumps(doc))
         rc = main(["evaluate", "--instance", str(instance_file), "--design", str(bad)])
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "open_arcs" in err[0]
+        assert len(err) == 1 and key in err[0]
 
 
 class TestCompare:

@@ -1,10 +1,14 @@
+import numpy as np
 import pytest
 
 from odmts import (
     BendersCut,
     CapExceeded,
+    CostParams,
     Design,
+    Instance,
     SolveError,
+    Trip,
     balanced_designs,
     enumerate_dfd,
     make_cut,
@@ -12,7 +16,47 @@ from odmts import (
     solve_dfd,
     solve_master,
 )
+from odmts.adoption import arcs_cost
+from odmts.router import weights_of
 from conftest import make_example_instance, tiny_instance
+
+
+def hub_origin_instance(seed):
+    """Four hubs and one non-hub stop, no hub-to-hub shuttles: a trip
+    leaving a hub reaches the other hubs only by bus, so closing a cut's
+    support leaves some of its access potentials unreachable (inf)."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0, 10, size=(5, 2))
+    dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    trips = []
+    for k in range(6):
+        o = int(rng.integers(0, 4))
+        d = 4 if k % 2 else int(rng.integers(0, 5))
+        trips.append(Trip(id=k, origin=o, destination=4 if d == o else d,
+                          riders=int(rng.integers(1, 5))))
+    params = CostParams(theta=0.001, omega=1.0, bus_rate=0.9, buses_per_leg=4.0,
+                        wait=5.0, ticket=2.5, shuttle_between_hubs=False)
+    return Instance(stops=tuple(range(5)), hubs=(0, 1, 2, 3), time=2.0 * dist,
+                    dist=dist, trips=tuple(trips), params=params)
+
+
+def master_oracle(inst, cuts, open_arcs):
+    """The master objective of one design, priced row by row: a row is
+    min(base, min access + min tau + min egress) over its open support
+    arcs, and its base when none is open."""
+    w = weights_of(inst)
+    hidx = inst.hub_index
+    worst = {}
+    for cut in cuts:
+        acc = [v for arc, v in cut.access if arc in open_arcs]
+        egr = [v for arc, v in cut.egress if arc in open_arcs]
+        tau = [float(w.tau[hidx[h], hidx[l]]) for (h, l), _ in cut.access
+               if (h, l) in open_arcs]
+        row = min(cut.base, min(acc) + min(tau) + min(egr)) if acc else cut.base
+        worst[cut.trip_id] = max(worst.get(cut.trip_id, 0.0), row)
+    return arcs_cost(inst, open_arcs) + sum(
+        inst.trip_by_id(tid).riders * v for tid, v in worst.items()
+    )
 
 
 class TestMakeCut:
@@ -80,6 +124,33 @@ class TestSolveMaster:
         design, bound = solve_master(example_instance, [cut])
         assert design.open_arcs == frozenset()
         assert bound == pytest.approx(3.0)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [tiny_instance(seed) for seed in range(6)] + [hub_origin_instance(33)],
+        ids=[f"tiny{seed}" for seed in range(6)] + ["hub_origin33"],
+    )
+    def test_matches_brute_force(self, inst):
+        sol = solve_dfd(inst, [t.id for t in inst.trips])
+        cuts = sol.cuts
+        assert cuts
+        designs = list(balanced_designs(inst))
+        # the pool after each round, up to the final one
+        for n in sorted(set(np.cumsum([b[4] for b in sol.bounds]).tolist())):
+            pool = cuts[:n]
+            values = [master_oracle(inst, pool, z.open_arcs) for z in designs]
+            design, bound = solve_master(inst, pool)
+            assert bound == pytest.approx(min(values), rel=1e-12)
+            assert master_oracle(inst, pool, design.open_arcs) == pytest.approx(
+                bound, rel=1e-12
+            )
+        # some row has every support arc closed in some design, so the
+        # price-at-base path is exercised
+        assert any(
+            cut.access and not any(arc in z.open_arcs for arc, _ in cut.access)
+            for cut in cuts
+            for z in designs
+        )
 
 
 class TestSolveDfd:

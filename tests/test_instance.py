@@ -17,6 +17,9 @@ from odmts import (
 from conftest import make_example_instance, tiny_config
 
 
+DELETE = object()  # marks a key the malformed-document cases remove
+
+
 def small_doc():
     return {
         "schema": 1,
@@ -86,6 +89,44 @@ class TestLoadInstance:
         doc["params"]["fixed_arcs"] = [[1, 2]]
         with pytest.raises(ValidationError, match="weakly connected"):
             Instance.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path, value, match",
+        [
+            (("trips", 1, "alpha"), float("nan"), "alpha"),
+            (("trips", 1, "alpha"), float("inf"), "alpha"),
+            (("trips", 1, "alpha"), "1.5", "alpha"),
+            (("trips", 1, "t_cur"), float("nan"), "t_cur"),
+            (("trips", 1, "t_cur"), float("inf"), "t_cur"),
+            (("params", "wait"), float("nan"), "wait"),
+            (("params", "wait"), float("inf"), "wait"),
+            (("trips", 0, "riders"), 2.7, "riders"),
+            (("trips", 0, "riders"), True, "riders"),
+            (("params", "candidate"), True, "candidate"),
+            (("trips", 0, "id"), DELETE, "'id'"),
+            (("params", "theta"), DELETE, "'theta'"),
+            (("trips",), 5, "trips"),
+            (("trips",), {"0": {"id": 0}}, "trips"),
+        ],
+        ids=["alpha_nan", "alpha_inf", "alpha_str", "t_cur_nan", "t_cur_inf",
+             "wait_nan", "wait_inf", "riders_fraction", "riders_bool",
+             "candidate_bool", "trip_without_id", "params_without_theta",
+             "trips_int", "trips_mapping"],
+    )
+    def test_malformed_document_rejected(self, tmp_path, path, value, match):
+        doc = small_doc()
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        with pytest.raises((InstanceParseError, ValidationError), match=match):
+            load_instance(f)
 
 
 class TestDeriveWeights:
