@@ -63,33 +63,6 @@ class DesignEvaluation:
             "kpis": dict(self.kpis),
         }
 
-    @staticmethod
-    def csv_header() -> list:
-        return [
-            "objective",
-            "adopters",
-            "r_false",
-            "a_false",
-            "shuttle_km",
-            "bus_investment",
-            "bus_cost_dollars",
-            "total_convenience_minutes",
-            "agency_net_cost",
-        ]
-
-    def csv_row(self) -> list:
-        return [
-            repr(self.objective),
-            len(self.adopters),
-            repr(self.r_false),
-            repr(self.a_false),
-            repr(self.kpis["shuttle_km"]),
-            repr(self.kpis["bus_investment"]),
-            repr(self.kpis["bus_cost_dollars"]),
-            repr(self.kpis["total_convenience_minutes"]),
-            repr(self.kpis["agency_net_cost"]),
-        ]
-
 
 def design_objective(inst: Instance, design: Design) -> float:
     """eval(z) alone, for hot loops that do not need metrics."""
@@ -195,23 +168,23 @@ class ExactTinyResult:
     resolve_matches: bool
 
 
-def exact_tiny(inst: Instance, fixed=(), cap: int = 16) -> ExactTinyResult:
-    """Enumerate every weakly connected design containing ``fixed`` and
-    return the eval-minimal one (ties: lexicographically smallest arc
-    set). Also re-solves the fixed-demand problem on core + adopters and
-    reports whether that reproduces the optimum with zero false rates."""
+def exact_tiny(inst: Instance) -> ExactTinyResult:
+    """Enumerate every weakly connected design and return the eval-minimal
+    one (ties: lexicographically smallest arc set). Also re-solves the
+    fixed-demand problem on core + adopters and reports whether that
+    reproduces the optimum with zero false rates."""
     from .dfd import balanced_designs, solve_dfd
 
     best = None
     best_obj = None
-    for design in balanced_designs(inst, fixed=fixed, cap=cap):
+    for design in balanced_designs(inst):
         obj = design_objective(inst, design)
         if best is None or obj < best_obj or (obj == best_obj and design.key() < best.key()):
             best, best_obj = design, obj
     core_ids = {t.id for t in inst.trips if not t.is_latent}
     evaluation = eval_design(inst, best, core_ids | _adopter_ids(inst, best))
     tset = frozenset(core_ids | set(evaluation.adopters))
-    redo = solve_dfd(inst, tset, fixed=fixed)
+    redo = solve_dfd(inst, tset)
     redo_eval = eval_design(inst, redo.design, tset)
     return ExactTinyResult(
         design=best,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .adoption import design_objective, eval_design
+from .adoption import choice, design_objective, eval_design
 from .instance import Instance, Trip
 from .router import Design, Route, route_batch
 from .trace import HeuristicTrace
@@ -101,7 +101,7 @@ def expand(rule: str, latent, design: Design, routes, inst: Instance) -> set:
         raise ValueError(f"unknown expansion rule {rule!r}")
     out = set()
     for t, r in zip(latent, routes):
-        if r.f > t.alpha * t.t_cur:
+        if not choice(r, t):
             continue
         if rule == "b" and r.money > inst.params.ticket:
             continue
@@ -168,25 +168,23 @@ def _arc_stage(inst, rule, state, trace, stage, cache, expanded=False):
         state["k"] += 1
 
 
-def arc_s1(inst: Instance, rule: str = "a", fixed_init=()):
+def _start(inst: Instance) -> dict:
+    """Stage state at the backbone design with the core trips."""
+    core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
+    return {"z_fixed": Design.minimal(inst), "tbar": core_ids, "B": float("inf"), "k": 0}
+
+
+def arc_s1(inst: Instance, rule: str = "a"):
     """Single-stage arc-based greedy. Returns (design, trace)."""
     if rule not in RULES:
         raise ValueError(f"unknown expansion rule {rule!r}")
-    z0 = Design(inst, frozenset(tuple(a) for a in fixed_init) | inst.fixed_arcs)
-    core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
-    state = {"z_fixed": z0, "tbar": core_ids, "B": float("inf"), "k": 0}
+    state = _start(inst)
     trace = HeuristicTrace()
-    cache = _DfdCache(inst)
-    _arc_stage(inst, rule, state, trace, 1, cache)
+    _arc_stage(inst, rule, state, trace, 1, _DfdCache(inst))
     return state["z_fixed"], trace.finish(state["z_fixed"], state["tbar"])
 
 
-def arc_s2(
-    inst: Instance,
-    rule_stage1: str = "d",
-    rule_stage2: str = "a",
-    fixed_init=(),
-):
+def arc_s2(inst: Instance, rule_stage1: str = "d", rule_stage2: str = "a"):
     """Two-stage extension: a conservative expansion rule to convergence,
     then a faster one continuing from the resulting fixed design and
     trip set. Stage one must not be rule (a), which subsumes the rest."""
@@ -194,9 +192,7 @@ def arc_s2(
         raise ValueError("stage-1 rule must be one of b, c, d")
     if rule_stage2 not in RULES:
         raise ValueError(f"unknown expansion rule {rule_stage2!r}")
-    z0 = Design(inst, frozenset(tuple(a) for a in fixed_init) | inst.fixed_arcs)
-    core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
-    state = {"z_fixed": z0, "tbar": core_ids, "B": float("inf"), "k": 0}
+    state = _start(inst)
     trace = HeuristicTrace()
     cache = _DfdCache(inst)
     _arc_stage(inst, rule_stage1, state, trace, 1, cache)

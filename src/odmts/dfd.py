@@ -43,7 +43,7 @@ import numpy as np
 
 from .instance import Instance, Trip, ValidationError
 from .adoption import arcs_cost
-from .router import Design, _build_graph, is_direct_trip, route, route_batch, weights_of
+from .router import Design, _arc_potentials, is_direct_trip, route, route_batch, weights_of
 
 
 class SolveError(RuntimeError):
@@ -91,51 +91,12 @@ def _direct_flags(inst: Instance) -> dict:
     return inst._caches["direct"]
 
 
-def _full_design(inst: Instance) -> Design:
-    if "full_design" not in inst._caches:
-        inst._caches["full_design"] = Design(inst, frozenset(inst.candidate_arcs))
-    return inst._caches["full_design"]
-
-
-def _arc_potentials(inst: Instance, trip: Trip, open_arcs):
-    """Min weighted cost origin->hub and hub->destination over routes
-    whose bus legs stay within ``open_arcs``."""
-    o, d = trip.origin, trip.destination
-    adj = _build_graph(inst, open_arcs, o, d)
-    fwd = _settle_all(adj, o)
-    radj = {u: [] for u in adj}
-    for u, arcs in adj.items():
-        for v, g, *_ in arcs:
-            radj[v].append((u, g))
-    bwd = _settle_all(radj, d)
-    a = {h: fwd.get(h, float("inf")) for h in inst.hubs}
-    b = {h: bwd.get(h, float("inf")) for h in inst.hubs}
-    return a, b
-
-
 def _potentials(inst: Instance, trip: Trip):
     """Potentials under the all-candidate-open design, cached per trip."""
     pot = inst._caches.setdefault("potentials", {})
     if trip.id not in pot:
         pot[trip.id] = _arc_potentials(inst, trip, frozenset(inst.candidate_arcs))
     return pot[trip.id]
-
-
-def _settle_all(adj, source):
-    """Dijkstra on the g component only; returns node -> min g."""
-    import heapq
-
-    dist = {}
-    heap = [(0.0, source)]
-    while heap:
-        g, u = heapq.heappop(heap)
-        if u in dist:
-            continue
-        dist[u] = g
-        for v, dg, *_ in adj[u]:
-            if v not in dist:
-                heapq.heappush(heap, (g + dg, v))
-    return dist
 
 
 def make_cut(trip: Trip, design: Design) -> BendersCut:
@@ -246,11 +207,7 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
     na = len(cand)
     hubs = inst.hub_index
     w = weights_of(inst)
-    beta = np.zeros(na)
-    for i, (h, l) in enumerate(cand):
-        if not inst.params.fixed_arc_costed and (h, l) in inst.fixed_arcs:
-            continue
-        beta[i] = float(w.beta[hubs[h], hubs[l]])
+    beta = np.array([arcs_cost(inst, [arc]) for arc in cand], dtype=float)
 
     cuts = sorted(cuts, key=lambda c: (c.trip_id, c.fingerprint()))
     for cut in cuts:
@@ -306,12 +263,7 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
     row_w = np.tile(np.repeat(pvec, np.diff(np.append(starts, nc))), 3)
 
     nh = len(inst.hubs)
-    base_deficit = [0] * nh
-    beta_fixed = 0.0
-    for h, l in fixed:
-        base_deficit[hubs[h]] += 1
-        base_deficit[hubs[l]] -= 1
-        beta_fixed += float(beta[arc_pos[(h, l)]])
+    beta_fixed = sum((float(beta[arc_pos[a]]) for a in fixed), 0.0)
 
     # search state: ``cur`` is ``pot`` with the closed arcs' columns at
     # inf, and mins/args/rhs are its row minima; every arc starts
@@ -422,7 +374,7 @@ def solve_master(inst: Instance, cuts, fixed=(), warm=()):
         remain_out[hubs[h]] += 1
         remain_in[hubs[l]] += 1
 
-    node([], beta_fixed, list(base_deficit))
+    node([], beta_fixed, inst.hub_degree(fixed))
     if best["open"] is None:
         raise ValidationError("master infeasible: fixed arcs cannot be balanced")
     return Design(inst, best["open"]), best["value"]
@@ -599,18 +551,9 @@ def balanced_designs(inst: Instance, fixed=(), cap: int = 16):
     if len(cand) > cap:
         raise CapExceeded(f"{len(cand)} candidate arcs exceed the cap {cap}")
     free = [a for a in cand if a not in fixed]
-    hubs = inst.hub_index
     nh = len(inst.hubs)
-    base = [0] * nh
-    for h, l in fixed:
-        base[hubs[h]] += 1
-        base[hubs[l]] -= 1
-    deltas = []
-    for h, l in free:
-        d = [0] * nh
-        d[hubs[h]] += 1
-        d[hubs[l]] -= 1
-        deltas.append(d)
+    base = inst.hub_degree(fixed)
+    deltas = [inst.hub_degree([a]) for a in free]
     for mask in range(1 << len(free)):
         deg = list(base)
         m = mask

@@ -49,6 +49,39 @@ def _finite(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _integral(x) -> bool:
+    """An integer; bools (JSON true/false) are not integers here."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _ids(v) -> tuple:
+    """A JSON list of integers, as a tuple."""
+    if not isinstance(v, (list, tuple)) or not all(_integral(x) for x in v):
+        raise TypeError(f"expected a list of integers, got {v!r}")
+    return tuple(v)
+
+
+def _arcs(v) -> tuple:
+    """A JSON list of [h, l] integer pairs, as a tuple of tuples."""
+    if not isinstance(v, (list, tuple)):
+        raise TypeError(f"expected a list of [h, l] hub pairs, got {v!r}")
+    arcs = tuple(_ids(a) for a in v)
+    if any(len(a) != 2 for a in arcs):
+        raise ValueError("expected [h, l] hub pairs")
+    return arcs
+
+
+def _flag(v) -> bool:
+    """A JSON boolean; strings such as "no" are not read as true."""
+    if not isinstance(v, bool):
+        raise TypeError(f"expected true or false, got {v!r}")
+    return v
+
+
+def _floats(v) -> np.ndarray:
+    return np.array(v, dtype=float)
+
+
 _REQUIRED = object()
 
 
@@ -236,11 +269,7 @@ class Instance:
                 raise ValidationError(f"trip {t.id}: unknown stop {t.destination}")
             if t.origin == t.destination:
                 raise ValidationError(f"trip {t.id}: origin equals destination")
-            if (
-                isinstance(t.riders, bool)
-                or not isinstance(t.riders, numbers.Integral)
-                or t.riders < 1
-            ):
+            if not _integral(t.riders) or t.riders < 1:
                 raise ValidationError(f"trip {t.id}: riders must be a positive integer")
             if t.kind == CORE:
                 if t.alpha is not None or t.t_cur is not None:
@@ -258,11 +287,7 @@ class Instance:
         for a in self.params.fixed_arcs:
             if tuple(a) not in cand:
                 raise ValidationError(f"fixed arc {a} outside the candidate set")
-        deg = {h: 0 for h in self.hubs}
-        for h, l in self.params.fixed_arcs:
-            deg[h] += 1
-            deg[l] -= 1
-        if any(v != 0 for v in deg.values()):
+        if any(self.hub_degree(self.params.fixed_arcs)):
             raise ValidationError("fixed arcs are not weakly connected")
 
     # -- indexing helpers ----------------------------------------------
@@ -278,6 +303,16 @@ class Instance:
         if "hub_index" not in self._caches:
             self._caches["hub_index"] = {h: i for i, h in enumerate(self.hubs)}
         return self._caches["hub_index"]
+
+    def hub_degree(self, arcs) -> list:
+        """Out-degree minus in-degree of each hub over ``arcs``, in ``hubs``
+        order; an arc set is weakly connected when this is all zero."""
+        hidx = self.hub_index
+        deg = [0] * len(self.hubs)
+        for h, l in arcs:
+            deg[hidx[h]] += 1
+            deg[hidx[l]] -= 1
+        return deg
 
     @property
     def candidate_arcs(self) -> tuple[tuple[int, int], ...]:
@@ -395,9 +430,7 @@ class Instance:
                 )
             )
         p = doc["params"]
-        wait = p.get("wait", 7.5)
-        if isinstance(wait, list):
-            wait = np.asarray(wait, dtype=float)
+        wait = _field(p, "wait", lambda v: v if np.isscalar(v) else _floats(v), "params", 7.5)
         params = CostParams(
             theta=_field(p, "theta", float, "params"),
             omega=_field(p, "omega", float, "params"),
@@ -406,16 +439,16 @@ class Instance:
             buses_per_leg=_field(p, "buses_per_leg", float, "params", 16.0),
             wait=wait,
             ticket=_field(p, "ticket", float, "params", 2.5),
-            shuttle_between_hubs=bool(p.get("shuttle_between_hubs", False)),
+            shuttle_between_hubs=_field(p, "shuttle_between_hubs", _flag, "params", False),
             candidate=p.get("candidate", "all"),
-            fixed_arcs=tuple(tuple(a) for a in p.get("fixed_arcs", [])),
-            fixed_arc_costed=bool(p.get("fixed_arc_costed", True)),
+            fixed_arcs=_field(p, "fixed_arcs", _arcs, "params", ()),
+            fixed_arc_costed=_field(p, "fixed_arc_costed", _flag, "params", True),
         )
         return cls(
-            stops=tuple(doc["stops"]),
-            hubs=tuple(doc["hubs"]),
-            time=doc["time"],
-            dist=doc["dist"],
+            stops=_field(doc, "stops", _ids, "instance"),
+            hubs=_field(doc, "hubs", _ids, "instance"),
+            time=_field(doc, "time", _floats, "instance"),
+            dist=_field(doc, "dist", _floats, "instance"),
             trips=tuple(trips),
             params=params,
         )

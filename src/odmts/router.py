@@ -88,11 +88,7 @@ class Design:
                 raise ValidationError(f"arc ({h},{l}) outside the candidate set")
         if not inst.fixed_arcs <= self.open_arcs:
             raise ValidationError("design must contain all fixed arcs")
-        deg = {h: 0 for h in inst.hubs}
-        for h, l in self.open_arcs:
-            deg[h] += 1
-            deg[l] -= 1
-        if any(v != 0 for v in deg.values()):
+        if any(inst.hub_degree(self.open_arcs)):
             raise ValidationError("design violates weak connectivity")
 
     @classmethod
@@ -157,104 +153,81 @@ class Route:
 _MODE_RANK = {BUS: 0, SHUTTLE: 1}
 
 
-def _arc_options(inst: Instance, open_arcs, u: int, v: int, o: int, d: int, bridges):
-    """All legal single-step connections u -> v in the restricted graph.
+def _build_graph(inst: Instance, open_arcs, o: int, d: int):
+    """The trip's search graph, u -> [(v, g, f, legs, seq_ext, modes_ext)].
 
-    Yields (g, f, legs, seq_ext, modes_ext) tuples.
+    When both matrices are metric the nodes are the endpoints and the
+    hubs, with a bridge per hub pair while hub-to-hub shuttles are
+    banned; otherwise every stop, with no bridges. The heap key orders
+    labels completely, so the adjacency order never changes a route.
     """
     w = weights_of(inst)
-    sidx = inst.stop_index
-    hidx = inst.hub_index
+    sidx, hidx = inst.stop_index, inst.hub_index
+    wait = inst.wait_matrix
     hubset = set(inst.hubs)
-    ui, vi = sidx[u], sidx[v]
-    both_hubs = u in hubset and v in hubset
-    if both_hubs and (u, v) in open_arcs:
-        hu, hv = hidx[u], hidx[v]
-        yield (
-            float(w.tau[hu, hv]),
-            float(inst.time[ui, vi] + inst.wait_matrix[hu, hv]),
-            1,
-            (v,),
-            (BUS,),
-        )
-    allowed_shuttle = (
-        not both_hubs or inst.params.shuttle_between_hubs or (u == o and v == d)
-    )
-    if allowed_shuttle:
-        yield (float(w.gamma[ui, vi]), float(inst.time[ui, vi]), 1, (v,), (SHUTTLE,))
-    if both_hubs and not inst.params.shuttle_between_hubs:
-        for x in bridges.get((u, v), ()):
-            if x == o or x == d:
-                continue
-            xi = sidx[x]
-            yield (
-                float(w.gamma[ui, xi] + w.gamma[xi, vi]),
-                float(inst.time[ui, xi] + inst.time[xi, vi]),
-                2,
-                (x, v),
-                (SHUTTLE, SHUTTLE),
-            )
-            break
-
-
-def _build_restricted(inst: Instance, open_arcs, o: int, d: int):
-    bridges = _bridge_table(inst) if not inst.params.shuttle_between_hubs else {}
-    nodes = {o, d} | set(inst.hubs)
+    between = inst.params.shuttle_between_hubs
+    if inst.metric_consistent:
+        nodes = {o, d} | hubset
+        bridges = {} if between else _bridge_table(inst)
+    else:
+        nodes, bridges = inst.stops, {}
     adj = {u: [] for u in nodes}
     for u in nodes:
         if u == d:
             continue
-        for v in nodes:
-            if v == u or v == o:
-                continue
-            for g, f, legs, seq, modes in _arc_options(inst, open_arcs, u, v, o, d, bridges):
-                adj[u].append((v, g, f, legs, seq, modes))
-    return adj
-
-
-def _build_full(inst: Instance, open_arcs, o: int, d: int):
-    w = weights_of(inst)
-    sidx = inst.stop_index
-    hidx = inst.hub_index
-    hubset = set(inst.hubs)
-    adj = {s: [] for s in inst.stops}
-    allowed = inst.params.shuttle_between_hubs
-    for u in inst.stops:
-        if u == d:
-            continue
         ui = sidx[u]
-        for v in inst.stops:
+        out = adj[u]
+        for v in nodes:
             if v == u or v == o:
                 continue
             vi = sidx[v]
             both_hubs = u in hubset and v in hubset
-            if not both_hubs or allowed or (u == o and v == d):
-                adj[u].append(
-                    (v, float(w.gamma[ui, vi]), float(inst.time[ui, vi]), 1, (v,), (SHUTTLE,))
-                )
-    for h, l in open_arcs:
-        hu, hv = hidx[h], hidx[l]
-        if h == d or l == o:
-            continue
-        adj[h].append(
-            (
-                l,
-                float(w.tau[hu, hv]),
-                float(inst.time[sidx[h], sidx[l]] + inst.wait_matrix[hu, hv]),
-                1,
-                (l,),
-                (BUS,),
-            )
-        )
+            if both_hubs and (u, v) in open_arcs:
+                hu, hv = hidx[u], hidx[v]
+                out.append((v, float(w.tau[hu, hv]), float(inst.time[ui, vi] + wait[hu, hv]),
+                            1, (v,), (BUS,)))
+            if not both_hubs or between or (u == o and v == d):
+                out.append((v, float(w.gamma[ui, vi]), float(inst.time[ui, vi]), 1, (v,), (SHUTTLE,)))
+            for x in bridges.get((u, v), ()):
+                if x == o or x == d:
+                    continue
+                xi = sidx[x]
+                out.append((v, float(w.gamma[ui, xi] + w.gamma[xi, vi]),
+                            float(inst.time[ui, xi] + inst.time[xi, vi]),
+                            2, (x, v), (SHUTTLE, SHUTTLE)))
+                break
     return adj
 
 
-def _build_graph(inst: Instance, open_arcs, o: int, d: int):
-    """The trip's search graph: hubs and endpoints when both matrices are
-    metric, else every stop."""
-    if inst.metric_consistent:
-        return _build_restricted(inst, open_arcs, o, d)
-    return _build_full(inst, open_arcs, o, d)
+def _settle_all(adj, source):
+    """Dijkstra on the g component only; returns node -> min g."""
+    dist = {}
+    heap = [(0.0, source)]
+    while heap:
+        g, u = heapq.heappop(heap)
+        if u in dist:
+            continue
+        dist[u] = g
+        for v, dg, *_ in adj[u]:
+            if v not in dist:
+                heapq.heappush(heap, (g + dg, v))
+    return dist
+
+
+def _arc_potentials(inst: Instance, trip: Trip, open_arcs):
+    """Min weighted cost origin->hub and hub->destination over routes
+    whose bus legs stay within ``open_arcs``."""
+    o, d = trip.origin, trip.destination
+    adj = _build_graph(inst, open_arcs, o, d)
+    fwd = _settle_all(adj, o)
+    radj = {u: [] for u in adj}
+    for u, arcs in adj.items():
+        for v, g, *_ in arcs:
+            radj[v].append((u, g))
+    bwd = _settle_all(radj, d)
+    a = {h: fwd.get(h, float("inf")) for h in inst.hubs}
+    b = {h: bwd.get(h, float("inf")) for h in inst.hubs}
+    return a, b
 
 
 def _lex_search(adj, o: int, d: int):

@@ -58,20 +58,14 @@ def _ranked_adopters(inst, design, candidates, adopters):
     return sorted(picked, key=lambda t: (net_cost(route(t, design), inst), t.id))
 
 
-def rho_grad(
-    inst: Instance,
-    rho: int | None = None,
-    fixed=(),
-    max_iter: int | None = None,
-    _cache: _DfdCache | None = None,
-):
+def rho_grad(inst: Instance, rho: int | None = None, _cache: _DfdCache | None = None):
     """Greedy adoption. Returns (design, tset, trace)."""
     rho = default_step(inst) if rho is None else int(rho)
     if rho < 1:
         raise ValueError("rho must be >= 1")
     latent = inst.latent_trips
     core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
-    cap = max_iter if max_iter is not None else len(latent) // rho + 10
+    cap = len(latent) // rho + 10
     cache = _cache or _DfdCache(inst)
     trace = HeuristicTrace()
     absorbed = set()
@@ -79,7 +73,7 @@ def rho_grad(
     while k <= cap:
         t0 = time.perf_counter()
         tset = core_ids | absorbed
-        sol = cache.solve(tset, fixed=fixed)
+        sol = cache.solve(tset)
         ev = eval_design(inst, sol.design, tset)
         trace.add(
             k, 1, len(tset), sol.design, ev.objective, len(ev.adopters),
@@ -97,7 +91,6 @@ def rho_grad(
 def eta_grre(
     inst: Instance,
     eta: int | None = None,
-    fixed=(),
     start_tset=None,
     max_iter: int = 100,
     _cache: _DfdCache | None = None,
@@ -121,7 +114,7 @@ def eta_grre(
     prev_key = None
     while k <= max_iter:
         t0 = time.perf_counter()
-        sol = cache.solve(tbar, fixed=fixed)
+        sol = cache.solve(tbar)
         ev = eval_design(inst, sol.design, tbar)
         trace.add(
             k, 1, len(tbar), sol.design, ev.objective, len(ev.adopters),
@@ -132,18 +125,11 @@ def eta_grre(
             best_design = sol.design
             best_tset = tbar
         candidates = [t for t in latent if t.id not in rejected]
-        adopting = []
-        for t in candidates:
-            if t.id in ev.adopters:
-                adopting.append(t)
-            else:
-                rejected.add(t.id)
+        rejected.update(t.id for t in candidates if t.id not in ev.adopters)
         m += eta
-        ranked = sorted(
-            adopting, key=lambda t: (net_cost(route(t, sol.design), inst), t.id)
-        )
+        ranked = _ranked_adopters(inst, sol.design, candidates, ev.adopters)
         key = sol.design.key()
-        if k >= 2 and prev_key == key and (m - eta) >= len(adopting):
+        if k >= 2 and prev_key == key and (m - eta) >= len(ranked):
             return best_design, trace.finish(best_design, best_tset)
         tbar = core_ids | {t.id for t in ranked[:m]}
         prev_key = key
@@ -155,9 +141,7 @@ def rho_gagr(
     inst: Instance,
     rho: int | None = None,
     eta: int | None = None,
-    fixed=(),
     time_limit: float | None = None,
-    max_iter: int | None = None,
     _cache: _DfdCache | None = None,
 ):
     """Combined greedy adoption with greedy-rejection subproblems.
@@ -168,7 +152,7 @@ def rho_gagr(
         raise ValueError("rho and eta must be >= 1")
     latent = inst.latent_trips
     core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
-    cap = max_iter if max_iter is not None else len(latent) // rho + 10
+    cap = len(latent) // rho + 10
     cache = _cache or _DfdCache(inst)
     trace = HeuristicTrace()
     started = time.perf_counter()
@@ -180,9 +164,7 @@ def rho_gagr(
     while k <= cap:
         t0 = time.perf_counter()
         tbar = core_ids | absorbed
-        design, inner = eta_grre(
-            inst, eta=eta, fixed=fixed, start_tset=tbar, _cache=cache
-        )
+        design, inner = eta_grre(inst, eta=eta, start_tset=tbar, _cache=cache)
         ev = eval_design(inst, design, inner.tset)
         trace.add(
             k, 1, len(inner.tset), design, ev.objective, len(ev.adopters),

@@ -87,6 +87,21 @@ class TestSolve:
         rc = main(["solve", "--instance", str(tmp_path / "nope.json"), "--alg", "grad"])
         assert rc == 1
 
+    def test_solver_trace(self, tmp_path, instance_file):
+        out = tmp_path / "dfd"
+        trace = tmp_path / "rounds.jsonl"
+        rc = main(["solve", "--instance", str(instance_file), "--alg", "dfd",
+                   "--solver-trace", str(trace), "--out", str(out)])
+        assert rc == 0
+        bounds = json.loads((out / "evaluation.json").read_text())["bounds"]
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert len(records) == len(bounds) > 1
+        for rec, (rnd, lower, upper, n_open, added) in zip(records, bounds):
+            assert set(rec) == {"round", "lower", "upper", "open_arcs", "cuts_added"}
+            assert (rec["round"], rec["lower"], rec["upper"], rec["cuts_added"]) == (
+                rnd, lower, upper, added)
+            assert len(rec["open_arcs"]) == n_open
+
     def test_threads_is_a_no_op(self, tmp_path, instance_file):
         outs = []
         for n in ("1", "4"):

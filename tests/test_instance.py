@@ -107,11 +107,19 @@ class TestLoadInstance:
             (("params", "theta"), DELETE, "'theta'"),
             (("trips",), 5, "trips"),
             (("trips",), {"0": {"id": 0}}, "trips"),
+            # the "bad 'key'" messages come from InstanceParseError only
+            (("stops",), 5, "bad 'stops'"),
+            (("hubs",), [None], "bad 'hubs'"),
+            (("params", "fixed_arcs"), 5, "bad 'fixed_arcs'"),
+            (("time",), "x", "bad 'time'"),
+            (("params", "shuttle_between_hubs"), "no", "bad 'shuttle_between_hubs'"),
+            (("params", "fixed_arc_costed"), "false", "bad 'fixed_arc_costed'"),
         ],
         ids=["alpha_nan", "alpha_inf", "alpha_str", "t_cur_nan", "t_cur_inf",
              "wait_nan", "wait_inf", "riders_fraction", "riders_bool",
              "candidate_bool", "trip_without_id", "params_without_theta",
-             "trips_int", "trips_mapping"],
+             "trips_int", "trips_mapping", "stops_int", "hub_null",
+             "fixed_arcs_int", "time_str", "shuttle_flag_str", "costed_flag_str"],
     )
     def test_malformed_document_rejected(self, tmp_path, path, value, match):
         doc = small_doc()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,24 +105,39 @@ def assert_matches_oracle(inst, z):
         assert got.legs == legs
 
 
+def with_hub_shuttles(seeds):
+    """(seed, shuttle_between_hubs) cases; the banned-shuttle case keeps
+    the bare seed as its id."""
+    cases = [(s, False) for s in seeds] + [(s, True) for s in seeds]
+    ids = [str(s) for s in seeds] + [f"{s}-hub_shuttles" for s in seeds]
+    return pytest.mark.parametrize("seed, shuttles", cases, ids=ids)
+
+
 class TestOracleAgreement:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_enumeration(self, seed):
-        inst = tiny_instance(seed, n_stops=7, n_hubs=3, core=2, mid=2, high=1)
+    @with_hub_shuttles(range(12))
+    def test_matches_enumeration(self, seed, shuttles):
+        base = tiny_instance(seed, n_stops=7, n_hubs=3, core=2, mid=2, high=1)
+        params = dataclasses.replace(base.params, shuttle_between_hubs=shuttles)
+        inst = Instance(
+            stops=base.stops, hubs=base.hubs, time=base.time, dist=base.dist,
+            trips=base.trips, params=params,
+        )
+        assert inst.metric_consistent
         rng = np.random.default_rng(seed)
         assert_matches_oracle(inst, random_design(inst, rng))
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_non_metric_matches_enumeration(self, seed):
+    @with_hub_shuttles(range(6))
+    def test_non_metric_matches_enumeration(self, seed, shuttles):
         # one symmetric random factor on both matrices breaks the triangle
         # inequality, so routing runs on the full stop graph
         base = tiny_instance(seed, n_stops=7, n_hubs=3, core=2, mid=2, high=1)
         rng = np.random.default_rng(seed)
         factor = rng.uniform(0.5, 2.0, size=base.time.shape)
         factor = (factor + factor.T) / 2.0
+        params = dataclasses.replace(base.params, shuttle_between_hubs=shuttles)
         inst = Instance(
             stops=base.stops, hubs=base.hubs, time=base.time * factor,
-            dist=base.dist * factor, trips=base.trips, params=base.params,
+            dist=base.dist * factor, trips=base.trips, params=params,
         )
         assert not inst.metric_consistent
         assert_matches_oracle(inst, random_design(inst, rng))
