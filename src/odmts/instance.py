@@ -54,6 +54,20 @@ def _integral(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _int(v) -> int:
+    """A JSON integer; ``2.7``, ``"3"`` and ``true`` are refused, not coerced."""
+    if not _integral(v):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _real(v) -> float:
+    """A finite JSON number; strings, booleans and NaN are refused."""
+    if not _finite(v):
+        raise TypeError(f"expected a finite number, got {v!r}")
+    return float(v)
+
+
 def _ids(v) -> tuple:
     """A JSON list of integers, as a tuple."""
     if not isinstance(v, (list, tuple)) or not all(_integral(x) for x in v):
@@ -420,9 +434,9 @@ class Instance:
                 raise InstanceParseError(f"{where} must be a mapping")
             trips.append(
                 Trip(
-                    id=_field(td, "id", int, where),
-                    origin=_field(td, "origin", int, where),
-                    destination=_field(td, "destination", int, where),
+                    id=_field(td, "id", _int, where),
+                    origin=_field(td, "origin", _int, where),
+                    destination=_field(td, "destination", _int, where),
                     riders=_field(td, "riders", lambda v: v, where),
                     kind=td.get("kind", CORE),
                     alpha=td.get("alpha"),
@@ -432,13 +446,13 @@ class Instance:
         p = doc["params"]
         wait = _field(p, "wait", lambda v: v if np.isscalar(v) else _floats(v), "params", 7.5)
         params = CostParams(
-            theta=_field(p, "theta", float, "params"),
-            omega=_field(p, "omega", float, "params"),
+            theta=_field(p, "theta", _real, "params"),
+            omega=_field(p, "omega", _real, "params"),
             bus_cost_mode=p.get("bus_cost_mode", PER_DISTANCE),
-            bus_rate=_field(p, "bus_rate", float, "params", 3.87),
-            buses_per_leg=_field(p, "buses_per_leg", float, "params", 16.0),
+            bus_rate=_field(p, "bus_rate", _real, "params", 3.87),
+            buses_per_leg=_field(p, "buses_per_leg", _real, "params", 16.0),
             wait=wait,
-            ticket=_field(p, "ticket", float, "params", 2.5),
+            ticket=_field(p, "ticket", _real, "params", 2.5),
             shuttle_between_hubs=_field(p, "shuttle_between_hubs", _flag, "params", False),
             candidate=p.get("candidate", "all"),
             fixed_arcs=_field(p, "fixed_arcs", _arcs, "params", ()),

@@ -7,15 +7,32 @@ in minutes including bus waits. Ties beyond (g, f) are broken by
 fewest legs, then lexicographically smallest stop sequence, then bus
 before shuttle, which makes routes canonical and runs reproducible.
 
-The search is a label-setting shortest path over labels ordered
-lexicographically; all arc increments are non-negative so the first
-label settled at a node is optimal. When both matrices satisfy the
-triangle inequality the graph is restricted to the trip endpoints and
-the hubs: consecutive shuttle legs collapse, except that banning
-hub-to-hub shuttles makes a two-leg shuttle relay through one non-hub
-stop potentially useful, so those "bridge" arcs are precomputed per
-hub pair. Instances without the triangle property fall back to the
-full stop graph.
+When both matrices satisfy the triangle inequality, consecutive shuttle
+legs collapse, so every route is the direct shuttle or an access
+shuttle, a path between hubs and an egress shuttle. The hub path
+depends only on the design. While hub-to-hub shuttles are banned, a
+two-leg shuttle relay through one non-hub stop may still join two hubs;
+the best relays of each hub pair are precomputed per instance as
+"bridges". Each design therefore gets one table, built on its first
+route: the g-cheapest path between every ordered hub pair over its bus
+arcs, hub-to-hub shuttles when allowed and otherwise each pair's first
+bridge, with the count of near-tied last hops into every pair. A
+single numpy minimum over access[o, h] + path[h, l] + egress[l, d] and
+the direct shuttle then picks every instance trip's route at once. A
+hub origin's only access hub is itself, as is a hub destination's only
+egress hub; table paths are simple, so no endpoint sits inside one.
+The winner is turned into a route by adding its legs one by one, in the
+order the search below would, so g and f are bit-identical to it.
+
+The label-setting search over labels ordered lexicographically decides
+a trip instead whenever the table cannot: when its best candidate is
+within a relative 1e-9 of another, when some hop of its hub path has a
+near-tied alternative, or when that path relays through the trip's own
+origin or destination. All arc increments are non-negative, so the
+first label settled at a node is optimal. The search runs on a graph of
+the trip endpoints and the hubs, with bridges while hub-to-hub shuttles
+are banned; instances without the triangle property always use it, on
+the full stop graph.
 """
 
 from __future__ import annotations
@@ -47,20 +64,17 @@ def _bridge_table(inst: Instance) -> dict:
         sidx = inst.stop_index
         hubset = set(inst.hubs)
         nonhub = np.array([sidx[s] for s in inst.stops if s not in hubset], dtype=int)
+        hub_pos = np.array([sidx[h] for h in inst.hubs], dtype=int)
+        # [h, l, x] sums over every hub pair at once
+        gsum = w.gamma[np.ix_(hub_pos, nonhub)][:, None, :] + w.gamma[np.ix_(nonhub, hub_pos)].T
+        fsum = inst.time[np.ix_(hub_pos, nonhub)][:, None, :] + inst.time[np.ix_(nonhub, hub_pos)].T
+        order = np.lexsort((np.broadcast_to(nonhub, gsum.shape), fsum, gsum))[..., :3]
+        relays = np.array(inst.stops, dtype=int)[nonhub[order]].tolist()
         table = {}
-        for h in inst.hubs:
-            hi = sidx[h]
-            for l in inst.hubs:
-                if l == h:
-                    continue
-                li = sidx[l]
-                if nonhub.size == 0:
-                    table[(h, l)] = ()
-                    continue
-                gsum = w.gamma[hi, nonhub] + w.gamma[nonhub, li]
-                fsum = inst.time[hi, nonhub] + inst.time[nonhub, li]
-                order = np.lexsort((nonhub, fsum, gsum))[:3]
-                table[(h, l)] = tuple(int(inst.stops[nonhub[i]]) for i in order)
+        for i, h in enumerate(inst.hubs):
+            for j, l in enumerate(inst.hubs):
+                if l != h:
+                    table[(h, l)] = tuple(relays[i][j])
         inst._caches["bridges"] = table
     return inst._caches["bridges"]
 
@@ -153,6 +167,28 @@ class Route:
 _MODE_RANK = {BUS: 0, SHUTTLE: 1}
 
 
+def _shuttle(inst: Instance, w: WeightTable, u: int, v: int):
+    """Search-graph edge for the shuttle leg u -> v."""
+    ui, vi = inst.stop_index[u], inst.stop_index[v]
+    return (v, float(w.gamma[ui, vi]), float(inst.time[ui, vi]), 1, (v,), (SHUTTLE,))
+
+
+def _bus(inst: Instance, w: WeightTable, u: int, v: int):
+    """Search-graph edge for the bus leg on hub arc u -> v."""
+    ui, vi = inst.stop_index[u], inst.stop_index[v]
+    hu, hv = inst.hub_index[u], inst.hub_index[v]
+    return (v, float(w.tau[hu, hv]), float(inst.time[ui, vi] + inst.wait_matrix[hu, hv]),
+            1, (v,), (BUS,))
+
+
+def _bridge(inst: Instance, w: WeightTable, u: int, x: int, v: int):
+    """Search-graph edge for the shuttle relay u -> x -> v."""
+    sidx = inst.stop_index
+    ui, xi, vi = sidx[u], sidx[x], sidx[v]
+    return (v, float(w.gamma[ui, xi] + w.gamma[xi, vi]),
+            float(inst.time[ui, xi] + inst.time[xi, vi]), 2, (x, v), (SHUTTLE, SHUTTLE))
+
+
 def _build_graph(inst: Instance, open_arcs, o: int, d: int):
     """The trip's search graph, u -> [(v, g, f, legs, seq_ext, modes_ext)].
 
@@ -162,8 +198,6 @@ def _build_graph(inst: Instance, open_arcs, o: int, d: int):
     labels completely, so the adjacency order never changes a route.
     """
     w = weights_of(inst)
-    sidx, hidx = inst.stop_index, inst.hub_index
-    wait = inst.wait_matrix
     hubset = set(inst.hubs)
     between = inst.params.shuttle_between_hubs
     if inst.metric_consistent:
@@ -175,26 +209,19 @@ def _build_graph(inst: Instance, open_arcs, o: int, d: int):
     for u in nodes:
         if u == d:
             continue
-        ui = sidx[u]
         out = adj[u]
         for v in nodes:
             if v == u or v == o:
                 continue
-            vi = sidx[v]
             both_hubs = u in hubset and v in hubset
             if both_hubs and (u, v) in open_arcs:
-                hu, hv = hidx[u], hidx[v]
-                out.append((v, float(w.tau[hu, hv]), float(inst.time[ui, vi] + wait[hu, hv]),
-                            1, (v,), (BUS,)))
+                out.append(_bus(inst, w, u, v))
             if not both_hubs or between or (u == o and v == d):
-                out.append((v, float(w.gamma[ui, vi]), float(inst.time[ui, vi]), 1, (v,), (SHUTTLE,)))
+                out.append(_shuttle(inst, w, u, v))
             for x in bridges.get((u, v), ()):
                 if x == o or x == d:
                     continue
-                xi = sidx[x]
-                out.append((v, float(w.gamma[ui, xi] + w.gamma[xi, vi]),
-                            float(inst.time[ui, xi] + inst.time[xi, vi]),
-                            2, (x, v), (SHUTTLE, SHUTTLE)))
+                out.append(_bridge(inst, w, u, x, v))
                 break
     return adj
 
@@ -258,6 +285,197 @@ def _lex_search(adj, o: int, d: int):
     return None
 
 
+def _walk(o: int, edges):
+    """The label ``_lex_search`` reaches along ``edges`` from ``o``: each
+    component summed edge by edge, in the search's order."""
+    g = f = 0.0
+    seq, modes = (o,), ()
+    for _, dg, df, _, seq_ext, modes_ext in edges:
+        g += dg
+        f += df
+        seq += seq_ext
+        modes += tuple(_MODE_RANK[m] for m in modes_ext)
+    return g, f, seq, modes
+
+
+# Relative margin within which two candidate costs count as tied.
+_TIE = 1e-9
+# Hop kinds of the hub-path table.
+_BUS_HOP, _SHUTTLE_HOP, _BRIDGE_HOP = range(3)
+
+
+@dataclass(frozen=True)
+class _HubPaths:
+    """One design's g-cheapest paths between ordered hub pairs, by hub index.
+
+    ``cost[h, l]`` is the path's g (0 on the diagonal, inf when no path
+    exists), ``last[h, l]`` its last hop as ``kind * H + u`` and
+    ``ties[h, l]`` the number of last hops (kind, u) that reach l within
+    the tie margin of ``cost[h, l]``: 1 when that hop has no near-tied
+    alternative.
+    """
+
+    cost: np.ndarray
+    last: np.ndarray
+    ties: np.ndarray
+
+    def hops(self, h: int, l: int):
+        """(kind, u, v) hops of the path h -> l, or None when the path is
+        not the only one within the tie margin."""
+        nh = len(self.cost)
+        out = []
+        v = l
+        for _ in range(nh):
+            if v == h:
+                return out[::-1]
+            if self.ties[h, v] != 1:
+                return None
+            kind, u = divmod(int(self.last[h, v]), nh)
+            out.append((kind, u, v))
+            v = u
+        return None
+
+
+def _bridge_costs(inst: Instance) -> np.ndarray:
+    """g of each ordered hub pair's first bridge, inf where none exists."""
+    if "bridge_costs" not in inst._caches:
+        w = weights_of(inst)
+        sidx, hidx = inst.stop_index, inst.hub_index
+        nh = len(inst.hubs)
+        cost = np.full((nh, nh), np.inf)
+        for (h, l), relays in _bridge_table(inst).items():
+            if relays:
+                x = sidx[relays[0]]
+                cost[hidx[h], hidx[l]] = w.gamma[sidx[h], x] + w.gamma[x, sidx[l]]
+        inst._caches["bridge_costs"] = cost
+    return inst._caches["bridge_costs"]
+
+
+def _hub_paths(design: Design) -> _HubPaths:
+    """The design's hub-path table, built once. A hop is a bus leg on an
+    open arc, a shuttle leg when hub-to-hub shuttles run and otherwise the
+    pair's first bridge; costs come from Floyd-Warshall over the cheapest
+    hop of each pair."""
+    if "hub_paths" not in design._caches:
+        inst = design.instance
+        w = weights_of(inst)
+        hidx = inst.hub_index
+        nh = len(inst.hubs)
+        hop = np.full((3, nh, nh), np.inf)
+        for h, l in design.open_arcs:
+            hop[_BUS_HOP, hidx[h], hidx[l]] = w.tau[hidx[h], hidx[l]]
+        if inst.params.shuttle_between_hubs:
+            hub_pos = [inst.stop_index[h] for h in inst.hubs]
+            hop[_SHUTTLE_HOP] = w.gamma[np.ix_(hub_pos, hub_pos)]
+            np.fill_diagonal(hop[_SHUTTLE_HOP], np.inf)
+        else:
+            hop[_BRIDGE_HOP] = _bridge_costs(inst)
+        cost = hop.min(0)
+        np.fill_diagonal(cost, 0.0)
+        for k in range(nh):
+            np.minimum(cost, cost[:, k, None] + cost[None, k, :], out=cost)
+        # via[h, kind, u, l]: g from h to l with last hop (kind, u). The
+        # margin is absolute: a route's g never exceeds the largest shuttle
+        # cost, the direct shuttle being always available.
+        via = cost[:, None, :, None] + hop[None]
+        margin = _TIE * float(w.gamma.max())
+        ties = (via <= cost[:, None, None, :] + margin).sum(axis=(1, 2))
+        design._caches["hub_paths"] = _HubPaths(
+            cost, via.reshape(nh, 3 * nh, nh).argmin(axis=1), ties,
+        )
+    return design._caches["hub_paths"]
+
+
+def _endpoint_costs(inst: Instance, trips):
+    """Access (trips x hubs), egress (trips x hubs) and direct-shuttle
+    (trips) costs. A hub endpoint's only access or egress hub is itself,
+    at cost 0; the direct shuttle is inf where the table holds it already:
+    as the own-hub candidate of a trip with one hub endpoint, and as a hop
+    between hub endpoints while hub-to-hub shuttles run."""
+    w = weights_of(inst)
+    sidx, hidx = inst.stop_index, inst.hub_index
+    hub_pos = np.array([sidx[h] for h in inst.hubs], dtype=int)
+    o = np.array([sidx[t.origin] for t in trips], dtype=int)
+    d = np.array([sidx[t.destination] for t in trips], dtype=int)
+    access = w.gamma[o[:, None], hub_pos[None, :]]
+    egress = w.gamma[hub_pos[None, :], d[:, None]]
+    direct = w.gamma[o, d]
+    o_hub = np.array([hidx.get(t.origin, -1) for t in trips], dtype=int)
+    d_hub = np.array([hidx.get(t.destination, -1) for t in trips], dtype=int)
+    for cost, own in ((access, o_hub), (egress, d_hub)):
+        rows = np.flatnonzero(own >= 0)
+        cost[rows] = np.inf
+        cost[rows, own[rows]] = 0.0
+    one_hub = (o_hub >= 0) != (d_hub >= 0)
+    two_hubs = (o_hub >= 0) & (d_hub >= 0)
+    direct[one_hub | (two_hubs & inst.params.shuttle_between_hubs)] = np.inf
+    return access, egress, direct
+
+
+def _trip_costs(inst: Instance):
+    """Row of each instance trip by id, and the trips' endpoint costs;
+    computed on the first route, not at load."""
+    if "endpoint_costs" not in inst._caches:
+        rows = {t.id: i for i, t in enumerate(inst.trips)}
+        inst._caches["endpoint_costs"] = (rows, *_endpoint_costs(inst, inst.trips))
+    return inst._caches["endpoint_costs"]
+
+
+def _pick(paths: _HubPaths, access, egress, direct):
+    """Each trip's cheapest candidate, as h * H + l or H * H for the
+    direct shuttle, and whether it beats every other candidate by more
+    than the tie margin."""
+    n = len(direct)
+    cost = access[:, :, None] + paths.cost + egress[:, None, :]
+    cost = np.concatenate([cost.reshape(n, -1), direct[:, None]], axis=1)
+    low, second = np.partition(cost, 1, axis=1)[:, :2].T
+    return cost.argmin(axis=1), second - low > _TIE * low
+
+
+def _table_label(trip: Trip, design: Design):
+    """The trip's ``_lex_search`` label read from the hub-path table, or
+    None when the per-trip search must decide: the best candidate is
+    near-tied, a hop of its hub path is, or a bridge on it relays
+    through the trip's own origin or destination."""
+    inst = design.instance
+    paths = _hub_paths(design)
+    rows, *costs = _trip_costs(inst)
+    i = rows.get(trip.id)
+    if i is not None and inst.trips[i] == trip:
+        if "picks" not in design._caches:
+            design._caches["picks"] = _pick(paths, *costs)
+        best, clear = design._caches["picks"]
+    else:
+        i = 0
+        best, clear = _pick(paths, *_endpoint_costs(inst, [trip]))
+    if not clear[i]:
+        return None
+    o, d = trip.origin, trip.destination
+    w = weights_of(inst)
+    hubs = inst.hubs
+    nh = len(hubs)
+    if best[i] == nh * nh:
+        return _walk(o, [_shuttle(inst, w, o, d)])
+    h, l = divmod(int(best[i]), nh)
+    hops = paths.hops(h, l)
+    if hops is None:
+        return None
+    edges = [] if o == hubs[h] else [_shuttle(inst, w, o, hubs[h])]
+    for kind, u, v in hops:
+        if kind == _BUS_HOP:
+            edges.append(_bus(inst, w, hubs[u], hubs[v]))
+        elif kind == _SHUTTLE_HOP:
+            edges.append(_shuttle(inst, w, hubs[u], hubs[v]))
+        else:
+            x = _bridge_table(inst)[(hubs[u], hubs[v])][0]
+            if x == o or x == d:
+                return None
+            edges.append(_bridge(inst, w, hubs[u], x, hubs[v]))
+    if d != hubs[l]:
+        edges.append(_shuttle(inst, w, hubs[l], d))
+    return _walk(o, edges)
+
+
 def route(trip: Trip, design: Design) -> Route:
     """Lexicographic minimizer of (g, f) for one trip under a design."""
     inst = design.instance
@@ -267,7 +485,9 @@ def route(trip: Trip, design: Design) -> Route:
         if cached_trip == trip:
             return cached_route
     o, d = trip.origin, trip.destination
-    hit = _lex_search(_build_graph(inst, design.open_arcs, o, d), o, d)
+    hit = _table_label(trip, design) if inst.metric_consistent and o != d else None
+    if hit is None:
+        hit = _lex_search(_build_graph(inst, design.open_arcs, o, d), o, d)
     if hit is None:
         raise RuntimeError(
             f"trip {trip.id}: destination unreachable despite full shuttle coverage"

@@ -114,12 +114,18 @@ class TestLoadInstance:
             (("time",), "x", "bad 'time'"),
             (("params", "shuttle_between_hubs"), "no", "bad 'shuttle_between_hubs'"),
             (("params", "fixed_arc_costed"), "false", "bad 'fixed_arc_costed'"),
+            (("trips", 0, "id"), 2.7, "bad 'id'"),
+            (("trips", 0, "origin"), "3", "bad 'origin'"),
+            (("params", "theta"), True, "bad 'theta'"),
+            (("params", "omega"), "1.5", "bad 'omega'"),
+            (("params", "ticket"), float("nan"), "bad 'ticket'"),
         ],
         ids=["alpha_nan", "alpha_inf", "alpha_str", "t_cur_nan", "t_cur_inf",
              "wait_nan", "wait_inf", "riders_fraction", "riders_bool",
              "candidate_bool", "trip_without_id", "params_without_theta",
              "trips_int", "trips_mapping", "stops_int", "hub_null",
-             "fixed_arcs_int", "time_str", "shuttle_flag_str", "costed_flag_str"],
+             "fixed_arcs_int", "time_str", "shuttle_flag_str", "costed_flag_str",
+             "id_fraction", "origin_str", "theta_bool", "omega_str", "ticket_nan"],
     )
     def test_malformed_document_rejected(self, tmp_path, path, value, match):
         doc = small_doc()

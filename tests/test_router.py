@@ -2,9 +2,23 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from odmts import Design, Instance, Trip, ValidationError, is_direct_trip, route, route_batch
-from odmts.router import BUS, SHUTTLE
+from odmts import (
+    CostParams,
+    Design,
+    GeneratorConfig,
+    Instance,
+    Trip,
+    TripClass,
+    ValidationError,
+    generate_synthetic,
+    is_direct_trip,
+    route,
+    route_batch,
+)
+from odmts import router
+from odmts.router import BUS, SHUTTLE, _bridge_table, _build_graph, _lex_search
 from conftest import oracle_route, random_design, tiny_instance
 
 
@@ -96,6 +110,19 @@ class TestDirectTrip:
                 assert route(t, z).is_direct_shuttle
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    """The (origin, destination) of every per-trip search ``route`` runs."""
+    seen = []
+
+    def counted(adj, o, d):
+        seen.append((o, d))
+        return _lex_search(adj, o, d)
+
+    monkeypatch.setattr(router, "_lex_search", counted)
+    return seen
+
+
 def assert_matches_oracle(inst, z):
     for trip in inst.trips:
         got = route(trip, z)
@@ -127,7 +154,7 @@ class TestOracleAgreement:
         assert_matches_oracle(inst, random_design(inst, rng))
 
     @with_hub_shuttles(range(6))
-    def test_non_metric_matches_enumeration(self, seed, shuttles):
+    def test_non_metric_matches_enumeration(self, seed, shuttles, searches):
         # one symmetric random factor on both matrices breaks the triangle
         # inequality, so routing runs on the full stop graph
         base = tiny_instance(seed, n_stops=7, n_hubs=3, core=2, mid=2, high=1)
@@ -141,6 +168,7 @@ class TestOracleAgreement:
         )
         assert not inst.metric_consistent
         assert_matches_oracle(inst, random_design(inst, rng))
+        assert len(searches) == len(inst.trips)
 
     def test_full_graph_engine_agrees(self, monkeypatch):
         inst = tiny_instance(3)
@@ -190,3 +218,207 @@ class TestRouteBatch:
         assert out == [route(trips[0], z), route(trips[1], z)]
         rev = route_batch(trips[::-1], z)
         assert rev == out[::-1]
+
+
+# -- the hub-path table against the per-trip search ---------------------
+
+
+def searched(trip, design):
+    """The per-trip search's route, bypassing the table, as
+    (legs, g, f, money, shuttle_km)."""
+    inst = design.instance
+    o, d = trip.origin, trip.destination
+    g, f, seq, modes = _lex_search(_build_graph(inst, design.open_arcs, o, d), o, d)
+    legs = tuple((BUS if m == 0 else SHUTTLE, seq[i], seq[i + 1]) for i, m in enumerate(modes))
+    money = shuttle_km = 0.0
+    for mode, u, v in legs:
+        if mode == SHUTTLE:
+            km = float(inst.dist[inst.stop_index[u], inst.stop_index[v]])
+            shuttle_km += km
+            money += inst.params.omega * km
+    return legs, g, f, money, shuttle_km
+
+
+def rebuilt(base, trips=None, **params):
+    """``base`` with other trips and cost parameters."""
+    return Instance(
+        stops=base.stops, hubs=base.hubs, time=base.time, dist=base.dist,
+        trips=base.trips if trips is None else tuple(trips),
+        params=dataclasses.replace(base.params, **params),
+    )
+
+
+def with_hub_trips(base, **params):
+    """``base`` plus trips from a hub, to a hub and between two hubs."""
+    hubs = base.hubs
+    other = [s for s in base.stops if s not in hubs]
+    extra = [(hubs[0], other[0]), (other[1], hubs[1]), (hubs[1], hubs[2]), (hubs[2], hubs[0])]
+    start = max(t.id for t in base.trips) + 1
+    trips = list(base.trips) + [
+        Trip(id=start + k, origin=o, destination=d, riders=1) for k, (o, d) in enumerate(extra)
+    ]
+    return rebuilt(base, trips, **params)
+
+
+def backbone_instance():
+    base = tiny_instance(4, n_stops=9, n_hubs=4)
+    h = base.hubs
+    return with_hub_trips(
+        base, fixed_arcs=((h[0], h[1]), (h[1], h[0])), fixed_arc_costed=False,
+    )
+
+
+def city_instance():
+    config = GeneratorConfig(
+        stops=200, hubs=12,
+        classes=(TripClass(30, None), TripClass(50, 2.0), TripClass(20, 1.5)),
+    )
+    return generate_synthetic(config, seed=11)
+
+
+TABLE_CASES = {
+    "hub_trips": lambda: with_hub_trips(tiny_instance(1, n_stops=9, n_hubs=3)),
+    "hub_trips-hub_shuttles": lambda: with_hub_trips(
+        tiny_instance(1, n_stops=9, n_hubs=3), shuttle_between_hubs=True,
+    ),
+    "hub_trips_4hubs": lambda: with_hub_trips(tiny_instance(2, n_stops=8, n_hubs=4)),
+    "hub_trips_4hubs-hub_shuttles": lambda: with_hub_trips(
+        tiny_instance(2, n_stops=8, n_hubs=4), shuttle_between_hubs=True,
+    ),
+    "backbone_uncosted": backbone_instance,
+    "city_200_stops_12_hubs": city_instance,
+}
+
+
+def grid_instance(points, hubs, trips, **params):
+    """Stops at integer points with Manhattan distances (a metric), one
+    km per minute, theta 0.5 and no bus wait unless overridden."""
+    pts = np.array(points, dtype=float)
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    return Instance(
+        stops=tuple(range(len(points))), hubs=hubs, time=dist.copy(), dist=dist,
+        trips=tuple(Trip(id=k, origin=o, destination=d, riders=1) for k, (o, d) in enumerate(trips)),
+        params=CostParams(**{"theta": 0.5, "omega": 1.0, "wait": 0.0, **params}),
+    )
+
+
+class TestHubPathTable:
+    @pytest.mark.parametrize("case", list(TABLE_CASES))
+    def test_matches_per_trip_search(self, case, searches):
+        inst = TABLE_CASES[case]()
+        assert inst.metric_consistent
+        rng = np.random.default_rng(5)
+        routed = 0
+        for _ in range(4):
+            z = random_design(inst, rng)
+            for t in inst.trips:
+                r = route(t, z)
+                assert (r.legs, r.g, r.f, r.money, r.shuttle_km) == searched(t, z)
+                routed += 1
+        # the table, not the per-trip search, served nearly every route
+        assert len(searches) <= routed // 50
+
+    def test_trip_outside_the_instance(self, searches):
+        inst = with_hub_trips(tiny_instance(3, n_stops=9, n_hubs=3))
+        z = random_design(inst, np.random.default_rng(3))
+        hub, other = inst.hubs[0], [s for s in inst.stops if s not in inst.hubs][0]
+        for o, d in ((other, hub), (hub, other), (inst.hubs[1], hub)):
+            t = Trip(id=999, origin=o, destination=d, riders=1)
+            z = Design(inst, z.open_arcs)  # fresh cache for each ad hoc trip
+            r = route(t, z)
+            assert (r.legs, r.g, r.f, r.money, r.shuttle_km) == searched(t, z)
+        assert searches == []
+
+    def test_tie_between_access_hubs_falls_back(self, searches):
+        # two mirror-image corridors: o -> 1 -> 3 -> d and o -> 2 -> 4 -> d
+        # tie exactly in g and f; the smaller stop sequence wins
+        inst = grid_instance(
+            [(0, 0), (1, 1), (1, -1), (9, 1), (9, -1), (10, 0)],
+            hubs=(1, 2, 3, 4), trips=[(0, 5)],
+        )
+        z = Design(inst, frozenset({(1, 3), (3, 1), (2, 4), (4, 2)}))
+        trip = inst.trips[0]
+        r = route(trip, z)
+        g, f, legs = oracle_route(trip, z)
+        assert (r.g, r.f, r.legs) == (g, f, legs)
+        assert r.legs == ((SHUTTLE, 0, 1), (BUS, 1, 3), (SHUTTLE, 3, 5))
+        assert searches == [(0, 5)]
+
+    def test_tie_between_hub_paths_falls_back(self, searches):
+        # collinear hubs 1, 2, 3 with no bus wait: the bus 1 -> 3 and the
+        # buses 1 -> 2 -> 3 tie exactly in g and f; fewer legs wins
+        inst = grid_instance(
+            [(0, 0), (1, 0), (5, 0), (9, 0), (10, 0)], hubs=(1, 2, 3), trips=[(0, 4)],
+        )
+        z = Design(inst, frozenset({(1, 3), (3, 1), (1, 2), (2, 3), (3, 2), (2, 1)}))
+        trip = inst.trips[0]
+        r = route(trip, z)
+        g, f, legs = oracle_route(trip, z)
+        assert (r.g, r.f, r.legs) == (g, f, legs)
+        assert r.legs == ((SHUTTLE, 0, 1), (BUS, 1, 3), (SHUTTLE, 3, 4))
+        assert searches == [(0, 4)]
+
+    def test_endpoint_is_first_bridge_relay(self, searches):
+        # stop 3 is the best relay between hubs 1 and 2 in both directions,
+        # so the table's bridge for that pair relays through an endpoint of
+        # both trips, whose routes take the bus over the same pair
+        inst = grid_instance(
+            [(0, 0), (1, 0), (10, 0), (9, 0)], hubs=(1, 2), trips=[(0, 3), (3, 0)],
+            theta=0.01, wait=5.0,
+        )
+        assert _bridge_table(inst)[(1, 2)][0] == 3
+        assert _bridge_table(inst)[(2, 1)][0] == 3
+        z = Design(inst, frozenset({(1, 2), (2, 1)}))
+        for trip in inst.trips:
+            r = route(trip, z)
+            g, f, legs = oracle_route(trip, z)
+            assert r.g == pytest.approx(g, abs=1e-12)
+            assert r.f == pytest.approx(f, abs=1e-12)
+            assert r.legs == legs
+            assert (r.legs, r.g, r.f, r.money, r.shuttle_km) == searched(trip, z)
+        assert route(inst.trips[0], z).legs == ((SHUTTLE, 0, 1), (BUS, 1, 2), (SHUTTLE, 2, 3))
+        assert route(inst.trips[1], z).legs == ((SHUTTLE, 3, 2), (BUS, 2, 1), (SHUTTLE, 1, 0))
+        assert searches == []
+
+
+# -- properties on random small metric instances ----------------------------
+
+
+@st.composite
+def small_cases(draw):
+    """A random small Euclidean instance with extra trips that may start
+    or end at hubs, and a random design seed."""
+    seed = draw(st.integers(0, 2**16))
+    n_stops = draw(st.integers(3, 6))
+    n_hubs = draw(st.integers(2, n_stops))
+    base = tiny_instance(seed, n_stops=n_stops, n_hubs=n_hubs, core=1, mid=1, high=1)
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(base.stops), st.sampled_from(base.stops))
+        .filter(lambda p: p[0] != p[1]),
+        max_size=4,
+    ))
+    start = max(t.id for t in base.trips) + 1
+    trips = list(base.trips) + [
+        Trip(id=start + k, origin=o, destination=d, riders=1) for k, (o, d) in enumerate(pairs)
+    ]
+    inst = rebuilt(base, trips, shuttle_between_hubs=draw(st.booleans()))
+    return inst, draw(st.integers(0, 2**16))
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(small_cases())
+    def test_router_equals_enumeration(self, case):
+        inst, seed = case
+        assert inst.metric_consistent
+        assert_matches_oracle(inst, random_design(inst, np.random.default_rng(seed)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_cases())
+    def test_more_open_arcs_never_raise_g(self, case):
+        inst, seed = case
+        rng = np.random.default_rng(seed)
+        small = random_design(inst, rng)
+        large = random_design(inst, rng, base=small.open_arcs)
+        for t in inst.trips:
+            assert route(t, large).g <= route(t, small).g
