@@ -1,10 +1,10 @@
 """On-demand multimodal transit design with latent-demand adoption.
 
 The toolkit covers the fixed-demand network design problem (solved
-exactly by Benders cut generation with an exhaustive oracle for tiny
-instances), the lexicographic multimodal router, the rider choice
-model with adoption-quality metrics, three trip-based and two
-arc-based approximation algorithms, and a CLI/bench harness.
+exactly as one arc-flow linear program on HiGHS, with an exhaustive
+oracle for tiny instances), the lexicographic multimodal router, the
+rider choice model with adoption-quality metrics, three trip-based and
+two arc-based approximation algorithms, and a CLI/bench harness.
 """
 
 from .instance import (
@@ -21,7 +21,6 @@ from .instance import (
 from .generator import GeneratorConfig, TripClass, generate_synthetic
 from .router import Design, Route, is_direct_trip, route, route_batch
 from .dfd import (
-    BendersCut,
     CapExceeded,
     DfdSolution,
     SolveError,
@@ -55,7 +54,6 @@ from .arc_heuristics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BendersCut",
     "CapExceeded",
     "CostParams",
     "Cycle",

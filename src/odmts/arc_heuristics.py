@@ -22,8 +22,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .adoption import choice, design_objective, eval_design
 from .instance import Instance, Trip
 from .router import Design, Route, route_batch
@@ -59,16 +57,26 @@ class Cycle:
 
 def find_cycles(arcs, cap: int = 100_000) -> list:
     """All elementary directed cycles of an arc set, each reported once,
-    ordered by (length, hub sequence)."""
-    g = nx.DiGraph()
-    g.add_edges_from(arcs)
+    ordered by (length, hub sequence). Each cycle is found from its
+    smallest hub: a depth-first walk from every start hub visits only
+    larger hubs and closes cycles back at the start."""
+    succ = {}
+    for h, l in set(arcs):
+        succ.setdefault(h, []).append(l)
     out = []
-    for nodes in nx.simple_cycles(g):
-        out.append(Cycle(tuple(nodes)))
-        if len(out) > cap:
-            raise CycleCapError(
-                f"more than {cap} elementary cycles; use a smaller expansion step"
-            )
+    for start in succ:
+        stack = [(start,)]
+        while stack:
+            path = stack.pop()
+            for v in succ.get(path[-1], ()):
+                if v == start:
+                    out.append(Cycle(path))
+                    if len(out) > cap:
+                        raise CycleCapError(
+                            f"more than {cap} elementary cycles; use a smaller expansion step"
+                        )
+                elif v > start and v not in path:
+                    stack.append(path + (v,))
     out.sort(key=lambda c: (len(c), c.hubs))
     return out
 

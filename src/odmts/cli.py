@@ -4,7 +4,7 @@ Subcommands: ``generate`` (synthetic instances), ``solve`` (one
 algorithm, writing design.json / evaluation.json / trace.csv),
 ``evaluate`` (re-score a saved design), ``compare`` (run several
 algorithms and tabulate). Exit codes: 0 success, 1 usage or config
-error, 2 solver failure (best incumbent still written).
+error, 2 solver failure.
 
 Outputs are deterministic for fixed inputs and seed; wall-clock fields
 sit in trailing columns or header lines so the remainder is
@@ -32,7 +32,6 @@ from .trip_heuristics import eta_grre, rho_gagr, rho_grad
 from .arc_heuristics import CycleCapError, arc_s1, arc_s2
 
 ALGORITHMS = ("dfd", "exact", "grad", "grre", "gagr", "arc-s1", "arc-s2")
-THREADS_HELP = "accepted for compatibility and has no effect; runs are single-threaded"
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -84,10 +83,7 @@ def _run_algorithm(inst: Instance, alg: str, args):
     if alg == "dfd":
         tset = [t.id for t in inst.trips]
         trace_path = getattr(args, "solver_trace", None)
-        sol = solve_dfd(
-            inst, tset, eps_gap=args.eps_gap, trace_path=trace_path,
-            max_rounds=args.max_rounds,
-        )
+        sol = solve_dfd(inst, tset, trace_path=trace_path)
         trace = HeuristicTrace()
         trace.add(0, 1, len(tset), sol.design, sol.objective, 0, 0.0)
         trace.finish(sol.design, tset)
@@ -134,11 +130,6 @@ def cmd_solve(args) -> int:
     try:
         design, tset, trace, extra = _run_algorithm(inst, args.alg, args)
     except SolveError as e:
-        if e.best is not None:
-            ev = eval_design(inst, e.best.design, e.best.tset)
-            _write_json(out / "design.json",
-                        _design_doc(e.best.design, args.alg, e.best.tset, e.best.objective))
-            _write_json(out / "evaluation.json", {"tool_version": __version__, **ev.to_dict()})
         print(f"solver failure: {e}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - t0
@@ -270,16 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--eta", type=int, default=None)
         sp.add_argument("--rules", default=None, help="expansion rules, e.g. 'a' or 'd,a'")
         sp.add_argument("--time-limit", type=float, default=None)
-        sp.add_argument("--eps-gap", type=float, default=1e-9)
-        sp.add_argument("--max-rounds", type=int, default=200)
-        sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
 
     s = sub.add_parser("solve", help="run one algorithm and write a result bundle")
     s.add_argument("--instance", required=True)
     s.add_argument("--alg", required=True, choices=ALGORITHMS)
     s.add_argument("--out", default="run")
     s.add_argument("--solver-trace", default=None,
-                   help="with --alg dfd, also write one JSON record per master round")
+                   help="with --alg dfd, also write the solve's bounds record as a JSON line")
     common_solver_args(s)
     s.set_defaults(func=cmd_solve)
 
@@ -287,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--instance", required=True)
     e.add_argument("--design", required=True)
     e.add_argument("--out", default=None)
-    e.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     e.set_defaults(func=cmd_evaluate)
 
     c = sub.add_parser("compare", help="run several algorithms and tabulate")

@@ -26,9 +26,8 @@ order the search below would, so g and f are bit-identical to it.
 
 The label-setting search over labels ordered lexicographically decides
 a trip instead whenever the table cannot: when its best candidate is
-within a relative 1e-9 of another, when some hop of its hub path has a
-near-tied alternative, or when that path relays through the trip's own
-origin or destination. All arc increments are non-negative, so the
+within a relative 1e-9 of another, or when some hop of its hub path has
+a near-tied alternative. All arc increments are non-negative, so the
 first label settled at a node is optimal. The search runs on a graph of
 the trip endpoints and the hubs, with bridges while hub-to-hub shuttles
 are banned; instances without the triangle property always use it, on
@@ -226,37 +225,6 @@ def _build_graph(inst: Instance, open_arcs, o: int, d: int):
     return adj
 
 
-def _settle_all(adj, source):
-    """Dijkstra on the g component only; returns node -> min g."""
-    dist = {}
-    heap = [(0.0, source)]
-    while heap:
-        g, u = heapq.heappop(heap)
-        if u in dist:
-            continue
-        dist[u] = g
-        for v, dg, *_ in adj[u]:
-            if v not in dist:
-                heapq.heappush(heap, (g + dg, v))
-    return dist
-
-
-def _arc_potentials(inst: Instance, trip: Trip, open_arcs):
-    """Min weighted cost origin->hub and hub->destination over routes
-    whose bus legs stay within ``open_arcs``."""
-    o, d = trip.origin, trip.destination
-    adj = _build_graph(inst, open_arcs, o, d)
-    fwd = _settle_all(adj, o)
-    radj = {u: [] for u in adj}
-    for u, arcs in adj.items():
-        for v, g, *_ in arcs:
-            radj[v].append((u, g))
-    bwd = _settle_all(radj, d)
-    a = {h: fwd.get(h, float("inf")) for h in inst.hubs}
-    b = {h: bwd.get(h, float("inf")) for h in inst.hubs}
-    return a, b
-
-
 def _lex_search(adj, o: int, d: int):
     """Label-setting search; returns the canonical optimal label at d."""
     heap = [(0.0, 0.0, 0, (o,), (), o)]
@@ -435,8 +403,16 @@ def _pick(paths: _HubPaths, access, egress, direct):
 def _table_label(trip: Trip, design: Design):
     """The trip's ``_lex_search`` label read from the hub-path table, or
     None when the per-trip search must decide: the best candidate is
-    near-tied, a hop of its hub path is, or a bridge on it relays
-    through the trip's own origin or destination."""
+    near-tied, or a hop of its hub path is.
+
+    No clear winner has a bridge relaying through the trip's own origin
+    or destination, which the search graph forbids. A candidate whose
+    bridge u -> o -> v relays through the origin costs at least the
+    candidate that starts at v, whose access shuttle o -> v is the
+    bridge's second leg; one whose bridge u -> d -> v relays through the
+    destination costs at least the candidate that leaves the hubs at u,
+    whose egress shuttle u -> d is the bridge's first leg. Either way
+    another candidate lies within the tie margin."""
     inst = design.instance
     paths = _hub_paths(design)
     rows, *costs = _trip_costs(inst)
@@ -468,8 +444,6 @@ def _table_label(trip: Trip, design: Design):
             edges.append(_shuttle(inst, w, hubs[u], hubs[v]))
         else:
             x = _bridge_table(inst)[(hubs[u], hubs[v])][0]
-            if x == o or x == d:
-                return None
             edges.append(_bridge(inst, w, hubs[u], x, hubs[v]))
     if d != hubs[l]:
         edges.append(_shuttle(inst, w, hubs[l], d))

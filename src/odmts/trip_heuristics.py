@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 
 from .adoption import eval_design, net_cost
-from .dfd import CutPool, solve_dfd
+from .dfd import solve_dfd
 from .instance import Instance
 from .router import route
 from .trace import HeuristicTrace
@@ -34,21 +34,17 @@ def default_step(inst: Instance) -> int:
 
 
 class _DfdCache:
-    """Memoizes fixed-demand solves within one heuristic run and shares
-    one cut pool across them; identical (trip set, fixed arcs) inputs
-    always yield identical solutions."""
+    """Memoizes fixed-demand solves within one heuristic run; identical
+    (trip set, fixed arcs) inputs always yield identical solutions."""
 
     def __init__(self, inst):
         self.inst = inst
         self.hits = {}
-        self.pool = CutPool()
 
     def solve(self, tset, fixed=()):
         key = (frozenset(tset), frozenset(fixed))
         if key not in self.hits:
-            self.hits[key] = solve_dfd(
-                self.inst, key[0], fixed=key[1], cut_pool=self.pool
-            )
+            self.hits[key] = solve_dfd(self.inst, key[0], fixed=key[1])
         return self.hits[key]
 
 

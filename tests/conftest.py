@@ -164,6 +164,23 @@ def oracle_route(trip, design):
     return g, f, leg_list
 
 
+# -- independent price of a flow block ----------------------------------------
+
+
+def block_price(inst, block, open_arcs):
+    """Cheapest origin-destination path cost of a DFD flow block whose bus
+    edges are limited to ``open_arcs``, by Bellman-Ford over its edge
+    arrays."""
+    cand = inst.candidate_arcs
+    keep = np.array([a < 0 or cand[a] in open_arcs for a in block.arc], dtype=bool)
+    tail, head, g = block.tail[keep], block.head[keep], block.g[keep]
+    dist = np.full(block.nodes, np.inf)
+    dist[0] = 0.0
+    for _ in range(block.nodes):
+        np.minimum.at(dist, head, dist[tail] + g)
+    return float(dist[-1])
+
+
 # -- independent cycle oracle ----------------------------------------------
 
 

@@ -1,13 +1,13 @@
+import gc
+
 import numpy as np
 import pytest
 
 from odmts import (
-    BendersCut,
     CapExceeded,
     CostParams,
     Design,
     Instance,
-    SolveError,
     Trip,
     balanced_designs,
     enumerate_dfd,
@@ -16,15 +16,15 @@ from odmts import (
     solve_dfd,
     solve_master,
 )
-from odmts.adoption import arcs_cost
-from odmts.router import weights_of
-from conftest import make_example_instance, tiny_instance
+from odmts.dfd import TripBlock, _direct_flags
+from conftest import block_price, make_example_instance, tiny_instance
+from test_router import grid_instance
 
 
 def hub_origin_instance(seed):
     """Four hubs and one non-hub stop, no hub-to-hub shuttles: a trip
-    leaving a hub reaches the other hubs only by bus, so closing a cut's
-    support leaves some of its access potentials unreachable (inf)."""
+    leaving a hub reaches the other hubs only by bus or by a bridge
+    through the one non-hub stop."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, 10, size=(5, 2))
     dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
@@ -40,90 +40,89 @@ def hub_origin_instance(seed):
                     dist=dist, trips=tuple(trips), params=params)
 
 
-def master_oracle(inst, cuts, open_arcs):
-    """The master objective of one design, priced row by row: a row is
-    min(base, min access + min tau + min egress) over its open support
-    arcs, and its base when none is open."""
-    w = weights_of(inst)
-    hidx = inst.hub_index
-    worst = {}
-    for cut in cuts:
-        acc = [v for arc, v in cut.access if arc in open_arcs]
-        egr = [v for arc, v in cut.egress if arc in open_arcs]
-        tau = [float(w.tau[hidx[h], hidx[l]]) for (h, l), _ in cut.access
-               if (h, l) in open_arcs]
-        row = min(cut.base, min(acc) + min(tau) + min(egr)) if acc else cut.base
-        worst[cut.trip_id] = max(worst.get(cut.trip_id, 0.0), row)
-    return arcs_cost(inst, open_arcs) + sum(
-        inst.trip_by_id(tid).riders * v for tid, v in worst.items()
-    )
+def flow_blocks(inst):
+    """The blocks ``solve_dfd`` builds for the full trip set."""
+    direct = _direct_flags(inst)
+    return [make_cut(t, inst) for t in inst.trips if not direct[t.id]]
 
 
 class TestMakeCut:
     def test_example_coefficient(self, example_instance):
-        trip = example_instance.trips[0]
-        cut = make_cut(trip, Design.minimal(example_instance))
-        assert cut.base == pytest.approx(18.5)
-        coeff = dict(cut.coeff)
-        assert coeff[(1, 2)] == pytest.approx(4.75)
-        assert (2, 1) not in coeff  # through cost exceeds base, clamped away
+        # the backbone cut's coefficient on an arc is the block's price
+        # drop when that arc opens: 4.75 on (1, 2), none on (2, 1)
+        block = make_cut(example_instance.trips[0], example_instance)
+        base = block_price(example_instance, block, frozenset())
+        assert base == pytest.approx(18.5)
+        assert base - block_price(example_instance, block, {(1, 2)}) == pytest.approx(4.75)
+        assert block_price(example_instance, block, {(2, 1)}) == base
 
     def test_open_arcs_carry_no_coefficient(self, example_instance):
-        trip = example_instance.trips[0]
-        z = Design(example_instance, frozenset({(1, 2), (2, 1)}))
-        cut = make_cut(trip, z)
-        assert all(arc not in z.open_arcs for arc, _ in cut.coeff)
-        # base equals the through cost of the best arc, already open
-        assert cut.base == pytest.approx(13.75)
+        # once (1, 2) is open, the price is the through cost of that arc
+        # and (2, 1) lowers it no further
+        block = make_cut(example_instance.trips[0], example_instance)
+        both = block_price(example_instance, block, {(1, 2), (2, 1)})
+        assert both == pytest.approx(13.75)
+        assert both == block_price(example_instance, block, {(1, 2)})
 
-    def test_validity_over_all_designs(self, example_instance):
-        trip = example_instance.trips[0]
-        for gen in balanced_designs(example_instance):
-            cut = make_cut(trip, gen)
-            for z in balanced_designs(example_instance):
-                assert route(trip, z).g >= cut.rhs(z.open_arcs) - 1e-9
+    def test_validity_over_all_designs(self):
+        inst = tiny_instance(4)
+        designs = list(balanced_designs(inst))
+        for block in flow_blocks(inst):
+            for z in designs:
+                assert block_price(inst, block, z.open_arcs) >= route(block.trip, z).g - 1e-9
 
     def test_exact_at_generating_design(self, example_instance):
         trip = example_instance.trips[0]
-        for gen in balanced_designs(example_instance):
-            cut = make_cut(trip, gen)
-            assert cut.rhs(gen.open_arcs) == pytest.approx(route(trip, gen).g)
+        block = make_cut(trip, example_instance)
+        for z in balanced_designs(example_instance):
+            assert block_price(example_instance, block, z.open_arcs) == pytest.approx(
+                route(trip, z).g, rel=1e-12
+            )
+
+    def test_shape_and_cache(self, example_instance):
+        trip = example_instance.trips[0]
+        block = make_cut(trip, example_instance)
+        assert make_cut(trip, example_instance) is block
+        assert block.trip == trip and block.nodes == 4  # origin, hubs 1 and 2, destination
+        assert (block.tail != block.nodes - 1).all()  # nothing leaves the destination
+        assert (block.head != 0).all()  # nothing enters the origin
+        cand = example_instance.candidate_arcs
+        assert sorted(cand[a] for a in block.arc[block.arc >= 0]) == [(1, 2), (2, 1)]
 
 
 class TestSolveMaster:
     def test_two_design_enumeration(self, example_instance):
-        cut = make_cut(example_instance.trips[0], Design.minimal(example_instance))
-        assert cut.base == pytest.approx(18.5)
-        assert cut.coeff == (((1, 2), pytest.approx(4.75)),)
-        design, bound = solve_master(example_instance, [cut])
+        block = make_cut(example_instance.trips[0], example_instance)
+        design, value, root, solves = solve_master(example_instance, [block])
         assert sorted(design.open_arcs) == [(1, 2), (2, 1)]
-        assert bound == pytest.approx(17.75)
+        assert value == pytest.approx(17.75)
+        assert root <= value + 1e-9 and solves >= 1
 
     def test_empty_pool(self, example_instance):
-        design, bound = solve_master(example_instance, [])
+        design, value, root, solves = solve_master(example_instance, [])
         assert design.open_arcs == frozenset()
-        assert bound == 0.0
+        assert value == root == 0.0
 
     def test_connectivity_couples_arcs(self, example_instance):
-        # a cut that would love (1,2) alone still pays for the return arc
-        cut = BendersCut(
-            trip_id=0, base=18.5, coeff=(((1, 2), 10.0),),
-            access=(((1, 2), 0.5),), egress=(((1, 2), 0.5),),
+        # a block that would love (1,2) alone still pays for the return arc
+        trip = example_instance.trips[0]
+        bus = example_instance.candidate_arcs.index((1, 2))
+        block = TripBlock(
+            trip=trip, tail=np.array([0, 0, 1, 2]), head=np.array([3, 1, 2, 3]),
+            g=np.array([18.5, 0.5, 7.5, 0.5]), arc=np.array([-1, -1, bus, -1]), nodes=4,
         )
-        design, bound = solve_master(example_instance, [cut])
+        design, value, _, _ = solve_master(example_instance, [block])
         assert design.open_arcs == frozenset({(1, 2), (2, 1)})
-        assert bound == pytest.approx(2 + 2 + 8.5)
-
-    def test_cut_without_potentials_rejected(self, example_instance):
-        cut = BendersCut(trip_id=0, base=18.5, coeff=(((1, 2), 4.75),))
-        with pytest.raises(ValueError, match="access/egress"):
-            solve_master(example_instance, [cut])
+        assert value == pytest.approx(2 + 2 + 8.5)
 
     def test_cut_without_coeff_is_constant(self, example_instance):
-        cut = BendersCut(trip_id=0, base=3.0, coeff=())
-        design, bound = solve_master(example_instance, [cut])
+        # a block no bus edge can shorten adds its cost and opens nothing
+        trip = example_instance.trips[0]
+        block = TripBlock(trip=trip, tail=np.array([0]), head=np.array([1]),
+                          g=np.array([3.0]), arc=np.array([-1]), nodes=2)
+        design, value, _, _ = solve_master(example_instance, [block])
         assert design.open_arcs == frozenset()
-        assert bound == pytest.approx(3.0)
+        assert value == pytest.approx(3.0)
 
     @pytest.mark.parametrize(
         "inst",
@@ -131,26 +130,13 @@ class TestSolveMaster:
         ids=[f"tiny{seed}" for seed in range(6)] + ["hub_origin33"],
     )
     def test_matches_brute_force(self, inst):
-        sol = solve_dfd(inst, [t.id for t in inst.trips])
-        cuts = sol.cuts
-        assert cuts
-        designs = list(balanced_designs(inst))
-        # the pool after each round, up to the final one
-        for n in sorted(set(np.cumsum([b[4] for b in sol.bounds]).tolist())):
-            pool = cuts[:n]
-            values = [master_oracle(inst, pool, z.open_arcs) for z in designs]
-            design, bound = solve_master(inst, pool)
-            assert bound == pytest.approx(min(values), rel=1e-12)
-            assert master_oracle(inst, pool, design.open_arcs) == pytest.approx(
-                bound, rel=1e-12
-            )
-        # some row has every support arc closed in some design, so the
-        # price-at-base path is exercised
-        assert any(
-            cut.access and not any(arc in z.open_arcs for arc, _ in cut.access)
-            for cut in cuts
-            for z in designs
-        )
+        blocks = flow_blocks(inst)
+        assert blocks
+        design, value, root, _ = solve_master(inst, blocks)
+        slow = enumerate_dfd(inst, [b.trip.id for b in blocks])
+        assert design.open_arcs == slow.design.open_arcs
+        assert value == pytest.approx(slow.objective, rel=1e-12)
+        assert root <= value * (1 + 1e-12)
 
 
 class TestSolveDfd:
@@ -183,19 +169,38 @@ class TestSolveDfd:
     def test_bounds_monotone(self):
         inst = tiny_instance(4)
         sol = solve_dfd(inst, [t.id for t in inst.trips])
-        lowers = [b[1] for b in sol.bounds]
-        uppers = [b[2] for b in sol.bounds]
-        for a, b in zip(lowers, lowers[1:]):
-            assert b >= a - 1e-9
-        for a, b in zip(uppers, uppers[1:]):
-            assert b <= a + 1e-9
-        assert uppers[-1] - lowers[-1] <= 1e-9 * max(1.0, abs(uppers[-1]))
+        ((rnd, lower, upper, n_open, blocks),) = sol.bounds
+        assert rnd == 1 and upper == sol.objective
+        assert lower <= upper + 1e-12 * abs(upper)
+        assert n_open == len(sol.design.open_arcs)
+        assert blocks == len(flow_blocks(inst))
+        assert sol.iterations >= 1
 
-    def test_round_cap_raises_with_incumbent(self, example_instance):
-        with pytest.raises(SolveError) as err:
-            solve_dfd(example_instance, [0], max_rounds=1)
-        assert err.value.best is not None
-        assert err.value.gap > 0
+    def test_leaves_no_cyclic_garbage(self):
+        # a HiGHS model caught in a reference cycle would stay alive until
+        # the cyclic collector ran, raising peak memory
+        solve_dfd(tiny_instance(4), [0])  # loads the solver
+        inst = tiny_instance(3)
+        gc.collect()
+        gc.disable()
+        try:
+            solve_dfd(inst, [t.id for t in inst.trips])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_exact_tie_takes_smallest_arc_tuple(self):
+        # two mirror-image corridors o -> 1 -> 3 -> d and o -> 2 -> 4 -> d
+        # tie exactly; enumeration keeps the smaller sorted arc tuple
+        inst = grid_instance(
+            [(0, 0), (1, 1), (1, -1), (9, 1), (9, -1), (10, 0)],
+            hubs=(1, 2, 3, 4), trips=[(0, 5), (5, 0)], bus_rate=0.05, buses_per_leg=1.0,
+        )
+        slow = enumerate_dfd(inst, [0, 1])
+        assert slow.design.key() == ((1, 3), (3, 1))
+        fast = solve_dfd(inst, [0, 1])
+        assert fast.design.key() == slow.design.key()
+        assert fast.objective == pytest.approx(16.4, rel=1e-12)
 
     def test_trace_file(self, tmp_path, example_instance):
         path = tmp_path / "trace.jsonl"
