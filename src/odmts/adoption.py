@@ -2,19 +2,21 @@
 
 A latent rider adopts a proposed route when its travel time stays
 within alpha times their direct car time (non-strict). Evaluating a
-design routes the *full* trip set: core trips always contribute their
-weighted cost, latent trips contribute (g - varphi) only when they
-adopt. The false rejection / false adoption rates measure how far a
-design is from the equilibrium in which exactly the trips used to
-produce it adopt it.
+design scores the *full* trip set from the router's per-trip arrays
+(``trip_arrays``): core trips always contribute their weighted cost,
+latent trips contribute (g - varphi) only when they adopt. The false
+rejection / false adoption rates measure how far a design is from the
+equilibrium in which exactly the trips used to produce it adopt it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .instance import Instance, Trip, ValidationError
-from .router import Design, Route, route, route_batch, weights_of
+from .router import Design, Route, trip_arrays, weights_of
 
 
 def choice(r: Route, trip: Trip) -> int:
@@ -64,18 +66,43 @@ class DesignEvaluation:
         }
 
 
+def _trip_terms(inst: Instance):
+    """Trip ids, latent mask, riders and adoption limits alpha * t_cur of
+    the instance trips, in trip order."""
+    if "adoption_terms" not in inst._caches:
+        trips = inst.trips
+        inst._caches["adoption_terms"] = (
+            np.array([t.id for t in trips], dtype=int),
+            np.array([t.is_latent for t in trips], dtype=bool),
+            np.array([t.riders for t in trips], dtype=float),
+            np.array([t.alpha * t.t_cur if t.is_latent else np.inf for t in trips], dtype=float),
+        )
+    return inst._caches["adoption_terms"]
+
+
+def _served(inst: Instance, design: Design):
+    """Which trips adopt (latent) and which are served (core or adopting),
+    and each trip's objective term: riders * g for a core trip, riders *
+    (g - varphi) for a latent one, read from ``trip_arrays``."""
+    g, f, _, _ = trip_arrays(design)
+    _, latent, riders, limit = _trip_terms(inst)
+    adopt = latent & (f <= limit)
+    terms = riders * np.where(latent, g - weights_of(inst).varphi, g)
+    return adopt, adopt | ~latent, terms
+
+
+def _running_sum(start: float, values) -> float:
+    """start + values[0] + values[1] + ..., added in order; np.sum adds in
+    pairs, which changes the last bits."""
+    for v in values.tolist():
+        start += v
+    return start
+
+
 def design_objective(inst: Instance, design: Design) -> float:
     """eval(z) alone, for hot loops that do not need metrics."""
-    w = weights_of(inst)
-    routes = route_batch(inst.trips, design)
-    total = arcs_cost(inst, design.open_arcs)
-    for trip, r in zip(inst.trips, routes):
-        if trip.is_latent:
-            if choice(r, trip):
-                total += trip.riders * (r.g - w.varphi)
-        else:
-            total += trip.riders * r.g
-    return total
+    _, served, terms = _served(inst, design)
+    return _running_sum(arcs_cost(inst, design.open_arcs), terms[served])
 
 
 def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
@@ -87,35 +114,21 @@ def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
     percentages of the latent trip count.
     """
     tset = frozenset(tset)
-    known = {t.id for t in inst.trips}
-    if not tset <= known:
+    ids, latent, riders, _ = _trip_terms(inst)
+    in_tset = np.array([i in tset for i in ids.tolist()], dtype=bool)
+    if int(in_tset.sum()) != len(tset):  # trip ids are unique
         raise ValidationError("tset references unknown trip ids")
-    w = weights_of(inst)
     p = inst.params
-    routes = route_batch(inst.trips, design)
+    _, f, _, km = trip_arrays(design)
+    adopt, served, terms = _served(inst, design)
 
     bus_investment = arcs_cost(inst, design.open_arcs)
-    objective = bus_investment
-    adopters = set()
-    shuttle_km = 0.0
-    convenience = 0.0
-    fare_riders = 0
-    n_latent = 0
-    for trip, r in zip(inst.trips, routes):
-        served = True
-        if trip.is_latent:
-            n_latent += 1
-            if choice(r, trip):
-                adopters.add(trip.id)
-                objective += trip.riders * (r.g - w.varphi)
-            else:
-                served = False
-        else:
-            objective += trip.riders * r.g
-        if served:
-            shuttle_km += trip.riders * r.shuttle_km
-            convenience += trip.riders * r.f
-            fare_riders += trip.riders
+    objective = _running_sum(bus_investment, terms[served])
+    adopters = frozenset(ids[adopt].tolist())
+    shuttle_km = _running_sum(0.0, (riders * km)[served])
+    convenience = _running_sum(0.0, (riders * f)[served])
+    fare_riders = int(riders[served].sum())
+    n_latent = int(latent.sum())
 
     sidx = inst.stop_index
     bus_cost_dollars = 0.0
@@ -126,12 +139,8 @@ def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
             bus_cost_dollars += p.bus_rate * p.buses_per_leg * float(inst.time[sidx[h], sidx[l]]) / 60.0
 
     if n_latent:
-        false_rej = sum(1 for tid in adopters if tid not in tset)
-        false_adp = sum(
-            1
-            for t in inst.trips
-            if t.is_latent and t.id in tset and t.id not in adopters
-        )
+        false_rej = int((adopt & ~in_tset).sum())
+        false_adp = int((latent & in_tset & ~adopt).sum())
         r_false = 100.0 * false_rej / n_latent
         a_false = 100.0 * false_adp / n_latent
     else:
@@ -147,7 +156,7 @@ def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
     }
     return DesignEvaluation(
         objective=objective,
-        adopters=frozenset(adopters),
+        adopters=adopters,
         r_false=r_false,
         a_false=a_false,
         kpis=kpis,
@@ -198,8 +207,6 @@ def exact_tiny(inst: Instance) -> ExactTinyResult:
 
 
 def _adopter_ids(inst: Instance, design: Design) -> set:
-    out = set()
-    for t in inst.trips:
-        if t.is_latent and choice(route(t, design), t):
-            out.add(t.id)
-    return out
+    ids = _trip_terms(inst)[0]
+    adopt = _served(inst, design)[0]
+    return set(ids[adopt].tolist())

@@ -230,8 +230,16 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line and exit 1; exit 2 means solver failure.
+    Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="odmts", description=__doc__)
+    p = _Parser(prog="odmts", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -222,17 +222,16 @@ def solve_dfd(inst: Instance, tset, fixed=(), trace_path=None) -> DfdSolution:
 
     direct = _direct_flags(inst)
     flow_trips = [t for t in trips if not direct[t.id]]
-    base_design = Design(inst, fixed)
+    design, _, root, solves = solve_master(
+        inst, [make_cut(t, inst) for t in flow_trips], fixed=fixed
+    )
+    # a direct trip rides the same shuttle under every design
     const = 0.0
     routes = {}
     for t in trips:
         if direct[t.id]:
-            routes[t.id] = route(t, base_design)
+            routes[t.id] = route(t, design)
             const += t.riders * routes[t.id].g
-
-    design, _, root, solves = solve_master(
-        inst, [make_cut(t, inst) for t in flow_trips], fixed=fixed
-    )
     objective, flow_routes = _dfd_objective(inst, design, flow_trips)
     objective += const
     routes.update((t.id, r) for t, r in zip(flow_trips, flow_routes))

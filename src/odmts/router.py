@@ -23,6 +23,9 @@ hub origin's only access hub is itself, as is a hub destination's only
 egress hub; table paths are simple, so no endpoint sits inside one.
 The winner is turned into a route by adding its legs one by one, in the
 order the search below would, so g and f are bit-identical to it.
+Design evaluation needs no legs: ``trip_arrays`` adds the same legs for
+all instance trips at once, column by column, and yields g, f, money
+and shuttle_km as arrays equal to the routes' fields.
 
 The label-setting search over labels ordered lexicographically decides
 a trip instead whenever the table cannot: when its best candidate is
@@ -277,46 +280,63 @@ class _HubPaths:
     """One design's g-cheapest paths between ordered hub pairs, by hub index.
 
     ``cost[h, l]`` is the path's g (0 on the diagonal, inf when no path
-    exists), ``last[h, l]`` its last hop as ``kind * H + u`` and
-    ``ties[h, l]`` the number of last hops (kind, u) that reach l within
-    the tie margin of ``cost[h, l]``: 1 when that hop has no near-tied
-    alternative.
+    exists). ``steps[h, l]`` lists its hops in order after leading -1
+    pads, each as the flat hop index ``kind * H * H + u * H + v`` of
+    ``_hop_table``. ``unique[h, l]`` says that no hop of the path has a
+    near-tied alternative into its head.
     """
 
     cost: np.ndarray
-    last: np.ndarray
-    ties: np.ndarray
+    steps: np.ndarray
+    unique: np.ndarray
 
     def hops(self, h: int, l: int):
         """(kind, u, v) hops of the path h -> l, or None when the path is
         not the only one within the tie margin."""
+        if not self.unique[h, l]:
+            return None
         nh = len(self.cost)
         out = []
-        v = l
-        for _ in range(nh):
-            if v == h:
-                return out[::-1]
-            if self.ties[h, v] != 1:
-                return None
-            kind, u = divmod(int(self.last[h, v]), nh)
-            out.append((kind, u, v))
-            v = u
-        return None
+        for code in self.steps[h, l].tolist():
+            if code >= 0:
+                kind, rest = divmod(code, nh * nh)
+                out.append((kind, *divmod(rest, nh)))
+        return out
 
 
-def _bridge_costs(inst: Instance) -> np.ndarray:
-    """g of each ordered hub pair's first bridge, inf where none exists."""
-    if "bridge_costs" not in inst._caches:
+def _hop_table(inst: Instance):
+    """(terms, usable) over every hop kind and ordered hub pair (u, v).
+
+    ``terms[:, kind, u, v]`` holds the hop's g and f increments and the km
+    of its first and second shuttle leg (0 where it has none), the values
+    ``_bus``, ``_shuttle`` and ``_bridge`` give. ``usable[kind, u, v]``
+    says whether the instance has the hop: hub-to-hub shuttles when they
+    run and otherwise each pair's first bridge; bus hops need their arc
+    open in the design, so none is usable here."""
+    if "hop_table" not in inst._caches:
         w = weights_of(inst)
-        sidx, hidx = inst.stop_index, inst.hub_index
+        sidx = inst.stop_index
         nh = len(inst.hubs)
-        cost = np.full((nh, nh), np.inf)
-        for (h, l), relays in _bridge_table(inst).items():
-            if relays:
-                x = sidx[relays[0]]
-                cost[hidx[h], hidx[l]] = w.gamma[sidx[h], x] + w.gamma[x, sidx[l]]
-        inst._caches["bridge_costs"] = cost
-    return inst._caches["bridge_costs"]
+        pos = np.array([sidx[h] for h in inst.hubs], dtype=int)
+        u, v = pos[:, None], pos[None, :]
+        terms = np.zeros((4, 3, nh, nh))
+        usable = np.zeros((3, nh, nh), dtype=bool)
+        terms[:2, _BUS_HOP] = w.tau, inst.time[u, v] + inst.wait_matrix
+        terms[:3, _SHUTTLE_HOP] = w.gamma[u, v], inst.time[u, v], inst.dist[u, v]
+        if inst.params.shuttle_between_hubs:
+            usable[_SHUTTLE_HOP] = ~np.eye(nh, dtype=bool)
+        else:
+            x = np.zeros((nh, nh), dtype=int)
+            hidx = inst.hub_index
+            for (h, l), relays in _bridge_table(inst).items():
+                if relays:
+                    x[hidx[h], hidx[l]] = sidx[relays[0]]
+                    usable[_BRIDGE_HOP, hidx[h], hidx[l]] = True
+            terms[:, _BRIDGE_HOP] = (w.gamma[u, x] + w.gamma[x, v], inst.time[u, x] + inst.time[x, v],
+                                     inst.dist[u, x], inst.dist[x, v])
+        terms.setflags(write=False)
+        inst._caches["hop_table"] = terms, usable
+    return inst._caches["hop_table"]
 
 
 def _hub_paths(design: Design) -> _HubPaths:
@@ -329,15 +349,11 @@ def _hub_paths(design: Design) -> _HubPaths:
         w = weights_of(inst)
         hidx = inst.hub_index
         nh = len(inst.hubs)
-        hop = np.full((3, nh, nh), np.inf)
-        for h, l in design.open_arcs:
-            hop[_BUS_HOP, hidx[h], hidx[l]] = w.tau[hidx[h], hidx[l]]
-        if inst.params.shuttle_between_hubs:
-            hub_pos = [inst.stop_index[h] for h in inst.hubs]
-            hop[_SHUTTLE_HOP] = w.gamma[np.ix_(hub_pos, hub_pos)]
-            np.fill_diagonal(hop[_SHUTTLE_HOP], np.inf)
-        else:
-            hop[_BRIDGE_HOP] = _bridge_costs(inst)
+        terms, usable = _hop_table(inst)
+        usable = usable.copy()
+        for a, b in design.open_arcs:
+            usable[_BUS_HOP, hidx[a], hidx[b]] = True
+        hop = np.where(usable, terms[0], np.inf)
         cost = hop.min(0)
         np.fill_diagonal(cost, 0.0)
         for k in range(nh):
@@ -348,8 +364,32 @@ def _hub_paths(design: Design) -> _HubPaths:
         via = cost[:, None, :, None] + hop[None]
         margin = _TIE * float(w.gamma.max())
         ties = (via <= cost[:, None, None, :] + margin).sum(axis=(1, 2))
+        # Walk every pair's path back from its head at once, by flat index
+        # h * H + v; at v == h a walk stays put and adds hop -1. A simple
+        # path has at most H - 1 hops; a longer walk is left not unique.
+        last = via.reshape(nh, 3 * nh, nh).argmin(axis=1)
+        head = np.arange(nh)
+        row = head[:, None] * nh
+        hop_at = (last * nh + head).ravel()
+        prev_at = (row + last % nh).ravel()
+        ok_at = (ties == 1).ravel()
+        home = head * (nh + 1)
+        hop_at[home], prev_at[home], ok_at[home] = -1, home, True
+        goal = home.repeat(nh)
+        at = (row + head).ravel()
+        unique = np.ones(nh * nh, dtype=bool)
+        steps = []
+        for _ in range(nh - 1):
+            if (at == goal).all():
+                break
+            unique &= ok_at[at]
+            steps.append(hop_at[at])
+            at = prev_at[at]
+        unique &= at == goal
         design._caches["hub_paths"] = _HubPaths(
-            cost, via.reshape(nh, 3 * nh, nh).argmin(axis=1), ties,
+            cost,
+            np.stack(steps[::-1], axis=1).reshape(nh, nh, -1) if steps else np.full((nh, nh, 0), -1),
+            unique.reshape(nh, nh),
         )
     return design._caches["hub_paths"]
 
@@ -381,11 +421,17 @@ def _endpoint_costs(inst: Instance, trips):
 
 
 def _trip_costs(inst: Instance):
-    """Row of each instance trip by id, and the trips' endpoint costs;
-    computed on the first route, not at load."""
+    """Row of each instance trip by id, the trips' origin and destination
+    stop indices and their endpoint costs; computed on the first route,
+    not at load."""
     if "endpoint_costs" not in inst._caches:
-        rows = {t.id: i for i, t in enumerate(inst.trips)}
-        inst._caches["endpoint_costs"] = (rows, *_endpoint_costs(inst, inst.trips))
+        sidx = inst.stop_index
+        inst._caches["endpoint_costs"] = (
+            {t.id: i for i, t in enumerate(inst.trips)},
+            np.array([sidx[t.origin] for t in inst.trips], dtype=int),
+            np.array([sidx[t.destination] for t in inst.trips], dtype=int),
+            _endpoint_costs(inst, inst.trips),
+        )
     return inst._caches["endpoint_costs"]
 
 
@@ -394,10 +440,25 @@ def _pick(paths: _HubPaths, access, egress, direct):
     direct shuttle, and whether it beats every other candidate by more
     than the tie margin."""
     n = len(direct)
-    cost = access[:, :, None] + paths.cost + egress[:, None, :]
-    cost = np.concatenate([cost.reshape(n, -1), direct[:, None]], axis=1)
-    low, second = np.partition(cost, 1, axis=1)[:, :2].T
-    return cost.argmin(axis=1), second - low > _TIE * low
+    cost = access[:, :, None] + paths.cost
+    cost += egress[:, None, :]
+    cost = cost.reshape(n, -1)
+    best = cost.argmin(axis=1)
+    rows = np.arange(n)
+    low = cost[rows, best]
+    cost[rows, best] = np.inf
+    # the runner-up: the next hub candidate, or the direct shuttle
+    second = np.minimum(cost.min(axis=1), np.maximum(low, direct))
+    best[direct < low] = cost.shape[1]
+    low = np.minimum(low, direct)
+    return best, second - low > _TIE * low
+
+
+def _picks(design: Design):
+    """``_pick`` over the instance trips, once per design."""
+    if "picks" not in design._caches:
+        design._caches["picks"] = _pick(_hub_paths(design), *_trip_costs(design.instance)[3])
+    return design._caches["picks"]
 
 
 def _table_label(trip: Trip, design: Design):
@@ -415,12 +476,10 @@ def _table_label(trip: Trip, design: Design):
     another candidate lies within the tie margin."""
     inst = design.instance
     paths = _hub_paths(design)
-    rows, *costs = _trip_costs(inst)
+    rows = _trip_costs(inst)[0]
     i = rows.get(trip.id)
     if i is not None and inst.trips[i] == trip:
-        if "picks" not in design._caches:
-            design._caches["picks"] = _pick(paths, *costs)
-        best, clear = design._caches["picks"]
+        best, clear = _picks(design)
     else:
         i = 0
         best, clear = _pick(paths, *_endpoint_costs(inst, [trip]))
@@ -483,6 +542,67 @@ def route(trip: Trip, design: Design) -> Route:
     result = Route(legs=tuple(legs), g=float(g), f=float(f), money=money, shuttle_km=shuttle_km)
     cache[trip.id] = (trip, result)
     return result
+
+
+def trip_arrays(design: Design):
+    """g, f, money and shuttle_km of every instance trip's route under the
+    design, as four read-only float64 arrays in trip order, equal bit for
+    bit to the fields of ``route``; built once per design.
+
+    A trip the table decides is summed column by column over all trips
+    at once, in ``_lex_search``'s order: its access leg, the hops of its
+    hub path, then its egress leg (the direct shuttle is an access leg
+    with no hops). Absent legs and hops add an exact 0.0. money and
+    shuttle_km add one shuttle leg at a time, a bridge being two. The
+    other trips are routed one by one: near-tied ones and every trip of
+    an instance without the triangle property. (No instance trip starts
+    where it ends.)"""
+    if "arrays" not in design._caches:
+        inst = design.instance
+        out = np.zeros((4, len(inst.trips)))
+        if inst.metric_consistent:
+            table = _table_sums(design, out)
+        else:
+            table = np.zeros(len(inst.trips), dtype=bool)
+        for i in np.flatnonzero(~table).tolist():
+            r = route(inst.trips[i], design)
+            out[:, i] = r.g, r.f, r.money, r.shuttle_km
+        out.setflags(write=False)
+        design._caches["arrays"] = tuple(out)
+    return design._caches["arrays"]
+
+
+def _table_sums(design: Design, out):
+    """Fill ``out`` (g, f, money, shuttle_km rows) for the trips the table
+    decides, and return their mask."""
+    inst = design.instance
+    w = weights_of(inst)
+    nh = len(inst.hubs)
+    paths = _hub_paths(design)
+    best, clear = _picks(design)
+    _, o, d, _ = _trip_costs(inst)
+    direct = best == nh * nh
+    h, l = np.divmod(np.where(direct, 0, best), nh)
+    pos = np.array([inst.stop_index[x] for x in inst.hubs], dtype=int)
+    a = np.where(direct, d, pos[h])  # the access leg's head
+    b = np.where(direct, d, pos[l])  # the egress leg's tail
+    steps = paths.steps[h, l].T
+    # a -1 pad indexes the zero column appended last
+    terms = np.concatenate([_hop_table(inst)[0].reshape(4, -1), np.zeros((4, 1))], axis=1)
+    g, f, money, km = out
+    for total, m, hop in ((g, w.gamma, terms[0]), (f, inst.time, terms[1])):
+        total += np.where(o != a, m[o, a], 0.0)
+        for s in steps:
+            total += hop[s]
+        total += np.where(b != d, m[b, d], 0.0)
+    legs = [np.where(o != a, inst.dist[o, a], 0.0)]
+    for s in steps:
+        legs += [terms[2][s], terms[3][s]]
+    legs.append(np.where(b != d, inst.dist[b, d], 0.0))
+    for leg in legs:
+        km += leg
+        money += inst.params.omega * leg
+    return clear & paths.unique[h, l]
 
 
 def route_batch(trips, design: Design):

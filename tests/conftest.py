@@ -18,6 +18,7 @@ from odmts import (
     TripClass,
     generate_synthetic,
 )
+from odmts import router
 from odmts.router import BUS, SHUTTLE, weights_of
 
 
@@ -58,6 +59,21 @@ def make_example_instance(beta_per_arc=2.0, trips=None, ticket=2.5):
 @pytest.fixture
 def example_instance():
     return make_example_instance()
+
+
+@pytest.fixture
+def routed(monkeypatch):
+    """The id of every trip the router's own code hands to ``route``, as
+    ``trip_arrays`` does for the trips its table cannot decide."""
+    seen = []
+    real = router.route
+
+    def counted(trip, design):
+        seen.append(trip.id)
+        return real(trip, design)
+
+    monkeypatch.setattr(router, "route", counted)
+    return seen
 
 
 # -- random Euclidean instances ------------------------------------------

@@ -1,7 +1,12 @@
+import dataclasses
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odmts import (
     Design,
+    Instance,
     Trip,
     choice,
     design_objective,
@@ -11,8 +16,10 @@ from odmts import (
     net_cost,
     route,
 )
-from odmts.router import Route, SHUTTLE
-from conftest import make_example_instance, tiny_instance
+from odmts import router
+from odmts.adoption import arcs_cost
+from odmts.router import Route, SHUTTLE, weights_of
+from conftest import make_example_instance, random_design, tiny_instance
 
 
 def mk_route(f=30.0, money=0.0):
@@ -169,3 +176,68 @@ class TestExactTiny:
                 assert res.resolve_a_false == 0.0
                 hits += 1
         assert hits >= 1
+
+
+# -- evaluation from the per-trip arrays -------------------------------------
+
+
+@st.composite
+def evaluated_cases(draw):
+    """A random small instance, metric or not, with or without hub-to-hub
+    shuttles, and a random design on it."""
+    n_stops = draw(st.integers(4, 9))
+    base = tiny_instance(
+        draw(st.integers(0, 2**16)), n_stops=n_stops, n_hubs=draw(st.integers(2, min(4, n_stops))),
+    )
+    time, dist = base.time, base.dist
+    if draw(st.booleans()):
+        # one symmetric random factor on both matrices breaks the triangle
+        factor = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(0.5, 2.0, time.shape)
+        factor = (factor + factor.T) / 2.0
+        time, dist = time * factor, dist * factor
+    inst = Instance(
+        stops=base.stops, hubs=base.hubs, time=time, dist=dist, trips=base.trips,
+        params=dataclasses.replace(base.params, shuttle_between_hubs=draw(st.booleans())),
+    )
+    return inst, random_design(inst, np.random.default_rng(draw(st.integers(0, 2**16))))
+
+
+class TestArrayEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(evaluated_cases())
+    def test_objective_is_the_routed_sum(self, case):
+        # arcs_cost, then each core trip's riders * g and each adopting
+        # latent trip's riders * (g - varphi), added in trip order
+        inst, z = case
+        fresh = Design(inst, z.open_arcs)
+        varphi = weights_of(inst).varphi
+        total = arcs_cost(inst, z.open_arcs)
+        for t in inst.trips:
+            r = route(t, fresh)
+            if not t.is_latent:
+                total += t.riders * r.g
+            elif choice(r, t):
+                total += t.riders * (r.g - varphi)
+        assert eval_design(inst, z, ()).objective == total
+        assert design_objective(inst, z) == total
+
+    @pytest.mark.parametrize("t_cur, adopts", [(24.0, True), (23.999, False)])
+    def test_adoption_boundary_is_non_strict(self, t_cur, adopts):
+        # the route 0 -> 1 -> 2 -> 3 takes 5 + (10 + 5) + 4 = 24 minutes
+        inst = make_example_instance(trips=(
+            Trip(id=0, origin=0, destination=3, riders=1, kind="latent", alpha=1.0, t_cur=t_cur),
+        ))
+        z = Design(inst, frozenset({(1, 2), (2, 1)}))
+        assert route(inst.trips[0], z).f == 24.0
+        assert eval_design(inst, z, ()).adopters == ({0} if adopts else set())
+
+    def test_clear_trips_are_not_routed(self, routed):
+        from test_router import city_instance
+        inst = city_instance()
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            z = random_design(inst, rng)
+            eval_design(inst, z, [t.id for t in inst.trips])
+            design_objective(inst, Design(inst, z.open_arcs))
+            assert router._picks(z)[1].all()  # every trip has a clear winner
+        assert routed == []

@@ -79,9 +79,18 @@ class TestSolve:
         ))
         assert {r["stage"] for r in rows} == {"1", "2"}
 
-    def test_bad_alg_exits_one(self, instance_file):
-        with pytest.raises(SystemExit):
+    def test_bad_alg_exits_one(self, instance_file, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["solve", "--instance", str(instance_file), "--alg", "bogus"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "invalid choice: 'bogus'" in err
+
+    def test_unknown_flag_exits_one(self, instance_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--instance", str(instance_file), "--alg", "dfd", "--threads", "2"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == "odmts: error: unrecognized arguments: --threads 2\n"
 
     def test_missing_instance(self, tmp_path):
         rc = main(["solve", "--instance", str(tmp_path / "nope.json"), "--alg", "grad"])

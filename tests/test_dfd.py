@@ -202,6 +202,12 @@ class TestSolveDfd:
         assert fast.design.key() == slow.design.key()
         assert fast.objective == pytest.approx(16.4, rel=1e-12)
 
+    def test_unbalanced_fixed_set_is_completed(self, example_instance):
+        slow = enumerate_dfd(example_instance, [0], fixed=[(1, 2)])
+        fast = solve_dfd(example_instance, [0], fixed=[(1, 2)])
+        assert fast.design.key() == slow.design.key() == ((1, 2), (2, 1))
+        assert fast.objective == slow.objective == pytest.approx(17.75)
+
     def test_trace_file(self, tmp_path, example_instance):
         path = tmp_path / "trace.jsonl"
         solve_dfd(example_instance, [0], trace_path=path)

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odmts import (
     GeneratorConfig,
@@ -239,3 +241,27 @@ class TestGenerator:
         assert len(inst.candidate_arcs) < 20
         arcs = set(inst.candidate_arcs)
         assert all((l, h) in arcs for h, l in arcs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_stops=st.integers(3, 9),
+    scale=st.floats(0.01, 100.0),
+    theta=st.floats(0.0, 1.0),
+    wait=st.one_of(st.floats(0.0, 30.0), st.integers(0, 2**16)),
+    shuttles=st.booleans(),
+)
+def test_json_round_trip_is_byte_stable(seed, n_stops, scale, theta, wait, shuttles):
+    base = generate_synthetic(tiny_config(n_stops=n_stops, n_hubs=2), seed=seed)
+    if isinstance(wait, int):  # a per-hub-pair wait matrix
+        wait = np.random.default_rng(wait).uniform(0.0, 30.0, (2, 2))
+        np.fill_diagonal(wait, 0.0)
+    inst = Instance(
+        stops=base.stops, hubs=base.hubs, time=base.time * scale, dist=base.dist / scale,
+        trips=base.trips,
+        params=dataclasses.replace(base.params, theta=theta, wait=wait, shuttle_between_hubs=shuttles),
+    )
+    text = json.dumps(inst.to_dict())
+    again = Instance.from_dict(json.loads(text))
+    assert json.dumps(again.to_dict()) == text

@@ -18,7 +18,8 @@ from odmts import (
     route_batch,
 )
 from odmts import router
-from odmts.router import BUS, SHUTTLE, _bridge_table, _build_graph, _lex_search
+from odmts.dfd import balanced_designs
+from odmts.router import BUS, SHUTTLE, _bridge_table, _build_graph, _lex_search, trip_arrays
 from conftest import oracle_route, random_design, tiny_instance
 
 
@@ -379,6 +380,122 @@ class TestHubPathTable:
         assert route(inst.trips[0], z).legs == ((SHUTTLE, 0, 1), (BUS, 1, 2), (SHUTTLE, 2, 3))
         assert route(inst.trips[1], z).legs == ((SHUTTLE, 3, 2), (BUS, 2, 1), (SHUTTLE, 1, 0))
         assert searches == []
+
+
+# -- per-trip arrays against route ----------------------------------------
+
+
+def assert_arrays_match_routes(inst, design):
+    """Every trip's g, f, money and shuttle_km in ``trip_arrays`` equal the
+    fields of its route under a fresh copy of the design, by == and by
+    repr. Returns the routes."""
+    arrays = trip_arrays(design)
+    fresh = Design(inst, design.open_arcs)
+    routes = []
+    for i, t in enumerate(inst.trips):
+        r = route(t, fresh)
+        got = tuple(float(a[i]) for a in arrays)
+        want = (r.g, r.f, r.money, r.shuttle_km)
+        assert got == want, t.id
+        assert [repr(x) for x in got] == [repr(x) for x in want], t.id
+        routes.append(r)
+    return routes
+
+
+def hub_hop(r, inst, pattern):
+    """True when the route has consecutive legs whose modes and stop kinds
+    (hub or not) match ``pattern``, a tuple of (mode, tail_is_hub,
+    head_is_hub)."""
+    kinds = [(m, u in inst.hubs, v in inst.hubs) for m, u, v in r.legs]
+    k = len(pattern)
+    return any(tuple(kinds[i:i + k]) == pattern for i in range(len(kinds) - k + 1))
+
+
+class TestTripArrays:
+    def test_every_balanced_design_of_the_tiny_suite(self):
+        from test_acceptance import tiny_suite
+        designs = 0
+        for inst in tiny_suite():
+            for z in balanced_designs(inst):
+                assert_arrays_match_routes(inst, z)
+                designs += 1
+        assert designs > 1000
+
+    def test_random_designs_at_60_stops(self, routed):
+        config = GeneratorConfig(
+            stops=60, hubs=6,
+            classes=(TripClass(20, None), TripClass(30, 2.0), TripClass(10, 1.5)),
+        )
+        inst = with_hub_trips(generate_synthetic(config, seed=3))
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            assert_arrays_match_routes(inst, random_design(inst, rng))
+        # the table decided at least 99% of the 50 * 64 trips
+        assert len(routed) <= 50 * len(inst.trips) // 100
+
+    def test_hub_to_hub_shuttles(self, routed):
+        inst = with_hub_trips(tiny_instance(2, n_stops=8, n_hubs=4), shuttle_between_hubs=True)
+        rng = np.random.default_rng(1)
+        shuttle_hops = 0
+        for _ in range(20):
+            routes = assert_arrays_match_routes(inst, random_design(inst, rng))
+            shuttle_hops += sum(hub_hop(r, inst, ((SHUTTLE, True, True),)) for r in routes)
+        assert shuttle_hops > 0
+        assert routed == []
+
+    def test_hub_pairs_joined_by_bridges(self, routed):
+        # two bus corridors 1 - 2 and 3 - 4, and between hubs 2 and 3 only
+        # the relay through stop 5: trips along the line ride bus, bridge, bus
+        inst = grid_instance(
+            [(0, 0), (1, 0), (10, 0), (12, 0), (21, 0), (11, 0), (22, 0)],
+            hubs=(1, 2, 3, 4), trips=[(0, 6), (6, 0), (5, 6), (1, 4), (4, 0)],
+        )
+        z = Design(inst, frozenset({(1, 2), (2, 1), (3, 4), (4, 3)}))
+        routes = assert_arrays_match_routes(inst, z)
+        assert routes[0].legs == (
+            (SHUTTLE, 0, 1), (BUS, 1, 2), (SHUTTLE, 2, 5), (SHUTTLE, 5, 3),
+            (BUS, 3, 4), (SHUTTLE, 4, 6),
+        )
+        bridge = ((SHUTTLE, True, False), (SHUTTLE, False, True))
+        assert sum(hub_hop(r, inst, bridge) for r in routes) == 4
+        assert routed == []
+
+    def test_exact_tie_goes_through_route(self, routed):
+        inst = grid_instance(
+            [(0, 0), (1, 1), (1, -1), (9, 1), (9, -1), (10, 0)],
+            hubs=(1, 2, 3, 4), trips=[(0, 5), (0, 1)],
+        )
+        z = Design(inst, frozenset({(1, 3), (3, 1), (2, 4), (4, 2)}))
+        assert_arrays_match_routes(inst, z)
+        assert routed == [0]
+        # a clear winner whose hub path ties: the bus 1 -> 3 and the buses
+        # 1 -> 2 -> 3
+        inst = grid_instance(
+            [(0, 0), (1, 0), (5, 0), (9, 0), (10, 0)], hubs=(1, 2, 3), trips=[(0, 4), (0, 2)],
+        )
+        z = Design(inst, frozenset({(1, 3), (3, 1), (1, 2), (2, 3), (3, 2), (2, 1)}))
+        assert_arrays_match_routes(inst, z)
+        assert routed == [0, 0]
+
+    def test_non_metric_instance_goes_through_route(self, routed):
+        base = tiny_instance(2, n_stops=7, n_hubs=3)
+        rng = np.random.default_rng(2)
+        factor = rng.uniform(0.5, 2.0, size=base.time.shape)
+        factor = (factor + factor.T) / 2.0
+        inst = Instance(
+            stops=base.stops, hubs=base.hubs, time=base.time * factor,
+            dist=base.dist * factor, trips=base.trips, params=base.params,
+        )
+        assert not inst.metric_consistent
+        assert_arrays_match_routes(inst, random_design(inst, rng))
+        assert routed == [t.id for t in inst.trips]
+
+    def test_built_once_per_design(self):
+        inst = TABLE_CASES["hub_trips"]()
+        z = random_design(inst, np.random.default_rng(4))
+        first = trip_arrays(z)
+        assert trip_arrays(z) is first
+        assert not first[0].flags.writeable
 
 
 # -- properties on random small metric instances ----------------------------
