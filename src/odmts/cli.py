@@ -52,6 +52,8 @@ def cmd_generate(args) -> int:
     classes = []
     for spec in args.classes.split("/"):
         fields = spec.split(":")
+        if len(fields) != 2:
+            raise ValueError(f"--classes group {spec!r} is not count:alpha")
         count = int(fields[0])
         alpha = None if fields[1] in ("core", "-") else float(fields[1])
         classes.append(TripClass(count=count, alpha=alpha, max_riders=args.max_riders))
@@ -82,8 +84,7 @@ def _run_algorithm(inst: Instance, alg: str, args):
     """Returns (design, tset, trace, extra) where extra documents bounds."""
     if alg == "dfd":
         tset = [t.id for t in inst.trips]
-        trace_path = getattr(args, "solver_trace", None)
-        sol = solve_dfd(inst, tset, trace_path=trace_path)
+        sol = solve_dfd(inst, tset)
         trace = HeuristicTrace()
         trace.add(0, 1, len(tset), sol.design, sol.objective, 0, 0.0)
         trace.finish(sol.design, tset)
@@ -121,9 +122,6 @@ def _run_algorithm(inst: Instance, alg: str, args):
 
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    if args.alg not in ALGORITHMS:
-        print(f"unknown algorithm {args.alg!r}", file=sys.stderr)
-        return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -274,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--instance", required=True)
     s.add_argument("--alg", required=True, choices=ALGORITHMS)
     s.add_argument("--out", default="run")
-    s.add_argument("--solver-trace", default=None,
-                   help="with --alg dfd, also write the solve's bounds record as a JSON line")
     common_solver_args(s)
     s.set_defaults(func=cmd_solve)
 
@@ -299,7 +295,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, InstanceParseError, CapExceeded, CycleCapError, ValueError) as e:
+    except (ValidationError, InstanceParseError, CapExceeded, CycleCapError, ValueError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

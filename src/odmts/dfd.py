@@ -18,7 +18,6 @@ which ships inside scipy (see ``highs``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,11 +208,10 @@ def _dfd_objective(inst, design, trips):
     return total, routes
 
 
-def solve_dfd(inst: Instance, tset, fixed=(), trace_path=None) -> DfdSolution:
+def solve_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
     """Optimal design for the given trip set with ``fixed`` arcs open:
     one flow model over the trips that do not ride a direct shuttle
-    under every design, the others being constants. ``trace_path``
-    receives the one ``bounds`` record as a JSON line."""
+    under every design, the others being constants."""
     trips = [inst.trip_by_id(t) if not isinstance(t, Trip) else t for t in tset]
     trips.sort(key=lambda t: t.id)
     fixed = frozenset(tuple(a) for a in fixed) | inst.fixed_arcs
@@ -236,12 +234,6 @@ def solve_dfd(inst: Instance, tset, fixed=(), trace_path=None) -> DfdSolution:
     objective += const
     routes.update((t.id, r) for t, r in zip(flow_trips, flow_routes))
     record = (1, root + const, objective, len(design.open_arcs), len(flow_trips))
-    if trace_path:
-        with open(trace_path, "w") as fh:
-            fh.write(json.dumps({
-                "round": 1, "lower": record[1], "upper": objective,
-                "open_arcs": sorted(design.open_arcs), "cuts_added": record[4],
-            }, sort_keys=True) + "\n")
     return DfdSolution(
         design=design, objective=objective, routes=routes, bounds=(record,), iterations=solves,
     )

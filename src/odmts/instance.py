@@ -472,9 +472,10 @@ class Instance:
 
 
 def _satisfies_triangle(m: np.ndarray, tol: float = 1e-9) -> bool:
-    n = m.shape[0]
-    for k in range(n):
-        if np.any(m > m[:, k, None] + m[None, k, :] + tol):
+    """No m[i, j] exceeds m[i, k] + m[k, j] + tol, checked one row i at a
+    time against the row's min-plus product with m."""
+    for i in range(m.shape[0]):
+        if np.any(m[i] > (m[i, :, None] + m).min(axis=0) + tol):
             return False
     return True
 

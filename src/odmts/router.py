@@ -21,11 +21,11 @@ single numpy minimum over access[o, h] + path[h, l] + egress[l, d] and
 the direct shuttle then picks every instance trip's route at once. A
 hub origin's only access hub is itself, as is a hub destination's only
 egress hub; table paths are simple, so no endpoint sits inside one.
-The winner is turned into a route by adding its legs one by one, in the
-order the search below would, so g and f are bit-identical to it.
-Design evaluation needs no legs: ``trip_arrays`` adds the same legs for
-all instance trips at once, column by column, and yields g, f, money
-and shuttle_km as arrays equal to the routes' fields.
+The winners' g, f, money and shuttle_km are summed for all instance
+trips at once, column by column in the order the search below adds
+legs, so they are bit-identical to it. ``trip_arrays`` yields these
+sums as arrays; ``route`` takes a trip's four numbers from them and
+decodes only its legs from the table.
 
 The label-setting search over labels ordered lexicographically decides
 a trip instead whenever the table cannot: when its best candidate is
@@ -150,10 +150,6 @@ class Route:
     shuttle_km: float
 
     @property
-    def stop_sequence(self) -> tuple:
-        return (self.legs[0][1],) + tuple(leg[2] for leg in self.legs)
-
-    @property
     def is_direct_shuttle(self) -> bool:
         return len(self.legs) == 1 and self.legs[0][0] == SHUTTLE
 
@@ -256,19 +252,6 @@ def _lex_search(adj, o: int, d: int):
     return None
 
 
-def _walk(o: int, edges):
-    """The label ``_lex_search`` reaches along ``edges`` from ``o``: each
-    component summed edge by edge, in the search's order."""
-    g = f = 0.0
-    seq, modes = (o,), ()
-    for _, dg, df, _, seq_ext, modes_ext in edges:
-        g += dg
-        f += df
-        seq += seq_ext
-        modes += tuple(_MODE_RANK[m] for m in modes_ext)
-    return g, f, seq, modes
-
-
 # Relative margin within which two candidate costs count as tied.
 _TIE = 1e-9
 # Hop kinds of the hub-path table.
@@ -289,19 +272,6 @@ class _HubPaths:
     cost: np.ndarray
     steps: np.ndarray
     unique: np.ndarray
-
-    def hops(self, h: int, l: int):
-        """(kind, u, v) hops of the path h -> l, or None when the path is
-        not the only one within the tie margin."""
-        if not self.unique[h, l]:
-            return None
-        nh = len(self.cost)
-        out = []
-        for code in self.steps[h, l].tolist():
-            if code >= 0:
-                kind, rest = divmod(code, nh * nh)
-                out.append((kind, *divmod(rest, nh)))
-        return out
 
 
 def _hop_table(inst: Instance):
@@ -395,11 +365,12 @@ def _hub_paths(design: Design) -> _HubPaths:
 
 
 def _endpoint_costs(inst: Instance, trips):
-    """Access (trips x hubs), egress (trips x hubs) and direct-shuttle
-    (trips) costs. A hub endpoint's only access or egress hub is itself,
-    at cost 0; the direct shuttle is inf where the table holds it already:
-    as the own-hub candidate of a trip with one hub endpoint, and as a hop
-    between hub endpoints while hub-to-hub shuttles run."""
+    """Origin and destination stop indices (trips), then access (trips x
+    hubs), egress (trips x hubs) and direct-shuttle (trips) costs. A hub
+    endpoint's only access or egress hub is itself, at cost 0; the direct
+    shuttle is inf where the table holds it already: as the own-hub
+    candidate of a trip with one hub endpoint, and as a hop between hub
+    endpoints while hub-to-hub shuttles run."""
     w = weights_of(inst)
     sidx, hidx = inst.stop_index, inst.hub_index
     hub_pos = np.array([sidx[h] for h in inst.hubs], dtype=int)
@@ -417,19 +388,15 @@ def _endpoint_costs(inst: Instance, trips):
     one_hub = (o_hub >= 0) != (d_hub >= 0)
     two_hubs = (o_hub >= 0) & (d_hub >= 0)
     direct[one_hub | (two_hubs & inst.params.shuttle_between_hubs)] = np.inf
-    return access, egress, direct
+    return o, d, access, egress, direct
 
 
 def _trip_costs(inst: Instance):
-    """Row of each instance trip by id, the trips' origin and destination
-    stop indices and their endpoint costs; computed on the first route,
-    not at load."""
+    """Row of each instance trip by id and the trips' ``_endpoint_costs``;
+    computed on the first route, not at load."""
     if "endpoint_costs" not in inst._caches:
-        sidx = inst.stop_index
         inst._caches["endpoint_costs"] = (
             {t.id: i for i, t in enumerate(inst.trips)},
-            np.array([sidx[t.origin] for t in inst.trips], dtype=int),
-            np.array([sidx[t.destination] for t in inst.trips], dtype=int),
             _endpoint_costs(inst, inst.trips),
         )
     return inst._caches["endpoint_costs"]
@@ -454,142 +421,49 @@ def _pick(paths: _HubPaths, access, egress, direct):
     return best, second - low > _TIE * low
 
 
-def _picks(design: Design):
-    """``_pick`` over the instance trips, once per design."""
-    if "picks" not in design._caches:
-        design._caches["picks"] = _pick(_hub_paths(design), *_trip_costs(design.instance)[3])
-    return design._caches["picks"]
+def _table(design: Design, costs=None):
+    """(best, decided, sums): the hub-path table's reading of the trips
+    whose ``_endpoint_costs`` are ``costs``, by default the instance
+    trips, whose reading is built once per design.
 
+    ``best`` is each trip's ``_pick``. ``decided`` marks the trips whose
+    pick beats the other candidates and whose hub path has no near-tied
+    hop; ``route`` searches the others. ``sums`` holds the rows g, f,
+    money and shuttle_km of each pick, read-only. g and f add, column by
+    column over all trips at once and in ``_lex_search``'s order, the
+    access leg, the hops of the hub path, then the egress leg (the
+    direct shuttle is an access leg with no hops); absent legs and hops
+    add an exact 0.0. money and shuttle_km add one shuttle leg at a
+    time, a bridge being two.
 
-def _table_label(trip: Trip, design: Design):
-    """The trip's ``_lex_search`` label read from the hub-path table, or
-    None when the per-trip search must decide: the best candidate is
-    near-tied, or a hop of its hub path is.
-
-    No clear winner has a bridge relaying through the trip's own origin
-    or destination, which the search graph forbids. A candidate whose
+    No decided trip has a bridge relaying through its own origin or
+    destination, which the search graph forbids. A candidate whose
     bridge u -> o -> v relays through the origin costs at least the
     candidate that starts at v, whose access shuttle o -> v is the
     bridge's second leg; one whose bridge u -> d -> v relays through the
     destination costs at least the candidate that leaves the hubs at u,
     whose egress shuttle u -> d is the bridge's first leg. Either way
     another candidate lies within the tie margin."""
-    inst = design.instance
-    paths = _hub_paths(design)
-    rows = _trip_costs(inst)[0]
-    i = rows.get(trip.id)
-    if i is not None and inst.trips[i] == trip:
-        best, clear = _picks(design)
-    else:
-        i = 0
-        best, clear = _pick(paths, *_endpoint_costs(inst, [trip]))
-    if not clear[i]:
-        return None
-    o, d = trip.origin, trip.destination
-    w = weights_of(inst)
-    hubs = inst.hubs
-    nh = len(hubs)
-    if best[i] == nh * nh:
-        return _walk(o, [_shuttle(inst, w, o, d)])
-    h, l = divmod(int(best[i]), nh)
-    hops = paths.hops(h, l)
-    if hops is None:
-        return None
-    edges = [] if o == hubs[h] else [_shuttle(inst, w, o, hubs[h])]
-    for kind, u, v in hops:
-        if kind == _BUS_HOP:
-            edges.append(_bus(inst, w, hubs[u], hubs[v]))
-        elif kind == _SHUTTLE_HOP:
-            edges.append(_shuttle(inst, w, hubs[u], hubs[v]))
-        else:
-            x = _bridge_table(inst)[(hubs[u], hubs[v])][0]
-            edges.append(_bridge(inst, w, hubs[u], x, hubs[v]))
-    if d != hubs[l]:
-        edges.append(_shuttle(inst, w, hubs[l], d))
-    return _walk(o, edges)
-
-
-def route(trip: Trip, design: Design) -> Route:
-    """Lexicographic minimizer of (g, f) for one trip under a design."""
-    inst = design.instance
-    cache = design._caches.setdefault("routes", {})
-    if trip.id in cache:
-        cached_trip, cached_route = cache[trip.id]
-        if cached_trip == trip:
-            return cached_route
-    o, d = trip.origin, trip.destination
-    hit = _table_label(trip, design) if inst.metric_consistent and o != d else None
-    if hit is None:
-        hit = _lex_search(_build_graph(inst, design.open_arcs, o, d), o, d)
-    if hit is None:
-        raise RuntimeError(
-            f"trip {trip.id}: destination unreachable despite full shuttle coverage"
-        )
-    g, f, seq, moderanks = hit
-    w = weights_of(inst)
-    sidx = inst.stop_index
-    legs = []
-    money = 0.0
-    shuttle_km = 0.0
-    for i, mrank in enumerate(moderanks):
-        u, v = seq[i], seq[i + 1]
-        mode = BUS if mrank == 0 else SHUTTLE
-        legs.append((mode, u, v))
-        if mode == SHUTTLE:
-            dkm = float(inst.dist[sidx[u], sidx[v]])
-            shuttle_km += dkm
-            money += inst.params.omega * dkm
-    result = Route(legs=tuple(legs), g=float(g), f=float(f), money=money, shuttle_km=shuttle_km)
-    cache[trip.id] = (trip, result)
-    return result
-
-
-def trip_arrays(design: Design):
-    """g, f, money and shuttle_km of every instance trip's route under the
-    design, as four read-only float64 arrays in trip order, equal bit for
-    bit to the fields of ``route``; built once per design.
-
-    A trip the table decides is summed column by column over all trips
-    at once, in ``_lex_search``'s order: its access leg, the hops of its
-    hub path, then its egress leg (the direct shuttle is an access leg
-    with no hops). Absent legs and hops add an exact 0.0. money and
-    shuttle_km add one shuttle leg at a time, a bridge being two. The
-    other trips are routed one by one: near-tied ones and every trip of
-    an instance without the triangle property. (No instance trip starts
-    where it ends.)"""
-    if "arrays" not in design._caches:
-        inst = design.instance
-        out = np.zeros((4, len(inst.trips)))
-        if inst.metric_consistent:
-            table = _table_sums(design, out)
-        else:
-            table = np.zeros(len(inst.trips), dtype=bool)
-        for i in np.flatnonzero(~table).tolist():
-            r = route(inst.trips[i], design)
-            out[:, i] = r.g, r.f, r.money, r.shuttle_km
-        out.setflags(write=False)
-        design._caches["arrays"] = tuple(out)
-    return design._caches["arrays"]
-
-
-def _table_sums(design: Design, out):
-    """Fill ``out`` (g, f, money, shuttle_km rows) for the trips the table
-    decides, and return their mask."""
+    if costs is None:
+        if "table" not in design._caches:
+            design._caches["table"] = _table(design, _trip_costs(design.instance)[1])
+        return design._caches["table"]
     inst = design.instance
     w = weights_of(inst)
     nh = len(inst.hubs)
     paths = _hub_paths(design)
-    best, clear = _picks(design)
-    _, o, d, _ = _trip_costs(inst)
-    direct = best == nh * nh
-    h, l = np.divmod(np.where(direct, 0, best), nh)
+    o, d, access, egress, direct = costs
+    best, clear = _pick(paths, access, egress, direct)
+    is_direct = best == nh * nh
+    h, l = np.divmod(np.where(is_direct, 0, best), nh)
     pos = np.array([inst.stop_index[x] for x in inst.hubs], dtype=int)
-    a = np.where(direct, d, pos[h])  # the access leg's head
-    b = np.where(direct, d, pos[l])  # the egress leg's tail
+    a = np.where(is_direct, d, pos[h])  # the access leg's head
+    b = np.where(is_direct, d, pos[l])  # the egress leg's tail
     steps = paths.steps[h, l].T
     # a -1 pad indexes the zero column appended last
     terms = np.concatenate([_hop_table(inst)[0].reshape(4, -1), np.zeros((4, 1))], axis=1)
-    g, f, money, km = out
+    sums = np.zeros((4, len(o)))
+    g, f, money, km = sums
     for total, m, hop in ((g, w.gamma, terms[0]), (f, inst.time, terms[1])):
         total += np.where(o != a, m[o, a], 0.0)
         for s in steps:
@@ -602,7 +476,102 @@ def _table_sums(design: Design, out):
     for leg in legs:
         km += leg
         money += inst.params.omega * leg
-    return clear & paths.unique[h, l]
+    sums.setflags(write=False)
+    return best, clear & paths.unique[h, l], sums
+
+
+def _table_legs(inst: Instance, paths: _HubPaths, o: int, d: int, pick: int):
+    """The legs of the table route ``pick`` (a ``_pick`` index) from o to
+    d: the access shuttle, the hops of the hub path, each a bus or
+    shuttle leg or a bridge's two shuttle legs through its first relay,
+    then the egress shuttle."""
+    hubs = inst.hubs
+    nh = len(hubs)
+    if pick == nh * nh:
+        return ((SHUTTLE, o, d),)
+    h, l = divmod(pick, nh)
+    legs = [] if o == hubs[h] else [(SHUTTLE, o, hubs[h])]
+    for code in paths.steps[h, l].tolist():
+        if code < 0:
+            continue
+        kind, rest = divmod(code, nh * nh)
+        u, v = (hubs[k] for k in divmod(rest, nh))
+        if kind == _BRIDGE_HOP:
+            x = _bridge_table(inst)[(u, v)][0]
+            legs += [(SHUTTLE, u, x), (SHUTTLE, x, v)]
+        else:
+            legs.append((BUS if kind == _BUS_HOP else SHUTTLE, u, v))
+    if d != hubs[l]:
+        legs.append((SHUTTLE, hubs[l], d))
+    return tuple(legs)
+
+
+def route(trip: Trip, design: Design) -> Route:
+    """Lexicographic minimizer of (g, f) for one trip under a design."""
+    inst = design.instance
+    cache = design._caches.setdefault("routes", {})
+    if trip.id in cache:
+        cached_trip, cached_route = cache[trip.id]
+        if cached_trip == trip:
+            return cached_route
+    o, d = trip.origin, trip.destination
+    result = None
+    if inst.metric_consistent and o != d:
+        i = _trip_costs(inst)[0].get(trip.id)
+        if i is not None and inst.trips[i] == trip:
+            best, decided, sums = _table(design)
+        else:
+            i = 0
+            best, decided, sums = _table(design, _endpoint_costs(inst, [trip]))
+        if decided[i]:
+            legs = _table_legs(inst, _hub_paths(design), o, d, int(best[i]))
+            result = Route(legs, *sums[:, i].tolist())
+    if result is None:
+        hit = _lex_search(_build_graph(inst, design.open_arcs, o, d), o, d)
+        if hit is None:
+            raise RuntimeError(
+                f"trip {trip.id}: destination unreachable despite full shuttle coverage"
+            )
+        g, f, seq, moderanks = hit
+        sidx = inst.stop_index
+        legs = []
+        money = 0.0
+        shuttle_km = 0.0
+        for i, mrank in enumerate(moderanks):
+            u, v = seq[i], seq[i + 1]
+            mode = BUS if mrank == 0 else SHUTTLE
+            legs.append((mode, u, v))
+            if mode == SHUTTLE:
+                dkm = float(inst.dist[sidx[u], sidx[v]])
+                shuttle_km += dkm
+                money += inst.params.omega * dkm
+        result = Route(legs=tuple(legs), g=float(g), f=float(f), money=money,
+                       shuttle_km=shuttle_km)
+    cache[trip.id] = (trip, result)
+    return result
+
+
+def trip_arrays(design: Design):
+    """g, f, money and shuttle_km of every instance trip's route under the
+    design, as four read-only float64 arrays in trip order, equal bit for
+    bit to the fields of ``route``; built once per design. The trips the
+    table decides take their ``_table`` sums; the others are routed one
+    by one: near-tied ones and every trip of an instance without the
+    triangle property. (No instance trip starts where it ends.)"""
+    if "arrays" not in design._caches:
+        inst = design.instance
+        if inst.metric_consistent:
+            _, decided, sums = _table(design)
+            out = sums.copy()
+        else:
+            decided = np.zeros(len(inst.trips), dtype=bool)
+            out = np.zeros((4, len(inst.trips)))
+        for i in np.flatnonzero(~decided).tolist():
+            r = route(inst.trips[i], design)
+            out[:, i] = r.g, r.f, r.money, r.shuttle_km
+        out.setflags(write=False)
+        design._caches["arrays"] = tuple(out)
+    return design._caches["arrays"]
 
 
 def route_batch(trips, design: Design):

@@ -239,5 +239,5 @@ class TestArrayEvaluation:
             z = random_design(inst, rng)
             eval_design(inst, z, [t.id for t in inst.trips])
             design_objective(inst, Design(inst, z.open_arcs))
-            assert router._picks(z)[1].all()  # every trip has a clear winner
+            assert router._table(z)[1].all()  # the table decides every trip
         assert routed == []

@@ -35,6 +35,12 @@ class TestGenerate:
     def test_hubs_exceed_stops(self, tmp_path):
         assert main(gen_args(tmp_path / "x.json", stops=3, hubs=5)) == 1
 
+    def test_class_without_alpha_exits_one(self, tmp_path, capsys):
+        args = gen_args(tmp_path / "x.json")
+        args[args.index("--classes") + 1] = "60"
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: --classes group '60' is not count:alpha\n"
+
     def test_counts_echoed(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         main(gen_args(path))
@@ -96,20 +102,20 @@ class TestSolve:
         rc = main(["solve", "--instance", str(tmp_path / "nope.json"), "--alg", "grad"])
         assert rc == 1
 
-    def test_solver_trace(self, tmp_path, instance_file):
+    def test_dfd_writes_one_bounds_record(self, tmp_path, instance_file):
         out = tmp_path / "dfd"
-        trace = tmp_path / "rounds.jsonl"
-        rc = main(["solve", "--instance", str(instance_file), "--alg", "dfd",
-                   "--solver-trace", str(trace), "--out", str(out)])
+        rc = main(["solve", "--instance", str(instance_file), "--alg", "dfd", "--out", str(out)])
         assert rc == 0
         bounds = json.loads((out / "evaluation.json").read_text())["bounds"]
-        records = [json.loads(line) for line in trace.read_text().splitlines()]
-        assert len(records) == len(bounds) == 1
-        for rec, (rnd, lower, upper, n_open, added) in zip(records, bounds):
-            assert set(rec) == {"round", "lower", "upper", "open_arcs", "cuts_added"}
-            assert (rec["round"], rec["lower"], rec["upper"], rec["cuts_added"]) == (
-                rnd, lower, upper, added)
-            assert len(rec["open_arcs"]) == n_open
+        assert len(bounds) == 1 and len(bounds[0]) == 5
+
+    def test_out_below_a_file_exits_one(self, tmp_path, instance_file, capsys):
+        (tmp_path / "file").write_text("")
+        rc = main(["solve", "--instance", str(instance_file), "--alg", "grad",
+                   "--out", str(tmp_path / "file" / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestEvaluate:
@@ -147,6 +153,13 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and key in err[0]
+
+    def test_missing_design_file_exits_one(self, tmp_path, instance_file, capsys):
+        rc = main(["evaluate", "--instance", str(instance_file),
+                   "--design", str(tmp_path / "missing.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "missing.json" in err
 
 
 class TestCompare:

@@ -208,15 +208,6 @@ class TestSolveDfd:
         assert fast.design.key() == slow.design.key() == ((1, 2), (2, 1))
         assert fast.objective == slow.objective == pytest.approx(17.75)
 
-    def test_trace_file(self, tmp_path, example_instance):
-        path = tmp_path / "trace.jsonl"
-        solve_dfd(example_instance, [0], trace_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) >= 1
-        import json
-        rec = json.loads(lines[0])
-        assert set(rec) == {"round", "lower", "upper", "open_arcs", "cuts_added"}
-
 
 class TestEnumerateDfd:
     def test_matches_solver_on_random_instances(self):

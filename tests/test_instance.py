@@ -16,6 +16,7 @@ from odmts import (
     load_instance,
     save_instance,
 )
+from odmts.instance import _satisfies_triangle
 from conftest import make_example_instance, tiny_config
 
 
@@ -265,3 +266,38 @@ def test_json_round_trip_is_byte_stable(seed, n_stops, scale, theta, wait, shutt
     text = json.dumps(inst.to_dict())
     again = Instance.from_dict(json.loads(text))
     assert json.dumps(again.to_dict()) == text
+
+
+def triangle_by_pivots(m, tol=1e-9):
+    """The one-pass-per-pivot form of ``_satisfies_triangle``, kept as its
+    reference."""
+    for k in range(m.shape[0]):
+        if np.any(m > m[:, k, None] + m[None, k, :] + tol):
+            return False
+    return True
+
+
+class TestSatisfiesTriangle:
+    @pytest.mark.parametrize("excess, holds", [(0.5e-9, True), (1e-9, True), (1.5e-9, False)])
+    def test_violation_against_tol(self, excess, holds):
+        # stops at 0, 1 and 2 on a line; 0 -> 2 is longer than 0 -> 1 -> 2 by excess
+        m = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+        m[0, 2] = 2.0 + excess
+        assert _satisfies_triangle(m) is triangle_by_pivots(m) is holds
+
+    def test_matches_the_pivot_loop(self):
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(2, 12))
+            xy = rng.uniform(0.0, 10.0, (n, 2))
+            m = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
+            # random shifts around tol, some making the matrix asymmetric
+            m += rng.choice([0.0, 0.5e-9, 1e-9, 2e-9, 1e-3], (n, n)) * rng.integers(0, 2, (n, n))
+            if rng.random() < 0.2:
+                m = rng.uniform(0.0, 10.0, (n, n))
+            np.fill_diagonal(m, 0.0)
+            holds = _satisfies_triangle(m)
+            assert holds is triangle_by_pivots(m)
+            seen.add(holds)
+        assert seen == {True, False}
