@@ -19,7 +19,7 @@ from .instance import (
     save_instance,
 )
 from .generator import GeneratorConfig, TripClass, generate_synthetic
-from .router import Design, Route, is_direct_trip, route, route_batch
+from .router import Design, Route, is_direct_trip, route
 from .dfd import (
     CapExceeded,
     DfdSolution,
@@ -37,7 +37,6 @@ from .adoption import (
     design_objective,
     eval_design,
     exact_tiny,
-    net_cost,
 )
 from .trace import HeuristicTrace, TraceRecord, write_trace_csv
 from .trip_heuristics import default_step, eta_grre, rho_gagr, rho_grad
@@ -91,11 +90,9 @@ __all__ = [
     "is_direct_trip",
     "load_instance",
     "make_cut",
-    "net_cost",
     "rho_gagr",
     "rho_grad",
     "route",
-    "route_batch",
     "save_instance",
     "solve_dfd",
     "solve_master",

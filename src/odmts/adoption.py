@@ -20,15 +20,11 @@ from .router import Design, Route, trip_arrays, weights_of
 
 
 def choice(r: Route, trip: Trip) -> int:
-    """1 if the rider of a latent trip adopts the proposed route."""
+    """1 if the rider of a latent trip adopts the proposed route; ``_served``
+    applies the same rule to every trip's ``trip_arrays`` time at once."""
     if not trip.is_latent:
         raise ValueError(f"trip {trip.id} is a core trip and has no mode choice")
     return 1 if r.f <= trip.alpha * trip.t_cur else 0
-
-
-def net_cost(r: Route, inst: Instance) -> float:
-    """Dollar cost of serving the route minus the flat ticket price."""
-    return r.money - inst.params.ticket
 
 
 def arcs_cost(inst: Instance, arcs) -> float:

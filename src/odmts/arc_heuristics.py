@@ -22,9 +22,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .adoption import choice, design_objective, eval_design
+import numpy as np
+
+from .adoption import _served, design_objective, eval_design
 from .instance import Instance, Trip
-from .router import Design, Route, route_batch
+from .router import Design, Route, route, trip_arrays
 from .trace import HeuristicTrace
 from .trip_heuristics import _DfdCache
 
@@ -102,23 +104,22 @@ def adoption_ub(trip: Trip, r: Route, inst: Instance) -> float:
     return max(r.f, r.f + scale * (float(inst.dist[o, d]) - minsum))
 
 
-def expand(rule: str, latent, design: Design, routes, inst: Instance) -> set:
-    """Trip ids admitted by the given rule; ``routes`` align with
-    ``latent`` and were computed under ``design``."""
+def expand(rule: str, design: Design) -> set:
+    """Ids of the latent trips the given rule admits under ``design``.
+    Adoption and rule b read the design's ``trip_arrays``; rules c and d
+    route the adopters, whose legs they read."""
     if rule not in RULES:
         raise ValueError(f"unknown expansion rule {rule!r}")
-    out = set()
-    for t, r in zip(latent, routes):
-        if not choice(r, t):
-            continue
-        if rule == "b" and r.money > inst.params.ticket:
-            continue
-        if rule == "c" and r.is_direct_shuttle:
-            continue
-        if rule == "d" and adoption_ub(t, r, inst) > t.alpha * t.t_cur:
-            continue
-        out.add(t.id)
-    return out
+    inst = design.instance
+    adopt = _served(inst, design)[0]
+    if rule == "b":
+        adopt = adopt & (trip_arrays(design)[2] <= inst.params.ticket)
+    trips = [inst.trips[i] for i in np.flatnonzero(adopt).tolist()]
+    if rule == "c":
+        return {t.id for t in trips if not route(t, design).is_direct_shuttle}
+    if rule == "d":
+        return {t.id for t in trips if adoption_ub(t, route(t, design), inst) <= t.alpha * t.t_cur}
+    return {t.id for t in trips}
 
 
 def _arc_stage(inst, rule, state, trace, stage, cache, expanded=False):
@@ -132,7 +133,6 @@ def _arc_stage(inst, rule, state, trace, stage, cache, expanded=False):
     the way out so the reported trip set still covers the returned
     design (the basis of the correct rejection guarantee).
     """
-    latent = inst.latent_trips
     while True:
         t0 = time.perf_counter()
         sol = cache.solve(state["tbar"], fixed=state["z_fixed"].open_arcs)
@@ -140,10 +140,7 @@ def _arc_stage(inst, rule, state, trace, stage, cache, expanded=False):
         cycles = find_cycles(unfixed)
         if not cycles:
             if not expanded:
-                routes = route_batch(latent, state["z_fixed"])
-                state["tbar"] = state["tbar"] | expand(
-                    rule, latent, state["z_fixed"], routes, inst
-                )
+                state["tbar"] = state["tbar"] | expand(rule, state["z_fixed"])
             ev = eval_design(inst, state["z_fixed"], state["tbar"])
             trace.add(
                 state["k"], stage, len(state["tbar"]), state["z_fixed"],
@@ -165,8 +162,7 @@ def _arc_stage(inst, rule, state, trace, stage, cache, expanded=False):
             return
         state["B"] = best_obj
         state["z_fixed"] = state["z_fixed"].with_arcs(best_cycle.arcs)
-        routes = route_batch(latent, state["z_fixed"])
-        state["tbar"] = state["tbar"] | expand(rule, latent, state["z_fixed"], routes, inst)
+        state["tbar"] = state["tbar"] | expand(rule, state["z_fixed"])
         expanded = True
         ev = eval_design(inst, state["z_fixed"], state["tbar"])
         trace.add(
@@ -207,10 +203,6 @@ def arc_s2(inst: Instance, rule_stage1: str = "d", rule_stage2: str = "a"):
     # hand the stage-2 rule a first look at the converged design so the
     # second phase starts from an expanded trip set rather than re-solving
     # the exact fixed point stage 1 stopped at
-    latent = inst.latent_trips
-    routes = route_batch(latent, state["z_fixed"])
-    state["tbar"] = state["tbar"] | expand(
-        rule_stage2, latent, state["z_fixed"], routes, inst
-    )
+    state["tbar"] = state["tbar"] | expand(rule_stage2, state["z_fixed"])
     _arc_stage(inst, rule_stage2, state, trace, 2, cache, expanded=True)
     return state["z_fixed"], trace.finish(state["z_fixed"], state["tbar"])

@@ -26,7 +26,7 @@ from . import highs
 from .highs import SolveError
 from .instance import Instance, Trip, ValidationError
 from .adoption import arcs_cost
-from .router import BUS, Design, _build_graph, is_direct_trip, route, route_batch
+from .router import BUS, Design, _build_graph, is_direct_trip, route, trip_arrays
 
 # Relative margin within which two designs' values count as tied.
 _TIE = 1e-9
@@ -187,33 +187,21 @@ def solve_master(inst: Instance, blocks, fixed=()):
 
 @dataclass(frozen=True)
 class DfdSolution:
-    """Optimal fixed-demand design with its routes and solve record."""
+    """Optimal fixed-demand design with its trip set and solve record."""
 
     design: Design
     objective: float
-    routes: dict
+    tset: frozenset  # trip ids
     bounds: tuple  # ((1, root LP value, objective, open arcs, trip blocks),)
     iterations: int  # LP solves
 
-    @property
-    def tset(self) -> frozenset:
-        return frozenset(self.routes)
-
-
-def _dfd_objective(inst, design, trips):
-    routes = route_batch(trips, design)
-    total = arcs_cost(inst, design.open_arcs)
-    for t, r in zip(trips, routes):
-        total += t.riders * r.g
-    return total, routes
-
 
 def solve_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
-    """Optimal design for the given trip set with ``fixed`` arcs open:
+    """Optimal design for the trip ids ``tset`` with ``fixed`` arcs open:
     one flow model over the trips that do not ride a direct shuttle
-    under every design, the others being constants."""
-    trips = [inst.trip_by_id(t) if not isinstance(t, Trip) else t for t in tset]
-    trips.sort(key=lambda t: t.id)
+    under every design, the others being constants. The objective adds
+    each trip's routed g from the design's ``trip_arrays``."""
+    trips = sorted((inst.trip_by_id(t) for t in tset), key=lambda t: t.id)
     fixed = frozenset(tuple(a) for a in fixed) | inst.fixed_arcs
     if not fixed <= set(inst.candidate_arcs):
         raise ValidationError("fixed arcs outside the candidate set")
@@ -223,19 +211,21 @@ def solve_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
     design, _, root, solves = solve_master(
         inst, [make_cut(t, inst) for t in flow_trips], fixed=fixed
     )
+    g = trip_arrays(design)[0].tolist()
+    row = inst.trip_index
+    objective = arcs_cost(inst, design.open_arcs)
+    for t in flow_trips:
+        objective += t.riders * g[row[t.id]]
     # a direct trip rides the same shuttle under every design
     const = 0.0
-    routes = {}
     for t in trips:
         if direct[t.id]:
-            routes[t.id] = route(t, design)
-            const += t.riders * routes[t.id].g
-    objective, flow_routes = _dfd_objective(inst, design, flow_trips)
+            const += t.riders * g[row[t.id]]
     objective += const
-    routes.update((t.id, r) for t, r in zip(flow_trips, flow_routes))
     record = (1, root + const, objective, len(design.open_arcs), len(flow_trips))
     return DfdSolution(
-        design=design, objective=objective, routes=routes, bounds=(record,), iterations=solves,
+        design=design, objective=objective, tset=frozenset(t.id for t in trips),
+        bounds=(record,), iterations=solves,
     )
 
 
@@ -279,16 +269,16 @@ def enumerate_dfd(inst: Instance, tset, fixed=(), cap: int = 16) -> DfdSolution:
     trips.sort(key=lambda t: t.id)
     best = None
     best_obj = None
-    best_routes = None
     for design in balanced_designs(inst, fixed=fixed, cap=cap):
-        obj, routes = _dfd_objective(inst, design, trips)
+        obj = arcs_cost(inst, design.open_arcs)
+        for t in trips:
+            obj += t.riders * route(t, design).g
         if best is None or obj < best_obj or (obj == best_obj and design.key() < best.key()):
-            best, best_obj, best_routes = design, obj, routes
-    route_map = {t.id: r for t, r in zip(trips, best_routes)}
+            best, best_obj = design, obj
     return DfdSolution(
         design=best,
         objective=best_obj,
-        routes=route_map,
+        tset=frozenset(t.id for t in trips),
         bounds=((1, best_obj, best_obj, len(best.open_arcs), 0),),
         iterations=1,
     )

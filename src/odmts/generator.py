@@ -10,6 +10,7 @@ the remaining classes are latent with a per-class tolerance alpha.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,15 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Instance:
         raise ValidationError("more hubs than stops")
     if config.hubs < 1 or config.stops < 2:
         raise ValidationError("need at least 2 stops and 1 hub")
+    for name in ("square_km", "speed_kmh"):
+        value = getattr(config, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and > 0, got {value}")
+    for spec in config.classes:
+        if spec.count < 0:
+            raise ValidationError(f"trip class count must be >= 0, got {spec.count}")
+        if spec.max_riders < 1:
+            raise ValidationError(f"max_riders must be >= 1, got {spec.max_riders}")
     rng = np.random.default_rng(seed)
     n = config.stops
     pts = rng.uniform(0.0, config.square_km, size=(n, 2))

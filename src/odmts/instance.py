@@ -318,6 +318,13 @@ class Instance:
             self._caches["hub_index"] = {h: i for i, h in enumerate(self.hubs)}
         return self._caches["hub_index"]
 
+    @property
+    def trip_index(self) -> dict:
+        """Row of each trip in ``trips``, by trip id."""
+        if "trip_index" not in self._caches:
+            self._caches["trip_index"] = {t.id: i for i, t in enumerate(self.trips)}
+        return self._caches["trip_index"]
+
     def hub_degree(self, arcs) -> list:
         """Out-degree minus in-degree of each hub over ``arcs``, in ``hubs``
         order; an arc set is weakly connected when this is all zero."""
@@ -367,9 +374,7 @@ class Instance:
         return tuple(t for t in self.trips if t.is_latent)
 
     def trip_by_id(self, trip_id: int) -> Trip:
-        if "trip_map" not in self._caches:
-            self._caches["trip_map"] = {t.id: t for t in self.trips}
-        return self._caches["trip_map"][trip_id]
+        return self.trips[self.trip_index[trip_id]]
 
     @property
     def wait_matrix(self) -> np.ndarray:

@@ -86,7 +86,8 @@ class Design:
     """A weakly connected set of open bus arcs over the candidate set.
 
     Open arcs always include the instance's fixed backbone. Designs are
-    immutable; routing results are memoized on the design.
+    immutable; each keeps its hub-path table and its ``trip_arrays``,
+    built on first use.
     """
 
     instance: Instance
@@ -392,13 +393,10 @@ def _endpoint_costs(inst: Instance, trips):
 
 
 def _trip_costs(inst: Instance):
-    """Row of each instance trip by id and the trips' ``_endpoint_costs``;
-    computed on the first route, not at load."""
+    """The instance trips' ``_endpoint_costs``, computed on the first
+    route, not at load."""
     if "endpoint_costs" not in inst._caches:
-        inst._caches["endpoint_costs"] = (
-            {t.id: i for i, t in enumerate(inst.trips)},
-            _endpoint_costs(inst, inst.trips),
-        )
+        inst._caches["endpoint_costs"] = _endpoint_costs(inst, inst.trips)
     return inst._caches["endpoint_costs"]
 
 
@@ -409,7 +407,7 @@ def _pick(paths: _HubPaths, access, egress, direct):
     n = len(direct)
     cost = access[:, :, None] + paths.cost
     cost += egress[:, None, :]
-    cost = cost.reshape(n, -1)
+    cost = cost.reshape(n, paths.cost.size)
     best = cost.argmin(axis=1)
     rows = np.arange(n)
     low = cost[rows, best]
@@ -446,7 +444,7 @@ def _table(design: Design, costs=None):
     another candidate lies within the tie margin."""
     if costs is None:
         if "table" not in design._caches:
-            design._caches["table"] = _table(design, _trip_costs(design.instance)[1])
+            design._caches["table"] = _table(design, _trip_costs(design.instance))
         return design._caches["table"]
     inst = design.instance
     w = weights_of(inst)
@@ -509,15 +507,9 @@ def _table_legs(inst: Instance, paths: _HubPaths, o: int, d: int, pick: int):
 def route(trip: Trip, design: Design) -> Route:
     """Lexicographic minimizer of (g, f) for one trip under a design."""
     inst = design.instance
-    cache = design._caches.setdefault("routes", {})
-    if trip.id in cache:
-        cached_trip, cached_route = cache[trip.id]
-        if cached_trip == trip:
-            return cached_route
     o, d = trip.origin, trip.destination
-    result = None
     if inst.metric_consistent and o != d:
-        i = _trip_costs(inst)[0].get(trip.id)
+        i = inst.trip_index.get(trip.id)
         if i is not None and inst.trips[i] == trip:
             best, decided, sums = _table(design)
         else:
@@ -525,30 +517,26 @@ def route(trip: Trip, design: Design) -> Route:
             best, decided, sums = _table(design, _endpoint_costs(inst, [trip]))
         if decided[i]:
             legs = _table_legs(inst, _hub_paths(design), o, d, int(best[i]))
-            result = Route(legs, *sums[:, i].tolist())
-    if result is None:
-        hit = _lex_search(_build_graph(inst, design.open_arcs, o, d), o, d)
-        if hit is None:
-            raise RuntimeError(
-                f"trip {trip.id}: destination unreachable despite full shuttle coverage"
-            )
-        g, f, seq, moderanks = hit
-        sidx = inst.stop_index
-        legs = []
-        money = 0.0
-        shuttle_km = 0.0
-        for i, mrank in enumerate(moderanks):
-            u, v = seq[i], seq[i + 1]
-            mode = BUS if mrank == 0 else SHUTTLE
-            legs.append((mode, u, v))
-            if mode == SHUTTLE:
-                dkm = float(inst.dist[sidx[u], sidx[v]])
-                shuttle_km += dkm
-                money += inst.params.omega * dkm
-        result = Route(legs=tuple(legs), g=float(g), f=float(f), money=money,
-                       shuttle_km=shuttle_km)
-    cache[trip.id] = (trip, result)
-    return result
+            return Route(legs, *sums[:, i].tolist())
+    hit = _lex_search(_build_graph(inst, design.open_arcs, o, d), o, d)
+    if hit is None:
+        raise RuntimeError(
+            f"trip {trip.id}: destination unreachable despite full shuttle coverage"
+        )
+    g, f, seq, moderanks = hit
+    sidx = inst.stop_index
+    legs = []
+    money = 0.0
+    shuttle_km = 0.0
+    for i, mrank in enumerate(moderanks):
+        u, v = seq[i], seq[i + 1]
+        mode = BUS if mrank == 0 else SHUTTLE
+        legs.append((mode, u, v))
+        if mode == SHUTTLE:
+            dkm = float(inst.dist[sidx[u], sidx[v]])
+            shuttle_km += dkm
+            money += inst.params.omega * dkm
+    return Route(legs=tuple(legs), g=float(g), f=float(f), money=money, shuttle_km=shuttle_km)
 
 
 def trip_arrays(design: Design):
@@ -572,11 +560,6 @@ def trip_arrays(design: Design):
         out.setflags(write=False)
         design._caches["arrays"] = tuple(out)
     return design._caches["arrays"]
-
-
-def route_batch(trips, design: Design):
-    """Element-wise ``route``, order preserving."""
-    return [route(t, design) for t in trips]
 
 
 def is_direct_trip(trip: Trip, inst: Instance) -> bool:

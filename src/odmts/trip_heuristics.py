@@ -3,7 +3,8 @@
 All three run the fixed-demand solver on a growing or re-selected trip
 set and use the choice model to decide which latent trips to consider
 next, ranking candidates by net cost (serving cost minus ticket, ties
-by trip id).
+by trip id). The serving cost is the ``money`` of the design's
+``trip_arrays``, so ranking builds no route.
 
 * greedy adoption (rho-GRAD): permanently absorbs the rho cheapest
   adopters each round; stops when nothing outside the absorbed set
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 import time
 
-from .adoption import eval_design, net_cost
+from .adoption import eval_design
 from .dfd import solve_dfd
 from .instance import Instance
-from .router import route
+from .router import trip_arrays
 from .trace import HeuristicTrace
 
 
@@ -49,9 +50,13 @@ class _DfdCache:
 
 
 def _ranked_adopters(inst, design, candidates, adopters):
-    """Adopting candidates ordered by (net cost, trip id)."""
+    """Adopting candidates ordered by (net cost, trip id). Two distinct
+    money values may give one net cost once the ticket is subtracted; the
+    trip id then decides."""
+    money = trip_arrays(design)[2].tolist()
+    row, ticket = inst.trip_index, inst.params.ticket
     picked = [t for t in candidates if t.id in adopters]
-    return sorted(picked, key=lambda t: (net_cost(route(t, design), inst), t.id))
+    return sorted(picked, key=lambda t: (money[row[t.id]] - ticket, t.id))
 
 
 def rho_grad(inst: Instance, rho: int | None = None, _cache: _DfdCache | None = None):
@@ -146,6 +151,8 @@ def rho_gagr(
     eta = default_step(inst) if eta is None else int(eta)
     if rho < 1 or eta < 1:
         raise ValueError("rho and eta must be >= 1")
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time_limit must be >= 0, got {time_limit}")
     latent = inst.latent_trips
     core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
     cap = len(latent) // rho + 10

@@ -6,6 +6,8 @@ stop graph, and cycle listings against a depth-first enumeration of
 elementary circuits.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -61,18 +63,31 @@ def example_instance():
     return make_example_instance()
 
 
+class RouteCalls(list):
+    """Ids of the trips handed to ``route``, in call order; ``designs``
+    holds each call's design."""
+
+    def __init__(self):
+        super().__init__()
+        self.designs = []
+
+
 @pytest.fixture
 def routed(monkeypatch):
-    """The id of every trip the router's own code hands to ``route``, as
-    ``trip_arrays`` does for the trips its table cannot decide."""
-    seen = []
+    """Every trip the package's own code hands to ``route``: ``trip_arrays``
+    for the trips its table cannot decide, and each module that imports
+    ``route`` by name. Calls from the tests themselves are not seen."""
+    seen = RouteCalls()
     real = router.route
 
     def counted(trip, design):
         seen.append(trip.id)
+        seen.designs.append(design)
         return real(trip, design)
 
-    monkeypatch.setattr(router, "route", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("odmts.") and getattr(module, "route", None) is real:
+            monkeypatch.setattr(module, "route", counted)
     return seen
 
 

@@ -6,15 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from odmts import (
     Design,
+    GeneratorConfig,
     Instance,
     Trip,
+    TripClass,
+    arc_s1,
     choice,
     design_objective,
     enumerate_dfd,
+    eta_grre,
     eval_design,
     exact_tiny,
-    net_cost,
+    generate_synthetic,
+    rho_gagr,
     route,
+    solve_dfd,
 )
 from odmts import router
 from odmts.adoption import arcs_cost
@@ -45,19 +51,6 @@ class TestChoice:
         core = Trip(id=0, origin=0, destination=3, riders=1)
         with pytest.raises(ValueError, match="core"):
             choice(mk_route(), core)
-
-
-class TestNetCost:
-    def test_positive(self, example_instance):
-        assert net_cost(mk_route(money=3.5), example_instance) == pytest.approx(1.0)
-
-    def test_break_even(self, example_instance):
-        assert net_cost(mk_route(money=2.5), example_instance) == pytest.approx(0.0)
-
-    def test_direct_shuttle(self, example_instance):
-        trip = example_instance.trips[0]
-        r = route(trip, Design.minimal(example_instance))
-        assert net_cost(r, example_instance) == pytest.approx(9.5)
 
 
 class TestEvalDesign:
@@ -241,3 +234,40 @@ class TestArrayEvaluation:
             design_objective(inst, Design(inst, z.open_arcs))
             assert router._table(z)[1].all()  # the table decides every trip
         assert routed == []
+
+
+def single_path_instance():
+    config = GeneratorConfig(
+        stops=30, hubs=5, buses_per_leg=4.0, candidate=3,
+        classes=(TripClass(10, None), TripClass(15, 2.0), TripClass(8, 1.5)),
+    )
+    return generate_synthetic(config, seed=6)
+
+
+class TestSinglePath:
+    """The heuristics and DFD read per-trip numbers from ``trip_arrays``;
+    ``route`` sees only the trips the hub-path table leaves undecided
+    and, under expansion rules c and d, the adopters whose legs they
+    read."""
+
+    def test_heuristics_route_no_decided_trip(self, routed):
+        inst = single_path_instance()
+        assert inst.metric_consistent
+        rho_gagr(inst)
+        eta_grre(inst)
+        solve_dfd(inst, [t.id for t in inst.trips])
+        arc_s1(inst, "a")
+        arc_s1(inst, "b")
+        row = inst.trip_index
+        for tid, z in zip(routed, routed.designs):
+            assert not router._table(z)[1][row[tid]], (tid, z.fingerprint())
+
+    @pytest.mark.parametrize("rule", ["c", "d"])
+    def test_rules_c_and_d_route_only_adopters(self, routed, rule):
+        inst = single_path_instance()
+        arc_s1(inst, rule)
+        assert routed
+        row = inst.trip_index
+        for tid, z in zip(routed, routed.designs):
+            decided = router._table(z)[1][row[tid]]
+            assert not decided or tid in eval_design(inst, z, ()).adopters, (tid, z.fingerprint())

@@ -13,7 +13,6 @@ from odmts import (
     expand,
     find_cycles,
     route,
-    route_batch,
     solve_dfd,
 )
 from conftest import brute_cycles, make_example_instance, tiny_instance
@@ -111,43 +110,41 @@ def expansion_fixture():
         Trip(id=3, origin=3, destination=0, riders=1, kind="latent", alpha=1.0, t_cur=2.0),
     ))
     z = Design(inst, frozenset({(1, 2), (2, 1)}))
-    latent = inst.latent_trips
-    routes = route_batch(latent, z)
-    return inst, z, latent, routes
+    return inst, z, inst.latent_trips
 
 
 class TestExpand:
     def test_rule_a_all_adopters(self):
-        inst, z, latent, routes = expansion_fixture()
-        assert expand("a", latent, z, routes, inst) == {1, 2}
+        inst, z, latent = expansion_fixture()
+        assert expand("a", z) == {1, 2}
 
     def test_rule_b_profitability(self):
-        inst, z, latent, routes = expansion_fixture()
+        inst, z, latent = expansion_fixture()
         # trip 1 rides the bus with money 3.5 > 2.5; trip 2 money 1.5 <= 2.5
-        assert expand("b", latent, z, routes, inst) == {2}
+        assert expand("b", z) == {2}
 
     def test_rule_c_excludes_direct_shuttle(self):
-        inst, z, latent, routes = expansion_fixture()
-        assert expand("c", latent, z, routes, inst) == {1}
+        inst, z, latent = expansion_fixture()
+        assert expand("c", z) == {1}
 
     def test_rule_d_ub_filter(self):
-        inst, z, latent, routes = expansion_fixture()
+        inst, z, latent = expansion_fixture()
         # trip 1: UB = 24 <= 2 * 25; trip 2 direct: UB vs 2 * 4
-        chosen = expand("d", latent, z, routes, inst)
+        chosen = expand("d", z)
         assert 1 in chosen
-        ub2 = adoption_ub(latent[1], routes[1], inst)
+        ub2 = adoption_ub(latent[1], route(latent[1], z), inst)
         assert (2 in chosen) == (ub2 <= latent[1].alpha * latent[1].t_cur)
 
     def test_rules_subsume_into_a(self):
-        inst, z, latent, routes = expansion_fixture()
-        a = expand("a", latent, z, routes, inst)
+        inst, z, latent = expansion_fixture()
+        a = expand("a", z)
         for rule in "bcd":
-            assert expand(rule, latent, z, routes, inst) <= a
+            assert expand(rule, z) <= a
 
     def test_unknown_rule(self):
-        inst, z, latent, routes = expansion_fixture()
+        inst, z, latent = expansion_fixture()
         with pytest.raises(ValueError, match="rule"):
-            expand("z", latent, z, routes, inst)
+            expand("z", z)
 
 
 class TestArcS1:

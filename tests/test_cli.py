@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from odmts.cli import main
+from odmts.cli import ALGORITHMS, main
 
 
 def gen_args(out, stops=12, hubs=3, seed=5):
@@ -40,6 +40,18 @@ class TestGenerate:
         args[args.index("--classes") + 1] = "60"
         assert main(args) == 1
         assert capsys.readouterr().err == "error: --classes group '60' is not count:alpha\n"
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--square-km=-3", "square_km must be finite and > 0, got -3.0"),
+        ("--speed-kmh=0", "speed_kmh must be finite and > 0, got 0.0"),
+        ("--max-riders=0", "max_riders must be >= 1, got 0"),
+        ("--classes=5:core/-2:2.0", "trip class count must be >= 0, got -2"),
+    ], ids=["square_km", "speed_kmh", "max_riders", "class_count"])
+    def test_bad_config_exits_one(self, tmp_path, capsys, flag, message):
+        path = tmp_path / "x.json"
+        assert main(gen_args(path) + [flag]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not path.exists()
 
     def test_counts_echoed(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -97,6 +109,23 @@ class TestSolve:
             main(["solve", "--instance", str(instance_file), "--alg", "dfd", "--threads", "2"])
         assert exc.value.code == 1
         assert capsys.readouterr().err == "odmts: error: unrecognized arguments: --threads 2\n"
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_instance_without_trips(self, tmp_path, capsys, alg):
+        path = tmp_path / "empty.json"
+        args = gen_args(path)
+        args[args.index("--classes") + 1] = "0:core"
+        assert main(args) == 0
+        out = tmp_path / "run"
+        assert main(["solve", "--instance", str(path), "--alg", alg, "--out", str(out)]) == 0
+        doc = json.loads((out / "evaluation.json").read_text())
+        assert doc["objective"] == 0.0 and doc["adopters"] == []
+
+    def test_negative_time_limit_exits_one(self, tmp_path, instance_file, capsys):
+        rc = main(["solve", "--instance", str(instance_file), "--alg", "gagr",
+                   "--time-limit=-1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: time_limit must be >= 0, got -1.0\n"
 
     def test_missing_instance(self, tmp_path):
         rc = main(["solve", "--instance", str(tmp_path / "nope.json"), "--alg", "grad"])

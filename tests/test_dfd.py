@@ -158,10 +158,8 @@ class TestSolveDfd:
 
     def test_objective_matches_reroute(self, example_instance):
         sol = solve_dfd(example_instance, [0])
-        total = sum(
-            example_instance.trip_by_id(tid).riders * r.g
-            for tid, r in sol.routes.items()
-        )
+        trips = [example_instance.trip_by_id(tid) for tid in sol.tset]
+        total = sum(t.riders * route(t, sol.design).g for t in trips)
         from odmts.adoption import arcs_cost
         total += arcs_cost(example_instance, sol.design.open_arcs)
         assert sol.objective == pytest.approx(total, rel=1e-9)

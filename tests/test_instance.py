@@ -232,6 +232,20 @@ class TestGenerator:
         with pytest.raises(ValidationError):
             generate_synthetic(GeneratorConfig(stops=4, hubs=5), seed=0)
 
+    @pytest.mark.parametrize("change, match", [
+        (dict(square_km=-3.0), "square_km"),
+        (dict(square_km=0.0), "square_km"),
+        (dict(square_km=float("inf")), "square_km"),
+        (dict(speed_kmh=0.0), "speed_kmh"),
+        (dict(speed_kmh=float("nan")), "speed_kmh"),
+        (dict(classes=(TripClass(3, None), TripClass(-2, 2.0))), "count"),
+        (dict(classes=(TripClass(3, None, max_riders=0),)), "max_riders"),
+    ], ids=["square_neg", "square_zero", "square_inf", "speed_zero", "speed_nan",
+            "count_neg", "riders_zero"])
+    def test_bad_config_rejected(self, change, match):
+        with pytest.raises(ValidationError, match=match):
+            generate_synthetic(dataclasses.replace(tiny_config(), **change), seed=0)
+
     def test_euclidean_triangle(self):
         inst = generate_synthetic(tiny_config(), seed=3)
         assert inst.metric_consistent

@@ -15,7 +15,6 @@ from odmts import (
     generate_synthetic,
     is_direct_trip,
     route,
-    route_batch,
 )
 from odmts import router
 from odmts.dfd import balanced_designs
@@ -203,22 +202,6 @@ class TestMonotonicity:
         for t in inst.trips:
             if route(t, z2).is_direct_shuttle:
                 assert route(t, z1).legs == route(t, z2).legs
-
-
-class TestRouteBatch:
-    def test_empty(self, example_instance):
-        assert route_batch([], Design.minimal(example_instance)) == []
-
-    def test_elementwise_and_order(self, example_instance):
-        trips = [
-            example_instance.trips[0],
-            Trip(id=5, origin=3, destination=0, riders=1),
-        ]
-        z = Design(example_instance, frozenset({(1, 2), (2, 1)}))
-        out = route_batch(trips, z)
-        assert out == [route(trips[0], z), route(trips[1], z)]
-        rev = route_batch(trips[::-1], z)
-        assert rev == out[::-1]
 
 
 # -- the hub-path table against the per-trip search ---------------------
