@@ -28,7 +28,7 @@ from .adoption import _served, design_objective, eval_design
 from .instance import Instance, Trip
 from .router import Design, Route, route, trip_arrays
 from .trace import HeuristicTrace
-from .trip_heuristics import _DfdCache
+from .trip_heuristics import _core_ids, _DfdCache
 
 RULES = ("a", "b", "c", "d")
 
@@ -122,70 +122,52 @@ def expand(rule: str, design: Design) -> set:
     return {t.id for t in trips}
 
 
-def _arc_stage(inst, rule, state, trace, stage, cache, expanded=False):
-    """One greedy fixing phase; mutates state {z_fixed, tbar, B, k}.
+def _arc_stage(inst, rule, z, tbar, bound, k, trace, stage, cache, expanded=False):
+    """One greedy fixing phase from the fixed design ``z`` and trip set
+    ``tbar``; returns the final (z, tbar, bound, k).
 
-    ``expanded`` records whether the current fixed design has already
-    had its rule expansion applied. Every fixing step expands right
-    after growing the design, so on a normal stop the returned design
-    was expanded in the previous iteration; the only gap is stopping
-    before any cycle was ever fixed, where the expansion is applied on
-    the way out so the reported trip set still covers the returned
-    design (the basis of the correct rejection guarantee).
+    Each step scores every new cycle and fixes the best one only if it
+    beats ``bound``, the objective of the last fixed design. It expands
+    the trip set by ``rule`` when it fixes a cycle, or when it stops
+    with ``expanded`` still false: stopping before any cycle was ever
+    fixed, the expansion is applied on the way out so that the reported
+    trip set still covers the returned design (the basis of the correct
+    rejection guarantee). A stop with cycles that do not beat ``bound``
+    never meets ``expanded`` false: stage 1 starts at an infinite bound,
+    so its first step with cycles fixes one, and stage 2 starts
+    expanded. Every step evaluates and records once.
     """
     while True:
         t0 = time.perf_counter()
-        sol = cache.solve(state["tbar"], fixed=state["z_fixed"].open_arcs)
-        unfixed = sol.design.open_arcs - state["z_fixed"].open_arcs
-        cycles = find_cycles(unfixed)
-        if not cycles:
-            if not expanded:
-                state["tbar"] = state["tbar"] | expand(rule, state["z_fixed"])
-            ev = eval_design(inst, state["z_fixed"], state["tbar"])
-            trace.add(
-                state["k"], stage, len(state["tbar"]), state["z_fixed"],
-                ev.objective, len(ev.adopters), time.perf_counter() - t0,
-            )
-            return
-        best_obj = None
-        best_cycle = None
-        for c in cycles:  # pre-sorted: ties go to the shorter, lex-smaller cycle
-            obj = design_objective(inst, state["z_fixed"].with_arcs(c.arcs))
-            if best_obj is None or obj < best_obj:
-                best_obj, best_cycle = obj, c
-        if best_obj >= state["B"]:
-            ev = eval_design(inst, state["z_fixed"], state["tbar"])
-            trace.add(
-                state["k"], stage, len(state["tbar"]), state["z_fixed"],
-                ev.objective, len(ev.adopters), time.perf_counter() - t0,
-            )
-            return
-        state["B"] = best_obj
-        state["z_fixed"] = state["z_fixed"].with_arcs(best_cycle.arcs)
-        state["tbar"] = state["tbar"] | expand(rule, state["z_fixed"])
-        expanded = True
-        ev = eval_design(inst, state["z_fixed"], state["tbar"])
-        trace.add(
-            state["k"], stage, len(state["tbar"]), state["z_fixed"],
-            ev.objective, len(ev.adopters), time.perf_counter() - t0,
-        )
-        state["k"] += 1
-
-
-def _start(inst: Instance) -> dict:
-    """Stage state at the backbone design with the core trips."""
-    core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
-    return {"z_fixed": Design.minimal(inst), "tbar": core_ids, "B": float("inf"), "k": 0}
+        sol = cache.solve(tbar, fixed=z.open_arcs)
+        best = None
+        for c in find_cycles(sol.design.open_arcs - z.open_arcs):
+            # pre-sorted: ties go to the shorter, lex-smaller cycle
+            grown = z.with_arcs(c.arcs)
+            obj = design_objective(inst, grown)
+            if best is None or obj < best[0]:
+                best = (obj, grown)
+        fixed = best is not None and best[0] < bound
+        if fixed:
+            bound, z = best
+        if fixed or not expanded:
+            tbar = tbar | expand(rule, z)
+            expanded = True
+        ev = eval_design(inst, z, tbar)
+        trace.add(k, stage, len(tbar), z, ev.objective, len(ev.adopters), time.perf_counter() - t0)
+        if not fixed:
+            return z, tbar, bound, k
+        k += 1
 
 
 def arc_s1(inst: Instance, rule: str = "a"):
     """Single-stage arc-based greedy. Returns (design, trace)."""
     if rule not in RULES:
         raise ValueError(f"unknown expansion rule {rule!r}")
-    state = _start(inst)
     trace = HeuristicTrace()
-    _arc_stage(inst, rule, state, trace, 1, _DfdCache(inst))
-    return state["z_fixed"], trace.finish(state["z_fixed"], state["tbar"])
+    z, tbar, _, _ = _arc_stage(inst, rule, Design.minimal(inst), _core_ids(inst), float("inf"), 0,
+                               trace, 1, _DfdCache(inst))
+    return z, trace.finish(z, tbar)
 
 
 def arc_s2(inst: Instance, rule_stage1: str = "d", rule_stage2: str = "a"):
@@ -196,13 +178,13 @@ def arc_s2(inst: Instance, rule_stage1: str = "d", rule_stage2: str = "a"):
         raise ValueError("stage-1 rule must be one of b, c, d")
     if rule_stage2 not in RULES:
         raise ValueError(f"unknown expansion rule {rule_stage2!r}")
-    state = _start(inst)
     trace = HeuristicTrace()
     cache = _DfdCache(inst)
-    _arc_stage(inst, rule_stage1, state, trace, 1, cache)
+    z, tbar, bound, k = _arc_stage(inst, rule_stage1, Design.minimal(inst), _core_ids(inst),
+                                   float("inf"), 0, trace, 1, cache)
     # hand the stage-2 rule a first look at the converged design so the
     # second phase starts from an expanded trip set rather than re-solving
     # the exact fixed point stage 1 stopped at
-    state["tbar"] = state["tbar"] | expand(rule_stage2, state["z_fixed"])
-    _arc_stage(inst, rule_stage2, state, trace, 2, cache, expanded=True)
-    return state["z_fixed"], trace.finish(state["z_fixed"], state["tbar"])
+    tbar = tbar | expand(rule_stage2, z)
+    z, tbar, _, _ = _arc_stage(inst, rule_stage2, z, tbar, bound, k, trace, 2, cache, expanded=True)
+    return z, trace.finish(z, tbar)

@@ -109,6 +109,8 @@ def _run_algorithm(inst: Instance, alg: str, args):
         return design, trace.tset, trace, {}
     if alg == "arc-s1":
         rules = args.rules.split(",") if args.rules else ["a"]
+        if len(rules) != 1:
+            raise ValueError("arc-s1 needs exactly one rule in --rules")
         design, trace = arc_s1(inst, rules[0])
         return design, trace.tset, trace, {}
     if alg == "arc-s2":

@@ -12,8 +12,9 @@ relaxation is tight but not always integral; a fractional z is settled
 by depth-first branching on the first fractional arc in candidate
 order, and ties go to the smallest sorted arc tuple (see
 ``solve_master``). Trips that ride a direct shuttle under every design
-are constants and get no flow. The LPs run on HiGHS's compiled core,
-which ships inside scipy (see ``highs``).
+(``is_direct_trip``, on metric instances only) are constants and get no
+flow. The LPs run on HiGHS's compiled core, which ships inside scipy
+(see ``highs``).
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@ decodes only its legs from the table.
 The label-setting search over labels ordered lexicographically decides
 a trip instead whenever the table cannot: when its best candidate is
 within a relative 1e-9 of another, or when some hop of its hub path has
-a near-tied alternative. All arc increments are non-negative, so the
+a near-tied alternative. It also routes every trip outside the
+instance's trips. All arc increments are non-negative, so the
 first label settled at a node is optimal. The search runs on a graph of
 the trip endpoints and the hubs, with bridges while hub-to-hub shuttles
 are banned; instances without the triangle property always use it, on
@@ -365,38 +366,34 @@ def _hub_paths(design: Design) -> _HubPaths:
     return design._caches["hub_paths"]
 
 
-def _endpoint_costs(inst: Instance, trips):
-    """Origin and destination stop indices (trips), then access (trips x
-    hubs), egress (trips x hubs) and direct-shuttle (trips) costs. A hub
+def _trip_costs(inst: Instance):
+    """The instance trips' origin and destination stop indices (trips),
+    then access (trips x hubs), egress (trips x hubs) and direct-shuttle
+    (trips) costs, computed on the first route, not at load. A hub
     endpoint's only access or egress hub is itself, at cost 0; the direct
     shuttle is inf where the table holds it already: as the own-hub
     candidate of a trip with one hub endpoint, and as a hop between hub
     endpoints while hub-to-hub shuttles run."""
-    w = weights_of(inst)
-    sidx, hidx = inst.stop_index, inst.hub_index
-    hub_pos = np.array([sidx[h] for h in inst.hubs], dtype=int)
-    o = np.array([sidx[t.origin] for t in trips], dtype=int)
-    d = np.array([sidx[t.destination] for t in trips], dtype=int)
-    access = w.gamma[o[:, None], hub_pos[None, :]]
-    egress = w.gamma[hub_pos[None, :], d[:, None]]
-    direct = w.gamma[o, d]
-    o_hub = np.array([hidx.get(t.origin, -1) for t in trips], dtype=int)
-    d_hub = np.array([hidx.get(t.destination, -1) for t in trips], dtype=int)
-    for cost, own in ((access, o_hub), (egress, d_hub)):
-        rows = np.flatnonzero(own >= 0)
-        cost[rows] = np.inf
-        cost[rows, own[rows]] = 0.0
-    one_hub = (o_hub >= 0) != (d_hub >= 0)
-    two_hubs = (o_hub >= 0) & (d_hub >= 0)
-    direct[one_hub | (two_hubs & inst.params.shuttle_between_hubs)] = np.inf
-    return o, d, access, egress, direct
-
-
-def _trip_costs(inst: Instance):
-    """The instance trips' ``_endpoint_costs``, computed on the first
-    route, not at load."""
     if "endpoint_costs" not in inst._caches:
-        inst._caches["endpoint_costs"] = _endpoint_costs(inst, inst.trips)
+        w = weights_of(inst)
+        sidx, hidx = inst.stop_index, inst.hub_index
+        trips = inst.trips
+        hub_pos = np.array([sidx[h] for h in inst.hubs], dtype=int)
+        o = np.array([sidx[t.origin] for t in trips], dtype=int)
+        d = np.array([sidx[t.destination] for t in trips], dtype=int)
+        access = w.gamma[o[:, None], hub_pos[None, :]]
+        egress = w.gamma[hub_pos[None, :], d[:, None]]
+        direct = w.gamma[o, d]
+        o_hub = np.array([hidx.get(t.origin, -1) for t in trips], dtype=int)
+        d_hub = np.array([hidx.get(t.destination, -1) for t in trips], dtype=int)
+        for cost, own in ((access, o_hub), (egress, d_hub)):
+            rows = np.flatnonzero(own >= 0)
+            cost[rows] = np.inf
+            cost[rows, own[rows]] = 0.0
+        one_hub = (o_hub >= 0) != (d_hub >= 0)
+        two_hubs = (o_hub >= 0) & (d_hub >= 0)
+        direct[one_hub | (two_hubs & inst.params.shuttle_between_hubs)] = np.inf
+        inst._caches["endpoint_costs"] = o, d, access, egress, direct
     return inst._caches["endpoint_costs"]
 
 
@@ -419,10 +416,9 @@ def _pick(paths: _HubPaths, access, egress, direct):
     return best, second - low > _TIE * low
 
 
-def _table(design: Design, costs=None):
-    """(best, decided, sums): the hub-path table's reading of the trips
-    whose ``_endpoint_costs`` are ``costs``, by default the instance
-    trips, whose reading is built once per design.
+def _table(design: Design):
+    """(best, decided, sums): the hub-path table's reading of the
+    instance trips, built once per design.
 
     ``best`` is each trip's ``_pick``. ``decided`` marks the trips whose
     pick beats the other candidates and whose hub path has no near-tied
@@ -442,15 +438,13 @@ def _table(design: Design, costs=None):
     destination costs at least the candidate that leaves the hubs at u,
     whose egress shuttle u -> d is the bridge's first leg. Either way
     another candidate lies within the tie margin."""
-    if costs is None:
-        if "table" not in design._caches:
-            design._caches["table"] = _table(design, _trip_costs(design.instance))
+    if "table" in design._caches:
         return design._caches["table"]
     inst = design.instance
     w = weights_of(inst)
     nh = len(inst.hubs)
     paths = _hub_paths(design)
-    o, d, access, egress, direct = costs
+    o, d, access, egress, direct = _trip_costs(inst)
     best, clear = _pick(paths, access, egress, direct)
     is_direct = best == nh * nh
     h, l = np.divmod(np.where(is_direct, 0, best), nh)
@@ -475,7 +469,8 @@ def _table(design: Design, costs=None):
         km += leg
         money += inst.params.omega * leg
     sums.setflags(write=False)
-    return best, clear & paths.unique[h, l], sums
+    design._caches["table"] = best, clear & paths.unique[h, l], sums
+    return design._caches["table"]
 
 
 def _table_legs(inst: Instance, paths: _HubPaths, o: int, d: int, pick: int):
@@ -505,16 +500,14 @@ def _table_legs(inst: Instance, paths: _HubPaths, o: int, d: int, pick: int):
 
 
 def route(trip: Trip, design: Design) -> Route:
-    """Lexicographic minimizer of (g, f) for one trip under a design."""
+    """Lexicographic minimizer of (g, f) for one trip under a design. An
+    instance trip the hub-path table decides is read from it; any other
+    trip, one outside ``inst.trips`` included, is searched."""
     inst = design.instance
     o, d = trip.origin, trip.destination
-    if inst.metric_consistent and o != d:
-        i = inst.trip_index.get(trip.id)
-        if i is not None and inst.trips[i] == trip:
-            best, decided, sums = _table(design)
-        else:
-            i = 0
-            best, decided, sums = _table(design, _endpoint_costs(inst, [trip]))
+    i = inst.trip_index.get(trip.id)
+    if inst.metric_consistent and i is not None and inst.trips[i] == trip:
+        best, decided, sums = _table(design)
         if decided[i]:
             legs = _table_legs(inst, _hub_paths(design), o, d, int(best[i]))
             return Route(legs, *sums[:, i].tolist())
@@ -563,9 +556,14 @@ def trip_arrays(design: Design):
 
 
 def is_direct_trip(trip: Trip, inst: Instance) -> bool:
-    """True when no hub pair offers a shorter access-egress distance than
-    the direct shuttle, in which case the trip rides a single shuttle leg
-    under every design."""
+    """True when the instance is metric and no hub pair offers a shorter
+    access-egress distance than the direct shuttle, in which case the
+    trip rides a single shuttle leg under every design. The claim needs
+    both matrices metric: without the triangle property a path through
+    the hubs can beat the direct shuttle whatever the distances say, so
+    no trip of a non-metric instance counts as direct."""
+    if not inst.metric_consistent:
+        return False
     sidx = inst.stop_index
     hub_pos = np.array([sidx[h] for h in inst.hubs], dtype=int)
     o, d = sidx[trip.origin], sidx[trip.destination]

@@ -34,6 +34,11 @@ def default_step(inst: Instance) -> int:
     return max(1, len(inst.latent_trips) // 20)
 
 
+def _core_ids(inst: Instance) -> frozenset:
+    """Ids of the core trips, which every trip set contains."""
+    return frozenset(t.id for t in inst.trips if not t.is_latent)
+
+
 class _DfdCache:
     """Memoizes fixed-demand solves within one heuristic run; identical
     (trip set, fixed arcs) inputs always yield identical solutions."""
@@ -65,7 +70,7 @@ def rho_grad(inst: Instance, rho: int | None = None, _cache: _DfdCache | None = 
     if rho < 1:
         raise ValueError("rho must be >= 1")
     latent = inst.latent_trips
-    core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
+    core_ids = _core_ids(inst)
     cap = len(latent) // rho + 10
     cache = _cache or _DfdCache(inst)
     trace = HeuristicTrace()
@@ -97,23 +102,25 @@ def eta_grre(
     _cache: _DfdCache | None = None,
 ):
     """Greedy rejection. Returns (design, trace); trace.tset is the trip
-    set that generated the returned (minimum-objective) design."""
+    set that generated the returned (minimum-objective) design. Stops
+    when the design repeats with the quota past the ranked adopters, or
+    truncated after iteration ``max_iter``."""
     eta = default_step(inst) if eta is None else int(eta)
     if eta < 1:
         raise ValueError("eta must be >= 1")
+    if not max_iter >= 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     latent = inst.latent_trips
-    core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
+    core_ids = _core_ids(inst)
     cache = _cache or _DfdCache(inst)
     trace = HeuristicTrace()
     rejected = set()
     m = 0
     k = 0
     tbar = frozenset(start_tset) if start_tset is not None else core_ids
-    best_obj = float("inf")
-    best_design = None
-    best_tset = None
+    best = (float("inf"), None, None)  # (objective, design, tset); the first minimum wins
     prev_key = None
-    while k <= max_iter:
+    while True:
         t0 = time.perf_counter()
         sol = cache.solve(tbar)
         ev = eval_design(inst, sol.design, tbar)
@@ -121,21 +128,20 @@ def eta_grre(
             k, 1, len(tbar), sol.design, ev.objective, len(ev.adopters),
             time.perf_counter() - t0,
         )
-        if ev.objective < best_obj:
-            best_obj = ev.objective
-            best_design = sol.design
-            best_tset = tbar
+        if ev.objective < best[0]:
+            best = (ev.objective, sol.design, tbar)
         candidates = [t for t in latent if t.id not in rejected]
         rejected.update(t.id for t in candidates if t.id not in ev.adopters)
         m += eta
         ranked = _ranked_adopters(inst, sol.design, candidates, ev.adopters)
         key = sol.design.key()
-        if k >= 2 and prev_key == key and (m - eta) >= len(ranked):
-            return best_design, trace.finish(best_design, best_tset)
+        stable = k >= 2 and prev_key == key and (m - eta) >= len(ranked)
+        if stable or k >= max_iter:
+            _, design, tset = best
+            return design, trace.finish(design, tset, truncated=not stable)
         tbar = core_ids | {t.id for t in ranked[:m]}
         prev_key = key
         k += 1
-    return best_design, trace.finish(best_design, best_tset, truncated=True)
 
 
 def rho_gagr(
@@ -154,15 +160,13 @@ def rho_gagr(
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time_limit must be >= 0, got {time_limit}")
     latent = inst.latent_trips
-    core_ids = frozenset(t.id for t in inst.trips if not t.is_latent)
+    core_ids = _core_ids(inst)
     cap = len(latent) // rho + 10
     cache = _cache or _DfdCache(inst)
     trace = HeuristicTrace()
     started = time.perf_counter()
     absorbed = set()
-    best_obj = float("inf")
-    best_design = None
-    best_tset = None
+    best = (float("inf"), None, None)  # (objective, design, tset); the first minimum wins
     k = 0
     while k <= cap:
         t0 = time.perf_counter()
@@ -173,16 +177,14 @@ def rho_gagr(
             k, 1, len(inner.tset), design, ev.objective, len(ev.adopters),
             time.perf_counter() - t0,
         )
-        if ev.objective < best_obj:
-            best_obj = ev.objective
-            best_design = design
-            best_tset = inner.tset
+        if ev.objective < best[0]:
+            best = (ev.objective, design, inner.tset)
         candidates = [t for t in latent if t.id not in absorbed]
         ranked = _ranked_adopters(inst, design, candidates, ev.adopters)
-        if not ranked:
-            break
-        if time_limit is not None and time.perf_counter() - started >= time_limit:
+        timed_out = time_limit is not None and time.perf_counter() - started >= time_limit
+        if not ranked or timed_out:
             break
         absorbed.update(t.id for t in ranked[:rho])
         k += 1
-    return best_design, trace.finish(best_design, best_tset)
+    _, design, tset = best
+    return design, trace.finish(design, tset)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,12 @@ from odmts import (
     eval_design,
     expand,
     find_cycles,
+    generate_synthetic,
     route,
     solve_dfd,
 )
-from conftest import brute_cycles, make_example_instance, tiny_instance
+from odmts import arc_heuristics
+from conftest import brute_cycles, make_example_instance, tiny_config, tiny_instance
 
 
 class TestFindCycles:
@@ -234,6 +238,44 @@ class TestArcS2:
         ))
         design, trace = arc_s2(inst, "c", "a")
         assert design.open_arcs == solve_dfd(inst, [0]).design.open_arcs
+
+
+class TestNoImprovingCycle:
+    """A stage that stops on cycles none of which beats the bound, the
+    stop most runs never reach (they run out of new cycles first)."""
+
+    @pytest.fixture
+    def found(self, monkeypatch):
+        """The hub sequences of the cycles each ``find_cycles`` call returns."""
+        seen = []
+
+        def spy(arcs, *args, **kwargs):
+            cycles = find_cycles(arcs, *args, **kwargs)
+            seen.append([c.hubs for c in cycles])
+            return cycles
+
+        monkeypatch.setattr(arc_heuristics, "find_cycles", spy)
+        return seen
+
+    @staticmethod
+    def instance():
+        config = dataclasses.replace(tiny_config(n_stops=8, n_hubs=3, core=5, mid=4, high=4),
+                                     bus_rate=0.3, ticket=6.0)
+        return generate_synthetic(config, 195)
+
+    def test_arc_s1(self, found):
+        design, trace = arc_s1(self.instance(), "a")
+        assert design.open_arcs == frozenset({(2, 6), (6, 2)})
+        assert [(r.k, r.stage, r.tset_size) for r in trace.records] == [(0, 1, 13), (1, 1, 13)]
+        assert found == [[(2, 6)], [(2, 3)]]  # the last step's cycle does not improve
+
+    def test_arc_s2(self, found):
+        design, trace = arc_s2(self.instance(), "d", "a")
+        assert design.open_arcs == frozenset({(2, 6), (6, 2)})
+        assert [(r.k, r.stage, r.tset_size) for r in trace.records] == [
+            (0, 1, 10), (1, 1, 10), (1, 2, 13)]
+        assert found == [[(2, 6)], [], [(2, 3)]]
+        assert len({r.objective for r in trace.records}) == 1
 
 
 class TestCycleDecomposition:

@@ -127,6 +127,15 @@ class TestSolve:
         assert rc == 1
         assert capsys.readouterr().err == "error: time_limit must be >= 0, got -1.0\n"
 
+    @pytest.mark.parametrize("rules", ["d,zz", "a,b", "a,"])
+    def test_arc_s1_takes_one_rule(self, tmp_path, instance_file, capsys, rules):
+        out = tmp_path / "run"
+        rc = main(["solve", "--instance", str(instance_file), "--alg", "arc-s1",
+                   "--rules", rules, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: arc-s1 needs exactly one rule in --rules\n"
+        assert not (out / "design.json").exists()
+
     def test_missing_instance(self, tmp_path):
         rc = main(["solve", "--instance", str(tmp_path / "nope.json"), "--alg", "grad"])
         assert rc == 1

@@ -206,6 +206,25 @@ class TestSolveDfd:
         assert fast.design.key() == slow.design.key() == ((1, 2), (2, 1))
         assert fast.objective == slow.objective == pytest.approx(17.75)
 
+    def test_non_metric_trip_is_not_a_constant(self):
+        # distances are metric but the direct shuttle 0 -> 3 takes 100
+        # minutes against 3 through the hubs, so the trip that looks
+        # direct by distance rides the bus once (1, 2) and (2, 1) open
+        dist = np.array([[0, 1, 10, 1], [1, 0, 1, 10], [10, 1, 0, 1], [1, 10, 1, 0]], dtype=float)
+        time = dist.copy()
+        time[0, 3] = time[3, 0] = 100.0
+        inst = Instance(
+            stops=(0, 1, 2, 3), hubs=(1, 2), time=time, dist=dist,
+            trips=(Trip(id=0, origin=0, destination=3, riders=5),),
+            params=CostParams(theta=0.5, omega=1.0, bus_rate=0.1, buses_per_leg=1.0, wait=0.0),
+        )
+        assert not inst.metric_consistent
+        slow = enumerate_dfd(inst, [0])
+        fast = solve_dfd(inst, [0])
+        assert slow.design.key() == ((1, 2), (2, 1))
+        assert fast.design.key() == slow.design.key()
+        assert fast.objective == slow.objective == pytest.approx(12.6)
+
 
 class TestEnumerateDfd:
     def test_matches_solver_on_random_instances(self):

@@ -306,12 +306,14 @@ class TestHubPathTable:
         inst = with_hub_trips(tiny_instance(3, n_stops=9, n_hubs=3))
         z = random_design(inst, np.random.default_rng(3))
         hub, other = inst.hubs[0], [s for s in inst.stops if s not in inst.hubs][0]
-        for o, d in ((other, hub), (hub, other), (inst.hubs[1], hub)):
-            t = Trip(id=999, origin=o, destination=d, riders=1)
-            z = Design(inst, z.open_arcs)  # fresh cache for each ad hoc trip
+        ends = [(other, hub), (hub, other), (inst.hubs[1], hub)]
+        # id 0 belongs to an instance trip with other endpoints
+        for tid, (o, d) in zip((999, 999, 0), ends):
+            t = Trip(id=tid, origin=o, destination=d, riders=1)
             r = route(t, z)
             assert (r.legs, r.g, r.f, r.money, r.shuttle_km) == searched(t, z)
-        assert searches == []
+        # the hub-path table reads instance trips only; ad hoc ones are searched
+        assert searches == ends
 
     def test_tie_between_access_hubs_falls_back(self, searches):
         # two mirror-image corridors: o -> 1 -> 3 -> d and o -> 2 -> 4 -> d

@@ -124,6 +124,15 @@ class TestEtaGrre:
         assert trace.truncated
         assert design is not None
 
+    def test_max_iter_zero_is_one_truncated_solve(self):
+        design, trace = eta_grre(tiny_instance(3), eta=1, max_iter=0)
+        assert len(trace.records) == 1 and trace.truncated
+        assert design.fingerprint() == trace.records[0].fingerprint
+
+    def test_max_iter_validation(self):
+        with pytest.raises(ValueError, match="max_iter must be >= 0"):
+            eta_grre(tiny_instance(3), max_iter=-1)
+
     def test_quota_grows_by_eta(self):
         inst = tiny_instance(5)
         _, trace = eta_grre(inst, eta=2)
