@@ -4,17 +4,24 @@ The model is the disaggregated arc-flow formulation of uncapacitated
 network design (Magnanti & Wong, 1984): a variable z in [0, 1] per
 candidate arc, with hub balance (weak connectivity) and the fixed arcs
 held at 1; per trip a unit flow from origin to destination over the
-edges of its routing graph with every candidate arc open, each bus
-edge's flow capped by its arc's z; and as objective the investment plus
-riders times each trip's flow cost. At integral z a trip's flow costs
-its routed g, so the model's value is the routed objective. The LP
-relaxation is tight but not always integral; a fractional z is settled
-by depth-first branching on the first fractional arc in candidate
-order, and ties go to the smallest sorted arc tuple (see
-``solve_master``). Trips that ride a direct shuttle under every design
-(``is_direct_trip``, on metric instances only) are constants and get no
-flow. The LPs run on HiGHS's compiled core, which ships inside scipy
-(see ``highs``).
+edges of its routing graph with every candidate arc open, less the
+edges no optimal flow can use, each bus edge's flow capped by its arc's
+z; and as objective the investment plus riders times each trip's flow
+cost. At integral z a trip's flow costs its routed g, so the model's
+value is the routed objective. The LP relaxation is tight but not
+always integral; a fractional z is settled by depth-first branching on
+the first fractional arc in candidate order, and ties go to the
+smallest sorted arc tuple (see ``solve_master``). Trips that ride a
+direct shuttle under every design (``is_direct_trip``, on metric
+instances only) are constants and get no flow.
+
+The LPs run on HiGHS's compiled core, which ships inside scipy (see
+``highs``). A heuristic run keeps one ``FlowModel``: each trip's block
+joins it the first time a solve uses the trip, blocks outside a solve
+are switched off, and every solve starts warm from the previous basis.
+Each LP stops early once its dual bound passes the cap of its search,
+and one LP under a no-good row that excludes the incumbent can prove
+it the only design within the tie cap, which skips the tie pass.
 """
 
 from __future__ import annotations
@@ -25,15 +32,12 @@ import numpy as np
 
 from . import highs
 from .highs import SolveError
-from .instance import Instance, Trip, ValidationError
+from .instance import Instance, Trip, ValidationError, _integral
 from .adoption import arcs_cost
 from .router import BUS, Design, _build_graph, is_direct_trip, route, trip_arrays
 
 # Relative margin within which two designs' values count as tied.
 _TIE = 1e-9
-# Absolute slack on a tie probe's reduced-cost bound, for the root
-# solve's dual feasibility tolerance (1e-7 per reduced cost).
-_RC_SLACK = 1e-6
 
 
 class CapExceeded(RuntimeError):
@@ -49,7 +53,8 @@ def _direct_flags(inst: Instance) -> dict:
 @dataclass(frozen=True, eq=False)
 class TripBlock:
     """One trip's unit flow: the edges of its routing graph with every
-    candidate arc open. Node 0 is the origin, node ``nodes - 1`` the
+    candidate arc open, less those that cannot carry flow at the optimum
+    (see ``make_cut``). Node 0 is the origin, node ``nodes - 1`` the
     destination; ``arc`` holds each bus edge's candidate-arc index and
     -1 for shuttle legs and bridges."""
 
@@ -59,6 +64,19 @@ class TripBlock:
     g: np.ndarray
     arc: np.ndarray
     nodes: int
+
+
+def _distances(tail, head, g, n, source):
+    """Shortest distances from node ``source`` over the edges tail -> head
+    of non-negative cost g (Bellman-Ford, one numpy pass per round)."""
+    dist = np.full(n, np.inf)
+    dist[source] = 0.0
+    while True:
+        step = dist.copy()
+        np.minimum.at(step, head, dist[tail] + g)
+        if (step == dist).all():
+            return dist
+        dist = step
 
 
 def make_cut(trip: Trip, inst: Instance) -> TripBlock:
@@ -71,6 +89,13 @@ def make_cut(trip: Trip, inst: Instance) -> TripBlock:
     g >= pi_o - pi_d - sum_e mu_e z_arc(e), and the block's projection
     onto (z, g) is the intersection of all of them: one block states
     every cut of the trip at once.
+
+    An edge is dropped when every origin-destination path through it
+    costs more than the cheapest origin-destination edge that no arc
+    gates (a shuttle or a bridge, open under every z): at any z the
+    flow on such a path moves to that edge at a lower cost, so the
+    block's value is unchanged. A bus edge between two hub endpoints is
+    not such an edge, since its arc may close.
     """
     blocks = inst._caches.setdefault("blocks", {})
     if trip not in blocks:
@@ -81,59 +106,124 @@ def make_cut(trip: Trip, inst: Instance) -> TripBlock:
         edges = [(pos[u], pos[v], g, arc_pos[(u, v)] if modes == (BUS,) else -1)
                  for u, out in adj.items() for v, g, _, _, _, modes in out]
         tail, head, g, arc = (np.array(col) for col in zip(*edges))
-        blocks[trip] = TripBlock(trip, tail, head, g.astype(float), arc, len(pos))
+        g, n = g.astype(float), len(pos)
+        so, sd = _distances(tail, head, g, n, 0), _distances(head, tail, g, n, n - 1)
+        through = so[tail] + g + sd[head]  # cheapest origin-destination path over each edge
+        direct = g[(tail == 0) & (head == n - 1) & (arc < 0)]
+        keep = through <= direct.min(initial=np.inf)
+        used = np.zeros(n, dtype=bool)
+        used[[0, n - 1]] = True
+        used[tail[keep]] = used[head[keep]] = True
+        number = np.cumsum(used) - 1
+        blocks[trip] = TripBlock(trip, number[tail[keep]], number[head[keep]], g[keep], arc[keep],
+                                 int(used.sum()))
     return blocks[trip]
 
 
-def _model(inst: Instance, blocks, hubs):
-    """A HiGHS solver over ``blocks`` with every z in [0, 1]; ``hubs``
-    holds the (tail, head) hub index of each candidate arc. Columns: z,
-    then each block's edges. Rows: hub balance, each block's flow
-    conservation (destination row dropped), then x_e - z_arc(e) <= 0 per
-    bus edge."""
-    cand = inst.candidate_arcs
-    na, nh = len(cand), len(inst.hubs)
-    z = np.arange(na)
-    rows, cols, vals = [hubs[:, 0], hubs[:, 1]], [z, z], [np.ones(na), -np.ones(na)]
-    cost = [np.array([arcs_cost(inst, [a]) for a in cand], dtype=float)]
-    rhs = [np.zeros(nh)]
-    bus_col, bus_arc = [z[:0]], [z[:0]]
-    row0, col0 = nh, na
-    for b in blocks:
-        col = col0 + np.arange(len(b.g))
-        inner = b.head < b.nodes - 1
-        rows += [row0 + b.tail, row0 + b.head[inner]]
-        cols += [col, col[inner]]
-        vals += [np.ones(len(col)), -np.ones(int(inner.sum()))]
-        bus_col.append(col[b.arc >= 0])
-        bus_arc.append(b.arc[b.arc >= 0])
-        cost.append(b.trip.riders * b.g)
-        rhs.append(np.eye(1, b.nodes - 1).ravel())
-        row0, col0 = row0 + b.nodes - 1, col0 + len(col)
-    bus_col, bus_arc = np.concatenate(bus_col), np.concatenate(bus_arc)
-    nbus = len(bus_col)
-    solver = highs.model(
-        np.concatenate(cost),
-        np.concatenate([np.ones(na), np.full(col0 - na, np.inf)]),
-        np.concatenate(rhs + [np.full(nbus, -np.inf)]),
-        np.concatenate(rhs + [np.zeros(nbus)]),
-        np.concatenate(rows + [row0 + np.arange(nbus)] * 2),
-        np.concatenate(cols + [bus_col, bus_arc]),
-        np.concatenate(vals + [np.ones(nbus), -np.ones(nbus)]),
-    )
-    return solver
+class FlowModel:
+    """The arc-flow model of one instance on one HiGHS solver, grown by
+    a trip's block the first time a solve uses it. The solver keeps its
+    basis, so every solve starts warm from the previous one.
+
+    Columns: z, then the blocks' edges in the order the blocks joined.
+    Rows: hub balance, the no-good row (free unless ``exclude`` set it),
+    then per batch of joining blocks their flow conservation rows
+    (destination row dropped) and x_e - z_arc(e) <= 0 per bus edge. A
+    block outside the current solve is switched off: its edges are held
+    at 0 and its origin row asks for no flow."""
+
+    def __init__(self, inst: Instance):
+        cand = inst.candidate_arcs
+        na, nh = len(cand), len(inst.hubs)
+        hubs = [[inst.hub_index[h] for h in a] for a in cand]
+        self.hubs = np.array(hubs, dtype=int).reshape(na, 2)
+        z = np.arange(na)
+        self.solver = highs.model(
+            np.array([arcs_cost(inst, [a]) for a in cand], dtype=float), np.ones(na),
+            np.append(np.zeros(nh), -np.inf), np.append(np.zeros(nh), np.inf),
+            np.concatenate([self.hubs[:, 0], self.hubs[:, 1], np.full(na, nh)]),
+            np.concatenate([z, z, z]), np.concatenate([np.ones(na), -np.ones(na), np.ones(na)]),
+        )
+        self.no_good_row, self.no_good_coef = nh, np.ones(na)
+        self.cols, self.rows = na, nh + 1
+        self.at = {}  # block -> (first column, origin row)
+        self.on = set()
+
+    def use(self, blocks):
+        """Append the blocks not in the model yet and switch on exactly
+        ``blocks``, touching only the blocks whose state changes."""
+        new = [b for b in dict.fromkeys(blocks) if b not in self.at]
+        if new:
+            self._append(new)
+            self.on.update(new)
+        want = set(blocks)
+        flip = [b for b in self.at if (b in want) != (b in self.on)]
+        if flip:
+            cols = np.concatenate([self.at[b][0] + np.arange(len(b.g)) for b in flip])
+            up = np.concatenate([np.full(len(b.g), np.inf if b in want else 0.0) for b in flip])
+            self.solver.changeColsBounds(len(cols), cols.astype(np.int32), np.zeros(len(cols)), up)
+            for b in flip:
+                flow = float(b in want)
+                self.solver.changeRowBounds(self.at[b][1], flow, flow)
+        self.on = want
+
+    def _append(self, blocks):
+        rows, cols, vals, cost, rhs = [], [], [], [], []
+        bus_col, bus_arc = [], []
+        row0, col0 = 0, self.cols
+        for b in blocks:
+            self.at[b] = (col0, self.rows + row0)
+            col = col0 + np.arange(len(b.g))
+            inner = b.head < b.nodes - 1
+            rows += [row0 + b.tail, row0 + b.head[inner]]
+            cols += [col, col[inner]]
+            vals += [np.ones(len(col)), -np.ones(int(inner.sum()))]
+            bus_col.append(col[b.arc >= 0])
+            bus_arc.append(b.arc[b.arc >= 0])
+            cost.append(b.trip.riders * b.g)
+            rhs.append(np.eye(1, b.nodes - 1).ravel())
+            row0, col0 = row0 + b.nodes - 1, col0 + len(col)
+        bus_col, bus_arc = np.concatenate(bus_col), np.concatenate(bus_arc)
+        nbus = len(bus_col)
+        highs.grow(
+            self.solver, np.concatenate(cost), np.full(col0 - self.cols, np.inf),
+            np.concatenate(rhs + [np.full(nbus, -np.inf)]),
+            np.concatenate(rhs + [np.zeros(nbus)]),
+            np.concatenate(rows + [row0 + np.arange(nbus)] * 2),
+            np.concatenate(cols + [bus_col, bus_arc]),
+            np.concatenate(vals + [np.ones(nbus), -np.ones(nbus)]),
+        )
+        self.cols, self.rows = col0, self.rows + row0 + nbus
+
+    def exclude(self, inc):
+        """Set the no-good row to sum_{i not in inc} z_i - sum_{i in inc} z_i
+        >= 1 - |inc|, which every integral z but ``inc`` (a mask over the
+        candidate arcs) satisfies; None frees the row again."""
+        row = self.no_good_row
+        if inc is None:
+            self.solver.changeRowBounds(row, -np.inf, np.inf)
+            return
+        coef = np.where(inc, -1.0, 1.0)
+        for i in np.flatnonzero(coef != self.no_good_coef).tolist():
+            self.solver.changeCoeff(row, i, coef[i])
+        self.no_good_coef = coef
+        self.solver.changeRowBounds(row, 1.0 - inc.sum(), np.inf)
 
 
-def solve_master(inst: Instance, blocks, fixed=()):
+def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = None):
     """Optimal design of the flow model over ``blocks``, with ``fixed``
-    arcs open on top of the backbone.
+    arcs open on top of the backbone; ``_model`` is the ``FlowModel`` to
+    solve on, a new one by default.
 
     Returns (design, value, root, solves): the model's optimal value v*,
     its root LP value and the number of LP solves. The design is the
     smallest sorted arc tuple among the designs within a relative 1e-9
-    of v*, the tie rule of ``enumerate_dfd``. It is decided arc by arc
-    in candidate (sorted) order, keeping an integral incumbent within
-    that cap which agrees with the arcs decided so far:
+    of v* (the cap), the tie rule of ``enumerate_dfd``. When the
+    incumbent opens an arc, one LP under the no-good row that excludes
+    it tests whether any other design lies within the cap; if none
+    does, the incumbent is the answer. Otherwise the design is decided
+    arc by arc in candidate (sorted) order, keeping an integral
+    incumbent within the cap which agrees with the arcs decided so far:
 
     1. when no fixed arc is left ahead and the arcs decided open form a
        balanced design within the cap, that design is the answer: every
@@ -144,12 +234,15 @@ def solve_master(inst: Instance, blocks, fixed=()):
        none. The probe is skipped when the root LP value plus the arc's
        root reduced cost exceeds the cap: the root duals stay feasible
        under any bound change, so that sum bounds the probe.
+
+    Every LP is solved under the cap of its search (see ``highs.solve``).
     """
     fixed = frozenset(tuple(a) for a in fixed) | inst.fixed_arcs
     cand = inst.candidate_arcs
     na, nh = len(cand), len(inst.hubs)
-    hubs = np.array([[inst.hub_index[h] for h in a] for a in cand], dtype=int).reshape(na, 2)
-    solver = _model(inst, blocks, hubs)
+    model = FlowModel(inst) if _model is None else _model
+    model.use(blocks)
+    solver, hubs = model.solver, model.hubs
     is_fixed = np.array([a in fixed for a in cand], dtype=bool)
     lo, up = is_fixed.astype(float), np.ones(na)
     log = []
@@ -159,31 +252,41 @@ def solve_master(inst: Instance, blocks, fixed=()):
     best, inc = found
     root, _, rc = log[0]
     cap = best + _TIE * abs(best)
-    for i in range(na):
-        if not inc[i:].any():
-            break
-        if not is_fixed[i:].any():
-            degree = np.bincount(hubs[:i, 0], lo[:i], nh) - np.bincount(hubs[:i, 1], lo[:i], nh)
-            if not degree.any():
-                alone = highs.solve(solver, lo, np.where(np.arange(na) < i, up, 0.0), log)
-                if alone is not None and alone[0] <= cap:
-                    inc = lo > 0.5
-                    break
-        if not (is_fixed[i] or inc[i]):
-            probe = None
-            if root + rc[i] <= cap + _RC_SLACK:
-                forced = lo.copy()
-                forced[i] = 1.0
-                probe = highs.branch(solver, forced, up, cap, True, log)
-            if probe is None:
-                up[i] = 0.0
-                continue
-            inc = probe[1]
-        lo[i] = 1.0
+    if inc.any() and not _unique(model, inc, lo, up, cap, log):
+        for i in range(na):
+            if not inc[i:].any():
+                break
+            if not is_fixed[i:].any():
+                degree = np.bincount(hubs[:i, 0], lo[:i], nh) - np.bincount(hubs[:i, 1], lo[:i], nh)
+                if not degree.any():
+                    alone = highs.solve(solver, lo, np.where(np.arange(na) < i, up, 0.0), cap, log)
+                    if alone is not None and alone[0] <= cap:
+                        inc = lo > 0.5
+                        break
+            if not (is_fixed[i] or inc[i]):
+                probe = None
+                if root + rc[i] <= cap + highs.DUAL_SLACK:
+                    forced = lo.copy()
+                    forced[i] = 1.0
+                    probe = highs.branch(solver, forced, up, cap, True, log)
+                if probe is None:
+                    up[i] = 0.0
+                    continue
+                inc = probe[1]
+            lo[i] = 1.0
     # arcs_cost sums in set order, so how this set is built fixes the
     # objective's last bits; this order reproduces bench/references.json
     opened = frozenset(a for a, on in zip(cand, inc) if on and a not in fixed)
     return Design(inst, fixed | opened), best, root, len(log)
+
+
+def _unique(model, inc, lo, up, cap, log) -> bool:
+    """True when no integral design but ``inc`` has a value within ``cap``:
+    the LP under the no-good row that excludes ``inc`` bounds them all."""
+    model.exclude(inc)
+    other = highs.solve(model.solver, lo, up, cap, log)
+    model.exclude(None)
+    return other is None or other[0] > cap
 
 
 @dataclass(frozen=True)
@@ -197,12 +300,17 @@ class DfdSolution:
     iterations: int  # LP solves
 
 
-def solve_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
+def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -> DfdSolution:
     """Optimal design for the trip ids ``tset`` with ``fixed`` arcs open:
     one flow model over the trips that do not ride a direct shuttle
     under every design, the others being constants. The objective adds
-    each trip's routed g from the design's ``trip_arrays``."""
-    trips = sorted((inst.trip_by_id(t) for t in tset), key=lambda t: t.id)
+    each trip's routed g from the design's ``trip_arrays``. ``_model``
+    is the ``FlowModel`` to solve on, a new one by default."""
+    ids = list(tset)
+    index = inst.trip_index
+    if not all(_integral(t) and t in index for t in ids):
+        raise ValidationError("tset references unknown trip ids")
+    trips = sorted((inst.trips[index[t]] for t in set(ids)), key=lambda t: t.id)
     fixed = frozenset(tuple(a) for a in fixed) | inst.fixed_arcs
     if not fixed <= set(inst.candidate_arcs):
         raise ValidationError("fixed arcs outside the candidate set")
@@ -210,7 +318,7 @@ def solve_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
     direct = _direct_flags(inst)
     flow_trips = [t for t in trips if not direct[t.id]]
     design, _, root, solves = solve_master(
-        inst, [make_cut(t, inst) for t in flow_trips], fixed=fixed
+        inst, [make_cut(t, inst) for t in flow_trips], fixed=fixed, _model=_model
     )
     g = trip_arrays(design)[0].tolist()
     row = inst.trip_index

@@ -4,8 +4,11 @@ The core ships inside scipy as a private extension module. It is loaded
 by file location on first use, because ``import scipy.optimize`` loads
 some 40 MB beside it, and it is registered under scipy's own module
 name, so a later scipy import reuses it (the file cannot load twice).
-Models run single-threaded, without presolve and without output; a
-bound change is followed by a warm re-solve from the last basis.
+Models run single-threaded, without presolve and without output. A
+model is built by appending columns and rows to an empty solver and can
+keep growing; after a bound change or an append, the next solve starts
+warm from the last basis. A solve given a cap stops in the dual simplex
+as soon as its dual bound proves the value above the cap.
 """
 
 from __future__ import annotations
@@ -21,12 +24,16 @@ import numpy as np
 
 MODULE = "scipy.optimize._highspy._core"
 API = (
-    "HighsLp", "HighsModelStatus", "MatrixFormat", "kHighsInf", "_Highs.setOptionValue",
-    "_Highs.passModel", "_Highs.changeColsBounds", "_Highs.run", "_Highs.getModelStatus",
-    "_Highs.getInfo", "_Highs.getSolution", "_Highs.modelStatusToString",
+    "HighsStatus", "HighsModelStatus.kObjectiveBound", "_Highs.setOptionValue", "_Highs.addCols",
+    "_Highs.addRows", "_Highs.changeColsBounds", "_Highs.changeRowBounds", "_Highs.changeCoeff",
+    "_Highs.run", "_Highs.getModelStatus", "_Highs.getInfo", "_Highs.getSolution",
+    "_Highs.modelStatusToString",
 )
 # Integrality tolerance, above HiGHS's primal feasibility tolerance.
 INT_TOL = 1e-6
+# Absolute slack on a bound read from the dual simplex, for its dual
+# feasibility tolerance (1e-7 per reduced cost).
+DUAL_SLACK = 1e-6
 
 
 class SolveError(RuntimeError):
@@ -63,34 +70,46 @@ def core(pattern=None):
 def model(cost, upper, row_lower, row_upper, rows, cols, vals):
     """A solver holding min cost.x over row_lower <= A x <= row_upper and
     0 <= x <= upper, with A given by its (rows, cols, vals) entries."""
-    hc = core()
-    ncol, nrow = len(cost), len(row_lower)
-    by_col = np.argsort(cols, kind="stable")
-    lp = hc.HighsLp()
-    lp.num_col_, lp.num_row_ = ncol, nrow
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(ncol), upper
-    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
-    m = lp.a_matrix_
-    m.format_ = hc.MatrixFormat.kColwise
-    m.num_col_, m.num_row_ = ncol, nrow
-    m.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=ncol))])
-    m.index_, m.value_ = rows[by_col], vals[by_col]
-    highs = hc._Highs()
+    highs = core()._Highs()
     for option, value in (("output_flag", False), ("threads", 1), ("presolve", "off")):
         highs.setOptionValue(option, value)
-    highs.passModel(lp)
+    grow(highs, cost, upper, row_lower, row_upper, rows, cols, vals)
     return highs
 
 
-def solve(highs, lo, up, log):
+def grow(highs, cost, upper, row_lower, row_upper, rows, cols, vals):
+    """Append len(cost) columns, each in [0, upper] at its cost, then
+    len(row_lower) rows bounded by (row_lower, row_upper). The (rows,
+    cols, vals) entries number the rows from the first appended one and
+    the columns from the solver's first; the new columns have no entries
+    in the old rows."""
+    hc = core()
+    ncol, nrow = len(cost), len(row_lower)
+    by_row = np.argsort(rows, kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nrow))[:-1]])
+    if hc.HighsStatus.kError in (
+        highs.addCols(ncol, cost, np.zeros(ncol), upper, 0, np.zeros(ncol, dtype=np.int32),
+                      np.zeros(0, dtype=np.int32), np.zeros(0)),
+        highs.addRows(nrow, row_lower, row_upper, len(vals), start.astype(np.int32),
+                      cols[by_row].astype(np.int32), vals[by_row]),
+    ):
+        raise SolveError(f"HiGHS refused {ncol} columns and {nrow} rows")
+
+
+def solve(highs, lo, up, cap, log):
     """Solve with the first len(lo) columns bounded by (lo, up) and append
-    (value, their values, their reduced costs), or None when infeasible,
-    to ``log``; returns that entry."""
+    (value, their values, their reduced costs) to ``log``, or None when
+    the LP is infeasible or its value provably exceeds ``cap``; returns
+    that entry. The dual simplex stops once its bound passes ``cap`` plus
+    ``DUAL_SLACK``, so a value within the slack above ``cap`` is still
+    returned in full."""
     n = len(lo)
     highs.changeColsBounds(n, np.arange(n, dtype=np.int32), lo, up)
+    highs.setOptionValue("objective_bound", cap + DUAL_SLACK)
     highs.run()
     status, statuses = highs.getModelStatus(), core().HighsModelStatus
-    if status in (statuses.kInfeasible, statuses.kUnboundedOrInfeasible):
+    if status in (statuses.kInfeasible, statuses.kUnboundedOrInfeasible,
+                  statuses.kObjectiveBound):
         log.append(None)
     elif status in (statuses.kOptimal, statuses.kModelEmpty):
         sol = highs.getSolution()
@@ -111,7 +130,7 @@ def branch(highs, lo, up, cap, first, log):
     stack = [(lo, up)]
     while stack:
         lo, up = stack.pop()
-        res = solve(highs, lo, up, log)
+        res = solve(highs, lo, up, cap, log)
         if res is None or res[0] > cap:
             continue
         value, x, _ = res

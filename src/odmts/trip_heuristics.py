@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 
 from .adoption import eval_design
-from .dfd import solve_dfd
+from .dfd import FlowModel, solve_dfd
 from .instance import Instance
 from .router import trip_arrays
 from .trace import HeuristicTrace
@@ -41,16 +41,19 @@ def _core_ids(inst: Instance) -> frozenset:
 
 class _DfdCache:
     """Memoizes fixed-demand solves within one heuristic run; identical
-    (trip set, fixed arcs) inputs always yield identical solutions."""
+    (trip set, fixed arcs) inputs always yield identical solutions. The
+    run's solves share one ``FlowModel``, each starting warm from the
+    last."""
 
     def __init__(self, inst):
         self.inst = inst
         self.hits = {}
+        self.model = FlowModel(inst)
 
     def solve(self, tset, fixed=()):
         key = (frozenset(tset), frozenset(fixed))
         if key not in self.hits:
-            self.hits[key] = solve_dfd(self.inst, key[0], fixed=key[1])
+            self.hits[key] = solve_dfd(self.inst, key[0], fixed=key[1], _model=self.model)
         return self.hits[key]
 
 

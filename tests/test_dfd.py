@@ -11,12 +11,15 @@ from odmts import (
     Trip,
     balanced_designs,
     enumerate_dfd,
+    ValidationError,
     make_cut,
+    rho_gagr,
     route,
     solve_dfd,
     solve_master,
 )
 from odmts.dfd import TripBlock, _direct_flags
+from odmts.trip_heuristics import _DfdCache
 from conftest import block_price, make_example_instance, tiny_instance
 from test_router import grid_instance
 
@@ -87,7 +90,26 @@ class TestMakeCut:
         assert (block.tail != block.nodes - 1).all()  # nothing leaves the destination
         assert (block.head != 0).all()  # nothing enters the origin
         cand = example_instance.candidate_arcs
-        assert sorted(cand[a] for a in block.arc[block.arc >= 0]) == [(1, 2), (2, 1)]
+        # (2, 1) runs against the trip: every path through it costs more
+        # than the direct shuttle 0 -> 3, so the bus edge is pruned
+        assert sorted(cand[a] for a in block.arc[block.arc >= 0]) == [(1, 2)]
+
+    @pytest.mark.parametrize(
+        "inst",
+        [tiny_instance(seed) for seed in range(6)] + [hub_origin_instance(33)],
+        ids=[f"tiny{seed}" for seed in range(6)] + ["hub_origin33"],
+    )
+    def test_pruned_block_prices_every_design(self, inst):
+        # pruning keeps every path that can beat the ungated direct edge,
+        # so each block still prices every design at its routed g; a bus
+        # edge between hub endpoints must not serve as that direct edge
+        designs = list(balanced_designs(inst))
+        for trip in inst.trips:
+            block = make_cut(trip, inst)
+            for z in designs:
+                assert block_price(inst, block, z.open_arcs) == pytest.approx(
+                    route(trip, z).g, rel=1e-12
+                )
 
 
 class TestSolveMaster:
@@ -176,7 +198,8 @@ class TestSolveDfd:
 
     def test_leaves_no_cyclic_garbage(self):
         # a HiGHS model caught in a reference cycle would stay alive until
-        # the cyclic collector ran, raising peak memory
+        # the cyclic collector ran, raising peak memory; a heuristic run
+        # holds its model for the whole run
         solve_dfd(tiny_instance(4), [0])  # loads the solver
         inst = tiny_instance(3)
         gc.collect()
@@ -184,8 +207,44 @@ class TestSolveDfd:
         try:
             solve_dfd(inst, [t.id for t in inst.trips])
             assert gc.collect() == 0
+            rho_gagr(tiny_instance(2))
+            assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("tset", [[999], [0, 999], [True], ["1"]])
+    def test_unknown_trip_ids(self, tset):
+        with pytest.raises(ValidationError, match="unknown trip ids"):
+            solve_dfd(tiny_instance(0), tset)
+
+    def test_unique_integral_root_takes_two_lps(self):
+        # the root LP is integral, and the LP under the no-good row that
+        # excludes it proves no other design within the tie cap; deciding
+        # the three open arcs one by one took five LPs
+        inst = tiny_instance(4)
+        sol = solve_dfd(inst, [t.id for t in inst.trips])
+        assert len(sol.design.open_arcs) == 3
+        assert sol.iterations == 2
+
+    @pytest.mark.parametrize(
+        "inst",
+        [tiny_instance(seed) for seed in range(6)] + [hub_origin_instance(33)],
+        ids=[f"tiny{seed}" for seed in range(6)] + ["hub_origin33"],
+    )
+    def test_shared_model_matches_brute_force(self, inst):
+        # one warm model through a seeded run of trip sets and fixed arcs,
+        # as a heuristic run uses it: blocks join, switch off and back on
+        rng = np.random.default_rng(inst.trips[0].origin + len(inst.trips))
+        designs = list(balanced_designs(inst))
+        ids = [t.id for t in inst.trips]
+        cache = _DfdCache(inst)
+        for _ in range(50):
+            tset = [i for i in ids if rng.random() < 0.6]
+            fixed = designs[rng.integers(len(designs))].open_arcs if rng.random() < 0.3 else ()
+            fast = cache.solve(tset, fixed)
+            slow = enumerate_dfd(inst, tset, fixed=fixed)
+            assert fast.design.key() == slow.design.key()
+            assert fast.objective == pytest.approx(slow.objective, rel=1e-12)
 
     def test_exact_tie_takes_smallest_arc_tuple(self):
         # two mirror-image corridors o -> 1 -> 3 -> d and o -> 2 -> 4 -> d

@@ -19,6 +19,16 @@ def pair_model():
     )
 
 
+def chain_model(n=150):
+    """min sum_i (i + 1) x_i over x_i >= 1, each x_i in [0, 10]: from the
+    slack basis the dual simplex raises its bound row by row, taking n
+    iterations to the optimum n (n + 1) / 2."""
+    return highs.model(
+        np.arange(1.0, n + 1), np.full(n, 10.0), np.ones(n), np.full(n, np.inf),
+        np.arange(n), np.arange(n), np.ones(n),
+    )
+
+
 class TestBranch:
     def test_root_is_fractional_and_branching_settles_it(self):
         log = []
@@ -37,8 +47,35 @@ class TestBranch:
 
     def test_infeasible_bounds(self):
         log = []
-        assert highs.solve(pair_model(), np.ones(2), np.ones(2), log) is None
+        assert highs.solve(pair_model(), np.ones(2), np.ones(2), np.inf, log) is None
         assert log == [None]
+
+
+class TestCutoff:
+    def test_probe_above_cap_stops_early(self):
+        solver, log = chain_model(), []
+        assert highs.solve(solver, np.zeros(150), np.full(150, 10.0), 100.0, log) is None
+        assert log == [None]
+        assert solver.getModelStatus() == highs.core().HighsModelStatus.kObjectiveBound
+        assert solver.getInfo().simplex_iteration_count < 150
+
+    @pytest.mark.parametrize("below", [0.0, 0.5 * highs.DUAL_SLACK])
+    def test_value_at_or_just_above_cap_is_solved(self, below):
+        # the cutoff has slack: a value at the cap, or within the slack
+        # above it, is solved in full, and branching drops the latter
+        value = 150 * 151 / 2
+        solver, log = chain_model(), []
+        res = highs.solve(solver, np.zeros(150), np.full(150, 10.0), value - below, log)
+        assert res[0] == pytest.approx(value, rel=1e-12)
+        found = highs.branch(chain_model(), np.zeros(150), np.full(150, 10.0), value - below,
+                             True, [])
+        assert (found is None) == (below > 0)
+
+    def test_cap_resets_on_every_solve(self):
+        solver = chain_model()
+        assert highs.solve(solver, np.zeros(150), np.full(150, 10.0), 100.0, []) is None
+        res = highs.solve(solver, np.zeros(150), np.full(150, 10.0), np.inf, [])
+        assert res[0] == pytest.approx(150 * 151 / 2, rel=1e-12)
 
 
 class TestCore:
@@ -49,10 +86,22 @@ class TestCore:
         assert "\n" not in str(err.value)
 
     def test_missing_api(self, monkeypatch):
+        # a core with every name of the API but one, as an older scipy
+        # without the calls that grow a model would be
         fake = types.ModuleType(highs.MODULE)
         fake.__file__ = "/nowhere/_core.so"
+        for name in highs.API:
+            if name == "_Highs.addRows":
+                continue
+            *path, last = name.split(".")
+            owner = fake
+            for part in path:
+                if not hasattr(owner, part):
+                    setattr(owner, part, types.SimpleNamespace())
+                owner = getattr(owner, part)
+            setattr(owner, last, object())
         monkeypatch.setitem(sys.modules, highs.MODULE, fake)
-        with pytest.raises(RuntimeError, match="/nowhere/_core.so lacks HighsLp") as err:
+        with pytest.raises(RuntimeError, match="/nowhere/_core.so lacks _Highs.addRows$") as err:
             highs.core()
         assert "\n" not in str(err.value)
 
