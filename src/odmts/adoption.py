@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, Trip, ValidationError
+from .instance import Instance, Trip
 from .router import Design, Route, trip_arrays, weights_of
 
 
@@ -109,11 +109,9 @@ def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
     adoption rate (latent trips inside it that reject). Rates are
     percentages of the latent trip count.
     """
-    tset = frozenset(tset)
+    tset = inst.trip_ids(tset)
     ids, latent, riders, _ = _trip_terms(inst)
-    in_tset = np.array([i in tset for i in ids.tolist()], dtype=bool)
-    if int(in_tset.sum()) != len(tset):  # trip ids are unique
-        raise ValidationError("tset references unknown trip ids")
+    in_tset = np.fromiter(map(tset.__contains__, ids.tolist()), bool, len(ids))
     p = inst.params
     _, f, _, km = trip_arrays(design)
     adopt, served, terms = _served(inst, design)

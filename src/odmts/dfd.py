@@ -20,8 +20,11 @@ The LPs run on HiGHS's compiled core, which ships inside scipy (see
 joins it the first time a solve uses the trip, blocks outside a solve
 are switched off, and every solve starts warm from the previous basis.
 Each LP stops early once its dual bound passes the cap of its search,
-and one LP under a no-good row that excludes the incumbent can prove
-it the only design within the tie cap, which skips the tie pass.
+and a depth-first search under a no-good row that excludes the
+incumbent can prove it the only integral design within the tie cap,
+which skips the tie pass. Each trip's block is built from the router's
+edge arrays (``router._edges``), the rule the per-trip route search
+uses as well.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ import numpy as np
 
 from . import highs
 from .highs import SolveError
-from .instance import Instance, Trip, ValidationError, _integral
+from .instance import Instance, Trip, ValidationError
 from .adoption import arcs_cost
-from .router import BUS, Design, _build_graph, is_direct_trip, route, trip_arrays
+from .router import Design, _arc_labels, _edges, is_direct_trip, route, trip_arrays
 
 # Relative margin within which two designs' values count as tied.
 _TIE = 1e-9
@@ -90,6 +93,9 @@ def make_cut(trip: Trip, inst: Instance) -> TripBlock:
     onto (z, g) is the intersection of all of them: one block states
     every cut of the trip at once.
 
+    The edges are those of ``router._edges`` for the trip with every
+    candidate arc open, renumbered with the origin first, the destination
+    last and the other nodes in their graph order.
     An edge is dropped when every origin-destination path through it
     costs more than the cheapest origin-destination edge that no arc
     gates (a shuttle or a bridge, open under every z): at any z the
@@ -100,13 +106,11 @@ def make_cut(trip: Trip, inst: Instance) -> TripBlock:
     blocks = inst._caches.setdefault("blocks", {})
     if trip not in blocks:
         o, d = trip.origin, trip.destination
-        adj = _build_graph(inst, frozenset(inst.candidate_arcs), o, d)
-        pos = {u: i for i, u in enumerate([o] + [u for u in adj if u not in (o, d)] + [d])}
-        arc_pos = {a: i for i, a in enumerate(inst.candidate_arcs)}
-        edges = [(pos[u], pos[v], g, arc_pos[(u, v)] if modes == (BUS,) else -1)
-                 for u, out in adj.items() for v, g, _, _, _, modes in out]
-        tail, head, g, arc = (np.array(col) for col in zip(*edges))
-        g, n = g.astype(float), len(pos)
+        labels = _arc_labels(inst, inst.candidate_arcs)
+        nodes, tail, head, g, _, arc, _ = _edges(inst, labels, o, d)
+        pos = {u: i for i, u in enumerate([o] + [u for u in nodes if u not in (o, d)] + [d])}
+        number = np.array([pos[u] for u in nodes])
+        tail, head, n = number[tail], number[head], len(pos)
         so, sd = _distances(tail, head, g, n, 0), _distances(head, tail, g, n, n - 1)
         through = so[tail] + g + sd[head]  # cheapest origin-destination path over each edge
         direct = g[(tail == 0) & (head == n - 1) & (arc < 0)]
@@ -219,11 +223,12 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
     its root LP value and the number of LP solves. The design is the
     smallest sorted arc tuple among the designs within a relative 1e-9
     of v* (the cap), the tie rule of ``enumerate_dfd``. When the
-    incumbent opens an arc, one LP under the no-good row that excludes
-    it tests whether any other design lies within the cap; if none
-    does, the incumbent is the answer. Otherwise the design is decided
-    arc by arc in candidate (sorted) order, keeping an integral
-    incumbent within the cap which agrees with the arcs decided so far:
+    incumbent opens an arc, a depth-first search under the no-good row
+    that excludes it looks for any other integral design within the
+    cap; if it finds none, the incumbent is the answer. Otherwise the
+    design is decided arc by arc in candidate (sorted) order, keeping an
+    integral incumbent within the cap which agrees with the arcs decided
+    so far:
 
     1. when no fixed arc is left ahead and the arcs decided open form a
        balanced design within the cap, that design is the answer: every
@@ -282,11 +287,13 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
 
 def _unique(model, inc, lo, up, cap, log) -> bool:
     """True when no integral design but ``inc`` has a value within ``cap``:
-    the LP under the no-good row that excludes ``inc`` bounds them all."""
+    a depth-first search under the no-good row that excludes ``inc``
+    finds none. Every integral design but ``inc`` satisfies that row, so
+    the search covers them all."""
     model.exclude(inc)
-    other = highs.solve(model.solver, lo, up, cap, log)
+    other = highs.branch(model.solver, lo, up, cap, True, log)
     model.exclude(None)
-    return other is None or other[0] > cap
+    return other is None
 
 
 @dataclass(frozen=True)
@@ -306,11 +313,8 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
     under every design, the others being constants. The objective adds
     each trip's routed g from the design's ``trip_arrays``. ``_model``
     is the ``FlowModel`` to solve on, a new one by default."""
-    ids = list(tset)
     index = inst.trip_index
-    if not all(_integral(t) and t in index for t in ids):
-        raise ValidationError("tset references unknown trip ids")
-    trips = sorted((inst.trips[index[t]] for t in set(ids)), key=lambda t: t.id)
+    trips = sorted((inst.trips[index[t]] for t in inst.trip_ids(tset)), key=lambda t: t.id)
     fixed = frozenset(tuple(a) for a in fixed) | inst.fixed_arcs
     if not fixed <= set(inst.candidate_arcs):
         raise ValidationError("fixed arcs outside the candidate set")

@@ -4,7 +4,11 @@ The core ships inside scipy as a private extension module. It is loaded
 by file location on first use, because ``import scipy.optimize`` loads
 some 40 MB beside it, and it is registered under scipy's own module
 name, so a later scipy import reuses it (the file cannot load twice).
-Models run single-threaded, without presolve and without output. A
+Models run single-threaded, without presolve and without output, and
+the dual simplex prices with Devex weights: the default steepest-edge
+weights are paid for again on every warm re-solve, which costs more
+than the few extra iterations Devex takes. Every option is checked, and
+one the core rejects raises a one-line ``RuntimeError`` naming it. A
 model is built by appending columns and rows to an empty solver and can
 keep growing; after a bound change or an append, the next solve starts
 warm from the last basis. A solve given a cap stops in the dual simplex
@@ -29,11 +33,20 @@ API = (
     "_Highs.run", "_Highs.getModelStatus", "_Highs.getInfo", "_Highs.getSolution",
     "_Highs.modelStatusToString",
 )
+# Options set on every new solver; 1 is Devex dual pricing.
+OPTIONS = (
+    ("output_flag", False), ("threads", 1), ("presolve", "off"),
+    ("simplex_dual_edge_weight_strategy", 1),
+)
 # Integrality tolerance, above HiGHS's primal feasibility tolerance.
 INT_TOL = 1e-6
 # Absolute slack on a bound read from the dual simplex, for its dual
 # feasibility tolerance (1e-7 per reduced cost).
 DUAL_SLACK = 1e-6
+
+
+# The core module that last passed the API check.
+_checked = None
 
 
 class SolveError(RuntimeError):
@@ -43,7 +56,10 @@ class SolveError(RuntimeError):
 def core(pattern=None):
     """The core module from the installed scipy; a missing file or API
     raises a one-line ``RuntimeError`` naming the path."""
+    global _checked
     module = sys.modules.get(MODULE)
+    if module is not None and module is _checked:
+        return module
     if module is None:
         if pattern is None:
             spec = importlib.util.find_spec("scipy")
@@ -64,6 +80,7 @@ def core(pattern=None):
     if missing:
         where = getattr(module, "__file__", MODULE)
         raise RuntimeError(f"HiGHS core at {where} lacks {', '.join(missing)}")
+    _checked = module
     return module
 
 
@@ -71,10 +88,15 @@ def model(cost, upper, row_lower, row_upper, rows, cols, vals):
     """A solver holding min cost.x over row_lower <= A x <= row_upper and
     0 <= x <= upper, with A given by its (rows, cols, vals) entries."""
     highs = core()._Highs()
-    for option, value in (("output_flag", False), ("threads", 1), ("presolve", "off")):
-        highs.setOptionValue(option, value)
+    for option, value in OPTIONS:
+        _set(highs, option, value)
     grow(highs, cost, upper, row_lower, row_upper, rows, cols, vals)
     return highs
+
+
+def _set(highs, option, value):
+    if highs.setOptionValue(option, value) != core().HighsStatus.kOk:
+        raise RuntimeError(f"HiGHS rejected option {option} = {value!r}")
 
 
 def grow(highs, cost, upper, row_lower, row_upper, rows, cols, vals):
@@ -105,7 +127,7 @@ def solve(highs, lo, up, cap, log):
     returned in full."""
     n = len(lo)
     highs.changeColsBounds(n, np.arange(n, dtype=np.int32), lo, up)
-    highs.setOptionValue("objective_bound", cap + DUAL_SLACK)
+    _set(highs, "objective_bound", cap + DUAL_SLACK)
     highs.run()
     status, statuses = highs.getModelStatus(), core().HighsModelStatus
     if status in (statuses.kInfeasible, statuses.kUnboundedOrInfeasible,

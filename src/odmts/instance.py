@@ -325,6 +325,18 @@ class Instance:
             self._caches["trip_index"] = {t.id: i for i, t in enumerate(self.trips)}
         return self._caches["trip_index"]
 
+    def trip_ids(self, ids) -> frozenset:
+        """``ids`` as a set of this instance's trip ids; an unknown or a
+        non-integer id (``True`` and ``1.0`` included) raises
+        ``ValidationError``."""
+        ids = list(ids)
+        out = frozenset(ids)
+        kinds = set(map(type, ids))  # bools are not integers here
+        integral = all(issubclass(k, numbers.Integral) and k is not bool for k in kinds)
+        if not (integral and self.trip_index.keys() >= out):
+            raise ValidationError("tset references unknown trip ids")
+        return out
+
     def hub_degree(self, arcs) -> list:
         """Out-degree minus in-degree of each hub over ``arcs``, in ``hubs``
         order; an arc set is weakly connected when this is all zero."""

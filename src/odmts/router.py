@@ -58,11 +58,12 @@ def weights_of(inst: Instance) -> WeightTable:
     return inst._caches["weights"]
 
 
-def _bridge_table(inst: Instance) -> dict:
-    """For each ordered hub pair, the best three one-stop shuttle relays
-    (h -> x -> l with x a non-hub), ranked by (g, f, x). Only relevant
-    when hub-to-hub shuttles are banned."""
-    if "bridges" not in inst._caches:
+def _relays(inst: Instance) -> np.ndarray:
+    """For each ordered pair of hub indices, the stop indices of the best
+    three one-stop shuttle relays (h -> x -> l with x a non-hub), ranked
+    by (g, f, x), then a -1 column that stands for no relay. Only
+    relevant when hub-to-hub shuttles are banned."""
+    if "relays" not in inst._caches:
         w = weights_of(inst)
         sidx = inst.stop_index
         hubset = set(inst.hubs)
@@ -72,14 +73,9 @@ def _bridge_table(inst: Instance) -> dict:
         gsum = w.gamma[np.ix_(hub_pos, nonhub)][:, None, :] + w.gamma[np.ix_(nonhub, hub_pos)].T
         fsum = inst.time[np.ix_(hub_pos, nonhub)][:, None, :] + inst.time[np.ix_(nonhub, hub_pos)].T
         order = np.lexsort((np.broadcast_to(nonhub, gsum.shape), fsum, gsum))[..., :3]
-        relays = np.array(inst.stops, dtype=int)[nonhub[order]].tolist()
-        table = {}
-        for i, h in enumerate(inst.hubs):
-            for j, l in enumerate(inst.hubs):
-                if l != h:
-                    table[(h, l)] = tuple(relays[i][j])
-        inst._caches["bridges"] = table
-    return inst._caches["bridges"]
+        none = np.full(order.shape[:2] + (1,), -1)
+        inst._caches["relays"] = np.concatenate([nonhub[order], none], axis=2)
+    return inst._caches["relays"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,64 +161,83 @@ class Route:
 
 
 _MODE_RANK = {BUS: 0, SHUTTLE: 1}
+# Edge kinds of the search graph, in the order it lists a node pair's edges.
+_BUS_EDGE, _SHUTTLE_EDGE, _BRIDGE_EDGE = range(3)
 
 
-def _shuttle(inst: Instance, w: WeightTable, u: int, v: int):
-    """Search-graph edge for the shuttle leg u -> v."""
-    ui, vi = inst.stop_index[u], inst.stop_index[v]
-    return (v, float(w.gamma[ui, vi]), float(inst.time[ui, vi]), 1, (v,), (SHUTTLE,))
+def _arc_labels(inst: Instance, arcs) -> np.ndarray:
+    """(hub, hub) array holding each arc's position in ``arcs``, -1 elsewhere."""
+    hidx = inst.hub_index
+    nh = len(inst.hubs)
+    labels = np.full((nh, nh), -1)
+    for k, (h, l) in enumerate(arcs):
+        labels[hidx[h], hidx[l]] = k
+    return labels
 
 
-def _bus(inst: Instance, w: WeightTable, u: int, v: int):
-    """Search-graph edge for the bus leg on hub arc u -> v."""
-    ui, vi = inst.stop_index[u], inst.stop_index[v]
-    hu, hv = inst.hub_index[u], inst.hub_index[v]
-    return (v, float(w.tau[hu, hv]), float(inst.time[ui, vi] + inst.wait_matrix[hu, hv]),
-            1, (v,), (BUS,))
-
-
-def _bridge(inst: Instance, w: WeightTable, u: int, x: int, v: int):
-    """Search-graph edge for the shuttle relay u -> x -> v."""
-    sidx = inst.stop_index
-    ui, xi, vi = sidx[u], sidx[x], sidx[v]
-    return (v, float(w.gamma[ui, xi] + w.gamma[xi, vi]),
-            float(inst.time[ui, xi] + inst.time[xi, vi]), 2, (x, v), (SHUTTLE, SHUTTLE))
-
-
-def _build_graph(inst: Instance, open_arcs, o: int, d: int):
-    """The trip's search graph, u -> [(v, g, f, legs, seq_ext, modes_ext)].
+def _edges(inst: Instance, labels, o: int, d: int):
+    """The edges of the trip's search graph with the arcs ``labels`` marks
+    (see ``_arc_labels``) open, as (nodes, tail, head, g, f, arc, relay).
 
     When both matrices are metric the nodes are the endpoints and the
     hubs, with a bridge per hub pair while hub-to-hub shuttles are
-    banned; otherwise every stop, with no bridges. The heap key orders
-    labels completely, so the adjacency order never changes a route.
-    """
+    banned; otherwise every stop, with no bridges. No edge leaves d or
+    enters o. From u to v there is a bus leg when both are hubs and the
+    arc is open, a shuttle leg unless both are hubs (hub-to-hub shuttles
+    allowed, or u -> v being o -> d), and a bridge u -> x -> v through the
+    pair's first relay x other than o and d. ``tail`` and ``head`` index
+    ``nodes``; the edges run over the (tail, head, kind) grid in order,
+    kinds ordered bus, shuttle, bridge. ``arc`` holds a bus edge's label,
+    ``relay`` a bridge's relay stop index, both -1 elsewhere."""
     w = weights_of(inst)
-    hubset = set(inst.hubs)
+    sidx, hidx = inst.stop_index, inst.hub_index
     between = inst.params.shuttle_between_hubs
-    if inst.metric_consistent:
-        nodes = {o, d} | hubset
-        bridges = {} if between else _bridge_table(inst)
-    else:
-        nodes, bridges = inst.stops, {}
+    nodes = list({o, d} | set(inst.hubs)) if inst.metric_consistent else list(inst.stops)
+    n = len(nodes)
+    s = np.array([sidx[u] for u in nodes])
+    h = np.array([hidx.get(u, -1) for u in nodes])
+    hu, hv = h[:, None], h[None, :]
+    both = (hu >= 0) & (hv >= 0)
+    arc = np.where(both, labels[hu, hv], -1)
+    x = np.full((n, n), -1)
+    if inst.metric_consistent and not between:
+        relays = _relays(inst)[hu, hv]
+        ok = (relays != sidx[o]) & (relays != sidx[d])
+        ok[..., -1] = True
+        x = np.where(both, np.take_along_axis(relays, ok.argmax(axis=2)[..., None], 2)[..., 0], -1)
+    mask = np.stack([arc >= 0, ~both | between, x >= 0], axis=2)
+    # o -> d always has its shuttle; nothing leaves d, enters o or loops
+    mask[nodes.index(o), nodes.index(d), _SHUTTLE_EDGE] = True
+    mask[nodes.index(d)] = False
+    mask[:, nodes.index(o)] = False
+    mask[np.arange(n), np.arange(n)] = False
+    at = np.flatnonzero(mask)
+    pair, kind = np.divmod(at, 3)
+    tail, head = np.divmod(pair, n)
+    su, sv, x = s[tail], s[head], x.ravel()[pair]
+    t = inst.time
+    bus, bridge = kind == _BUS_EDGE, kind == _BRIDGE_EDGE
+    g = np.where(bus, w.tau[h[tail], h[head]], w.gamma[su, sv])
+    f = np.where(bus, t[su, sv] + inst.wait_matrix[h[tail], h[head]], t[su, sv])
+    g[bridge] = w.gamma[su, x][bridge] + w.gamma[x, sv][bridge]
+    f[bridge] = t[su, x][bridge] + t[x, sv][bridge]
+    return nodes, tail, head, g, f, np.where(bus, arc.ravel()[pair], -1), np.where(bridge, x, -1)
+
+
+def _build_graph(inst: Instance, open_arcs, o: int, d: int):
+    """The trip's search graph over ``_edges``, u -> [(v, g, f, legs,
+    seq_ext, modes_ext)]. The heap key orders labels completely, so the
+    adjacency order never changes a route."""
+    nodes, tail, head, g, f, arc, relay = _edges(inst, _arc_labels(inst, open_arcs), o, d)
     adj = {u: [] for u in nodes}
-    for u in nodes:
-        if u == d:
-            continue
-        out = adj[u]
-        for v in nodes:
-            if v == u or v == o:
-                continue
-            both_hubs = u in hubset and v in hubset
-            if both_hubs and (u, v) in open_arcs:
-                out.append(_bus(inst, w, u, v))
-            if not both_hubs or between or (u == o and v == d):
-                out.append(_shuttle(inst, w, u, v))
-            for x in bridges.get((u, v), ()):
-                if x == o or x == d:
-                    continue
-                out.append(_bridge(inst, w, u, x, v))
-                break
+    for u, v, dg, df, a, x in zip(tail.tolist(), head.tolist(), g.tolist(), f.tolist(),
+                                  arc.tolist(), relay.tolist()):
+        v = nodes[v]
+        if x >= 0:
+            edge = (v, dg, df, 2, (inst.stops[x], v), (SHUTTLE, SHUTTLE))
+        else:
+            edge = (v, dg, df, 1, (v,), (BUS,) if a >= 0 else (SHUTTLE,))
+        adj[nodes[u]].append(edge)
     return adj
 
 
@@ -281,10 +296,10 @@ def _hop_table(inst: Instance):
 
     ``terms[:, kind, u, v]`` holds the hop's g and f increments and the km
     of its first and second shuttle leg (0 where it has none), the values
-    ``_bus``, ``_shuttle`` and ``_bridge`` give. ``usable[kind, u, v]``
-    says whether the instance has the hop: hub-to-hub shuttles when they
-    run and otherwise each pair's first bridge; bus hops need their arc
-    open in the design, so none is usable here."""
+    ``_edges`` gives. ``usable[kind, u, v]`` says whether the instance has
+    the hop: hub-to-hub shuttles when they run and otherwise each pair's
+    first bridge; bus hops need their arc open in the design, so none is
+    usable here."""
     if "hop_table" not in inst._caches:
         w = weights_of(inst)
         sidx = inst.stop_index
@@ -298,12 +313,8 @@ def _hop_table(inst: Instance):
         if inst.params.shuttle_between_hubs:
             usable[_SHUTTLE_HOP] = ~np.eye(nh, dtype=bool)
         else:
-            x = np.zeros((nh, nh), dtype=int)
-            hidx = inst.hub_index
-            for (h, l), relays in _bridge_table(inst).items():
-                if relays:
-                    x[hidx[h], hidx[l]] = sidx[relays[0]]
-                    usable[_BRIDGE_HOP, hidx[h], hidx[l]] = True
+            x = _relays(inst)[..., 0]
+            usable[_BRIDGE_HOP] = (x >= 0) & ~np.eye(nh, dtype=bool)
             terms[:, _BRIDGE_HOP] = (w.gamma[u, x] + w.gamma[x, v], inst.time[u, x] + inst.time[x, v],
                                      inst.dist[u, x], inst.dist[x, v])
         terms.setflags(write=False)
@@ -488,9 +499,10 @@ def _table_legs(inst: Instance, paths: _HubPaths, o: int, d: int, pick: int):
         if code < 0:
             continue
         kind, rest = divmod(code, nh * nh)
-        u, v = (hubs[k] for k in divmod(rest, nh))
+        i, j = divmod(rest, nh)
+        u, v = hubs[i], hubs[j]
         if kind == _BRIDGE_HOP:
-            x = _bridge_table(inst)[(u, v)][0]
+            x = inst.stops[_relays(inst)[i, j, 0]]
             legs += [(SHUTTLE, u, x), (SHUTTLE, x, v)]
         else:
             legs.append((BUS if kind == _BUS_HOP else SHUTTLE, u, v))

@@ -195,6 +195,87 @@ def oracle_route(trip, design):
     return g, f, leg_list
 
 
+# -- per-pair reference for the search graph and the flow blocks ------------
+
+
+def bridge_table(inst):
+    """``router._relays`` as stop ids, (h, l) -> relays, per ordered hub pair."""
+    relays = router._relays(inst)
+    return {(h, l): tuple(inst.stops[x] for x in relays[i, j] if x >= 0)
+            for i, h in enumerate(inst.hubs) for j, l in enumerate(inst.hubs) if l != h}
+
+
+def reference_graph(inst, open_arcs, o, d):
+    """The trip's search graph built one node pair at a time, as the
+    router built it before its edges became arrays: u -> [(v, g, f, legs,
+    seq_ext, modes_ext)] over the endpoints and the hubs (every stop
+    when the instance is not metric), a bus leg on each open arc, a
+    shuttle leg unless both ends are hubs (hub-to-hub shuttles allowed,
+    or the pair being o -> d), and a bridge through each hub pair's first
+    relay other than o and d while hub-to-hub shuttles are banned."""
+    w = weights_of(inst)
+    sidx, hidx = inst.stop_index, inst.hub_index
+    hubset = set(inst.hubs)
+    between = inst.params.shuttle_between_hubs
+    if inst.metric_consistent:
+        nodes = {o, d} | hubset
+        bridges = {} if between else bridge_table(inst)
+    else:
+        nodes, bridges = inst.stops, {}
+    adj = {u: [] for u in nodes}
+    for u in nodes:
+        if u == d:
+            continue
+        ui = sidx[u]
+        for v in nodes:
+            if v == u or v == o:
+                continue
+            vi = sidx[v]
+            both_hubs = u in hubset and v in hubset
+            if both_hubs and (u, v) in open_arcs:
+                hu, hv = hidx[u], hidx[v]
+                adj[u].append((v, float(w.tau[hu, hv]),
+                               float(inst.time[ui, vi] + inst.wait_matrix[hu, hv]),
+                               1, (v,), (BUS,)))
+            if not both_hubs or between or (u == o and v == d):
+                adj[u].append((v, float(w.gamma[ui, vi]), float(inst.time[ui, vi]),
+                               1, (v,), (SHUTTLE,)))
+            for x in bridges.get((u, v), ()):
+                if x == o or x == d:
+                    continue
+                xi = sidx[x]
+                adj[u].append((v, float(w.gamma[ui, xi] + w.gamma[xi, vi]),
+                               float(inst.time[ui, xi] + inst.time[xi, vi]),
+                               2, (x, v), (SHUTTLE, SHUTTLE)))
+                break
+    return adj
+
+
+def reference_block(trip, inst):
+    """The trip's flow block from ``reference_graph`` with every candidate
+    arc open, numbered and pruned as ``make_cut`` does: (tail, head, g,
+    arc, nodes)."""
+    from odmts.dfd import _distances
+
+    o, d = trip.origin, trip.destination
+    adj = reference_graph(inst, frozenset(inst.candidate_arcs), o, d)
+    pos = {u: i for i, u in enumerate([o] + [u for u in adj if u not in (o, d)] + [d])}
+    arc_pos = {a: i for i, a in enumerate(inst.candidate_arcs)}
+    edges = [(pos[u], pos[v], g, arc_pos[(u, v)] if modes == (BUS,) else -1)
+             for u, out in adj.items() for v, g, _, _, _, modes in out]
+    tail, head, g, arc = (np.array(col) for col in zip(*edges))
+    g, n = g.astype(float), len(pos)
+    so, sd = _distances(tail, head, g, n, 0), _distances(head, tail, g, n, n - 1)
+    through = so[tail] + g + sd[head]
+    direct = g[(tail == 0) & (head == n - 1) & (arc < 0)]
+    keep = through <= direct.min(initial=np.inf)
+    used = np.zeros(n, dtype=bool)
+    used[[0, n - 1]] = True
+    used[tail[keep]] = used[head[keep]] = True
+    number = np.cumsum(used) - 1
+    return number[tail[keep]], number[head[keep]], g[keep], arc[keep], int(used.sum())
+
+
 # -- independent price of a flow block ----------------------------------------
 
 

@@ -10,6 +10,7 @@ from odmts import (
     Instance,
     Trip,
     TripClass,
+    ValidationError,
     arc_s1,
     choice,
     design_objective,
@@ -108,6 +109,14 @@ class TestEvalDesign:
     def test_unknown_tset_rejected(self, example_instance):
         with pytest.raises(Exception, match="unknown trip"):
             eval_design(example_instance, Design.minimal(example_instance), tset={99})
+
+    @pytest.mark.parametrize("tset", [[True], [1.0], [999], [1, True]])
+    def test_non_integer_or_unknown_ids_rejected(self, tset):
+        # True and 1.0 equal trip id 1 as set members; they are refused,
+        # as solve_dfd refuses them, not read as that trip
+        inst = tiny_instance(0)
+        with pytest.raises(ValidationError, match="unknown trip ids"):
+            eval_design(inst, Design.minimal(inst), tset)
 
     def test_adoption_consistency(self):
         inst = tiny_instance(6)

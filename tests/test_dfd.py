@@ -18,10 +18,12 @@ from odmts import (
     solve_dfd,
     solve_master,
 )
-from odmts.dfd import TripBlock, _direct_flags
+from odmts import highs
+from odmts.adoption import arcs_cost
+from odmts.dfd import FlowModel, TripBlock, _direct_flags
 from odmts.trip_heuristics import _DfdCache
-from conftest import block_price, make_example_instance, tiny_instance
-from test_router import grid_instance
+from conftest import block_price, make_example_instance, reference_block, tiny_instance
+from test_router import EDGE_CASES, grid_instance
 
 
 def hub_origin_instance(seed):
@@ -111,6 +113,17 @@ class TestMakeCut:
                     route(trip, z).g, rel=1e-12
                 )
 
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_matches_per_pair_reference(self, case):
+        # the array-built block is the per-pair loop's, array for array
+        for inst in EDGE_CASES[case]():
+            for trip in inst.trips:
+                block = make_cut(trip, inst)
+                *want, nodes = reference_block(trip, inst)
+                assert block.nodes == nodes
+                for got, ref in zip((block.tail, block.head, block.g, block.arc), want):
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
 
 class TestSolveMaster:
     def test_two_design_enumeration(self, example_instance):
@@ -145,6 +158,49 @@ class TestSolveMaster:
         design, value, _, _ = solve_master(example_instance, [block])
         assert design.open_arcs == frozenset()
         assert value == pytest.approx(3.0)
+
+    def test_tie_two_arcs_from_the_incumbent(self, example_instance):
+        # the direct edge costs what the bus path costs with both arcs paid
+        # for, so the backbone and the cycle (1, 2), (2, 1) tie exactly.
+        # The LP picks the cycle; the backbone, two arcs away and the
+        # smaller arc tuple, must still be found within the tie cap
+        inst = example_instance
+        bus = inst.candidate_arcs.index((1, 2))
+        block = TripBlock(
+            trip=inst.trips[0], tail=np.array([0, 0, 1, 2]), head=np.array([3, 1, 2, 3]),
+            g=np.array([12.5, 0.5, 7.5, 0.5]), arc=np.array([-1, -1, bus, -1]), nodes=4,
+        )
+        model = FlowModel(inst)
+        model.use([block])
+        value, inc = highs.branch(model.solver, np.zeros(2), np.ones(2), np.inf, False, [])
+        assert value == 12.5 and inc.all()
+        prices = {z.key(): arcs_cost(inst, z.open_arcs) + block_price(inst, block, z.open_arcs)
+                  for z in balanced_designs(inst)}
+        assert prices == {(): 12.5, ((1, 2), (2, 1)): 12.5}
+        design, value, _, _ = solve_master(inst, [block])
+        assert design.key() == () and value == 12.5
+
+    def test_fractional_no_good_lp_within_the_cap(self):
+        # the incumbent is the only integral design within the tie cap, but
+        # the LP under the no-good row is fractional and within the cap
+        # too; the search under the row proves the incumbent unique, where
+        # the arc-by-arc tie pass took 19 LPs in all
+        inst = tiny_instance(24, n_stops=12, n_hubs=4, core=6, mid=6, high=4)
+        tset = [0, 1, 2, 3, 5, 7, 8, 11, 12, 13, 15]
+        direct = _direct_flags(inst)
+        blocks = [make_cut(inst.trip_by_id(t), inst) for t in tset if not direct[t]]
+        model = FlowModel(inst)
+        model.use(blocks)
+        na = len(inst.candidate_arcs)
+        best, inc = highs.branch(model.solver, np.zeros(na), np.ones(na), np.inf, False, [])
+        model.exclude(inc)
+        other = highs.solve(model.solver, np.zeros(na), np.ones(na), np.inf, [])
+        assert other[0] <= best * (1 + 1e-9)  # so every optimum of it is fractional
+        design, value, _, solves = solve_master(inst, blocks)
+        slow = enumerate_dfd(inst, [b.trip.id for b in blocks])
+        assert design.key() == slow.design.key() and design.open_arcs
+        assert value == pytest.approx(slow.objective, rel=1e-12)
+        assert solves < 19
 
     @pytest.mark.parametrize(
         "inst",

@@ -78,6 +78,42 @@ class TestCutoff:
         assert res[0] == pytest.approx(150 * 151 / 2, rel=1e-12)
 
 
+class RefusingBound:
+    """A solver that refuses the ``objective_bound`` option."""
+
+    def __init__(self, solver):
+        self.solver = solver
+
+    def __getattr__(self, name):
+        return getattr(self.solver, name)
+
+    def setOptionValue(self, option, value):
+        if option == "objective_bound":
+            return highs.core().HighsStatus.kError
+        return self.solver.setOptionValue(option, value)
+
+
+class TestOptions:
+    def test_dual_pricing_is_devex(self):
+        status, value = pair_model().getOptionValue("simplex_dual_edge_weight_strategy")
+        assert status == highs.core().HighsStatus.kOk and value == 1
+
+    def test_unknown_option_raises(self, monkeypatch):
+        monkeypatch.setattr(highs, "OPTIONS", highs.OPTIONS + (("no_such_option", 1),))
+        with pytest.raises(RuntimeError, match="^HiGHS rejected option no_such_option = 1$"):
+            pair_model()
+
+    def test_rejected_value_raises(self, monkeypatch):
+        # a known option with a value outside its range
+        monkeypatch.setattr(highs, "OPTIONS", (("simplex_dual_edge_weight_strategy", 9),))
+        with pytest.raises(RuntimeError, match="simplex_dual_edge_weight_strategy = 9$"):
+            pair_model()
+
+    def test_rejected_objective_bound_raises(self):
+        with pytest.raises(RuntimeError, match="^HiGHS rejected option objective_bound = "):
+            highs.solve(RefusingBound(pair_model()), np.zeros(2), np.ones(2), np.inf, [])
+
+
 class TestCore:
     def test_missing_file(self, tmp_path, monkeypatch):
         monkeypatch.delitem(sys.modules, highs.MODULE, raising=False)

@@ -18,8 +18,8 @@ from odmts import (
 )
 from odmts import router
 from odmts.dfd import balanced_designs
-from odmts.router import BUS, SHUTTLE, _bridge_table, _build_graph, _lex_search, trip_arrays
-from conftest import oracle_route, random_design, tiny_instance
+from odmts.router import BUS, SHUTTLE, _build_graph, _lex_search, trip_arrays
+from conftest import bridge_table, oracle_route, random_design, reference_graph, tiny_instance
 
 
 class TestDesign:
@@ -286,6 +286,70 @@ def grid_instance(points, hubs, trips, **params):
     )
 
 
+def non_metric(base, shuttles=False):
+    """``base`` with one symmetric random factor on both matrices, which
+    breaks the triangle inequality."""
+    rng = np.random.default_rng(len(base.stops))
+    factor = rng.uniform(0.5, 2.0, size=base.time.shape)
+    factor = (factor + factor.T) / 2.0
+    inst = Instance(
+        stops=base.stops, hubs=base.hubs, time=base.time * factor, dist=base.dist * factor,
+        trips=base.trips, params=dataclasses.replace(base.params, shuttle_between_hubs=shuttles),
+    )
+    assert not inst.metric_consistent
+    return inst
+
+
+DESK = dict(stops=100, hubs=8, buses_per_leg=4.0, candidate=4)
+
+# Instance lists whose search graphs and flow blocks are checked against
+# the per-pair reference: the benchmark's three instances, the tiny
+# suite, trips from and to hubs, hub-to-hub shuttles and non-metric ones.
+EDGE_CASES = {
+    "trip-gagr": lambda: [generate_synthetic(GeneratorConfig(
+        classes=(TripClass(30, None), TripClass(50, 2.0), TripClass(20, 1.5)), **DESK), 12)],
+    "arc-s2-desk": lambda: [generate_synthetic(GeneratorConfig(
+        classes=(TripClass(60, None), TripClass(100, 2.0), TripClass(40, 1.5)), **DESK), 11)],
+    "eval-sweep": lambda: [generate_synthetic(GeneratorConfig(
+        stops=200, hubs=12, classes=(TripClass(90, None), TripClass(150, 2.0), TripClass(60, 1.5)),
+        buses_per_leg=4.0, candidate="all"), 11)],
+    "tiny_suite": lambda: [tiny_instance(seed) for seed in range(50)],
+    **{case: (lambda build=build: [build()]) for case, build in TABLE_CASES.items()},
+    "non_metric": lambda: [non_metric(tiny_instance(seed, n_stops=10, n_hubs=4), shuttles)
+                           for seed in range(4) for shuttles in (False, True)],
+}
+
+
+class TestSearchGraph:
+    @pytest.mark.parametrize("case", ["tiny_suite", *TABLE_CASES, "non_metric"])
+    def test_matches_per_pair_reference(self, case):
+        # same nodes, edges, order and values as the per-pair loop, under
+        # the backbone and random designs
+        for inst in EDGE_CASES[case]()[:12]:
+            rng = np.random.default_rng(len(inst.trips))
+            designs = [Design.minimal(inst)] + [random_design(inst, rng) for _ in range(3)]
+            for z in designs:
+                for t in inst.trips:
+                    o, d = t.origin, t.destination
+                    want = reference_graph(inst, z.open_arcs, o, d)
+                    assert list(_build_graph(inst, z.open_arcs, o, d).items()) == list(want.items())
+
+    def test_no_relay_left(self):
+        # a single non-hub stop is the only relay of every hub pair, so a
+        # trip that starts or ends there gets no bridge; with every stop a
+        # hub there is no relay at all
+        one = grid_instance([(0, 0), (5, 0), (0, 5), (3, 3)], hubs=(0, 1, 2),
+                            trips=[(3, 0), (0, 3)])
+        assert all(len(r) == 1 for r in bridge_table(one).values())
+        none = grid_instance([(0, 0), (5, 0), (0, 5)], hubs=(0, 1, 2), trips=[(1, 2)])
+        for inst in (one, none):
+            for t in inst.trips:
+                o, d = t.origin, t.destination
+                got = _build_graph(inst, frozenset(), o, d)
+                assert list(got.items()) == list(reference_graph(inst, frozenset(), o, d).items())
+                assert all(len(e[4]) == 1 for out in got.values() for e in out)
+
+
 class TestHubPathTable:
     @pytest.mark.parametrize("case", list(TABLE_CASES))
     def test_matches_per_trip_search(self, case, searches):
@@ -352,8 +416,8 @@ class TestHubPathTable:
             [(0, 0), (1, 0), (10, 0), (9, 0)], hubs=(1, 2), trips=[(0, 3), (3, 0)],
             theta=0.01, wait=5.0,
         )
-        assert _bridge_table(inst)[(1, 2)][0] == 3
-        assert _bridge_table(inst)[(2, 1)][0] == 3
+        assert bridge_table(inst)[(1, 2)][0] == 3
+        assert bridge_table(inst)[(2, 1)][0] == 3
         z = Design(inst, frozenset({(1, 2), (2, 1)}))
         for trip in inst.trips:
             r = route(trip, z)
