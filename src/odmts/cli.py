@@ -25,7 +25,8 @@ from . import __version__
 from .adoption import eval_design, exact_tiny
 from .dfd import CapExceeded, SolveError, solve_dfd
 from .generator import GeneratorConfig, TripClass, generate_synthetic
-from .instance import Instance, InstanceParseError, ValidationError, load_instance, save_instance
+from .instance import (Instance, InstanceParseError, ValidationError, _integral, load_instance,
+                       save_instance)
 from .router import Design
 from .trace import HeuristicTrace, write_trace_csv
 from .trip_heuristics import eta_grre, rho_gagr, rho_grad
@@ -145,9 +146,7 @@ def cmd_solve(args) -> int:
 
 def _int_list(value) -> bool:
     """A JSON list of integers (true/false excluded)."""
-    return isinstance(value, list) and all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    )
+    return isinstance(value, list) and all(map(_integral, value))
 
 
 def cmd_evaluate(args) -> int:

@@ -236,9 +236,7 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
     2. fixed arcs and arcs the incumbent opens stay open;
     3. otherwise the arc is probed forced open, depth first, taking the
        first integral solution within the cap, and closed when there is
-       none. The probe is skipped when the root LP value plus the arc's
-       root reduced cost exceeds the cap: the root duals stay feasible
-       under any bound change, so that sum bounds the probe.
+       none.
 
     Every LP is solved under the cap of its search (see ``highs.solve``).
     """
@@ -255,7 +253,7 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
     if found is None:
         raise ValidationError("master infeasible: fixed arcs cannot be balanced")
     best, inc = found
-    root, _, rc = log[0]
+    root = log[0][0]
     cap = best + _TIE * abs(best)
     if inc.any() and not _unique(model, inc, lo, up, cap, log):
         for i in range(na):
@@ -269,11 +267,9 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
                         inc = lo > 0.5
                         break
             if not (is_fixed[i] or inc[i]):
-                probe = None
-                if root + rc[i] <= cap + highs.DUAL_SLACK:
-                    forced = lo.copy()
-                    forced[i] = 1.0
-                    probe = highs.branch(solver, forced, up, cap, True, log)
+                forced = lo.copy()
+                forced[i] = 1.0
+                probe = highs.branch(solver, forced, up, cap, True, log)
                 if probe is None:
                     up[i] = 0.0
                     continue
@@ -298,7 +294,12 @@ def _unique(model, inc, lo, up, cap, log) -> bool:
 
 @dataclass(frozen=True)
 class DfdSolution:
-    """Optimal fixed-demand design with its trip set and solve record."""
+    """Optimal fixed-demand design with its trip set and solve record.
+
+    ``design``, ``objective`` and ``tset`` depend on the solve's inputs
+    alone. On a shared ``FlowModel`` the root LP value in ``bounds`` (in
+    its last bits) and ``iterations`` also depend on the warm basis that
+    earlier solves on the model left behind."""
 
     design: Design
     objective: float

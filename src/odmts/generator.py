@@ -140,7 +140,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Instance:
         ticket=config.ticket,
         shuttle_between_hubs=config.shuttle_between_hubs,
         candidate=config.candidate,
-        fixed_arcs=tuple(tuple(a) for a in config.fixed_arcs),
+        fixed_arcs=config.fixed_arcs,
         fixed_arc_costed=config.fixed_arc_costed,
     )
     return Instance(

@@ -120,11 +120,10 @@ def grow(highs, cost, upper, row_lower, row_upper, rows, cols, vals):
 
 def solve(highs, lo, up, cap, log):
     """Solve with the first len(lo) columns bounded by (lo, up) and append
-    (value, their values, their reduced costs) to ``log``, or None when
-    the LP is infeasible or its value provably exceeds ``cap``; returns
-    that entry. The dual simplex stops once its bound passes ``cap`` plus
-    ``DUAL_SLACK``, so a value within the slack above ``cap`` is still
-    returned in full."""
+    (value, their values) to ``log``, or None when the LP is infeasible
+    or its value provably exceeds ``cap``; returns that entry. The dual
+    simplex stops once its bound passes ``cap`` plus ``DUAL_SLACK``, so a
+    value within the slack above ``cap`` is still returned in full."""
     n = len(lo)
     highs.changeColsBounds(n, np.arange(n, dtype=np.int32), lo, up)
     _set(highs, "objective_bound", cap + DUAL_SLACK)
@@ -136,7 +135,7 @@ def solve(highs, lo, up, cap, log):
     elif status in (statuses.kOptimal, statuses.kModelEmpty):
         sol = highs.getSolution()
         value = highs.getInfo().objective_function_value
-        log.append((value, np.array(sol.col_value[:n]), np.array(sol.col_dual[:n])))
+        log.append((value, np.array(sol.col_value[:n])))
     else:
         raise SolveError(f"HiGHS ended with status {highs.modelStatusToString(status)}")
     return log[-1]
@@ -155,7 +154,7 @@ def branch(highs, lo, up, cap, first, log):
         res = solve(highs, lo, up, cap, log)
         if res is None or res[0] > cap:
             continue
-        value, x, _ = res
+        value, x = res
         frac = np.flatnonzero(np.abs(x - np.round(x)) > INT_TOL)
         if not frac.size:
             best = (value, x > 0.5)

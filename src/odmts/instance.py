@@ -19,6 +19,7 @@ across threads.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -35,13 +36,18 @@ LATENT = "latent"
 PER_DISTANCE = "per_distance"
 PER_TIME = "per_time"
 
+# CostParams fields that must be finite numbers.
+_RATES = ("theta", "omega", "bus_rate", "buses_per_leg", "ticket")
+
 
 class ValidationError(ValueError):
-    """An instance violates one of its structural invariants."""
+    """An instance value breaks one of its rules, whatever its source."""
 
 
 class InstanceParseError(ValueError):
-    """The file is not a well-formed instance document."""
+    """The file is not a well-formed instance document: not JSON, not a
+    mapping, another schema, a section or key missing, or a section of
+    the wrong container type."""
 
 
 def _finite(x) -> bool:
@@ -54,62 +60,9 @@ def _integral(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _int(v) -> int:
-    """A JSON integer; ``2.7``, ``"3"`` and ``true`` are refused, not coerced."""
-    if not _integral(v):
-        raise TypeError(f"expected an integer, got {v!r}")
-    return int(v)
-
-
-def _real(v) -> float:
-    """A finite JSON number; strings, booleans and NaN are refused."""
-    if not _finite(v):
-        raise TypeError(f"expected a finite number, got {v!r}")
-    return float(v)
-
-
-def _ids(v) -> tuple:
-    """A JSON list of integers, as a tuple."""
-    if not isinstance(v, (list, tuple)) or not all(_integral(x) for x in v):
-        raise TypeError(f"expected a list of integers, got {v!r}")
-    return tuple(v)
-
-
-def _arcs(v) -> tuple:
-    """A JSON list of [h, l] integer pairs, as a tuple of tuples."""
-    if not isinstance(v, (list, tuple)):
-        raise TypeError(f"expected a list of [h, l] hub pairs, got {v!r}")
-    arcs = tuple(_ids(a) for a in v)
-    if any(len(a) != 2 for a in arcs):
-        raise ValueError("expected [h, l] hub pairs")
-    return arcs
-
-
-def _flag(v) -> bool:
-    """A JSON boolean; strings such as "no" are not read as true."""
-    if not isinstance(v, bool):
-        raise TypeError(f"expected true or false, got {v!r}")
-    return v
-
-
-def _floats(v) -> np.ndarray:
-    return np.array(v, dtype=float)
-
-
-_REQUIRED = object()
-
-
-def _field(doc: dict, key: str, convert, where: str, default=_REQUIRED):
-    """``convert(doc[key])``; a missing or unconvertible value is a parse
-    error naming the key."""
-    if key not in doc:
-        if default is _REQUIRED:
-            raise InstanceParseError(f"{where}: missing key {key!r}")
-        return default
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError) as e:
-        raise InstanceParseError(f"{where}: bad {key!r}: {e}") from None
+def _bad(where: str, key: str, expected: str, value) -> ValidationError:
+    """The error for a value of the wrong type, named as in the document."""
+    return ValidationError(f"{where}: bad {key!r}: expected {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -200,7 +153,10 @@ class WeightTable:
 
 
 def _as_matrix(rows, n: int, name: str) -> np.ndarray:
-    m = np.array(rows, dtype=float, copy=True)
+    try:
+        m = np.array(rows, dtype=float, copy=True)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"instance: bad {name!r}: {e}") from None
     if m.shape != (n, n):
         raise ValidationError(f"{name} must be {n}x{n}, got {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -215,9 +171,9 @@ def _as_matrix(rows, n: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Instance:
-    """Immutable problem instance. Build via ``from_dict``/``load_instance``
-    or the synthetic generator; direct construction skips no validation
-    either (``__post_init__`` runs it).
+    """Immutable problem instance. Build via ``from_dict``/``load_instance``,
+    the synthetic generator or directly: ``__post_init__`` runs every
+    value rule on all three paths and raises ``ValidationError``.
     """
 
     stops: tuple[int, ...]
@@ -229,6 +185,10 @@ class Instance:
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        for key in ("stops", "hubs"):
+            ids = getattr(self, key)
+            if not isinstance(ids, (list, tuple)) or not all(map(_integral, ids)):
+                raise _bad("instance", key, "a list of integers", ids)
         object.__setattr__(self, "stops", tuple(int(s) for s in self.stops))
         object.__setattr__(self, "hubs", tuple(sorted(int(h) for h in self.hubs)))
         object.__setattr__(self, "trips", tuple(self.trips))
@@ -244,11 +204,25 @@ class Instance:
         self._validate_params()
         self._validate_trips()
         self._validate_fixed_arcs()
+        # one form whatever the entry point: float rates, a float wait
+        # matrix (a scalar wait stays as given), fixed arcs as tuple pairs
+        p = self.params
+        object.__setattr__(self, "params", dataclasses.replace(
+            p, **{key: float(getattr(p, key)) for key in _RATES},
+            wait=p.wait if np.isscalar(p.wait) else np.asarray(p.wait, dtype=float),
+            fixed_arcs=tuple(tuple(a) for a in p.fixed_arcs),
+        ))
 
     # -- validation ----------------------------------------------------
 
     def _validate_params(self):
         p = self.params
+        for key in _RATES:
+            if not _finite(getattr(p, key)):
+                raise _bad("params", key, "a finite number", getattr(p, key))
+        for key in ("shuttle_between_hubs", "fixed_arc_costed"):
+            if not isinstance(getattr(p, key), bool):
+                raise _bad("params", key, "true or false", getattr(p, key))
         if not 0.0 <= p.theta <= 1.0:
             raise ValidationError("theta out of range [0, 1]")
         if p.omega < 0 or p.ticket < 0 or p.buses_per_leg < 0 or p.bus_rate < 0:
@@ -261,7 +235,10 @@ class Instance:
             if not _finite(wait) or wait < 0:
                 raise ValidationError("wait must be finite and non-negative")
         else:
-            wait = np.asarray(wait, dtype=float)
+            try:
+                wait = np.asarray(wait, dtype=float)
+            except (TypeError, ValueError) as e:
+                raise ValidationError(f"params: bad 'wait': {e}") from None
             if wait.shape != (nh, nh):
                 raise ValidationError(f"wait must be {nh}x{nh}")
             if np.any(wait < 0) or not np.all(np.isfinite(wait)):
@@ -269,11 +246,21 @@ class Instance:
         if p.candidate != "all":
             if isinstance(p.candidate, bool) or not isinstance(p.candidate, int) or p.candidate < 1:
                 raise ValidationError("candidate must be 'all' or a positive integer k")
+        if not isinstance(p.fixed_arcs, (list, tuple)):
+            raise _bad("params", "fixed_arcs", "a list of [h, l] hub pairs", p.fixed_arcs)
+        for a in p.fixed_arcs:
+            if not isinstance(a, (list, tuple)) or not all(map(_integral, a)):
+                raise _bad("params", "fixed_arcs", "a list of integers", a)
+        if any(len(a) != 2 for a in p.fixed_arcs):
+            raise ValidationError("params: bad 'fixed_arcs': expected [h, l] hub pairs")
 
     def _validate_trips(self):
         known = set(self.stops)
         seen = set()
-        for t in self.trips:
+        for k, t in enumerate(self.trips):
+            for key in ("id", "origin", "destination"):
+                if not _integral(getattr(t, key)):
+                    raise _bad(f"trip entry {k}", key, "an integer", getattr(t, key))
             if t.id in seen:
                 raise ValidationError(f"duplicate trip id {t.id}")
             seen.add(t.id)
@@ -375,7 +362,7 @@ class Instance:
 
     @property
     def fixed_arcs(self) -> frozenset:
-        return frozenset(tuple(a) for a in self.params.fixed_arcs)
+        return frozenset(self.params.fixed_arcs)
 
     @property
     def core_trips(self) -> tuple[Trip, ...]:
@@ -431,6 +418,9 @@ class Instance:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Instance":
+        """The instance of a schema-1 document. Values go to ``Trip``,
+        ``CostParams`` and ``Instance`` as read; ``__post_init__`` checks
+        them."""
         if not isinstance(doc, dict):
             raise InstanceParseError("instance document must be a mapping")
         if doc.get("schema") != SCHEMA_VERSION:
@@ -446,46 +436,28 @@ class Instance:
             raise InstanceParseError("'params' must be a mapping")
         trips = []
         for k, td in enumerate(doc["trips"]):
-            where = f"trip entry {k}"
             if not isinstance(td, dict):
-                raise InstanceParseError(f"{where} must be a mapping")
-            trips.append(
-                Trip(
-                    id=_field(td, "id", _int, where),
-                    origin=_field(td, "origin", _int, where),
-                    destination=_field(td, "destination", _int, where),
-                    riders=_field(td, "riders", lambda v: v, where),
-                    kind=td.get("kind", CORE),
-                    alpha=td.get("alpha"),
-                    t_cur=td.get("t_cur"),
-                )
-            )
-        p = doc["params"]
-        wait = _field(p, "wait", lambda v: v if np.isscalar(v) else _floats(v), "params", 7.5)
-        params = CostParams(
-            theta=_field(p, "theta", _real, "params"),
-            omega=_field(p, "omega", _real, "params"),
-            bus_cost_mode=p.get("bus_cost_mode", PER_DISTANCE),
-            bus_rate=_field(p, "bus_rate", _real, "params", 3.87),
-            buses_per_leg=_field(p, "buses_per_leg", _real, "params", 16.0),
-            wait=wait,
-            ticket=_field(p, "ticket", _real, "params", 2.5),
-            shuttle_between_hubs=_field(p, "shuttle_between_hubs", _flag, "params", False),
-            candidate=p.get("candidate", "all"),
-            fixed_arcs=_field(p, "fixed_arcs", _arcs, "params", ()),
-            fixed_arc_costed=_field(p, "fixed_arc_costed", _flag, "params", True),
-        )
+                raise InstanceParseError(f"trip entry {k} must be a mapping")
+            trips.append(_read(Trip, td, f"trip entry {k}"))
         return cls(
-            stops=_field(doc, "stops", _ids, "instance"),
-            hubs=_field(doc, "hubs", _ids, "instance"),
-            time=_field(doc, "time", _floats, "instance"),
-            dist=_field(doc, "dist", _floats, "instance"),
-            trips=tuple(trips),
-            params=params,
+            stops=doc["stops"], hubs=doc["hubs"], time=doc["time"], dist=doc["dist"],
+            trips=tuple(trips), params=_read(CostParams, doc["params"], "params"),
         )
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+
+
+def _read(kind, doc: dict, where: str):
+    """A ``kind`` built from the keys of ``doc`` that name its fields, as
+    read; a field without a default must be there."""
+    args = {}
+    for f in dataclasses.fields(kind):
+        if f.name in doc:
+            args[f.name] = doc[f.name]
+        elif f.default is dataclasses.MISSING:
+            raise InstanceParseError(f"{where}: missing key {f.name!r}")
+    return kind(**args)
 
 
 def _satisfies_triangle(m: np.ndarray, tol: float = 1e-9) -> bool:

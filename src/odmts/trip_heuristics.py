@@ -40,10 +40,12 @@ def _core_ids(inst: Instance) -> frozenset:
 
 
 class _DfdCache:
-    """Memoizes fixed-demand solves within one heuristic run; identical
-    (trip set, fixed arcs) inputs always yield identical solutions. The
-    run's solves share one ``FlowModel``, each starting warm from the
-    last."""
+    """Memoizes fixed-demand solves within one heuristic run. The run's
+    solves share one ``FlowModel``, each starting warm from the last.
+    Identical (trip set, fixed arcs) inputs always yield the same design,
+    objective and tset; the root LP value in ``bounds`` and
+    ``iterations`` also depend on the warm basis the run's earlier
+    solves left behind."""
 
     def __init__(self, inst):
         self.inst = inst

@@ -46,7 +46,11 @@ class TestGenerate:
         ("--speed-kmh=0", "speed_kmh must be finite and > 0, got 0.0"),
         ("--max-riders=0", "max_riders must be >= 1, got 0"),
         ("--classes=5:core/-2:2.0", "trip class count must be >= 0, got -2"),
-    ], ids=["square_km", "speed_kmh", "max_riders", "class_count"])
+        ("--omega=nan", "params: bad 'omega': expected a finite number, got nan"),
+        ("--buses-per-leg=inf", "params: bad 'buses_per_leg': expected a finite number, got inf"),
+        ("--ticket=nan", "params: bad 'ticket': expected a finite number, got nan"),
+    ], ids=["square_km", "speed_kmh", "max_riders", "class_count", "omega_nan",
+            "buses_per_leg_inf", "ticket_nan"])
     def test_bad_config_exits_one(self, tmp_path, capsys, flag, message):
         path = tmp_path / "x.json"
         assert main(gen_args(path) + [flag]) == 1

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from odmts import (
+    CostParams,
     GeneratorConfig,
     Instance,
     InstanceParseError,
+    Trip,
     TripClass,
     ValidationError,
     derive_weights,
@@ -110,7 +112,8 @@ class TestLoadInstance:
             (("params", "theta"), DELETE, "'theta'"),
             (("trips",), 5, "trips"),
             (("trips",), {"0": {"id": 0}}, "trips"),
-            # the "bad 'key'" messages come from InstanceParseError only
+            # a bad value raises ValidationError, as it does when the
+            # instance is built directly; the message names the key
             (("stops",), 5, "bad 'stops'"),
             (("hubs",), [None], "bad 'hubs'"),
             (("params", "fixed_arcs"), 5, "bad 'fixed_arcs'"),
@@ -131,19 +134,98 @@ class TestLoadInstance:
              "id_fraction", "origin_str", "theta_bool", "omega_str", "ticket_nan"],
     )
     def test_malformed_document_rejected(self, tmp_path, path, value, match):
-        doc = small_doc()
-        *parents, last = path
-        target = doc
-        for key in parents:
-            target = target[key]
-        if value is DELETE:
-            del target[last]
-        else:
-            target[last] = value
         f = tmp_path / "bad.json"
-        f.write_text(json.dumps(doc))
+        f.write_text(json.dumps(changed_doc(path, value)))
         with pytest.raises((InstanceParseError, ValidationError), match=match):
             load_instance(f)
+
+    @pytest.mark.parametrize("path, value, error", [
+        (("trips", 0, "id"), DELETE, InstanceParseError),
+        (("params",), [], InstanceParseError),
+        (("trips",), {}, InstanceParseError),
+        (("trips", 0), 5, InstanceParseError),
+        (("hubs",), [None], ValidationError),
+        (("params", "theta"), True, ValidationError),
+        (("params", "wait"), [[0, "x"], [1, 0]], ValidationError),
+        (("trips", 0, "origin"), "3", ValidationError),
+    ], ids=["missing_key", "params_list", "trips_mapping", "trip_entry_int", "hub_null",
+            "theta_bool", "wait_str", "origin_str"])
+    def test_parse_error_only_for_document_structure(self, path, value, error):
+        with pytest.raises(error):
+            Instance.from_dict(changed_doc(path, value))
+
+    def test_wait_matrix_and_fixed_arcs_round_trip(self, tmp_path):
+        doc = small_doc()
+        doc["params"]["wait"] = [[0, 5], [5, 0]]
+        doc["params"]["fixed_arcs"] = [[1, 2], [2, 1]]
+        inst = Instance.from_dict(doc)
+        assert isinstance(inst.params.wait, np.ndarray) and inst.params.wait.dtype == float
+        assert inst.params.fixed_arcs == ((1, 2), (2, 1))
+        text = save_instance(inst, tmp_path / "a.json")
+        wait = json.loads(text)["params"]["wait"]
+        assert wait == [[0.0, 5.0], [5.0, 0.0]] and all(type(x) is float for x in wait[0] + wait[1])
+        assert save_instance(load_instance(tmp_path / "a.json"), tmp_path / "b.json") == text
+
+
+def changed_doc(path, value):
+    """``small_doc`` with the value at ``path`` set to ``value``, or
+    removed when ``value`` is ``DELETE``."""
+    doc = small_doc()
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+def small_parts():
+    """``small_doc`` as the arguments of a direct ``Instance`` call."""
+    doc = small_doc()
+    return dict(stops=tuple(doc["stops"]), hubs=tuple(doc["hubs"]), time=doc["time"],
+                dist=doc["dist"], trips=[Trip(**t) for t in doc["trips"]],
+                params=CostParams(**doc["params"]))
+
+
+class TestDirectConstruction:
+    def test_same_as_document(self):
+        assert Instance(**small_parts()).to_json() == Instance.from_dict(small_doc()).to_json()
+
+    def test_values_normalized(self):
+        parts = small_parts()
+        parts["params"] = dataclasses.replace(parts["params"], wait=[[0, 5], [5, 0]],
+                                              fixed_arcs=[[1, 2], [2, 1]], omega=1)
+        p = Instance(**parts).params
+        assert p.wait.dtype == float and p.wait.tolist() == [[0.0, 5.0], [5.0, 0.0]]
+        assert p.fixed_arcs == ((1, 2), (2, 1))
+        assert type(p.omega) is float
+
+    @pytest.mark.parametrize("part, change, match", [
+        ("params", dict(omega=float("nan")), "params: bad 'omega': expected a finite number, got nan"),
+        ("params", dict(bus_rate=float("inf")), "params: bad 'bus_rate'"),
+        ("params", dict(theta=True), "params: bad 'theta'"),
+        ("params", dict(shuttle_between_hubs="no"), "params: bad 'shuttle_between_hubs'"),
+        ("params", dict(fixed_arcs=((1,),)), "params: bad 'fixed_arcs'"),
+        ("trip", dict(id=1.5), "trip entry 0: bad 'id'"),
+        ("trip", dict(id=True), "trip entry 0: bad 'id'"),
+        ("trip", dict(origin=0.0), "trip entry 0: bad 'origin'"),
+        ("instance", dict(stops=(0, 1.7)), "instance: bad 'stops'"),
+        ("instance", dict(hubs=(None,)), "instance: bad 'hubs'"),
+    ], ids=["omega_nan", "bus_rate_inf", "theta_bool", "shuttle_flag_str", "fixed_arc_short",
+            "id_fraction", "id_bool", "origin_float", "stop_fraction", "hub_null"])
+    def test_bad_value_rejected(self, part, change, match):
+        parts = small_parts()
+        if part == "params":
+            parts["params"] = dataclasses.replace(parts["params"], **change)
+        elif part == "trip":
+            parts["trips"][0] = dataclasses.replace(parts["trips"][0], **change)
+        else:
+            parts.update(change)
+        with pytest.raises(ValidationError, match=match):
+            Instance(**parts)
 
 
 class TestDeriveWeights:
