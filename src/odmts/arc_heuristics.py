@@ -26,11 +26,13 @@ import numpy as np
 
 from .adoption import _served, design_objective, eval_design
 from .instance import Instance, Trip
-from .router import Design, Route, route, trip_arrays
+from .router import Design, Route, _min_access_egress_km, route, trip_arrays
 from .trace import HeuristicTrace
 from .trip_heuristics import _core_ids, _DfdCache
 
 RULES = ("a", "b", "c", "d")
+# find_cycles raises CycleCapError past this many cycles.
+CYCLE_CAP = 100_000
 
 
 class CycleCapError(RuntimeError):
@@ -57,7 +59,7 @@ class Cycle:
         return len(self.hubs)
 
 
-def find_cycles(arcs, cap: int = 100_000) -> list:
+def find_cycles(arcs) -> list:
     """All elementary directed cycles of an arc set, each reported once,
     ordered by (length, hub sequence). Each cycle is found from its
     smallest hub: a depth-first walk from every start hub visits only
@@ -73,9 +75,9 @@ def find_cycles(arcs, cap: int = 100_000) -> list:
             for v in succ.get(path[-1], ()):
                 if v == start:
                     out.append(Cycle(path))
-                    if len(out) > cap:
+                    if len(out) > CYCLE_CAP:
                         raise CycleCapError(
-                            f"more than {cap} elementary cycles; use a smaller expansion step"
+                            f"more than {CYCLE_CAP} elementary cycles; use a smaller expansion step"
                         )
                 elif v > start and v not in path:
                     stack.append(path + (v,))
@@ -92,10 +94,7 @@ def adoption_ub(trip: Trip, r: Route, inst: Instance) -> float:
     scale = (1.0 - theta) / theta * inst.params.omega
     sidx = inst.stop_index
     o, d = sidx[trip.origin], sidx[trip.destination]
-    hub_pos = [sidx[h] for h in inst.hubs]
-    minsum = min(float(inst.dist[o, h]) for h in hub_pos) + min(
-        float(inst.dist[h, d]) for h in hub_pos
-    )
+    minsum = _min_access_egress_km(inst, o, d)
     span = r.bus_span
     if span is not None:
         m, n = span

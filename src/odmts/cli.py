@@ -25,8 +25,7 @@ from . import __version__
 from .adoption import eval_design, exact_tiny
 from .dfd import CapExceeded, SolveError, solve_dfd
 from .generator import GeneratorConfig, TripClass, generate_synthetic
-from .instance import (Instance, InstanceParseError, ValidationError, _integral, load_instance,
-                       save_instance)
+from .instance import Instance, InstanceParseError, _integral, load_instance, save_instance
 from .router import Design
 from .trace import HeuristicTrace, write_trace_csv
 from .trip_heuristics import eta_grre, rho_gagr, rho_grad
@@ -97,30 +96,25 @@ def _run_algorithm(inst: Instance, alg: str, args):
                   len(res.evaluation.adopters), 0.0)
         trace.finish(res.design, res.tset)
         return res.design, res.tset, trace, {"resolve_matches": res.resolve_matches}
+    rules = args.rules.split(",") if args.rules else []  # [] keeps the defaults
     if alg == "grad":
-        design, tset, trace = rho_grad(inst, rho=args.rho)
-        return design, tset, trace, {}
-    if alg == "grre":
+        design, trace = rho_grad(inst, rho=args.rho)
+    elif alg == "grre":
         design, trace = eta_grre(inst, eta=args.eta)
         return design, trace.tset, trace, {"truncated": trace.truncated}
-    if alg == "gagr":
-        design, trace = rho_gagr(
-            inst, rho=args.rho, eta=args.eta, time_limit=args.time_limit
-        )
-        return design, trace.tset, trace, {}
-    if alg == "arc-s1":
-        rules = args.rules.split(",") if args.rules else ["a"]
-        if len(rules) != 1:
+    elif alg == "gagr":
+        design, trace = rho_gagr(inst, rho=args.rho, eta=args.eta, time_limit=args.time_limit)
+    elif alg == "arc-s1":
+        if len(rules) > 1:
             raise ValueError("arc-s1 needs exactly one rule in --rules")
-        design, trace = arc_s1(inst, rules[0])
-        return design, trace.tset, trace, {}
-    if alg == "arc-s2":
-        rules = args.rules.split(",") if args.rules else ["d", "a"]
-        if len(rules) != 2:
+        design, trace = arc_s1(inst, *rules)
+    elif alg == "arc-s2":
+        if len(rules) not in (0, 2):
             raise ValueError("arc-s2 needs --rules stage1,stage2")
-        design, trace = arc_s2(inst, rules[0], rules[1])
-        return design, trace.tset, trace, {}
-    raise ValueError(f"unknown algorithm {alg!r}")
+        design, trace = arc_s2(inst, *rules)
+    else:
+        raise ValueError(f"unknown algorithm {alg!r}")
+    return design, trace.tset, trace, {}
 
 
 def cmd_solve(args) -> int:
@@ -296,8 +290,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, InstanceParseError, CapExceeded, CycleCapError, ValueError,
-            OSError) as e:
+    except (CapExceeded, CycleCapError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -41,6 +41,8 @@ from .router import Design, _arc_labels, _edges, is_direct_trip, route, trip_arr
 
 # Relative margin within which two designs' values count as tied.
 _TIE = 1e-9
+# Most candidate arcs the exhaustive oracle enumerates designs over.
+ENUMERATION_CAP = 16
 
 
 class CapExceeded(RuntimeError):
@@ -346,13 +348,14 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
 # -- exhaustive oracle -------------------------------------------------
 
 
-def balanced_designs(inst: Instance, fixed=(), cap: int = 16):
+def balanced_designs(inst: Instance, fixed=()):
     """Yield every weakly connected design containing ``fixed``, in
-    deterministic (bitmask) order. Hard-capped by candidate arc count."""
+    deterministic (bitmask) order. Hard-capped at ``ENUMERATION_CAP``
+    candidate arcs."""
     fixed = frozenset(tuple(a) for a in fixed) | inst.fixed_arcs
     cand = list(inst.candidate_arcs)
-    if len(cand) > cap:
-        raise CapExceeded(f"{len(cand)} candidate arcs exceed the cap {cap}")
+    if len(cand) > ENUMERATION_CAP:
+        raise CapExceeded(f"{len(cand)} candidate arcs exceed the cap {ENUMERATION_CAP}")
     free = [a for a in cand if a not in fixed]
     nh = len(inst.hubs)
     base = inst.hub_degree(fixed)
@@ -376,23 +379,18 @@ def balanced_designs(inst: Instance, fixed=(), cap: int = 16):
         yield Design(inst, arcs)
 
 
-def enumerate_dfd(inst: Instance, tset, fixed=(), cap: int = 16) -> DfdSolution:
-    """Brute-force optimum of the fixed-demand problem; ties resolved to
-    the lexicographically smallest open-arc set."""
-    trips = [inst.trip_by_id(t) if not isinstance(t, Trip) else t for t in tset]
-    trips.sort(key=lambda t: t.id)
+def enumerate_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
+    """Brute-force optimum of the fixed-demand problem for the trip ids
+    ``tset``; ties resolved to the lexicographically smallest open-arc
+    set."""
+    trips = sorted(map(inst.trip_by_id, inst.trip_ids(tset)), key=lambda t: t.id)
     best = None
     best_obj = None
-    for design in balanced_designs(inst, fixed=fixed, cap=cap):
+    for design in balanced_designs(inst, fixed=fixed):
         obj = arcs_cost(inst, design.open_arcs)
         for t in trips:
             obj += t.riders * route(t, design).g
         if best is None or obj < best_obj or (obj == best_obj and design.key() < best.key()):
             best, best_obj = design, obj
-    return DfdSolution(
-        design=best,
-        objective=best_obj,
-        tset=frozenset(t.id for t in trips),
-        bounds=((1, best_obj, best_obj, len(best.open_arcs), 0),),
-        iterations=1,
-    )
+    return DfdSolution(design=best, objective=best_obj, tset=frozenset(t.id for t in trips),
+                       bounds=((1, best_obj, best_obj, len(best.open_arcs), 0),), iterations=1)

@@ -31,7 +31,8 @@ class TripClass:
 class GeneratorConfig:
     """Knobs for ``generate_synthetic``. Defaults mirror a mid-size
     agency evening commute: theta 0.001, $1/km shuttles, $3.87/km buses
-    running 16 times over the horizon, 7.5 minute waits, $2.5 ticket.
+    running 16 times over the horizon, 7.5 minute waits, $2.5 ticket,
+    and (the ``CostParams`` defaults) per-km bus costs and no fixed arcs.
     """
 
     stops: int = 100
@@ -45,15 +46,12 @@ class GeneratorConfig:
     speed_kmh: float = 36.0
     theta: float = 0.001
     omega: float = 1.0
-    bus_cost_mode: str = "per_distance"
     bus_rate: float = 3.87
     buses_per_leg: float = 16.0
     wait: float = 7.5
     ticket: float = 2.5
     shuttle_between_hubs: bool = False
     candidate: str | int = "all"
-    fixed_arcs: tuple[tuple[int, int], ...] = ()
-    fixed_arc_costed: bool = True
 
 
 def _pick_hubs(points: np.ndarray, k: int) -> list[int]:
@@ -133,15 +131,12 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Instance:
     params = CostParams(
         theta=config.theta,
         omega=config.omega,
-        bus_cost_mode=config.bus_cost_mode,
         bus_rate=config.bus_rate,
         buses_per_leg=config.buses_per_leg,
         wait=config.wait,
         ticket=config.ticket,
         shuttle_between_hubs=config.shuttle_between_hubs,
         candidate=config.candidate,
-        fixed_arcs=config.fixed_arcs,
-        fixed_arc_costed=config.fixed_arc_costed,
     )
     return Instance(
         stops=tuple(range(n)),

@@ -38,6 +38,8 @@ PER_TIME = "per_time"
 
 # CostParams fields that must be finite numbers.
 _RATES = ("theta", "omega", "bus_rate", "buses_per_leg", "ticket")
+# Trip fields stored as int.
+_TRIP_INTS = ("id", "origin", "destination", "riders")
 
 
 class ValidationError(ValueError):
@@ -182,7 +184,7 @@ class Instance:
     dist: np.ndarray
     trips: tuple[Trip, ...]
     params: CostParams
-    _caches: dict = field(default_factory=dict, repr=False, compare=False)
+    _caches: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for key in ("stops", "hubs"):
@@ -204,12 +206,19 @@ class Instance:
         self._validate_params()
         self._validate_trips()
         self._validate_fixed_arcs()
-        # one form whatever the entry point: float rates, a float wait
-        # matrix (a scalar wait stays as given), fixed arcs as tuple pairs
+        # one form whatever the entry point: int trip fields, float rates,
+        # a float wait matrix (a scalar wait stays as given), an int
+        # candidate k, fixed arcs as tuple pairs
+        object.__setattr__(self, "trips", tuple(
+            t if all(type(getattr(t, key)) is int for key in _TRIP_INTS)
+            else dataclasses.replace(t, **{key: int(getattr(t, key)) for key in _TRIP_INTS})
+            for t in self.trips
+        ))
         p = self.params
         object.__setattr__(self, "params", dataclasses.replace(
             p, **{key: float(getattr(p, key)) for key in _RATES},
             wait=p.wait if np.isscalar(p.wait) else np.asarray(p.wait, dtype=float),
+            candidate=p.candidate if p.candidate == "all" else int(p.candidate),
             fixed_arcs=tuple(tuple(a) for a in p.fixed_arcs),
         ))
 
@@ -244,7 +253,7 @@ class Instance:
             if np.any(wait < 0) or not np.all(np.isfinite(wait)):
                 raise ValidationError("wait entries must be finite and non-negative")
         if p.candidate != "all":
-            if isinstance(p.candidate, bool) or not isinstance(p.candidate, int) or p.candidate < 1:
+            if not _integral(p.candidate) or p.candidate < 1:
                 raise ValidationError("candidate must be 'all' or a positive integer k")
         if not isinstance(p.fixed_arcs, (list, tuple)):
             raise _bad("params", "fixed_arcs", "a list of [h, l] hub pairs", p.fixed_arcs)
@@ -304,6 +313,15 @@ class Instance:
         if "hub_index" not in self._caches:
             self._caches["hub_index"] = {h: i for i, h in enumerate(self.hubs)}
         return self._caches["hub_index"]
+
+    @property
+    def hub_positions(self) -> np.ndarray:
+        """Row of each hub in the matrices, in ``hubs`` order; read-only."""
+        if "hub_positions" not in self._caches:
+            pos = np.array([self.stop_index[h] for h in self.hubs], dtype=int)
+            pos.setflags(write=False)
+            self._caches["hub_positions"] = pos
+        return self._caches["hub_positions"]
 
     @property
     def trip_index(self) -> dict:
@@ -444,8 +462,10 @@ class Instance:
             trips=tuple(trips), params=_read(CostParams, doc["params"], "params"),
         )
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        """The canonical JSON text of the instance, as ``save_instance``
+        writes it."""
+        return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
 
 
 def _read(kind, doc: dict, where: str):
@@ -460,11 +480,11 @@ def _read(kind, doc: dict, where: str):
     return kind(**args)
 
 
-def _satisfies_triangle(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """No m[i, j] exceeds m[i, k] + m[k, j] + tol, checked one row i at a
+def _satisfies_triangle(m: np.ndarray) -> bool:
+    """No m[i, j] exceeds m[i, k] + m[k, j] + 1e-9, checked one row i at a
     time against the row's min-plus product with m."""
     for i in range(m.shape[0]):
-        if np.any(m[i] > (m[i, :, None] + m).min(axis=0) + tol):
+        if np.any(m[i] > (m[i, :, None] + m).min(axis=0) + 1e-9):
             return False
     return True
 
@@ -484,7 +504,7 @@ def load_instance(path: str | Path) -> Instance:
 
 def save_instance(inst: Instance, path: str | Path) -> str:
     """Write the instance as canonical JSON; returns the text written."""
-    text = inst.to_json(indent=1) + "\n"
+    text = inst.to_json()
     Path(path).write_text(text)
     return text
 
@@ -492,9 +512,7 @@ def save_instance(inst: Instance, path: str | Path) -> str:
 def derive_weights(inst: Instance) -> WeightTable:
     """Materialize beta, tau, gamma and varphi from the cost parameters."""
     p = inst.params
-    hubs = inst.hubs
-    sidx = inst.stop_index
-    hub_pos = np.array([sidx[h] for h in hubs], dtype=int)
+    hub_pos = inst.hub_positions
     t_hub = inst.time[np.ix_(hub_pos, hub_pos)]
     d_hub = inst.dist[np.ix_(hub_pos, hub_pos)]
     if p.bus_cost_mode == PER_DISTANCE:

@@ -68,7 +68,7 @@ def _relays(inst: Instance) -> np.ndarray:
         sidx = inst.stop_index
         hubset = set(inst.hubs)
         nonhub = np.array([sidx[s] for s in inst.stops if s not in hubset], dtype=int)
-        hub_pos = np.array([sidx[h] for h in inst.hubs], dtype=int)
+        hub_pos = inst.hub_positions
         # [h, l, x] sums over every hub pair at once
         gsum = w.gamma[np.ix_(hub_pos, nonhub)][:, None, :] + w.gamma[np.ix_(nonhub, hub_pos)].T
         fsum = inst.time[np.ix_(hub_pos, nonhub)][:, None, :] + inst.time[np.ix_(nonhub, hub_pos)].T
@@ -89,7 +89,7 @@ class Design:
 
     instance: Instance
     open_arcs: frozenset
-    _caches: dict = field(default_factory=dict, repr=False)
+    _caches: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         inst = self.instance
@@ -128,9 +128,6 @@ class Design:
 
     def __hash__(self):
         return hash((id(self.instance), self.open_arcs))
-
-    def __le__(self, other: "Design") -> bool:
-        return self.open_arcs <= other.open_arcs
 
 
 @dataclass(frozen=True)
@@ -302,9 +299,8 @@ def _hop_table(inst: Instance):
     usable here."""
     if "hop_table" not in inst._caches:
         w = weights_of(inst)
-        sidx = inst.stop_index
         nh = len(inst.hubs)
-        pos = np.array([sidx[h] for h in inst.hubs], dtype=int)
+        pos = inst.hub_positions
         u, v = pos[:, None], pos[None, :]
         terms = np.zeros((4, 3, nh, nh))
         usable = np.zeros((3, nh, nh), dtype=bool)
@@ -389,7 +385,7 @@ def _trip_costs(inst: Instance):
         w = weights_of(inst)
         sidx, hidx = inst.stop_index, inst.hub_index
         trips = inst.trips
-        hub_pos = np.array([sidx[h] for h in inst.hubs], dtype=int)
+        hub_pos = inst.hub_positions
         o = np.array([sidx[t.origin] for t in trips], dtype=int)
         d = np.array([sidx[t.destination] for t in trips], dtype=int)
         access = w.gamma[o[:, None], hub_pos[None, :]]
@@ -459,7 +455,7 @@ def _table(design: Design):
     best, clear = _pick(paths, access, egress, direct)
     is_direct = best == nh * nh
     h, l = np.divmod(np.where(is_direct, 0, best), nh)
-    pos = np.array([inst.stop_index[x] for x in inst.hubs], dtype=int)
+    pos = inst.hub_positions
     a = np.where(is_direct, d, pos[h])  # the access leg's head
     b = np.where(is_direct, d, pos[l])  # the egress leg's tail
     steps = paths.steps[h, l].T
@@ -577,7 +573,12 @@ def is_direct_trip(trip: Trip, inst: Instance) -> bool:
     if not inst.metric_consistent:
         return False
     sidx = inst.stop_index
-    hub_pos = np.array([sidx[h] for h in inst.hubs], dtype=int)
     o, d = sidx[trip.origin], sidx[trip.destination]
-    best = float(inst.dist[o, hub_pos].min() + inst.dist[hub_pos, d].min())
-    return best >= float(inst.dist[o, d])
+    return _min_access_egress_km(inst, o, d) >= float(inst.dist[o, d])
+
+
+def _min_access_egress_km(inst: Instance, o: int, d: int) -> float:
+    """The shortest shuttle distance from stop index ``o`` to a hub plus
+    the shortest from a hub to stop index ``d``."""
+    hub_pos = inst.hub_positions
+    return float(inst.dist[o, hub_pos].min() + inst.dist[hub_pos, d].min())

@@ -28,6 +28,9 @@ from .instance import Instance
 from .router import trip_arrays
 from .trace import HeuristicTrace
 
+# eta_grre stops, truncated, after this iteration.
+MAX_ITER = 100
+
 
 def default_step(inst: Instance) -> int:
     """Step size scaling with latent demand: one twentieth, at least 1."""
@@ -69,15 +72,16 @@ def _ranked_adopters(inst, design, candidates, adopters):
     return sorted(picked, key=lambda t: (money[row[t.id]] - ticket, t.id))
 
 
-def rho_grad(inst: Instance, rho: int | None = None, _cache: _DfdCache | None = None):
-    """Greedy adoption. Returns (design, tset, trace)."""
+def rho_grad(inst: Instance, rho: int | None = None):
+    """Greedy adoption. Returns (design, trace); trace.tset is the trip
+    set that generated the design."""
     rho = default_step(inst) if rho is None else int(rho)
     if rho < 1:
         raise ValueError("rho must be >= 1")
     latent = inst.latent_trips
     core_ids = _core_ids(inst)
     cap = len(latent) // rho + 10
-    cache = _cache or _DfdCache(inst)
+    cache = _DfdCache(inst)
     trace = HeuristicTrace()
     absorbed = set()
     k = 0
@@ -93,28 +97,22 @@ def rho_grad(inst: Instance, rho: int | None = None, _cache: _DfdCache | None = 
         candidates = [t for t in latent if t.id not in absorbed]
         ranked = _ranked_adopters(inst, sol.design, candidates, ev.adopters)
         if not ranked:
-            return sol.design, frozenset(tset), trace.finish(sol.design, tset)
+            return sol.design, trace.finish(sol.design, tset)
         absorbed.update(t.id for t in ranked[:rho])
         k += 1
     raise RuntimeError(f"greedy adoption exceeded {cap} iterations")
 
 
-def eta_grre(
-    inst: Instance,
-    eta: int | None = None,
-    start_tset=None,
-    max_iter: int = 100,
-    _cache: _DfdCache | None = None,
-):
+def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
+             _cache: _DfdCache | None = None):
     """Greedy rejection. Returns (design, trace); trace.tset is the trip
     set that generated the returned (minimum-objective) design. Stops
     when the design repeats with the quota past the ranked adopters, or
-    truncated after iteration ``max_iter``."""
+    truncated after iteration ``MAX_ITER``. ``_cache`` is the solve memo
+    of an enclosing ``rho_gagr`` run, a new one by default."""
     eta = default_step(inst) if eta is None else int(eta)
     if eta < 1:
         raise ValueError("eta must be >= 1")
-    if not max_iter >= 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     latent = inst.latent_trips
     core_ids = _core_ids(inst)
     cache = _cache or _DfdCache(inst)
@@ -141,7 +139,7 @@ def eta_grre(
         ranked = _ranked_adopters(inst, sol.design, candidates, ev.adopters)
         key = sol.design.key()
         stable = k >= 2 and prev_key == key and (m - eta) >= len(ranked)
-        if stable or k >= max_iter:
+        if stable or k >= MAX_ITER:
             _, design, tset = best
             return design, trace.finish(design, tset, truncated=not stable)
         tbar = core_ids | {t.id for t in ranked[:m]}
@@ -149,13 +147,8 @@ def eta_grre(
         k += 1
 
 
-def rho_gagr(
-    inst: Instance,
-    rho: int | None = None,
-    eta: int | None = None,
-    time_limit: float | None = None,
-    _cache: _DfdCache | None = None,
-):
+def rho_gagr(inst: Instance, rho: int | None = None, eta: int | None = None,
+             time_limit: float | None = None):
     """Combined greedy adoption with greedy-rejection subproblems.
     Returns (design, trace) for the minimum-objective inner result."""
     rho = default_step(inst) if rho is None else int(rho)
@@ -167,7 +160,7 @@ def rho_gagr(
     latent = inst.latent_trips
     core_ids = _core_ids(inst)
     cap = len(latent) // rho + 10
-    cache = _cache or _DfdCache(inst)
+    cache = _DfdCache(inst)
     trace = HeuristicTrace()
     started = time.perf_counter()
     absorbed = set()

@@ -229,8 +229,8 @@ def test_criterion_6_ub_soundness():
 def test_criterion_7_structural_guarantees():
     grad_checked = arc_checked = prefix_checked = 0
     for inst in tiny_suite():
-        design, tset, _ = rho_grad(inst, rho=1)
-        assert eval_design(inst, design, tset).r_false == 0.0
+        design, trace = rho_grad(inst, rho=1)
+        assert eval_design(inst, design, trace.tset).r_false == 0.0
         grad_checked += 1
 
         design_a, trace_a = arc_s1(inst, "a")
@@ -268,8 +268,8 @@ def test_criterion_8_exact_dominance():
         res = exact_tiny(inst)
         opt = res.evaluation.objective
         objs = {}
-        d, ts, _ = rho_grad(inst, rho=1)
-        objs["grad"] = eval_design(inst, d, ts).objective
+        d, tr = rho_grad(inst, rho=1)
+        objs["grad"] = eval_design(inst, d, tr.tset).objective
         d, tr = eta_grre(inst, eta=1)
         objs["grre"] = eval_design(inst, d, tr.tset).objective
         d, tr = rho_gagr(inst, rho=1, eta=1)
@@ -311,12 +311,8 @@ BENCHMARK_CONFIG = GeneratorConfig(
 def test_criterion_9_desk_scale_benchmark():
     inst = generate_synthetic(BENCHMARK_CONFIG, seed=11)
     assert len(inst.trips) == 200 and len(inst.hubs) == 8
-    def run_grad():
-        design, _, trace = rho_grad(inst)
-        return design, trace
-
     runs = {
-        "grad": run_grad,
+        "grad": lambda: rho_grad(inst),
         "grre": lambda: eta_grre(inst),
         "gagr": lambda: rho_gagr(inst),
         "arc-s1": lambda: arc_s1(inst, "a"),
@@ -346,8 +342,8 @@ def test_criterion_10_determinism():
         outs.append(("dfd", sol.design.key(), round(sol.objective, 12)))
         res = exact_tiny(inst)
         outs.append(("exact", res.design.key(), round(res.evaluation.objective, 12)))
-        d, ts, tr = rho_grad(inst, rho=1)
-        outs.append(("grad", d.key(), tuple(r.fingerprint for r in tr.records), tuple(sorted(ts))))
+        d, tr = rho_grad(inst, rho=1)
+        outs.append(("grad", d.key(), tuple(r.fingerprint for r in tr.records), tuple(sorted(tr.tset))))
         d, tr = eta_grre(inst, eta=1)
         outs.append(("grre", d.key(), tuple(r.fingerprint for r in tr.records)))
         d, tr = rho_gagr(inst, rho=1, eta=1)

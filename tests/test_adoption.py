@@ -156,10 +156,10 @@ class TestExactTiny:
         for seed in range(3):
             inst = tiny_instance(seed)
             res = exact_tiny(inst)
-            d1, ts1, _ = rho_grad(inst, rho=1)
+            d1, tr1 = rho_grad(inst, rho=1)
             d2, tr2 = eta_grre(inst, eta=1)
             d3, tr3 = arc_s1(inst, "a")
-            for d, ts in ((d1, ts1), (d2, tr2.tset), (d3, tr3.tset)):
+            for d, ts in ((d1, tr1.tset), (d2, tr2.tset), (d3, tr3.tset)):
                 assert res.evaluation.objective <= eval_design(inst, d, ts).objective + 1e-9
 
     def test_resolve_properties(self):

@@ -47,10 +47,11 @@ class TestFindCycles:
                     arcs.add((int(a), int(b)))
             assert [c.hubs for c in find_cycles(arcs)] == brute_cycles(arcs)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(arc_heuristics, "CYCLE_CAP", 10)
         arcs = {(a, b) for a in range(8) for b in range(8) if a != b}
         with pytest.raises(CycleCapError):
-            find_cycles(arcs, cap=10)
+            find_cycles(arcs)
 
     def test_cycle_canonical_rotation(self):
         assert Cycle((3, 1, 2)).hubs == (1, 2, 3)

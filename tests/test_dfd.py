@@ -363,7 +363,7 @@ class TestEnumerateDfd:
     def test_cap(self):
         inst = tiny_instance(1, n_stops=12, n_hubs=5)
         with pytest.raises(CapExceeded):
-            list(balanced_designs(inst, cap=10))
+            list(balanced_designs(inst))  # 20 candidate arcs
 
 
 class TestTripSetMonotonicity:

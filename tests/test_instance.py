@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from odmts import (
     CostParams,
+    Design,
     GeneratorConfig,
     Instance,
     InstanceParseError,
@@ -14,12 +15,13 @@ from odmts import (
     TripClass,
     ValidationError,
     derive_weights,
+    eval_design,
     generate_synthetic,
     load_instance,
     save_instance,
 )
 from odmts.instance import _satisfies_triangle
-from conftest import make_example_instance, tiny_config
+from conftest import make_example_instance, tiny_config, tiny_instance
 
 
 DELETE = object()  # marks a key the malformed-document cases remove
@@ -226,6 +228,32 @@ class TestDirectConstruction:
             parts.update(change)
         with pytest.raises(ValidationError, match=match):
             Instance(**parts)
+
+    @pytest.mark.parametrize("part, key, value", [
+        ("trip", "id", 0), ("trip", "origin", 0), ("trip", "destination", 3),
+        ("trip", "riders", 2), ("params", "candidate", 1),
+    ])
+    def test_numpy_integer_stored_as_int(self, part, key, value):
+        plain, parts = small_parts(), small_parts()
+        for d, v in ((plain, value), (parts, np.int64(value))):
+            if part == "params":
+                d["params"] = dataclasses.replace(d["params"], **{key: v})
+            else:
+                d["trips"][0] = dataclasses.replace(d["trips"][0], **{key: v})
+        inst = Instance(**parts)
+        got = inst.params if part == "params" else inst.trips[0]
+        assert type(getattr(got, key)) is int
+        assert inst.to_json() == Instance(**plain).to_json()
+
+
+class TestCaches:
+    def test_replace_builds_its_own_caches(self):
+        inst = tiny_instance(0, n_stops=12)
+        assert len(inst.trip_index) == len(inst.trips)
+        copy = dataclasses.replace(inst, trips=inst.trips[4:])
+        assert copy.trip_index == {t.id: i for i, t in enumerate(copy.trips)}
+        with pytest.raises(ValidationError, match="unknown trip ids"):
+            eval_design(copy, Design.minimal(copy), [inst.trips[0].id])
 
 
 class TestDeriveWeights:

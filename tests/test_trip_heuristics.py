@@ -1,5 +1,6 @@
 import pytest
 
+from odmts import trip_heuristics
 from odmts import (
     Design,
     HeuristicTrace,
@@ -31,29 +32,29 @@ def never_adopt_instance():
 class TestRhoGrad:
     def test_no_latent_single_solve(self):
         inst = no_latent_instance()
-        design, tset, trace = rho_grad(inst, rho=1)
-        assert tset == {0}
+        design, trace = rho_grad(inst, rho=1)
+        assert trace.tset == {0}
         assert len(trace.records) == 1
         assert design.open_arcs == solve_dfd(inst, [0]).design.open_arcs
 
     def test_no_adopters_terminates_immediately(self):
         inst = never_adopt_instance()
-        design, tset, trace = rho_grad(inst, rho=1)
-        assert tset == {0}
+        design, trace = rho_grad(inst, rho=1)
+        assert trace.tset == {0}
         assert len(trace.records) == 1
-        assert eval_design(inst, design, tset).r_false == 0.0
+        assert eval_design(inst, design, trace.tset).r_false == 0.0
 
     def test_correct_rejection_and_dominance(self):
         for seed in range(4):
             inst = tiny_instance(seed)
-            design, tset, _ = rho_grad(inst, rho=1)
-            ev = eval_design(inst, design, tset)
+            design, trace = rho_grad(inst, rho=1)
+            ev = eval_design(inst, design, trace.tset)
             assert ev.r_false == 0.0
             assert exact_tiny(inst).evaluation.objective <= ev.objective + 1e-9
 
     def test_absorption_is_monotone(self):
         inst = tiny_instance(1)
-        _, _, trace = rho_grad(inst, rho=1)
+        _, trace = rho_grad(inst, rho=1)
         sizes = [r.tset_size for r in trace.records]
         assert sizes == sorted(sizes)
         diffs = [b - a for a, b in zip(sizes, sizes[1:])]
@@ -62,7 +63,7 @@ class TestRhoGrad:
     def test_singleton_step_cost_property(self):
         inst = tiny_instance(2)
         core = frozenset(t.id for t in inst.core_trips)
-        _, _, trace = rho_grad(inst, rho=1)
+        _, trace = rho_grad(inst, rho=1)
         # replay: trip absorbed at iteration k costs no more under z^{k+1}
         absorbed = []
         designs = []
@@ -118,20 +119,18 @@ class TestEtaGrre:
             returned = eval_design(inst, design, trace.tset).objective
             assert returned == pytest.approx(min(trace.objectives), rel=1e-12)
 
-    def test_truncation_flag(self):
+    def test_truncation_flag(self, monkeypatch):
+        monkeypatch.setattr(trip_heuristics, "MAX_ITER", 1)
         inst = tiny_instance(3)
-        design, trace = eta_grre(inst, eta=1, max_iter=1)
+        design, trace = eta_grre(inst, eta=1)
         assert trace.truncated
         assert design is not None
 
-    def test_max_iter_zero_is_one_truncated_solve(self):
-        design, trace = eta_grre(tiny_instance(3), eta=1, max_iter=0)
+    def test_max_iter_zero_is_one_truncated_solve(self, monkeypatch):
+        monkeypatch.setattr(trip_heuristics, "MAX_ITER", 0)
+        design, trace = eta_grre(tiny_instance(3), eta=1)
         assert len(trace.records) == 1 and trace.truncated
         assert design.fingerprint() == trace.records[0].fingerprint
-
-    def test_max_iter_validation(self):
-        with pytest.raises(ValueError, match="max_iter must be >= 0"):
-            eta_grre(tiny_instance(3), max_iter=-1)
 
     def test_quota_grows_by_eta(self):
         inst = tiny_instance(5)
@@ -161,15 +160,21 @@ class TestRhoGagr:
         returned = eval_design(inst, design, trace.tset).objective
         assert returned == pytest.approx(min(trace.objectives), rel=1e-12)
 
-    def test_explores_at_least_as_much_as_grad(self):
-        from odmts.trip_heuristics import _DfdCache
+    def test_explores_at_least_as_much_as_grad(self, monkeypatch):
         inst = tiny_instance(2)
-        c_grad = _DfdCache(inst)
-        rho_grad(inst, rho=1, _cache=c_grad)
-        c_gagr = _DfdCache(inst)
-        rho_gagr(inst, rho=1, eta=1, _cache=c_gagr)
-        # each cache key is one distinct design subproblem examined
-        assert len(c_gagr.hits) >= len(c_grad.hits)
+        solved = []
+
+        def counting(inst, tset, fixed=(), _model=None):
+            solved.append((frozenset(tset), frozenset(fixed)))
+            return solve_dfd(inst, tset, fixed=fixed, _model=_model)
+
+        monkeypatch.setattr(trip_heuristics, "solve_dfd", counting)
+        rho_grad(inst, rho=1)
+        by_grad = set(solved)
+        solved.clear()
+        rho_gagr(inst, rho=1, eta=1)
+        # each distinct (tset, fixed) input is one design subproblem examined
+        assert len(set(solved)) >= len(by_grad)
 
     def test_time_limit_respected(self):
         inst = tiny_instance(4)
@@ -192,8 +197,8 @@ class TestDeterminism:
         a = rho_grad(inst, rho=1)
         b = rho_grad(inst, rho=1)
         assert a[0].open_arcs == b[0].open_arcs
-        assert a[1] == b[1]
-        assert [r.fingerprint for r in a[2].records] == [r.fingerprint for r in b[2].records]
+        assert a[1].tset == b[1].tset
+        assert [r.fingerprint for r in a[1].records] == [r.fingerprint for r in b[1].records]
 
 
 class TestHeuristicTrace:
