@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, Trip
+from .instance import PER_DISTANCE, Instance, Trip, memo
 from .router import Design, Route, trip_arrays, weights_of
 
 
@@ -62,18 +62,17 @@ class DesignEvaluation:
         }
 
 
+@memo
 def _trip_terms(inst: Instance):
     """Trip ids, latent mask, riders and adoption limits alpha * t_cur of
     the instance trips, in trip order."""
-    if "adoption_terms" not in inst._caches:
-        trips = inst.trips
-        inst._caches["adoption_terms"] = (
-            np.array([t.id for t in trips], dtype=int),
-            np.array([t.is_latent for t in trips], dtype=bool),
-            np.array([t.riders for t in trips], dtype=float),
-            np.array([t.alpha * t.t_cur if t.is_latent else np.inf for t in trips], dtype=float),
-        )
-    return inst._caches["adoption_terms"]
+    trips = inst.trips
+    return (
+        np.array([t.id for t in trips], dtype=int),
+        np.array([t.is_latent for t in trips], dtype=bool),
+        np.array([t.riders for t in trips], dtype=float),
+        np.array([t.alpha * t.t_cur if t.is_latent else np.inf for t in trips], dtype=float),
+    )
 
 
 def _served(inst: Instance, design: Design):
@@ -127,7 +126,7 @@ def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
     sidx = inst.stop_index
     bus_cost_dollars = 0.0
     for h, l in design.open_arcs:
-        if p.bus_cost_mode == "per_distance":
+        if p.bus_cost_mode == PER_DISTANCE:
             bus_cost_dollars += p.bus_rate * p.buses_per_leg * float(inst.dist[sidx[h], sidx[l]])
         else:
             bus_cost_dollars += p.bus_rate * p.buses_per_leg * float(inst.time[sidx[h], sidx[l]]) / 60.0
@@ -184,9 +183,9 @@ def exact_tiny(inst: Instance) -> ExactTinyResult:
         obj = design_objective(inst, design)
         if best is None or obj < best_obj or (obj == best_obj and design.key() < best.key()):
             best, best_obj = design, obj
-    core_ids = {t.id for t in inst.trips if not t.is_latent}
-    evaluation = eval_design(inst, best, core_ids | _adopter_ids(inst, best))
-    tset = frozenset(core_ids | set(evaluation.adopters))
+    ids = _trip_terms(inst)[0]
+    tset = frozenset(ids[_served(inst, best)[1]].tolist())  # core trips and adopters
+    evaluation = eval_design(inst, best, tset)
     redo = solve_dfd(inst, tset)
     redo_eval = eval_design(inst, redo.design, tset)
     return ExactTinyResult(
@@ -199,8 +198,3 @@ def exact_tiny(inst: Instance) -> ExactTinyResult:
         resolve_matches=redo.design == best,
     )
 
-
-def _adopter_ids(inst: Instance, design: Design) -> set:
-    ids = _trip_terms(inst)[0]
-    adopt = _served(inst, design)[0]
-    return set(ids[adopt].tolist())

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import highs
 from .highs import SolveError
-from .instance import Instance, Trip, ValidationError
+from .instance import Instance, Trip, ValidationError, memo
 from .adoption import arcs_cost
 from .router import Design, _arc_labels, _edges, is_direct_trip, route, trip_arrays
 
@@ -49,10 +49,26 @@ class CapExceeded(RuntimeError):
     """An exhaustive routine was asked to run beyond its hard size cap."""
 
 
+@memo
 def _direct_flags(inst: Instance) -> dict:
-    if "direct" not in inst._caches:
-        inst._caches["direct"] = {t.id: is_direct_trip(t, inst) for t in inst.trips}
-    return inst._caches["direct"]
+    """``is_direct_trip`` of each instance trip, by trip id."""
+    return {t.id: is_direct_trip(t, inst) for t in inst.trips}
+
+
+@memo
+def _blocks(inst: Instance) -> dict:
+    """The flow blocks ``make_cut`` has built for the instance, by trip."""
+    return {}
+
+
+def _fixed_arcs(inst: Instance, fixed) -> frozenset:
+    """The arcs ``fixed`` plus the instance backbone, as a set of pairs;
+    an arc outside the candidate set raises ``ValidationError``."""
+    fixed = frozenset(tuple(a) for a in fixed) | inst.fixed_arcs
+    outside = fixed - set(inst.candidate_arcs)
+    if outside:
+        raise ValidationError(f"fixed arc {min(outside, key=str)} outside the candidate set")
+    return fixed
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +121,7 @@ def make_cut(trip: Trip, inst: Instance) -> TripBlock:
     block's value is unchanged. A bus edge between two hub endpoints is
     not such an edge, since its arc may close.
     """
-    blocks = inst._caches.setdefault("blocks", {})
+    blocks = _blocks(inst)
     if trip not in blocks:
         o, d = trip.origin, trip.destination
         labels = _arc_labels(inst, inst.candidate_arcs)
@@ -242,7 +258,7 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
 
     Every LP is solved under the cap of its search (see ``highs.solve``).
     """
-    fixed = frozenset(tuple(a) for a in fixed) | inst.fixed_arcs
+    fixed = _fixed_arcs(inst, fixed)
     cand = inst.candidate_arcs
     na, nh = len(cand), len(inst.hubs)
     model = FlowModel(inst) if _model is None else _model
@@ -318,9 +334,7 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
     is the ``FlowModel`` to solve on, a new one by default."""
     index = inst.trip_index
     trips = sorted((inst.trips[index[t]] for t in inst.trip_ids(tset)), key=lambda t: t.id)
-    fixed = frozenset(tuple(a) for a in fixed) | inst.fixed_arcs
-    if not fixed <= set(inst.candidate_arcs):
-        raise ValidationError("fixed arcs outside the candidate set")
+    fixed = _fixed_arcs(inst, fixed)
 
     direct = _direct_flags(inst)
     flow_trips = [t for t in trips if not direct[t.id]]
@@ -352,7 +366,7 @@ def balanced_designs(inst: Instance, fixed=()):
     """Yield every weakly connected design containing ``fixed``, in
     deterministic (bitmask) order. Hard-capped at ``ENUMERATION_CAP``
     candidate arcs."""
-    fixed = frozenset(tuple(a) for a in fixed) | inst.fixed_arcs
+    fixed = _fixed_arcs(inst, fixed)
     cand = list(inst.candidate_arcs)
     if len(cand) > ENUMERATION_CAP:
         raise CapExceeded(f"{len(cand)} candidate arcs exceed the cap {ENUMERATION_CAP}")

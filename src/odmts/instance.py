@@ -23,7 +23,8 @@ import dataclasses
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, wraps
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,30 @@ def _bad(where: str, key: str, expected: str, value) -> ValidationError:
     return ValidationError(f"{where}: bad {key!r}: expected {expected}, got {value!r}")
 
 
+def _plain(x):
+    """x as a Python number: an int or a float stays as it is, so a JSON
+    integer keeps its bytes; any other number becomes a float."""
+    return x if type(x) in (int, float) else float(x)
+
+
+def memo(fn):
+    """Keep ``fn(obj)``, a value derived from one ``Instance`` or
+    ``Design``, in ``obj.__dict__``, as ``cached_property`` keeps a
+    property's: computed on the first call, then returned as is. A
+    ``dataclasses.replace`` copy is a new object and computes its own."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def get(obj):
+        try:
+            return obj.__dict__[key]
+        except KeyError:
+            value = obj.__dict__[key] = fn(obj)
+            return value
+
+    return get
+
+
 @dataclass(frozen=True)
 class Trip:
     """One origin-destination demand entry.
@@ -89,17 +114,22 @@ class Trip:
         return self.kind == LATENT
 
     def to_dict(self) -> dict:
-        d = {
-            "id": self.id,
-            "origin": self.origin,
-            "destination": self.destination,
-            "riders": self.riders,
-            "kind": self.kind,
-        }
-        if self.kind == LATENT:
-            d["alpha"] = self.alpha
-            d["t_cur"] = self.t_cur
+        """The trip's document entry; a core trip has no alpha or t_cur."""
+        d = dataclasses.asdict(self)
+        if not self.is_latent:
+            del d["alpha"], d["t_cur"]
         return d
+
+
+def _plain_trip(t: Trip) -> Trip:
+    """t with int id, stops and riders and, on a latent trip, ``_plain``
+    alpha and t_cur; t itself when they are so already."""
+    plain = {key: int(getattr(t, key)) for key in _TRIP_INTS}
+    if t.is_latent:
+        plain.update(alpha=_plain(t.alpha), t_cur=_plain(t.t_cur))
+    if all(type(v) is type(getattr(t, key)) for key, v in plain.items()):
+        return t
+    return dataclasses.replace(t, **plain)
 
 
 @dataclass(frozen=True)
@@ -126,22 +156,11 @@ class CostParams:
     fixed_arc_costed: bool = True
 
     def to_dict(self) -> dict:
-        wait = self.wait
-        if isinstance(wait, np.ndarray):
-            wait = [[float(x) for x in row] for row in wait]
-        return {
-            "theta": self.theta,
-            "omega": self.omega,
-            "bus_cost_mode": self.bus_cost_mode,
-            "bus_rate": self.bus_rate,
-            "buses_per_leg": self.buses_per_leg,
-            "wait": wait,
-            "ticket": self.ticket,
-            "shuttle_between_hubs": self.shuttle_between_hubs,
-            "candidate": self.candidate,
-            "fixed_arcs": [list(a) for a in self.fixed_arcs],
-            "fixed_arc_costed": self.fixed_arc_costed,
-        }
+        """The document's params section; a wait matrix as float lists."""
+        d = dataclasses.asdict(self)
+        if isinstance(self.wait, np.ndarray):
+            d["wait"] = [[float(x) for x in row] for row in self.wait]
+        return d
 
 
 @dataclass(frozen=True)
@@ -184,7 +203,6 @@ class Instance:
     dist: np.ndarray
     trips: tuple[Trip, ...]
     params: CostParams
-    _caches: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for key in ("stops", "hubs"):
@@ -207,17 +225,14 @@ class Instance:
         self._validate_trips()
         self._validate_fixed_arcs()
         # one form whatever the entry point: int trip fields, float rates,
-        # a float wait matrix (a scalar wait stays as given), an int
-        # candidate k, fixed arcs as tuple pairs
-        object.__setattr__(self, "trips", tuple(
-            t if all(type(getattr(t, key)) is int for key in _TRIP_INTS)
-            else dataclasses.replace(t, **{key: int(getattr(t, key)) for key in _TRIP_INTS})
-            for t in self.trips
-        ))
+        # a float wait matrix, Python numbers for alpha, t_cur and a
+        # scalar wait (see _plain), an int candidate k, fixed arcs as
+        # tuple pairs
+        object.__setattr__(self, "trips", tuple(map(_plain_trip, self.trips)))
         p = self.params
         object.__setattr__(self, "params", dataclasses.replace(
             p, **{key: float(getattr(p, key)) for key in _RATES},
-            wait=p.wait if np.isscalar(p.wait) else np.asarray(p.wait, dtype=float),
+            wait=_plain(p.wait) if np.isscalar(p.wait) else np.asarray(p.wait, dtype=float),
             candidate=p.candidate if p.candidate == "all" else int(p.candidate),
             fixed_arcs=tuple(tuple(a) for a in p.fixed_arcs),
         ))
@@ -302,33 +317,25 @@ class Instance:
 
     # -- indexing helpers ----------------------------------------------
 
-    @property
+    @cached_property
     def stop_index(self) -> dict:
-        if "stop_index" not in self._caches:
-            self._caches["stop_index"] = {s: i for i, s in enumerate(self.stops)}
-        return self._caches["stop_index"]
+        return {s: i for i, s in enumerate(self.stops)}
 
-    @property
+    @cached_property
     def hub_index(self) -> dict:
-        if "hub_index" not in self._caches:
-            self._caches["hub_index"] = {h: i for i, h in enumerate(self.hubs)}
-        return self._caches["hub_index"]
+        return {h: i for i, h in enumerate(self.hubs)}
 
-    @property
+    @cached_property
     def hub_positions(self) -> np.ndarray:
         """Row of each hub in the matrices, in ``hubs`` order; read-only."""
-        if "hub_positions" not in self._caches:
-            pos = np.array([self.stop_index[h] for h in self.hubs], dtype=int)
-            pos.setflags(write=False)
-            self._caches["hub_positions"] = pos
-        return self._caches["hub_positions"]
+        pos = np.array([self.stop_index[h] for h in self.hubs], dtype=int)
+        pos.setflags(write=False)
+        return pos
 
-    @property
+    @cached_property
     def trip_index(self) -> dict:
         """Row of each trip in ``trips``, by trip id."""
-        if "trip_index" not in self._caches:
-            self._caches["trip_index"] = {t.id: i for i, t in enumerate(self.trips)}
-        return self._caches["trip_index"]
+        return {t.id: i for i, t in enumerate(self.trips)}
 
     def trip_ids(self, ids) -> frozenset:
         """``ids`` as a set of this instance's trip ids; an unknown or a
@@ -352,74 +359,66 @@ class Instance:
             deg[hidx[l]] -= 1
         return deg
 
-    @property
+    @cached_property
     def candidate_arcs(self) -> tuple[tuple[int, int], ...]:
-        """Ordered hub pairs that may carry a bus leg, materialized once.
+        """Ordered hub pairs that may carry a bus leg.
 
         Arcs outside this set are permanently closed. Under nearest-k,
         both directions between a hub and each of its k nearest hubs
         (by travel time) are candidates.
         """
-        if "candidate_arcs" not in self._caches:
-            if self.params.candidate == "all":
-                arcs = [(h, l) for h in self.hubs for l in self.hubs if h != l]
-            else:
-                k = int(self.params.candidate)
-                idx = self.stop_index
-                arcs = set()
-                for h in self.hubs:
-                    others = sorted(
-                        (l for l in self.hubs if l != h),
-                        key=lambda l: (self.time[idx[h], idx[l]], l),
-                    )
-                    for l in others[:k]:
-                        arcs.add((h, l))
-                        arcs.add((l, h))
-            self._caches["candidate_arcs"] = tuple(sorted(arcs))
-        return self._caches["candidate_arcs"]
+        if self.params.candidate == "all":
+            arcs = [(h, l) for h in self.hubs for l in self.hubs if h != l]
+        else:
+            k = int(self.params.candidate)
+            idx = self.stop_index
+            arcs = set()
+            for h in self.hubs:
+                others = sorted(
+                    (l for l in self.hubs if l != h),
+                    key=lambda l: (self.time[idx[h], idx[l]], l),
+                )
+                for l in others[:k]:
+                    arcs.add((h, l))
+                    arcs.add((l, h))
+        return tuple(sorted(arcs))
 
-    @property
+    @cached_property
     def fixed_arcs(self) -> frozenset:
         return frozenset(self.params.fixed_arcs)
 
-    @property
+    @cached_property
     def core_trips(self) -> tuple[Trip, ...]:
         return tuple(t for t in self.trips if not t.is_latent)
 
-    @property
+    @cached_property
     def latent_trips(self) -> tuple[Trip, ...]:
         return tuple(t for t in self.trips if t.is_latent)
 
     def trip_by_id(self, trip_id: int) -> Trip:
         return self.trips[self.trip_index[trip_id]]
 
-    @property
+    @cached_property
     def wait_matrix(self) -> np.ndarray:
         """Bus waiting minutes over hub pairs (scalar broadcast if needed)."""
-        if "wait" not in self._caches:
-            nh = len(self.hubs)
-            w = self.params.wait
-            if np.isscalar(w):
-                w = np.full((nh, nh), float(w))
-                np.fill_diagonal(w, 0.0)
-            else:
-                w = np.array(w, dtype=float, copy=True)
-            w.setflags(write=False)
-            self._caches["wait"] = w
-        return self._caches["wait"]
+        nh = len(self.hubs)
+        w = self.params.wait
+        if np.isscalar(w):
+            w = np.full((nh, nh), float(w))
+            np.fill_diagonal(w, 0.0)
+        else:
+            w = np.array(w, dtype=float, copy=True)
+        w.setflags(write=False)
+        return w
 
-    @property
+    @cached_property
     def metric_consistent(self) -> bool:
         """True when both matrices satisfy the triangle inequality.
 
         Routing exploits this to restrict the search graph to the trip
         endpoints, the hubs, and precomputed two-leg shuttle bridges.
         """
-        if "triangle" not in self._caches:
-            self._caches["triangle"] = bool(
-                _satisfies_triangle(self.dist) and _satisfies_triangle(self.time)
-            )
-        return self._caches["triangle"]
+        return bool(_satisfies_triangle(self.dist) and _satisfies_triangle(self.time))
 
     # -- serialization -------------------------------------------------
 

@@ -41,41 +41,39 @@ the full stop graph.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, Trip, ValidationError, WeightTable, derive_weights
+from .instance import Instance, Trip, ValidationError, WeightTable, derive_weights, memo
 
 BUS = "bus"
 SHUTTLE = "shuttle"
 
 
+@memo
 def weights_of(inst: Instance) -> WeightTable:
-    """Per-instance cached weight table."""
-    if "weights" not in inst._caches:
-        inst._caches["weights"] = derive_weights(inst)
-    return inst._caches["weights"]
+    """The instance's weight table, derived once."""
+    return derive_weights(inst)
 
 
+@memo
 def _relays(inst: Instance) -> np.ndarray:
     """For each ordered pair of hub indices, the stop indices of the best
     three one-stop shuttle relays (h -> x -> l with x a non-hub), ranked
     by (g, f, x), then a -1 column that stands for no relay. Only
     relevant when hub-to-hub shuttles are banned."""
-    if "relays" not in inst._caches:
-        w = weights_of(inst)
-        sidx = inst.stop_index
-        hubset = set(inst.hubs)
-        nonhub = np.array([sidx[s] for s in inst.stops if s not in hubset], dtype=int)
-        hub_pos = inst.hub_positions
-        # [h, l, x] sums over every hub pair at once
-        gsum = w.gamma[np.ix_(hub_pos, nonhub)][:, None, :] + w.gamma[np.ix_(nonhub, hub_pos)].T
-        fsum = inst.time[np.ix_(hub_pos, nonhub)][:, None, :] + inst.time[np.ix_(nonhub, hub_pos)].T
-        order = np.lexsort((np.broadcast_to(nonhub, gsum.shape), fsum, gsum))[..., :3]
-        none = np.full(order.shape[:2] + (1,), -1)
-        inst._caches["relays"] = np.concatenate([nonhub[order], none], axis=2)
-    return inst._caches["relays"]
+    w = weights_of(inst)
+    sidx = inst.stop_index
+    hubset = set(inst.hubs)
+    nonhub = np.array([sidx[s] for s in inst.stops if s not in hubset], dtype=int)
+    hub_pos = inst.hub_positions
+    # [h, l, x] sums over every hub pair at once
+    gsum = w.gamma[np.ix_(hub_pos, nonhub)][:, None, :] + w.gamma[np.ix_(nonhub, hub_pos)].T
+    fsum = inst.time[np.ix_(hub_pos, nonhub)][:, None, :] + inst.time[np.ix_(nonhub, hub_pos)].T
+    order = np.lexsort((np.broadcast_to(nonhub, gsum.shape), fsum, gsum))[..., :3]
+    none = np.full(order.shape[:2] + (1,), -1)
+    return np.concatenate([nonhub[order], none], axis=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,13 +81,12 @@ class Design:
     """A weakly connected set of open bus arcs over the candidate set.
 
     Open arcs always include the instance's fixed backbone. Designs are
-    immutable; each keeps its hub-path table and its ``trip_arrays``,
-    built on first use.
+    immutable; each keeps its hub-path table and its ``trip_arrays``
+    (see ``memo``), built on first use.
     """
 
     instance: Instance
     open_arcs: frozenset
-    _caches: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         inst = self.instance
@@ -288,6 +285,7 @@ class _HubPaths:
     unique: np.ndarray
 
 
+@memo
 def _hop_table(inst: Instance):
     """(terms, usable) over every hop kind and ordered hub pair (u, v).
 
@@ -297,82 +295,80 @@ def _hop_table(inst: Instance):
     the hop: hub-to-hub shuttles when they run and otherwise each pair's
     first bridge; bus hops need their arc open in the design, so none is
     usable here."""
-    if "hop_table" not in inst._caches:
-        w = weights_of(inst)
-        nh = len(inst.hubs)
-        pos = inst.hub_positions
-        u, v = pos[:, None], pos[None, :]
-        terms = np.zeros((4, 3, nh, nh))
-        usable = np.zeros((3, nh, nh), dtype=bool)
-        terms[:2, _BUS_HOP] = w.tau, inst.time[u, v] + inst.wait_matrix
-        terms[:3, _SHUTTLE_HOP] = w.gamma[u, v], inst.time[u, v], inst.dist[u, v]
-        if inst.params.shuttle_between_hubs:
-            usable[_SHUTTLE_HOP] = ~np.eye(nh, dtype=bool)
-        else:
-            x = _relays(inst)[..., 0]
-            usable[_BRIDGE_HOP] = (x >= 0) & ~np.eye(nh, dtype=bool)
-            terms[:, _BRIDGE_HOP] = (w.gamma[u, x] + w.gamma[x, v], inst.time[u, x] + inst.time[x, v],
-                                     inst.dist[u, x], inst.dist[x, v])
-        terms.setflags(write=False)
-        inst._caches["hop_table"] = terms, usable
-    return inst._caches["hop_table"]
+    w = weights_of(inst)
+    nh = len(inst.hubs)
+    pos = inst.hub_positions
+    u, v = pos[:, None], pos[None, :]
+    terms = np.zeros((4, 3, nh, nh))
+    usable = np.zeros((3, nh, nh), dtype=bool)
+    terms[:2, _BUS_HOP] = w.tau, inst.time[u, v] + inst.wait_matrix
+    terms[:3, _SHUTTLE_HOP] = w.gamma[u, v], inst.time[u, v], inst.dist[u, v]
+    if inst.params.shuttle_between_hubs:
+        usable[_SHUTTLE_HOP] = ~np.eye(nh, dtype=bool)
+    else:
+        x = _relays(inst)[..., 0]
+        usable[_BRIDGE_HOP] = (x >= 0) & ~np.eye(nh, dtype=bool)
+        terms[:, _BRIDGE_HOP] = (w.gamma[u, x] + w.gamma[x, v], inst.time[u, x] + inst.time[x, v],
+                                 inst.dist[u, x], inst.dist[x, v])
+    terms.setflags(write=False)
+    return terms, usable
 
 
+@memo
 def _hub_paths(design: Design) -> _HubPaths:
-    """The design's hub-path table, built once. A hop is a bus leg on an
-    open arc, a shuttle leg when hub-to-hub shuttles run and otherwise the
-    pair's first bridge; costs come from Floyd-Warshall over the cheapest
-    hop of each pair."""
-    if "hub_paths" not in design._caches:
-        inst = design.instance
-        w = weights_of(inst)
-        hidx = inst.hub_index
-        nh = len(inst.hubs)
-        terms, usable = _hop_table(inst)
-        usable = usable.copy()
-        for a, b in design.open_arcs:
-            usable[_BUS_HOP, hidx[a], hidx[b]] = True
-        hop = np.where(usable, terms[0], np.inf)
-        cost = hop.min(0)
-        np.fill_diagonal(cost, 0.0)
-        for k in range(nh):
-            np.minimum(cost, cost[:, k, None] + cost[None, k, :], out=cost)
-        # via[h, kind, u, l]: g from h to l with last hop (kind, u). The
-        # margin is absolute: a route's g never exceeds the largest shuttle
-        # cost, the direct shuttle being always available.
-        via = cost[:, None, :, None] + hop[None]
-        margin = _TIE * float(w.gamma.max())
-        ties = (via <= cost[:, None, None, :] + margin).sum(axis=(1, 2))
-        # Walk every pair's path back from its head at once, by flat index
-        # h * H + v; at v == h a walk stays put and adds hop -1. A simple
-        # path has at most H - 1 hops; a longer walk is left not unique.
-        last = via.reshape(nh, 3 * nh, nh).argmin(axis=1)
-        head = np.arange(nh)
-        row = head[:, None] * nh
-        hop_at = (last * nh + head).ravel()
-        prev_at = (row + last % nh).ravel()
-        ok_at = (ties == 1).ravel()
-        home = head * (nh + 1)
-        hop_at[home], prev_at[home], ok_at[home] = -1, home, True
-        goal = home.repeat(nh)
-        at = (row + head).ravel()
-        unique = np.ones(nh * nh, dtype=bool)
-        steps = []
-        for _ in range(nh - 1):
-            if (at == goal).all():
-                break
-            unique &= ok_at[at]
-            steps.append(hop_at[at])
-            at = prev_at[at]
-        unique &= at == goal
-        design._caches["hub_paths"] = _HubPaths(
-            cost,
-            np.stack(steps[::-1], axis=1).reshape(nh, nh, -1) if steps else np.full((nh, nh, 0), -1),
-            unique.reshape(nh, nh),
-        )
-    return design._caches["hub_paths"]
+    """The design's hub-path table. A hop is a bus leg on an open arc, a
+    shuttle leg when hub-to-hub shuttles run and otherwise the pair's
+    first bridge; costs come from Floyd-Warshall over the cheapest hop of
+    each pair."""
+    inst = design.instance
+    w = weights_of(inst)
+    hidx = inst.hub_index
+    nh = len(inst.hubs)
+    terms, usable = _hop_table(inst)
+    usable = usable.copy()
+    for a, b in design.open_arcs:
+        usable[_BUS_HOP, hidx[a], hidx[b]] = True
+    hop = np.where(usable, terms[0], np.inf)
+    cost = hop.min(0)
+    np.fill_diagonal(cost, 0.0)
+    for k in range(nh):
+        np.minimum(cost, cost[:, k, None] + cost[None, k, :], out=cost)
+    # via[h, kind, u, l]: g from h to l with last hop (kind, u). The
+    # margin is absolute: a route's g never exceeds the largest shuttle
+    # cost, the direct shuttle being always available.
+    via = cost[:, None, :, None] + hop[None]
+    margin = _TIE * float(w.gamma.max())
+    ties = (via <= cost[:, None, None, :] + margin).sum(axis=(1, 2))
+    # Walk every pair's path back from its head at once, by flat index
+    # h * H + v; at v == h a walk stays put and adds hop -1. A simple
+    # path has at most H - 1 hops; a longer walk is left not unique.
+    last = via.reshape(nh, 3 * nh, nh).argmin(axis=1)
+    head = np.arange(nh)
+    row = head[:, None] * nh
+    hop_at = (last * nh + head).ravel()
+    prev_at = (row + last % nh).ravel()
+    ok_at = (ties == 1).ravel()
+    home = head * (nh + 1)
+    hop_at[home], prev_at[home], ok_at[home] = -1, home, True
+    goal = home.repeat(nh)
+    at = (row + head).ravel()
+    unique = np.ones(nh * nh, dtype=bool)
+    steps = []
+    for _ in range(nh - 1):
+        if (at == goal).all():
+            break
+        unique &= ok_at[at]
+        steps.append(hop_at[at])
+        at = prev_at[at]
+    unique &= at == goal
+    return _HubPaths(
+        cost,
+        np.stack(steps[::-1], axis=1).reshape(nh, nh, -1) if steps else np.full((nh, nh, 0), -1),
+        unique.reshape(nh, nh),
+    )
 
 
+@memo
 def _trip_costs(inst: Instance):
     """The instance trips' origin and destination stop indices (trips),
     then access (trips x hubs), egress (trips x hubs) and direct-shuttle
@@ -381,27 +377,25 @@ def _trip_costs(inst: Instance):
     shuttle is inf where the table holds it already: as the own-hub
     candidate of a trip with one hub endpoint, and as a hop between hub
     endpoints while hub-to-hub shuttles run."""
-    if "endpoint_costs" not in inst._caches:
-        w = weights_of(inst)
-        sidx, hidx = inst.stop_index, inst.hub_index
-        trips = inst.trips
-        hub_pos = inst.hub_positions
-        o = np.array([sidx[t.origin] for t in trips], dtype=int)
-        d = np.array([sidx[t.destination] for t in trips], dtype=int)
-        access = w.gamma[o[:, None], hub_pos[None, :]]
-        egress = w.gamma[hub_pos[None, :], d[:, None]]
-        direct = w.gamma[o, d]
-        o_hub = np.array([hidx.get(t.origin, -1) for t in trips], dtype=int)
-        d_hub = np.array([hidx.get(t.destination, -1) for t in trips], dtype=int)
-        for cost, own in ((access, o_hub), (egress, d_hub)):
-            rows = np.flatnonzero(own >= 0)
-            cost[rows] = np.inf
-            cost[rows, own[rows]] = 0.0
-        one_hub = (o_hub >= 0) != (d_hub >= 0)
-        two_hubs = (o_hub >= 0) & (d_hub >= 0)
-        direct[one_hub | (two_hubs & inst.params.shuttle_between_hubs)] = np.inf
-        inst._caches["endpoint_costs"] = o, d, access, egress, direct
-    return inst._caches["endpoint_costs"]
+    w = weights_of(inst)
+    sidx, hidx = inst.stop_index, inst.hub_index
+    trips = inst.trips
+    hub_pos = inst.hub_positions
+    o = np.array([sidx[t.origin] for t in trips], dtype=int)
+    d = np.array([sidx[t.destination] for t in trips], dtype=int)
+    access = w.gamma[o[:, None], hub_pos[None, :]]
+    egress = w.gamma[hub_pos[None, :], d[:, None]]
+    direct = w.gamma[o, d]
+    o_hub = np.array([hidx.get(t.origin, -1) for t in trips], dtype=int)
+    d_hub = np.array([hidx.get(t.destination, -1) for t in trips], dtype=int)
+    for cost, own in ((access, o_hub), (egress, d_hub)):
+        rows = np.flatnonzero(own >= 0)
+        cost[rows] = np.inf
+        cost[rows, own[rows]] = 0.0
+    one_hub = (o_hub >= 0) != (d_hub >= 0)
+    two_hubs = (o_hub >= 0) & (d_hub >= 0)
+    direct[one_hub | (two_hubs & inst.params.shuttle_between_hubs)] = np.inf
+    return o, d, access, egress, direct
 
 
 def _pick(paths: _HubPaths, access, egress, direct):
@@ -423,9 +417,10 @@ def _pick(paths: _HubPaths, access, egress, direct):
     return best, second - low > _TIE * low
 
 
+@memo
 def _table(design: Design):
     """(best, decided, sums): the hub-path table's reading of the
-    instance trips, built once per design.
+    instance trips.
 
     ``best`` is each trip's ``_pick``. ``decided`` marks the trips whose
     pick beats the other candidates and whose hub path has no near-tied
@@ -445,8 +440,6 @@ def _table(design: Design):
     destination costs at least the candidate that leaves the hubs at u,
     whose egress shuttle u -> d is the bridge's first leg. Either way
     another candidate lies within the tie margin."""
-    if "table" in design._caches:
-        return design._caches["table"]
     inst = design.instance
     w = weights_of(inst)
     nh = len(inst.hubs)
@@ -476,8 +469,7 @@ def _table(design: Design):
         km += leg
         money += inst.params.omega * leg
     sums.setflags(write=False)
-    design._caches["table"] = best, clear & paths.unique[h, l], sums
-    return design._caches["table"]
+    return best, clear & paths.unique[h, l], sums
 
 
 def _table_legs(inst: Instance, paths: _HubPaths, o: int, d: int, pick: int):
@@ -540,27 +532,26 @@ def route(trip: Trip, design: Design) -> Route:
     return Route(legs=tuple(legs), g=float(g), f=float(f), money=money, shuttle_km=shuttle_km)
 
 
+@memo
 def trip_arrays(design: Design):
     """g, f, money and shuttle_km of every instance trip's route under the
     design, as four read-only float64 arrays in trip order, equal bit for
-    bit to the fields of ``route``; built once per design. The trips the
-    table decides take their ``_table`` sums; the others are routed one
-    by one: near-tied ones and every trip of an instance without the
-    triangle property. (No instance trip starts where it ends.)"""
-    if "arrays" not in design._caches:
-        inst = design.instance
-        if inst.metric_consistent:
-            _, decided, sums = _table(design)
-            out = sums.copy()
-        else:
-            decided = np.zeros(len(inst.trips), dtype=bool)
-            out = np.zeros((4, len(inst.trips)))
-        for i in np.flatnonzero(~decided).tolist():
-            r = route(inst.trips[i], design)
-            out[:, i] = r.g, r.f, r.money, r.shuttle_km
-        out.setflags(write=False)
-        design._caches["arrays"] = tuple(out)
-    return design._caches["arrays"]
+    bit to the fields of ``route``. The trips the table decides take
+    their ``_table`` sums; the others are routed one by one: near-tied
+    ones and every trip of an instance without the triangle property.
+    (No instance trip starts where it ends.)"""
+    inst = design.instance
+    if inst.metric_consistent:
+        _, decided, sums = _table(design)
+        out = sums.copy()
+    else:
+        decided = np.zeros(len(inst.trips), dtype=bool)
+        out = np.zeros((4, len(inst.trips)))
+    for i in np.flatnonzero(~decided).tolist():
+        r = route(inst.trips[i], design)
+        out[:, i] = r.g, r.f, r.money, r.shuttle_km
+    out.setflags(write=False)
+    return tuple(out)
 
 
 def is_direct_trip(trip: Trip, inst: Instance) -> bool:

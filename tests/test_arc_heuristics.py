@@ -76,16 +76,14 @@ class TestAdoptionUb:
 
     def test_theta_one_collapses_to_travel_time(self):
         inst = make_example_instance()
-        object.__setattr__(inst.params, "theta", 1.0)
-        inst._caches.clear()
+        inst = dataclasses.replace(inst, params=dataclasses.replace(inst.params, theta=1.0))
         trip = inst.trips[0]
         r = route(trip, Design.minimal(inst))
         assert adoption_ub(trip, r, inst) == pytest.approx(r.f)
 
     def test_theta_zero_rejected(self):
         inst = make_example_instance()
-        object.__setattr__(inst.params, "theta", 0.0)
-        inst._caches.clear()
+        inst = dataclasses.replace(inst, params=dataclasses.replace(inst.params, theta=0.0))
         trip = inst.trips[0]
         r = route(trip, Design.minimal(inst))
         with pytest.raises(ValueError, match="theta"):

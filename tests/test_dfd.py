@@ -321,6 +321,20 @@ class TestSolveDfd:
         assert fast.design.key() == slow.design.key() == ((1, 2), (2, 1))
         assert fast.objective == slow.objective == pytest.approx(17.75)
 
+    @pytest.mark.parametrize("entry", [
+        lambda inst, fixed: list(balanced_designs(inst, fixed=fixed)),
+        lambda inst, fixed: enumerate_dfd(inst, [0], fixed=fixed),
+        lambda inst, fixed: solve_dfd(inst, [0], fixed=fixed),
+        lambda inst, fixed: solve_master(inst, [make_cut(inst.trips[0], inst)], fixed=fixed),
+    ], ids=["balanced_designs", "enumerate_dfd", "solve_dfd", "solve_master"])
+    def test_fixed_arc_outside_candidates_rejected(self, example_instance, entry, monkeypatch):
+        def solved(*args):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(highs, "branch", solved)
+        with pytest.raises(ValidationError, match=r"^fixed arc \(99, 1\) outside the candidate set$"):
+            entry(example_instance, [(99, 1), (1, 2)])
+
     def test_non_metric_trip_is_not_a_constant(self):
         # distances are metric but the direct shuttle 0 -> 3 takes 100
         # minutes against 3 through the hubs, so the trip that looks

@@ -21,7 +21,8 @@ from odmts import (
     save_instance,
 )
 from odmts.instance import _satisfies_triangle
-from conftest import make_example_instance, tiny_config, tiny_instance
+from odmts.router import trip_arrays, weights_of
+from conftest import make_example_instance, random_design, tiny_config, tiny_instance
 
 
 DELETE = object()  # marks a key the malformed-document cases remove
@@ -245,15 +246,53 @@ class TestDirectConstruction:
         assert type(getattr(got, key)) is int
         assert inst.to_json() == Instance(**plain).to_json()
 
+    @pytest.mark.parametrize("part, key, value", [
+        ("trip", "alpha", np.float32(1.5)), ("trip", "t_cur", np.float32(12.0)),
+        ("params", "wait", np.float32(5.0)), ("params", "wait", np.int64(5)),
+    ], ids=["alpha_float32", "t_cur_float32", "wait_float32", "wait_int64"])
+    def test_numpy_scalar_stored_as_float(self, part, key, value):
+        plain, parts = small_parts(), small_parts()
+        for d, v in ((plain, float(value)), (parts, value)):
+            if part == "params":
+                d["params"] = dataclasses.replace(d["params"], **{key: v})
+            else:
+                d["trips"][1] = dataclasses.replace(d["trips"][1], **{key: v})
+        inst = Instance(**parts)
+        got = inst.params if part == "params" else inst.trips[1]
+        assert type(getattr(got, key)) is float
+        assert inst.to_json() == Instance(**plain).to_json()
+
+    def test_integer_scalars_stay_integers(self):
+        doc = small_doc()
+        doc["params"]["wait"] = 5
+        doc["trips"][1].update(alpha=2, t_cur=12)
+        out = Instance.from_dict(doc).to_dict()
+        assert [type(x) for x in (out["params"]["wait"], out["trips"][1]["alpha"],
+                                  out["trips"][1]["t_cur"])] == [int, int, int]
+
 
 class TestCaches:
-    def test_replace_builds_its_own_caches(self):
+    def test_replace_builds_its_own_trip_index(self):
         inst = tiny_instance(0, n_stops=12)
         assert len(inst.trip_index) == len(inst.trips)
         copy = dataclasses.replace(inst, trips=inst.trips[4:])
         assert copy.trip_index == {t.id: i for i, t in enumerate(copy.trips)}
         with pytest.raises(ValidationError, match="unknown trip ids"):
             eval_design(copy, Design.minimal(copy), [inst.trips[0].id])
+
+    def test_replace_derives_its_own_weights_and_arrays(self):
+        inst = tiny_instance(0, n_stops=12)
+        arcs = random_design(inst, np.random.default_rng(0)).open_arcs
+        w, g = weights_of(inst), trip_arrays(Design(inst, arcs))[0]
+        copy = dataclasses.replace(inst, params=dataclasses.replace(inst.params, theta=0.5))
+        fresh = Instance.from_dict(copy.to_dict())  # shares nothing with inst
+        assert np.array_equal(weights_of(copy).gamma, weights_of(fresh).gamma)
+        assert not np.array_equal(weights_of(copy).gamma, w.gamma)
+        copy_g = trip_arrays(Design(copy, arcs))[0]
+        assert np.array_equal(copy_g, trip_arrays(Design(fresh, arcs))[0])
+        assert not np.array_equal(copy_g, g)
+        assert weights_of(inst) is w
+        assert np.array_equal(trip_arrays(Design(inst, arcs))[0], g)
 
 
 class TestDeriveWeights:

@@ -183,8 +183,9 @@ class TestOracleAgreement:
         rng = np.random.default_rng(3)
         z = random_design(inst, rng)
         expected = [route(t, z) for t in inst.trips]
-        z2 = Design(inst, z.open_arcs)  # fresh cache
-        monkeypatch.setitem(inst._caches, "triangle", False)
+        z2 = Design(inst, z.open_arcs)  # fresh table and arrays
+        # cached_property keeps its value in the instance's __dict__
+        monkeypatch.setitem(inst.__dict__, "metric_consistent", False)
         got = [route(t, z2) for t in inst.trips]
         for a, b in zip(expected, got):
             assert a.g == pytest.approx(b.g, abs=1e-12)
