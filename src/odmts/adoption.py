@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import PER_DISTANCE, Instance, Trip, memo
+from .instance import PER_DISTANCE, Instance, Trip, ValidationError, memo
 from .router import Design, Route, trip_arrays, weights_of
 
 
@@ -78,7 +78,10 @@ def _trip_terms(inst: Instance):
 def _served(inst: Instance, design: Design):
     """Which trips adopt (latent) and which are served (core or adopting),
     and each trip's objective term: riders * g for a core trip, riders *
-    (g - varphi) for a latent one, read from ``trip_arrays``."""
+    (g - varphi) for a latent one, read from ``trip_arrays``, which routes
+    on the design's own instance."""
+    if design.instance is not inst:
+        raise ValidationError("design belongs to another instance")
     g, f, _, _ = trip_arrays(design)
     _, latent, riders, limit = _trip_terms(inst)
     adopt = latent & (f <= limit)
@@ -112,8 +115,8 @@ def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
     ids, latent, riders, _ = _trip_terms(inst)
     in_tset = np.fromiter(map(tset.__contains__, ids.tolist()), bool, len(ids))
     p = inst.params
-    _, f, _, km = trip_arrays(design)
     adopt, served, terms = _served(inst, design)
+    _, f, _, km = trip_arrays(design)
 
     bus_investment = arcs_cost(inst, design.open_arcs)
     objective = _running_sum(bus_investment, terms[served])

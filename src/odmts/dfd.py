@@ -18,13 +18,15 @@ instances only) are constants and get no flow.
 The LPs run on HiGHS's compiled core, which ships inside scipy (see
 ``highs``). A heuristic run keeps one ``FlowModel``: each trip's block
 joins it the first time a solve uses the trip, blocks outside a solve
-are switched off, and every solve starts warm from the previous basis.
-Each LP stops early once its dual bound passes the cap of its search,
-and a depth-first search under a no-good row that excludes the
-incumbent can prove it the only integral design within the tie cap,
-which skips the tie pass. Each trip's block is built from the router's
-edge arrays (``router._edges``), the rule the per-trip route search
-uses as well.
+are switched off, every solve starts warm from the previous basis, and
+a repeat of a solve's blocks and fixed arcs takes its design without an
+LP. Each LP stops early once its dual bound passes the cap of its
+search. One depth-first search finds the optimum and meets every other
+integral design within the tie cap outside the optimum's own leaf; a
+search of that leaf under a no-good row that excludes the optimum can
+then prove it the only one, which skips the tie pass. Each trip's block
+is built from the router's edge arrays (``router._edges``), the rule
+the per-trip route search uses as well.
 """
 
 from __future__ import annotations
@@ -170,6 +172,7 @@ class FlowModel:
         self.cols, self.rows = na, nh + 1
         self.at = {}  # block -> (first column, origin row)
         self.on = set()
+        self.solved = {}  # (blocks, fixed arcs) -> solve_master's (design, value, root)
 
     def use(self, blocks):
         """Append the blocks not in the model yet and switch on exactly
@@ -235,18 +238,21 @@ class FlowModel:
 def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = None):
     """Optimal design of the flow model over ``blocks``, with ``fixed``
     arcs open on top of the backbone; ``_model`` is the ``FlowModel`` to
-    solve on, a new one by default.
+    solve on, a new one by default, and returns its stored result with 0
+    LP solves when it has solved these blocks and fixed arcs before.
 
     Returns (design, value, root, solves): the model's optimal value v*,
     its root LP value and the number of LP solves. The design is the
     smallest sorted arc tuple among the designs within a relative 1e-9
-    of v* (the cap), the tie rule of ``enumerate_dfd``. When the
-    incumbent opens an arc, a depth-first search under the no-good row
-    that excludes it looks for any other integral design within the
-    cap; if it finds none, the incumbent is the answer. Otherwise the
-    design is decided arc by arc in candidate (sorted) order, keeping an
-    integral incumbent within the cap which agrees with the arcs decided
-    so far:
+    of v* (the cap), the tie rule of ``enumerate_dfd``. The search for v*
+    prunes only above the incumbent's cap, so every integral design lies
+    in the incumbent's leaf, in another integral leaf or above the cap.
+    The incumbent is the answer when it opens no arc, or when no other
+    leaf lies within the cap and a search of its leaf under the no-good
+    row that excludes it finds no design within the cap.
+    Otherwise the design is decided arc by arc in candidate (sorted)
+    order, keeping an integral incumbent within the cap which agrees
+    with the arcs decided so far:
 
     1. when no fixed arc is left ahead and the arcs decided open form a
        balanced design within the cap, that design is the answer: every
@@ -259,21 +265,29 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
     Every LP is solved under the cap of its search (see ``highs.solve``).
     """
     fixed = _fixed_arcs(inst, fixed)
+    model = FlowModel(inst) if _model is None else _model
+    key = (frozenset(blocks), fixed)
+    if key in model.solved:
+        return model.solved[key] + (0,)
     cand = inst.candidate_arcs
     na, nh = len(cand), len(inst.hubs)
-    model = FlowModel(inst) if _model is None else _model
     model.use(blocks)
     solver, hubs = model.solver, model.hubs
     is_fixed = np.array([a in fixed for a in cand], dtype=bool)
     lo, up = is_fixed.astype(float), np.ones(na)
     log = []
-    found = highs.branch(solver, lo, up, np.inf, False, log)
+    found = highs.branch(solver, lo, up, np.inf, _TIE, log)
     if found is None:
         raise ValidationError("master infeasible: fixed arcs cannot be balanced")
-    best, inc = found
+    best, inc, leaf_lo, leaf_up, other = found
     root = log[0][0]
     cap = best + _TIE * abs(best)
-    if inc.any() and not _unique(model, inc, lo, up, cap, log):
+    tied = other <= cap
+    if inc.any() and not tied:
+        model.exclude(inc)
+        tied = highs.branch(solver, leaf_lo, leaf_up, cap, None, log) is not None
+        model.exclude(None)
+    if inc.any() and tied:
         for i in range(na):
             if not inc[i:].any():
                 break
@@ -287,7 +301,7 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
             if not (is_fixed[i] or inc[i]):
                 forced = lo.copy()
                 forced[i] = 1.0
-                probe = highs.branch(solver, forced, up, cap, True, log)
+                probe = highs.branch(solver, forced, up, cap, None, log)
                 if probe is None:
                     up[i] = 0.0
                     continue
@@ -296,18 +310,8 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
     # arcs_cost sums in set order, so how this set is built fixes the
     # objective's last bits; this order reproduces bench/references.json
     opened = frozenset(a for a, on in zip(cand, inc) if on and a not in fixed)
-    return Design(inst, fixed | opened), best, root, len(log)
-
-
-def _unique(model, inc, lo, up, cap, log) -> bool:
-    """True when no integral design but ``inc`` has a value within ``cap``:
-    a depth-first search under the no-good row that excludes ``inc``
-    finds none. Every integral design but ``inc`` satisfies that row, so
-    the search covers them all."""
-    model.exclude(inc)
-    other = highs.branch(model.solver, lo, up, cap, True, log)
-    model.exclude(None)
-    return other is None
+    model.solved[key] = (Design(inst, fixed | opened), best, root)
+    return model.solved[key] + (len(log),)
 
 
 @dataclass(frozen=True)
@@ -317,7 +321,8 @@ class DfdSolution:
     ``design``, ``objective`` and ``tset`` depend on the solve's inputs
     alone. On a shared ``FlowModel`` the root LP value in ``bounds`` (in
     its last bits) and ``iterations`` also depend on the warm basis that
-    earlier solves on the model left behind."""
+    earlier solves on the model left behind; ``iterations`` is 0 when the
+    model had solved the same flow blocks and fixed arcs before."""
 
     design: Design
     objective: float

@@ -141,13 +141,16 @@ def solve(highs, lo, up, cap, log):
     return log[-1]
 
 
-def branch(highs, lo, up, cap, first, log):
+def branch(highs, lo, up, cap, tie, log):
     """Depth-first branch and bound on the first fractional column of the
-    first len(lo) ones, below their bounds (lo, up), down child first:
-    the best solution integral there with value <= cap, or with
-    ``first`` the first one found, as (value, mask of columns at 1);
-    None when there is none."""
-    best = None
+    first len(lo) ones, below their bounds (lo, up), down child first,
+    over solutions integral there with value <= cap: the first one when
+    ``tie`` is None, else the least, the first among equals, lowering the
+    cap to its value plus ``tie`` times its magnitude, so that every
+    integral point lies in a leaf met or in a node pruned above the final
+    cap. Returns (value, mask of columns at 1, lo and up of its leaf,
+    least value of the other integral leaves met or inf), or None."""
+    best, other = None, np.inf
     stack = [(lo, up)]
     while stack:
         lo, up = stack.pop()
@@ -157,13 +160,17 @@ def branch(highs, lo, up, cap, first, log):
         value, x = res
         frac = np.flatnonzero(np.abs(x - np.round(x)) > INT_TOL)
         if not frac.size:
-            best = (value, x > 0.5)
-            if first:
-                break
-            cap = np.nextafter(value, -np.inf)
+            if tie is None:
+                return value, x > 0.5, lo, up, other
+            if best is not None and value >= best[0]:
+                other = min(other, value)
+            else:
+                other = other if best is None else best[0]
+                best = (value, x > 0.5, lo, up)
+                cap = min(cap, value + tie * abs(value))
             continue
         lo_up, up_down = lo.copy(), up.copy()
         lo_up[frac[0]] = 1.0
         up_down[frac[0]] = 0.0
         stack += [(lo_up, up), (lo, up_down)]
-    return best
+    return None if best is None else best + (other,)

@@ -44,11 +44,11 @@ def _core_ids(inst: Instance) -> frozenset:
 
 class _DfdCache:
     """Memoizes fixed-demand solves within one heuristic run. The run's
-    solves share one ``FlowModel``, each starting warm from the last.
-    Identical (trip set, fixed arcs) inputs always yield the same design,
-    objective and tset; the root LP value in ``bounds`` and
-    ``iterations`` also depend on the warm basis the run's earlier
-    solves left behind."""
+    solves share one ``FlowModel``, each starting warm from the last;
+    trip sets with the same flow blocks and fixed arcs share its master
+    solve. Identical (trip set, fixed arcs) inputs always yield the same
+    design, objective and tset; the root LP value in ``bounds`` and
+    ``iterations`` also depend on the run's earlier solves."""
 
     def __init__(self, inst):
         self.inst = inst

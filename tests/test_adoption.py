@@ -118,6 +118,25 @@ class TestEvalDesign:
         with pytest.raises(ValidationError, match="unknown trip ids"):
             eval_design(inst, Design.minimal(inst), tset)
 
+    @pytest.mark.parametrize("change", [
+        lambda inst: dict(params=dataclasses.replace(inst.params, theta=0.5)),
+        lambda inst: dict(trips=inst.trips[:-2]),
+    ], ids=["other_theta", "fewer_trips"])
+    def test_design_of_another_instance_rejected(self, change):
+        # a design routes on its own instance; scored against a copy with
+        # other costs it would mix the two, and with fewer trips the
+        # per-trip arrays no longer line up
+        inst = tiny_instance(0, n_stops=12)
+        copy = dataclasses.replace(inst, **change(inst))
+        design = solve_dfd(inst, [t.id for t in inst.trips]).design
+        ids = [t.id for t in copy.trips]
+        with pytest.raises(ValidationError, match="^design belongs to another instance$"):
+            eval_design(copy, design, ids)
+        with pytest.raises(ValidationError, match="^design belongs to another instance$"):
+            design_objective(copy, design)
+        assert eval_design(copy, Design(copy, design.open_arcs), ids).objective == \
+            design_objective(copy, Design(copy, design.open_arcs))
+
     def test_adoption_consistency(self):
         inst = tiny_instance(6)
         import numpy as np

@@ -20,7 +20,7 @@ from odmts import (
 )
 from odmts import highs
 from odmts.adoption import arcs_cost
-from odmts.dfd import FlowModel, TripBlock, _direct_flags
+from odmts.dfd import _TIE, FlowModel, TripBlock, _direct_flags
 from odmts.trip_heuristics import _DfdCache
 from conftest import block_price, make_example_instance, reference_block, tiny_instance
 from test_router import EDGE_CASES, grid_instance
@@ -172,7 +172,7 @@ class TestSolveMaster:
         )
         model = FlowModel(inst)
         model.use([block])
-        value, inc = highs.branch(model.solver, np.zeros(2), np.ones(2), np.inf, False, [])
+        value, inc, *_ = highs.branch(model.solver, np.zeros(2), np.ones(2), np.inf, _TIE, [])
         assert value == 12.5 and inc.all()
         prices = {z.key(): arcs_cost(inst, z.open_arcs) + block_price(inst, block, z.open_arcs)
                   for z in balanced_designs(inst)}
@@ -192,7 +192,7 @@ class TestSolveMaster:
         model = FlowModel(inst)
         model.use(blocks)
         na = len(inst.candidate_arcs)
-        best, inc = highs.branch(model.solver, np.zeros(na), np.ones(na), np.inf, False, [])
+        best, inc, *_ = highs.branch(model.solver, np.zeros(na), np.ones(na), np.inf, _TIE, [])
         model.exclude(inc)
         other = highs.solve(model.solver, np.zeros(na), np.ones(na), np.inf, [])
         assert other[0] <= best * (1 + 1e-9)  # so every optimum of it is fractional
@@ -201,6 +201,34 @@ class TestSolveMaster:
         assert design.key() == slow.design.key() and design.open_arcs
         assert value == pytest.approx(slow.objective, rel=1e-12)
         assert solves < 19
+
+    def test_tie_between_leaves_goes_to_the_tie_pass(self, monkeypatch):
+        # one trip rides arc (1, 2) for 3 or arc (3, 0) for 4, against 9
+        # direct; three returns close (1, 2) at equal cost, so three
+        # designs tie at 7. The root LP (6.5) is fractional, and the
+        # search meets a second integral leaf within the tie cap, so the
+        # tie pass runs without a search under the no-good row
+        inst = grid_instance([(0, 0), (0, 2), (2, 0), (2, 2), (4, 4)], hubs=(0, 1, 2, 3),
+                             trips=[(4, 0)], bus_rate=0.5, buses_per_leg=2.0)
+        cand = inst.candidate_arcs
+        block = TripBlock(
+            trip=inst.trips[0], tail=np.array([0, 0, 4, 1, 0, 2, 3]),
+            head=np.array([5, 4, 1, 5, 2, 3, 5]), g=np.array([9.0, 2, 2, 0, 2, 0, 1]),
+            arc=np.array([-1, -1, cand.index((3, 0)), -1, -1, cand.index((1, 2)), -1]), nodes=6,
+        )
+        prices = sorted((arcs_cost(inst, z.open_arcs) + block_price(inst, block, z.open_arcs),
+                         z.key()) for z in balanced_designs(inst))
+        assert [p for p in prices if p[0] == 7.0] == [
+            (7.0, ((0, 1), (1, 2), (2, 0))), (7.0, ((1, 2), (2, 1))),
+            (7.0, ((1, 2), (2, 3), (3, 1)))]
+
+        def searched(*args):
+            raise AssertionError("searched under the no-good row")
+
+        monkeypatch.setattr(FlowModel, "exclude", searched)
+        design, value, root, _ = solve_master(inst, [block])
+        assert root == 6.5 and value == 7.0
+        assert design.key() == ((0, 1), (1, 2), (2, 0))
 
     @pytest.mark.parametrize(
         "inst",
@@ -281,6 +309,40 @@ class TestSolveDfd:
         sol = solve_dfd(inst, [t.id for t in inst.trips])
         assert len(sol.design.open_arcs) == 3
         assert sol.iterations == 2
+
+    def test_fractional_root_settled_in_one_search(self):
+        # the root LP is fractional; 7 LPs find the optimum, and one LP
+        # under the no-good row inside the optimum's leaf proves it the
+        # only design within the tie cap
+        inst = tiny_instance(24, n_stops=12, n_hubs=4, core=6, mid=6, high=4)
+        tset = [0, 2, 4, 5, 6, 8, 9, 12, 14]
+        sol = solve_dfd(inst, tset)
+        ((_, root, objective, _, _),) = sol.bounds
+        assert root < objective * (1 - 1e-9)
+        assert sol.iterations == 8
+        slow = enumerate_dfd(inst, tset)
+        assert sol.design.key() == slow.design.key() == ((8, 10), (10, 8))
+        assert sol.objective == pytest.approx(slow.objective, rel=1e-12)
+
+    def test_repeated_flow_trips_run_no_lp(self):
+        # trip sets that differ only in trips riding a direct shuttle under
+        # every design have the same flow blocks: the second solve takes
+        # the first one's design without an LP; other fixed arcs miss
+        inst = tiny_instance(0)
+        direct = _direct_flags(inst)
+        flow = [t.id for t in inst.trips if not direct[t.id]]
+        tset = flow + [t.id for t in inst.trips if direct[t.id]]
+        cache = _DfdCache(inst)
+        first = cache.solve(flow)
+        again = cache.solve(tset)
+        assert first.iterations >= 1 and again.iterations == 0
+        assert again.design is first.design and first.design.open_arcs
+        fresh = solve_dfd(inst, tset)
+        assert again.objective == fresh.objective and again.tset == fresh.tset
+        assert again.bounds[0][2:] == fresh.bounds[0][2:]
+        fixed = cache.solve(tset, fixed=first.design.open_arcs)
+        assert fixed.iterations >= 1 and fixed.design is not first.design
+        assert fixed.design.key() == first.design.key()
 
     @pytest.mark.parametrize(
         "inst",

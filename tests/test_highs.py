@@ -10,12 +10,12 @@ import odmts
 from odmts import highs
 
 
-def pair_model():
-    """min -x0 - x1 over x0 + x1 <= 1.5, both in [0, 1]: the LP optimum
-    is fractional, the integral one opens either column."""
+def pair_model(cost=(-1.0, -1.0), weight=(1.0, 1.0), rhs=1.5):
+    """min cost.x over weight.x <= rhs, both in [0, 1]; by default the LP
+    optimum is fractional and the integral one opens either column."""
     return highs.model(
-        np.array([-1.0, -1.0]), np.ones(2), np.array([-np.inf]), np.array([1.5]),
-        np.array([0, 0]), np.array([0, 1]), np.array([1.0, 1.0]),
+        np.array(cost), np.ones(2), np.array([-np.inf]), np.array([rhs]),
+        np.array([0, 0]), np.array([0, 1]), np.array(weight),
     )
 
 
@@ -31,18 +31,42 @@ def chain_model(n=150):
 
 class TestBranch:
     def test_root_is_fractional_and_branching_settles_it(self):
+        # the root (1, 0.5) branches on x1; the down child's leaf (1, 0)
+        # comes first, and the up child's leaf (0, 1) ties it
         log = []
-        value, at_one = highs.branch(pair_model(), np.zeros(2), np.ones(2), np.inf, False, log)
+        value, at_one, lo, up, other = highs.branch(pair_model(), np.zeros(2), np.ones(2),
+                                                    np.inf, 1e-9, log)
         assert log[0][0] == pytest.approx(-1.5)
-        assert value == pytest.approx(-1.0)
-        assert at_one.sum() == 1
-        assert len(log) >= 3
+        assert value == pytest.approx(-1.0) and at_one.tolist() == [True, False]
+        assert lo.tolist() == [0.0, 0.0] and up.tolist() == [1.0, 0.0]
+        assert other == pytest.approx(-1.0)
+        assert len(log) == 5
+
+    def test_better_leaf_replaces_the_first(self):
+        # min -3 x0 - 2 x1 over 2 x0 + x1 <= 2.5: the down child x0 = 0
+        # gives the leaf (0, 1) at -2 first, the up child the leaf (1, 0)
+        # at -3, which wins and leaves -2 as the other leaf
+        solver = pair_model((-3.0, -2.0), (2.0, 1.0), 2.5)
+        value, at_one, lo, up, other = highs.branch(solver, np.zeros(2), np.ones(2),
+                                                    np.inf, 1e-9, [])
+        assert value == -3.0 and at_one.tolist() == [True, False] and other == -2.0
+        assert lo.tolist() == [1.0, 0.0] and up.tolist() == [1.0, 0.0]
+
+    def test_node_within_the_tie_cap_is_searched(self):
+        # min -2 x0 - 1.5 x1: the leaf (1, 0) at -2 comes first; the up
+        # child's LP value -2.5 is searched on, and its leaf (0, 1) at
+        # -1.5 is recorded when it lies within the tie cap
+        solver = pair_model((-2.0, -1.5))
+        *_, other = highs.branch(solver, np.zeros(2), np.ones(2), np.inf, 0.6, [])
+        assert other == -1.5
+        *_, other = highs.branch(solver, np.zeros(2), np.ones(2), np.inf, 0.2, [])
+        assert other == np.inf
 
     def test_cap_and_bounds(self):
         log = []
-        assert highs.branch(pair_model(), np.zeros(2), np.ones(2), -1.2, True, log) is None
-        value, at_one = highs.branch(pair_model(), np.array([0.0, 1.0]), np.ones(2), -0.5,
-                                     True, log)
+        assert highs.branch(pair_model(), np.zeros(2), np.ones(2), -1.2, None, log) is None
+        value, at_one, *_ = highs.branch(pair_model(), np.array([0.0, 1.0]), np.ones(2), -0.5,
+                                         None, log)
         assert value == pytest.approx(-1.0) and at_one.tolist() == [False, True]
 
     def test_infeasible_bounds(self):
@@ -68,7 +92,7 @@ class TestCutoff:
         res = highs.solve(solver, np.zeros(150), np.full(150, 10.0), value - below, log)
         assert res[0] == pytest.approx(value, rel=1e-12)
         found = highs.branch(chain_model(), np.zeros(150), np.full(150, 10.0), value - below,
-                             True, [])
+                             None, [])
         assert (found is None) == (below > 0)
 
     def test_cap_resets_on_every_solve(self):
