@@ -180,12 +180,7 @@ def exact_tiny(inst: Instance) -> ExactTinyResult:
     reproduces the optimum with zero false rates."""
     from .dfd import balanced_designs, solve_dfd
 
-    best = None
-    best_obj = None
-    for design in balanced_designs(inst):
-        obj = design_objective(inst, design)
-        if best is None or obj < best_obj or (obj == best_obj and design.key() < best.key()):
-            best, best_obj = design, obj
+    best = min(balanced_designs(inst), key=lambda d: (design_objective(inst, d), d.key()))
     ids = _trip_terms(inst)[0]
     tset = frozenset(ids[_served(inst, best)[1]].tolist())  # core trips and adopters
     evaluation = eval_design(inst, best, tset)

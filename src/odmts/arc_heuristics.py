@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adoption import _served, design_objective, eval_design
+from .dfd import FlowModel, solve_dfd
 from .instance import Instance, Trip
 from .router import Design, Route, _min_access_egress_km, route, trip_arrays
 from .trace import HeuristicTrace
-from .trip_heuristics import _core_ids, _DfdCache
 
 RULES = ("a", "b", "c", "d")
 # find_cycles raises CycleCapError past this many cycles.
@@ -121,9 +121,10 @@ def expand(rule: str, design: Design) -> set:
     return {t.id for t in trips}
 
 
-def _arc_stage(inst, rule, z, tbar, bound, k, trace, stage, cache, expanded=False):
+def _arc_stage(inst, rule, z, tbar, bound, k, trace, stage, model, expanded=False):
     """One greedy fixing phase from the fixed design ``z`` and trip set
-    ``tbar``; returns the final (z, tbar, bound, k).
+    ``tbar`` on the run's DFD ``model``; returns the final (z, tbar,
+    bound, k).
 
     Each step scores every new cycle and fixes the best one only if it
     beats ``bound``, the objective of the last fixed design. It expands
@@ -138,7 +139,7 @@ def _arc_stage(inst, rule, z, tbar, bound, k, trace, stage, cache, expanded=Fals
     """
     while True:
         t0 = time.perf_counter()
-        sol = cache.solve(tbar, fixed=z.open_arcs)
+        sol = solve_dfd(inst, tbar, fixed=z.open_arcs, _model=model)
         best = None
         for c in find_cycles(sol.design.open_arcs - z.open_arcs):
             # pre-sorted: ties go to the shorter, lex-smaller cycle
@@ -164,8 +165,8 @@ def arc_s1(inst: Instance, rule: str = "a"):
     if rule not in RULES:
         raise ValueError(f"unknown expansion rule {rule!r}")
     trace = HeuristicTrace()
-    z, tbar, _, _ = _arc_stage(inst, rule, Design.minimal(inst), _core_ids(inst), float("inf"), 0,
-                               trace, 1, _DfdCache(inst))
+    z, tbar, _, _ = _arc_stage(inst, rule, Design.minimal(inst), inst.core_ids, float("inf"), 0,
+                               trace, 1, FlowModel(inst))
     return z, trace.finish(z, tbar)
 
 
@@ -178,12 +179,12 @@ def arc_s2(inst: Instance, rule_stage1: str = "d", rule_stage2: str = "a"):
     if rule_stage2 not in RULES:
         raise ValueError(f"unknown expansion rule {rule_stage2!r}")
     trace = HeuristicTrace()
-    cache = _DfdCache(inst)
-    z, tbar, bound, k = _arc_stage(inst, rule_stage1, Design.minimal(inst), _core_ids(inst),
-                                   float("inf"), 0, trace, 1, cache)
+    model = FlowModel(inst)
+    z, tbar, bound, k = _arc_stage(inst, rule_stage1, Design.minimal(inst), inst.core_ids,
+                                   float("inf"), 0, trace, 1, model)
     # hand the stage-2 rule a first look at the converged design so the
     # second phase starts from an expanded trip set rather than re-solving
     # the exact fixed point stage 1 stopped at
     tbar = tbar | expand(rule_stage2, z)
-    z, tbar, _, _ = _arc_stage(inst, rule_stage2, z, tbar, bound, k, trace, 2, cache, expanded=True)
+    z, tbar, _, _ = _arc_stage(inst, rule_stage2, z, tbar, bound, k, trace, 2, model, expanded=True)
     return z, trace.finish(z, tbar)

@@ -18,20 +18,22 @@ instances only) are constants and get no flow.
 The LPs run on HiGHS's compiled core, which ships inside scipy (see
 ``highs``). A heuristic run keeps one ``FlowModel``: each trip's block
 joins it the first time a solve uses the trip, blocks outside a solve
-are switched off, every solve starts warm from the previous basis, and
-a repeat of a solve's blocks and fixed arcs takes its design without an
-LP. Each LP stops early once its dual bound passes the cap of its
-search. One depth-first search finds the optimum and meets every other
-integral design within the tie cap outside the optimum's own leaf; a
-search of that leaf under a no-good row that excludes the optimum can
-then prove it the only one, which skips the tie pass. Each trip's block
+are switched off and every solve starts warm from the previous basis.
+``solve_dfd`` answers the run's repeats from the model without an LP: a
+repeat of a solve's trip ids and fixed arcs gets the stored solution,
+and a repeat of its flow blocks and fixed arcs the stored design. Each
+LP stops early once its dual bound passes the cap of its search. One
+depth-first search finds the optimum and meets every other integral
+design within the tie cap outside the optimum's own leaf; a search of
+that leaf under a no-good row that excludes the optimum can then prove
+it the only one, which skips the tie pass. Each trip's block
 is built from the router's edge arrays (``router._edges``), the rule
 the per-trip route search uses as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,7 +149,9 @@ def make_cut(trip: Trip, inst: Instance) -> TripBlock:
 class FlowModel:
     """The arc-flow model of one instance on one HiGHS solver, grown by
     a trip's block the first time a solve uses it. The solver keeps its
-    basis, so every solve starts warm from the previous one.
+    basis, so every solve starts warm from the previous one. ``solved``
+    and ``masters`` hold the answers ``solve_dfd`` has given on the
+    model, by (trip ids, fixed arcs) and by (flow blocks, fixed arcs).
 
     Columns: z, then the blocks' edges in the order the blocks joined.
     Rows: hub balance, the no-good row (free unless ``exclude`` set it),
@@ -172,7 +176,8 @@ class FlowModel:
         self.cols, self.rows = na, nh + 1
         self.at = {}  # block -> (first column, origin row)
         self.on = set()
-        self.solved = {}  # (blocks, fixed arcs) -> solve_master's (design, value, root)
+        self.solved = {}  # (trip ids, fixed arcs) -> DfdSolution
+        self.masters = {}  # (blocks, fixed arcs) -> solve_master's (design, root)
 
     def use(self, blocks):
         """Append the blocks not in the model yet and switch on exactly
@@ -237,9 +242,8 @@ class FlowModel:
 
 def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = None):
     """Optimal design of the flow model over ``blocks``, with ``fixed``
-    arcs open on top of the backbone; ``_model`` is the ``FlowModel`` to
-    solve on, a new one by default, and returns its stored result with 0
-    LP solves when it has solved these blocks and fixed arcs before.
+    arcs open on top of the backbone, by one search on ``_model``, the
+    ``FlowModel`` to solve on (a new one by default).
 
     Returns (design, value, root, solves): the model's optimal value v*,
     its root LP value and the number of LP solves. The design is the
@@ -266,9 +270,6 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
     """
     fixed = _fixed_arcs(inst, fixed)
     model = FlowModel(inst) if _model is None else _model
-    key = (frozenset(blocks), fixed)
-    if key in model.solved:
-        return model.solved[key] + (0,)
     cand = inst.candidate_arcs
     na, nh = len(cand), len(inst.hubs)
     model.use(blocks)
@@ -310,8 +311,7 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
     # arcs_cost sums in set order, so how this set is built fixes the
     # objective's last bits; this order reproduces bench/references.json
     opened = frozenset(a for a, on in zip(cand, inc) if on and a not in fixed)
-    model.solved[key] = (Design(inst, fixed | opened), best, root)
-    return model.solved[key] + (len(log),)
+    return Design(inst, fixed | opened), best, root, len(log)
 
 
 @dataclass(frozen=True)
@@ -321,8 +321,8 @@ class DfdSolution:
     ``design``, ``objective`` and ``tset`` depend on the solve's inputs
     alone. On a shared ``FlowModel`` the root LP value in ``bounds`` (in
     its last bits) and ``iterations`` also depend on the warm basis that
-    earlier solves on the model left behind; ``iterations`` is 0 when the
-    model had solved the same flow blocks and fixed arcs before."""
+    earlier solves on the model left behind; ``iterations`` is 0 when
+    ``solve_dfd`` answered from the model (see ``solve_dfd``)."""
 
     design: Design
     objective: float
@@ -335,17 +335,29 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
     """Optimal design for the trip ids ``tset`` with ``fixed`` arcs open:
     one flow model over the trips that do not ride a direct shuttle
     under every design, the others being constants. The objective adds
-    each trip's routed g from the design's ``trip_arrays``. ``_model``
-    is the ``FlowModel`` to solve on, a new one by default."""
-    index = inst.trip_index
-    trips = sorted((inst.trips[index[t]] for t in inst.trip_ids(tset)), key=lambda t: t.id)
-    fixed = _fixed_arcs(inst, fixed)
+    each trip's routed g from the design's ``trip_arrays``.
 
+    ``_model`` is the ``FlowModel`` to solve on, a new one by default; a
+    heuristic run passes its own to every solve. After the checks of
+    ``tset`` and ``fixed``, a repeat of trip ids and fixed arcs the model
+    has answered returns the stored solution with ``iterations`` 0, and
+    a repeat of flow blocks and fixed arcs (trip sets that differ only
+    in direct trips) takes the stored design and root LP value without
+    calling ``solve_master``."""
+    ids, fixed = inst.trip_ids(tset), _fixed_arcs(inst, fixed)
+    model = FlowModel(inst) if _model is None else _model
+    if (ids, fixed) in model.solved:
+        return replace(model.solved[ids, fixed], iterations=0)
+    trips = sorted(map(inst.trip_by_id, ids), key=lambda t: t.id)
     direct = _direct_flags(inst)
     flow_trips = [t for t in trips if not direct[t.id]]
-    design, _, root, solves = solve_master(
-        inst, [make_cut(t, inst) for t in flow_trips], fixed=fixed, _model=_model
-    )
+    blocks = [make_cut(t, inst) for t in flow_trips]
+    key = (frozenset(blocks), fixed)
+    if key in model.masters:
+        (design, root), solves = model.masters[key], 0
+    else:
+        design, _, root, solves = solve_master(inst, blocks, fixed=fixed, _model=model)
+        model.masters[key] = (design, root)
     g = trip_arrays(design)[0].tolist()
     row = inst.trip_index
     objective = arcs_cost(inst, design.open_arcs)
@@ -358,10 +370,11 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
             const += t.riders * g[row[t.id]]
     objective += const
     record = (1, root + const, objective, len(design.open_arcs), len(flow_trips))
-    return DfdSolution(
+    model.solved[ids, fixed] = DfdSolution(
         design=design, objective=objective, tset=frozenset(t.id for t in trips),
         bounds=(record,), iterations=solves,
     )
+    return model.solved[ids, fixed]
 
 
 # -- exhaustive oracle -------------------------------------------------
@@ -376,26 +389,13 @@ def balanced_designs(inst: Instance, fixed=()):
     if len(cand) > ENUMERATION_CAP:
         raise CapExceeded(f"{len(cand)} candidate arcs exceed the cap {ENUMERATION_CAP}")
     free = [a for a in cand if a not in fixed]
-    nh = len(inst.hubs)
-    base = inst.hub_degree(fixed)
-    deltas = [inst.hub_degree([a]) for a in free]
     for mask in range(1 << len(free)):
-        deg = list(base)
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                d = deltas[i]
-                for j in range(nh):
-                    deg[j] += d[j]
-            m >>= 1
-            i += 1
-        if any(deg):
-            continue
+        # arcs_cost sums in set order, so this build order fixes its last bits
         arcs = frozenset(fixed) | frozenset(
             free[i] for i in range(len(free)) if mask >> i & 1
         )
-        yield Design(inst, arcs)
+        if not any(inst.hub_degree(arcs)):
+            yield Design(inst, arcs)
 
 
 def enumerate_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
@@ -403,13 +403,14 @@ def enumerate_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
     ``tset``; ties resolved to the lexicographically smallest open-arc
     set."""
     trips = sorted(map(inst.trip_by_id, inst.trip_ids(tset)), key=lambda t: t.id)
-    best = None
-    best_obj = None
-    for design in balanced_designs(inst, fixed=fixed):
+
+    def objective(design):
         obj = arcs_cost(inst, design.open_arcs)
         for t in trips:
             obj += t.riders * route(t, design).g
-        if best is None or obj < best_obj or (obj == best_obj and design.key() < best.key()):
-            best, best_obj = design, obj
+        return obj
+
+    best = min(balanced_designs(inst, fixed=fixed), key=lambda d: (objective(d), d.key()))
+    best_obj = objective(best)
     return DfdSolution(design=best, objective=best_obj, tset=frozenset(t.id for t in trips),
                        bounds=((1, best_obj, best_obj, len(best.open_arcs), 0),), iterations=1)

@@ -392,6 +392,11 @@ class Instance:
         return tuple(t for t in self.trips if not t.is_latent)
 
     @cached_property
+    def core_ids(self) -> frozenset:
+        """Ids of the core trips, which every heuristic trip set contains."""
+        return frozenset(t.id for t in self.core_trips)
+
+    @cached_property
     def latent_trips(self) -> tuple[Trip, ...]:
         return tuple(t for t in self.trips if t.is_latent)
 

@@ -93,8 +93,6 @@ class Design:
         object.__setattr__(self, "open_arcs", frozenset(tuple(a) for a in self.open_arcs))
         cand = set(inst.candidate_arcs)
         for h, l in self.open_arcs:
-            if h == l:
-                raise ValidationError(f"self arc ({h},{l}) not allowed")
             if (h, l) not in cand:
                 raise ValidationError(f"arc ({h},{l}) outside the candidate set")
         if not inst.fixed_arcs <= self.open_arcs:

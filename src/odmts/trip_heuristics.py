@@ -37,31 +37,6 @@ def default_step(inst: Instance) -> int:
     return max(1, len(inst.latent_trips) // 20)
 
 
-def _core_ids(inst: Instance) -> frozenset:
-    """Ids of the core trips, which every trip set contains."""
-    return frozenset(t.id for t in inst.trips if not t.is_latent)
-
-
-class _DfdCache:
-    """Memoizes fixed-demand solves within one heuristic run. The run's
-    solves share one ``FlowModel``, each starting warm from the last;
-    trip sets with the same flow blocks and fixed arcs share its master
-    solve. Identical (trip set, fixed arcs) inputs always yield the same
-    design, objective and tset; the root LP value in ``bounds`` and
-    ``iterations`` also depend on the run's earlier solves."""
-
-    def __init__(self, inst):
-        self.inst = inst
-        self.hits = {}
-        self.model = FlowModel(inst)
-
-    def solve(self, tset, fixed=()):
-        key = (frozenset(tset), frozenset(fixed))
-        if key not in self.hits:
-            self.hits[key] = solve_dfd(self.inst, key[0], fixed=key[1], _model=self.model)
-        return self.hits[key]
-
-
 def _ranked_adopters(inst, design, candidates, adopters):
     """Adopting candidates ordered by (net cost, trip id). Two distinct
     money values may give one net cost once the ticket is subtracted; the
@@ -79,16 +54,15 @@ def rho_grad(inst: Instance, rho: int | None = None):
     if rho < 1:
         raise ValueError("rho must be >= 1")
     latent = inst.latent_trips
-    core_ids = _core_ids(inst)
     cap = len(latent) // rho + 10
-    cache = _DfdCache(inst)
+    model = FlowModel(inst)
     trace = HeuristicTrace()
     absorbed = set()
     k = 0
     while k <= cap:
         t0 = time.perf_counter()
-        tset = core_ids | absorbed
-        sol = cache.solve(tset)
+        tset = inst.core_ids | absorbed
+        sol = solve_dfd(inst, tset, _model=model)
         ev = eval_design(inst, sol.design, tset)
         trace.add(
             k, 1, len(tset), sol.design, ev.objective, len(ev.adopters),
@@ -104,28 +78,28 @@ def rho_grad(inst: Instance, rho: int | None = None):
 
 
 def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
-             _cache: _DfdCache | None = None):
+             _model: FlowModel | None = None):
     """Greedy rejection. Returns (design, trace); trace.tset is the trip
     set that generated the returned (minimum-objective) design. Stops
     when the design repeats with the quota past the ranked adopters, or
-    truncated after iteration ``MAX_ITER``. ``_cache`` is the solve memo
-    of an enclosing ``rho_gagr`` run, a new one by default."""
+    truncated after iteration ``MAX_ITER``. ``_model`` is the DFD model
+    of an enclosing ``rho_gagr`` run, a new one by default; ``solve_dfd``
+    answers the repeats of every run that shares it."""
     eta = default_step(inst) if eta is None else int(eta)
     if eta < 1:
         raise ValueError("eta must be >= 1")
     latent = inst.latent_trips
-    core_ids = _core_ids(inst)
-    cache = _cache or _DfdCache(inst)
+    model = FlowModel(inst) if _model is None else _model
     trace = HeuristicTrace()
     rejected = set()
     m = 0
     k = 0
-    tbar = frozenset(start_tset) if start_tset is not None else core_ids
+    tbar = frozenset(start_tset) if start_tset is not None else inst.core_ids
     best = (float("inf"), None, None)  # (objective, design, tset); the first minimum wins
     prev_key = None
     while True:
         t0 = time.perf_counter()
-        sol = cache.solve(tbar)
+        sol = solve_dfd(inst, tbar, _model=model)
         ev = eval_design(inst, sol.design, tbar)
         trace.add(
             k, 1, len(tbar), sol.design, ev.objective, len(ev.adopters),
@@ -142,7 +116,7 @@ def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
         if stable or k >= MAX_ITER:
             _, design, tset = best
             return design, trace.finish(design, tset, truncated=not stable)
-        tbar = core_ids | {t.id for t in ranked[:m]}
+        tbar = inst.core_ids | {t.id for t in ranked[:m]}
         prev_key = key
         k += 1
 
@@ -158,9 +132,8 @@ def rho_gagr(inst: Instance, rho: int | None = None, eta: int | None = None,
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time_limit must be >= 0, got {time_limit}")
     latent = inst.latent_trips
-    core_ids = _core_ids(inst)
     cap = len(latent) // rho + 10
-    cache = _DfdCache(inst)
+    model = FlowModel(inst)
     trace = HeuristicTrace()
     started = time.perf_counter()
     absorbed = set()
@@ -168,8 +141,8 @@ def rho_gagr(inst: Instance, rho: int | None = None, eta: int | None = None,
     k = 0
     while k <= cap:
         t0 = time.perf_counter()
-        tbar = core_ids | absorbed
-        design, inner = eta_grre(inst, eta=eta, start_tset=tbar, _cache=cache)
+        tbar = inst.core_ids | absorbed
+        design, inner = eta_grre(inst, eta=eta, start_tset=tbar, _model=model)
         ev = eval_design(inst, design, inner.tset)
         trace.add(
             k, 1, len(inner.tset), design, ev.objective, len(ev.adopters),

@@ -27,6 +27,7 @@ from odmts import router
 from odmts.adoption import arcs_cost
 from odmts.router import Route, SHUTTLE, weights_of
 from conftest import make_example_instance, random_design, tiny_instance
+from test_router import backbone_instance
 
 
 def mk_route(f=30.0, money=0.0):
@@ -74,6 +75,31 @@ class TestEvalDesign:
         assert ev.adopters == {0, 2}
         assert ev.a_false == pytest.approx(25.0)   # trip 1 in tset rejects
         assert ev.r_false == pytest.approx(25.0)   # trip 2 outside tset adopts
+
+    @pytest.mark.parametrize("mode, dollars", [("per_distance", 8.0), ("per_time", 1.0 / 6.0)])
+    def test_bus_cost_dollars(self, example_instance, mode, dollars):
+        # 0.25 $ per bus-km or per bus-hour, 2 buses on each of (1, 2) and
+        # (2, 1), which are 8 km and 10 minutes long
+        inst = dataclasses.replace(
+            example_instance, params=dataclasses.replace(example_instance.params, bus_cost_mode=mode),
+        )
+        ev = eval_design(inst, Design(inst, frozenset({(1, 2), (2, 1)})), tset={0})
+        assert ev.kpis["bus_cost_dollars"] == pytest.approx(dollars, rel=1e-12)
+
+    @pytest.mark.parametrize("costed", [True, False])
+    def test_backbone_investment(self, costed):
+        # an uncosted backbone adds nothing to arcs_cost; the other arcs
+        # pay their beta either way
+        base = backbone_instance()
+        inst = dataclasses.replace(base, params=dataclasses.replace(base.params,
+                                                                     fixed_arc_costed=costed))
+        h = inst.hubs
+        beta, hidx = weights_of(inst).beta, inst.hub_index
+        extra = {(h[2], h[3]), (h[3], h[2])}
+        arcs = inst.fixed_arcs | extra
+        paid = arcs if costed else extra
+        assert arcs_cost(inst, arcs) == pytest.approx(
+            sum(float(beta[hidx[a], hidx[b]]) for a, b in paid), rel=1e-12)
 
     def test_no_arcs_no_adopters(self):
         inst = make_example_instance(trips=(

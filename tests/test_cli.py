@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from odmts import SolveError, highs
 from odmts.cli import ALGORITHMS, main
 
 
@@ -140,6 +141,18 @@ class TestSolve:
         assert capsys.readouterr().err == "error: arc-s1 needs exactly one rule in --rules\n"
         assert not (out / "design.json").exists()
 
+    def test_solver_failure_exits_two(self, tmp_path, instance_file, capsys, monkeypatch):
+        def fails(*args):
+            raise SolveError("HiGHS ended with status Time limit reached")
+
+        monkeypatch.setattr(highs, "branch", fails)
+        out = tmp_path / "run"
+        rc = main(["solve", "--instance", str(instance_file), "--alg", "dfd", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "solver failure: HiGHS ended with status Time limit reached\n"
+        assert not (out / "design.json").exists()
+
     def test_missing_instance(self, tmp_path):
         rc = main(["solve", "--instance", str(tmp_path / "nope.json"), "--alg", "grad"])
         assert rc == 1
@@ -218,6 +231,28 @@ class TestCompare:
         assert float(exact_row["gap_vs_best"]) == 0.0
         for r in rows:
             assert float(r["gap_vs_best"]) >= 0.0
+
+    def test_error_row(self, tmp_path, instance_file):
+        # one --rules for every algorithm: two rules are an error for arc-s1,
+        # which gets a row of its own while arc-s2 runs
+        out = tmp_path / "cmp.csv"
+        rc = main(["compare", "--instances", str(instance_file), "--algs", "arc-s1,arc-s2",
+                   "--rules", "d,a", "--out", str(out)])
+        assert rc == 0
+        rows = list(csv.DictReader(
+            line for line in out.read_text().splitlines() if not line.startswith("#")
+        ))
+        assert [(r["algorithm"], r["status"]) for r in rows] == [
+            ("arc-s1", "error: arc-s1 needs exactly one rule in --rules"), ("arc-s2", "ok")]
+        assert rows[0]["objective"] == "" and float(rows[1]["gap_vs_best"]) == 0.0
+
+    def test_unknown_alg_exits_one(self, tmp_path, instance_file, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["compare", "--instances", str(instance_file), "--algs", "grad,bogus",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "unknown algorithm 'bogus'\n"
+        assert not out.exists()
 
     def test_empty_algs(self, tmp_path, instance_file):
         rc = main(["compare", "--instances", str(instance_file), "--algs", "",

@@ -18,10 +18,9 @@ from odmts import (
     solve_dfd,
     solve_master,
 )
-from odmts import highs
+from odmts import dfd, highs
 from odmts.adoption import arcs_cost
 from odmts.dfd import _TIE, FlowModel, TripBlock, _direct_flags
-from odmts.trip_heuristics import _DfdCache
 from conftest import block_price, make_example_instance, reference_block, tiny_instance
 from test_router import EDGE_CASES, grid_instance
 
@@ -332,17 +331,57 @@ class TestSolveDfd:
         direct = _direct_flags(inst)
         flow = [t.id for t in inst.trips if not direct[t.id]]
         tset = flow + [t.id for t in inst.trips if direct[t.id]]
-        cache = _DfdCache(inst)
-        first = cache.solve(flow)
-        again = cache.solve(tset)
+        model = FlowModel(inst)
+        first = solve_dfd(inst, flow, _model=model)
+        again = solve_dfd(inst, tset, _model=model)
         assert first.iterations >= 1 and again.iterations == 0
         assert again.design is first.design and first.design.open_arcs
         fresh = solve_dfd(inst, tset)
         assert again.objective == fresh.objective and again.tset == fresh.tset
         assert again.bounds[0][2:] == fresh.bounds[0][2:]
-        fixed = cache.solve(tset, fixed=first.design.open_arcs)
+        fixed = solve_dfd(inst, tset, fixed=first.design.open_arcs, _model=model)
         assert fixed.iterations >= 1 and fixed.design is not first.design
         assert fixed.design.key() == first.design.key()
+
+    def test_exact_repeat_builds_and_solves_nothing(self, monkeypatch):
+        # a repeat of trip ids and fixed arcs on the same model is the
+        # stored answer: no block is looked up and no master runs
+        inst = tiny_instance(0)
+        ids = [t.id for t in inst.trips]
+        model = FlowModel(inst)
+        first = solve_dfd(inst, ids, _model=model)
+
+        def called(*args, **kwargs):
+            raise AssertionError("called on a repeat")
+
+        monkeypatch.setattr(dfd, "make_cut", called)
+        monkeypatch.setattr(dfd, "solve_master", called)
+        again = solve_dfd(inst, reversed(ids), _model=model)
+        assert first.iterations >= 1 and again.iterations == 0
+        assert again.design is first.design
+        assert (again.objective, again.tset, again.bounds) == (first.objective, first.tset,
+                                                                first.bounds)
+
+    @pytest.mark.parametrize("tset", [[0, 1.0], [0, True]], ids=["float_id", "bool_id"])
+    def test_repeat_checks_its_ids(self, tset):
+        # {0, 1.0} and {0, True} equal {0, 1} as sets; the model that
+        # answered {0, 1} must not answer them
+        inst = tiny_instance(0)
+        model = FlowModel(inst)
+        solve_dfd(inst, [0, 1], _model=model)
+        with pytest.raises(ValidationError, match="unknown trip ids"):
+            solve_dfd(inst, tset, _model=model)
+
+    def test_fixed_pairs_as_lists_on_a_shared_model(self, example_instance):
+        # fixed arcs given as lists are read as pairs, first and on a repeat
+        model = FlowModel(example_instance)
+        first = solve_dfd(example_instance, [0], fixed=[[1, 2]], _model=model)
+        again = solve_dfd(example_instance, [0], fixed=[[1, 2]], _model=model)
+        pairs = solve_dfd(example_instance, [0], fixed=[(1, 2)], _model=model)
+        assert first.design.key() == ((1, 2), (2, 1)) and first.iterations >= 1
+        assert again.design is pairs.design is first.design
+        assert again.iterations == pairs.iterations == 0
+        assert again.objective == first.objective == pytest.approx(17.75)
 
     @pytest.mark.parametrize(
         "inst",
@@ -355,11 +394,11 @@ class TestSolveDfd:
         rng = np.random.default_rng(inst.trips[0].origin + len(inst.trips))
         designs = list(balanced_designs(inst))
         ids = [t.id for t in inst.trips]
-        cache = _DfdCache(inst)
+        model = FlowModel(inst)
         for _ in range(50):
             tset = [i for i in ids if rng.random() < 0.6]
             fixed = designs[rng.integers(len(designs))].open_arcs if rng.random() < 0.3 else ()
-            fast = cache.solve(tset, fixed)
+            fast = solve_dfd(inst, tset, fixed, _model=model)
             slow = enumerate_dfd(inst, tset, fixed=fixed)
             assert fast.design.key() == slow.design.key()
             assert fast.objective == pytest.approx(slow.objective, rel=1e-12)

@@ -128,13 +128,16 @@ class TestLoadInstance:
             (("params", "theta"), True, "bad 'theta'"),
             (("params", "omega"), "1.5", "bad 'omega'"),
             (("params", "ticket"), float("nan"), "bad 'ticket'"),
+            ((), [small_doc()], "document must be a mapping"),
+            (("hubs",), DELETE, "missing section 'hubs'"),
         ],
         ids=["alpha_nan", "alpha_inf", "alpha_str", "t_cur_nan", "t_cur_inf",
              "wait_nan", "wait_inf", "riders_fraction", "riders_bool",
              "candidate_bool", "trip_without_id", "params_without_theta",
              "trips_int", "trips_mapping", "stops_int", "hub_null",
              "fixed_arcs_int", "time_str", "shuttle_flag_str", "costed_flag_str",
-             "id_fraction", "origin_str", "theta_bool", "omega_str", "ticket_nan"],
+             "id_fraction", "origin_str", "theta_bool", "omega_str", "ticket_nan",
+             "document_list", "hubs_missing"],
     )
     def test_malformed_document_rejected(self, tmp_path, path, value, match):
         f = tmp_path / "bad.json"
@@ -172,7 +175,10 @@ class TestLoadInstance:
 
 def changed_doc(path, value):
     """``small_doc`` with the value at ``path`` set to ``value``, or
-    removed when ``value`` is ``DELETE``."""
+    removed when ``value`` is ``DELETE``; an empty path replaces the
+    whole document."""
+    if not path:
+        return value
     doc = small_doc()
     *parents, last = path
     target = doc
@@ -183,6 +189,13 @@ def changed_doc(path, value):
     else:
         target[last] = value
     return doc
+
+
+def matrix_with(name, i, j, value):
+    """``small_doc``'s ``name`` matrix with entry (i, j) set to ``value``."""
+    m = small_doc()[name]
+    m[i][j] = value
+    return m
 
 
 def small_parts():
@@ -217,8 +230,29 @@ class TestDirectConstruction:
         ("trip", dict(origin=0.0), "trip entry 0: bad 'origin'"),
         ("instance", dict(stops=(0, 1.7)), "instance: bad 'stops'"),
         ("instance", dict(hubs=(None,)), "instance: bad 'hubs'"),
+        ("instance", dict(time=[[0, 1], [1, 0]]), r"time must be 4x4, got \(2, 2\)"),
+        ("instance", dict(time=matrix_with("time", 0, 1, float("nan"))), "time has non-finite"),
+        ("instance", dict(dist=matrix_with("dist", 0, 1, -1.0)), "dist has negative entries"),
+        ("instance", dict(dist=matrix_with("dist", 2, 2, 1.0)), "dist diagonal must be zero"),
+        ("instance", dict(stops=(0, 1, 2, 2)), "duplicate stop ids"),
+        ("instance", dict(hubs=(1, 9)), "hubs must be a subset of stops"),
+        ("instance", dict(hubs=()), "at least one hub is required"),
+        ("params", dict(bus_rate=-1.0), "monetary rates must be non-negative"),
+        ("params", dict(bus_cost_mode="per_km"), "unknown bus_cost_mode 'per_km'"),
+        ("params", dict(wait=[[0, 5, 5], [5, 0, 5]]), "wait must be 2x2"),
+        ("params", dict(wait=[[0, -5], [5, 0]]), "wait entries must be finite and non-negative"),
+        ("params", dict(fixed_arcs=((1, 2.0), (2, 1))), "params: bad 'fixed_arcs'"),
+        ("params", dict(fixed_arcs=((1, 3), (3, 1))), r"fixed arc \(1, 3\) outside the candidate"),
+        ("trip", dict(id=1), "duplicate trip id 1"),
+        ("trip", dict(destination=9), "trip 0: unknown stop 9"),
+        ("trip", dict(destination=0), "trip 0: origin equals destination"),
+        ("trip", dict(kind="walk"), "trip 0: unknown kind 'walk'"),
     ], ids=["omega_nan", "bus_rate_inf", "theta_bool", "shuttle_flag_str", "fixed_arc_short",
-            "id_fraction", "id_bool", "origin_float", "stop_fraction", "hub_null"])
+            "id_fraction", "id_bool", "origin_float", "stop_fraction", "hub_null",
+            "time_shape", "time_nan", "dist_negative", "dist_diagonal", "stop_twice",
+            "hub_not_a_stop", "no_hub", "bus_rate_negative", "cost_mode_unknown", "wait_shape",
+            "wait_negative", "fixed_arc_fraction", "fixed_arc_not_candidate", "trip_id_twice",
+            "destination_unknown", "origin_is_destination", "kind_unknown"])
     def test_bad_value_rejected(self, part, change, match):
         parts = small_parts()
         if part == "params":
@@ -340,6 +374,15 @@ class TestDeriveWeights:
         doc["params"]["theta"] = 0.0
         w0 = derive_weights(Instance.from_dict(doc))
         assert np.all(w0.tau == 0)
+
+    def test_wait_matrix_per_hub_pair(self):
+        doc = small_doc()
+        doc["params"]["wait"] = [[0, 5], [3, 0]]
+        inst = Instance.from_dict(doc)
+        assert inst.wait_matrix.tolist() == [[0.0, 5.0], [3.0, 0.0]]
+        assert not inst.wait_matrix.flags.writeable
+        # tau = theta * (t + wait): 0.5 * (6 + 5) from hub 1, 0.5 * (6 + 3) back
+        assert derive_weights(inst).tau.tolist() == [[0.0, 5.5], [4.5, 0.0]]
 
     def test_per_time_mode(self):
         doc = small_doc()

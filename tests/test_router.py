@@ -19,7 +19,10 @@ from odmts import (
 from odmts import router
 from odmts.dfd import balanced_designs
 from odmts.router import BUS, SHUTTLE, _build_graph, _lex_search, trip_arrays
-from conftest import bridge_table, oracle_route, random_design, reference_graph, tiny_instance
+from conftest import (
+    bridge_table, make_example_instance, oracle_route, random_design, reference_graph,
+    tiny_instance,
+)
 
 
 class TestDesign:
@@ -27,9 +30,14 @@ class TestDesign:
         with pytest.raises(ValidationError, match="weak connectivity"):
             Design(example_instance, frozenset({(1, 2)}))
 
-    def test_candidate_set_enforced(self, example_instance):
-        with pytest.raises(ValidationError):
-            Design(example_instance, frozenset({(0, 1), (1, 0)}))
+    @pytest.mark.parametrize("make, arcs, match", [
+        (make_example_instance, {(0, 1), (1, 0)}, r"arc \([01],[01]\) outside the candidate set"),
+        (make_example_instance, {(1, 1)}, r"arc \(1,1\) outside the candidate set"),
+        (lambda: backbone_instance(), set(), "design must contain all fixed arcs"),  # defined below
+    ], ids=["non_hub_arcs", "self_arc", "backbone_missing"])
+    def test_candidate_set_enforced(self, make, arcs, match):
+        with pytest.raises(ValidationError, match=match):
+            Design(make(), frozenset(arcs))
 
     def test_minimal_and_comparison(self, example_instance):
         z0 = Design.minimal(example_instance)

@@ -1,6 +1,7 @@
 import pytest
 
 from odmts import trip_heuristics
+from odmts.dfd import FlowModel
 from odmts import (
     Design,
     HeuristicTrace,
@@ -71,12 +72,11 @@ class TestRhoGrad:
         for rec in trace.records:
             designs.append(rec.fingerprint)
         # reconstruct via a fresh run tracking sets
-        from odmts.trip_heuristics import _DfdCache
-        cache = _DfdCache(inst)
+        model = FlowModel(inst)
         tset = set(core)
         prev_design = None
         while True:
-            sol = cache.solve(frozenset(tset))
+            sol = solve_dfd(inst, frozenset(tset), _model=model)
             if prev_design is not None and absorbed:
                 tid = absorbed[-1]
                 t = inst.trip_by_id(tid)
