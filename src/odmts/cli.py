@@ -70,7 +70,7 @@ def cmd_generate(args) -> int:
         wait=args.wait,
         ticket=args.ticket,
         shuttle_between_hubs=args.shuttle_between_hubs,
-        candidate="all" if args.nearest_k is None else args.nearest_k,
+        candidate=GeneratorConfig.candidate if args.nearest_k is None else args.nearest_k,
     )
     inst = generate_synthetic(config, seed=args.seed)
     text = save_instance(inst, args.out)
@@ -237,20 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a synthetic instance file")
-    g.add_argument("--stops", type=int, default=100)
-    g.add_argument("--hubs", type=int, default=8)
+    g.add_argument("--stops", type=int, default=GeneratorConfig.stops)
+    g.add_argument("--hubs", type=int, default=GeneratorConfig.hubs)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--classes", default="60:core/100:2.0/40:1.5",
+    classes = "/".join(f"{c.count}:{'core' if c.alpha is None else c.alpha}"
+                       for c in GeneratorConfig.classes)
+    g.add_argument("--classes", default=classes,
                    help="count:alpha groups split by '/', alpha 'core' marks core trips")
-    g.add_argument("--max-riders", type=int, default=8)
-    g.add_argument("--square-km", type=float, default=12.0)
-    g.add_argument("--speed-kmh", type=float, default=36.0)
-    g.add_argument("--theta", type=float, default=0.001)
-    g.add_argument("--omega", type=float, default=1.0)
-    g.add_argument("--bus-rate", type=float, default=3.87)
-    g.add_argument("--buses-per-leg", type=float, default=16.0)
-    g.add_argument("--wait", type=float, default=7.5)
-    g.add_argument("--ticket", type=float, default=2.5)
+    g.add_argument("--max-riders", type=int, default=TripClass.max_riders)
+    for name in ("square_km", "speed_kmh", "theta", "omega", "bus_rate", "buses_per_leg",
+                 "wait", "ticket"):
+        g.add_argument("--" + name.replace("_", "-"), type=float,
+                       default=getattr(GeneratorConfig, name))
     g.add_argument("--shuttle-between-hubs", action="store_true")
     g.add_argument("--nearest-k", type=int, default=None,
                    help="restrict candidate arcs to the k nearest hubs per hub")

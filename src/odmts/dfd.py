@@ -16,9 +16,11 @@ direct shuttle under every design (``is_direct_trip``, on metric
 instances only) are constants and get no flow.
 
 The LPs run on HiGHS's compiled core, which ships inside scipy (see
-``highs``). A heuristic run keeps one ``FlowModel``: each trip's block
-joins it the first time a solve uses the trip, blocks outside a solve
-are switched off and every solve starts warm from the previous basis.
+``highs``). A heuristic run keeps one ``FlowModel``, which holds all of
+the run's DFD state: each trip's direct flag, computed once, and each
+trip's block, built by ``make_cut`` and joining the solver the first
+time a solve uses the trip. Blocks outside a solve are switched off and
+every solve starts warm from the previous basis.
 ``solve_dfd`` answers the run's repeats from the model without an LP: a
 repeat of a solve's trip ids and fixed arcs gets the stored solution,
 and a repeat of its flow blocks and fixed arcs the stored design. Each
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import highs
 from .highs import SolveError
-from .instance import Instance, Trip, ValidationError, memo
+from .instance import Instance, Trip, ValidationError
 from .adoption import arcs_cost
 from .router import Design, _arc_labels, _edges, is_direct_trip, route, trip_arrays
 
@@ -51,18 +53,6 @@ ENUMERATION_CAP = 16
 
 class CapExceeded(RuntimeError):
     """An exhaustive routine was asked to run beyond its hard size cap."""
-
-
-@memo
-def _direct_flags(inst: Instance) -> dict:
-    """``is_direct_trip`` of each instance trip, by trip id."""
-    return {t.id: is_direct_trip(t, inst) for t in inst.trips}
-
-
-@memo
-def _blocks(inst: Instance) -> dict:
-    """The flow blocks ``make_cut`` has built for the instance, by trip."""
-    return {}
 
 
 def _fixed_arcs(inst: Instance, fixed) -> frozenset:
@@ -105,7 +95,8 @@ def _distances(tail, head, g, n, source):
 
 
 def make_cut(trip: Trip, inst: Instance) -> TripBlock:
-    """The trip's flow block, cached per instance.
+    """The trip's flow block, built anew on every call (``solve_dfd``
+    keeps one per trip on its ``FlowModel``).
 
     For fixed z the cheapest unit flow whose bus edges carry at most
     their arc's z is, at integral z, the trip's routed g. By LP duality
@@ -125,33 +116,34 @@ def make_cut(trip: Trip, inst: Instance) -> TripBlock:
     block's value is unchanged. A bus edge between two hub endpoints is
     not such an edge, since its arc may close.
     """
-    blocks = _blocks(inst)
-    if trip not in blocks:
-        o, d = trip.origin, trip.destination
-        labels = _arc_labels(inst, inst.candidate_arcs)
-        nodes, tail, head, g, _, arc, _ = _edges(inst, labels, o, d)
-        pos = {u: i for i, u in enumerate([o] + [u for u in nodes if u not in (o, d)] + [d])}
-        number = np.array([pos[u] for u in nodes])
-        tail, head, n = number[tail], number[head], len(pos)
-        so, sd = _distances(tail, head, g, n, 0), _distances(head, tail, g, n, n - 1)
-        through = so[tail] + g + sd[head]  # cheapest origin-destination path over each edge
-        direct = g[(tail == 0) & (head == n - 1) & (arc < 0)]
-        keep = through <= direct.min(initial=np.inf)
-        used = np.zeros(n, dtype=bool)
-        used[[0, n - 1]] = True
-        used[tail[keep]] = used[head[keep]] = True
-        number = np.cumsum(used) - 1
-        blocks[trip] = TripBlock(trip, number[tail[keep]], number[head[keep]], g[keep], arc[keep],
-                                 int(used.sum()))
-    return blocks[trip]
+    o, d = trip.origin, trip.destination
+    labels = _arc_labels(inst, inst.candidate_arcs)
+    nodes, tail, head, g, _, arc, _ = _edges(inst, labels, o, d)
+    pos = {u: i for i, u in enumerate([o] + [u for u in nodes if u not in (o, d)] + [d])}
+    number = np.array([pos[u] for u in nodes])
+    tail, head, n = number[tail], number[head], len(pos)
+    so, sd = _distances(tail, head, g, n, 0), _distances(head, tail, g, n, n - 1)
+    through = so[tail] + g + sd[head]  # cheapest origin-destination path over each edge
+    direct = g[(tail == 0) & (head == n - 1) & (arc < 0)]
+    keep = through <= direct.min(initial=np.inf)
+    used = np.zeros(n, dtype=bool)
+    used[[0, n - 1]] = True
+    used[tail[keep]] = used[head[keep]] = True
+    number = np.cumsum(used) - 1
+    return TripBlock(trip, number[tail[keep]], number[head[keep]], g[keep], arc[keep],
+                     int(used.sum()))
 
 
 class FlowModel:
     """The arc-flow model of one instance on one HiGHS solver, grown by
     a trip's block the first time a solve uses it. The solver keeps its
-    basis, so every solve starts warm from the previous one. ``solved``
-    and ``masters`` hold the answers ``solve_dfd`` has given on the
-    model, by (trip ids, fixed arcs) and by (flow blocks, fixed arcs).
+    basis, so every solve starts warm from the previous one. ``direct``
+    holds ``is_direct_trip`` of every instance trip and ``blocks`` the
+    block ``solve_dfd`` built for each flow trip, both by trip id; a
+    block stays the same object for the model's life, as ``at`` and
+    ``masters`` key on it. ``solved`` and ``masters`` hold the answers
+    ``solve_dfd`` has given on the model, by (trip ids, fixed arcs) and
+    by (flow blocks, fixed arcs).
 
     Columns: z, then the blocks' edges in the order the blocks joined.
     Rows: hub balance, the no-good row (free unless ``exclude`` set it),
@@ -174,6 +166,8 @@ class FlowModel:
         )
         self.no_good_row, self.no_good_coef = nh, np.ones(na)
         self.cols, self.rows = na, nh + 1
+        self.direct = {t.id: is_direct_trip(t, inst) for t in inst.trips}
+        self.blocks = {}  # trip id -> block
         self.at = {}  # block -> (first column, origin row)
         self.on = set()
         self.solved = {}  # (trip ids, fixed arcs) -> DfdSolution
@@ -263,7 +257,7 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
        other candidate extends it;
     2. fixed arcs and arcs the incumbent opens stay open;
     3. otherwise the arc is probed forced open, depth first, taking the
-       first integral solution within the cap, and closed when there is
+       least integral solution within the cap, and closed when there is
        none.
 
     Every LP is solved under the cap of its search (see ``highs.solve``).
@@ -286,7 +280,7 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
     tied = other <= cap
     if inc.any() and not tied:
         model.exclude(inc)
-        tied = highs.branch(solver, leaf_lo, leaf_up, cap, None, log) is not None
+        tied = highs.branch(solver, leaf_lo, leaf_up, cap, _TIE, log) is not None
         model.exclude(None)
     if inc.any() and tied:
         for i in range(na):
@@ -302,7 +296,7 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
             if not (is_fixed[i] or inc[i]):
                 forced = lo.copy()
                 forced[i] = 1.0
-                probe = highs.branch(solver, forced, up, cap, None, log)
+                probe = highs.branch(solver, forced, up, cap, _TIE, log)
                 if probe is None:
                     up[i] = 0.0
                     continue
@@ -338,7 +332,9 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
     each trip's routed g from the design's ``trip_arrays``.
 
     ``_model`` is the ``FlowModel`` to solve on, a new one by default; a
-    heuristic run passes its own to every solve. After the checks of
+    heuristic run passes its own to every solve. The direct flags come
+    from the model, and ``make_cut`` runs only for the flow trips whose
+    block the model does not hold yet. After the checks of
     ``tset`` and ``fixed``, a repeat of trip ids and fixed arcs the model
     has answered returns the stored solution with ``iterations`` 0, and
     a repeat of flow blocks and fixed arcs (trip sets that differ only
@@ -349,9 +345,12 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
     if (ids, fixed) in model.solved:
         return replace(model.solved[ids, fixed], iterations=0)
     trips = sorted(map(inst.trip_by_id, ids), key=lambda t: t.id)
-    direct = _direct_flags(inst)
+    direct = model.direct
     flow_trips = [t for t in trips if not direct[t.id]]
-    blocks = [make_cut(t, inst) for t in flow_trips]
+    for t in flow_trips:
+        if t.id not in model.blocks:
+            model.blocks[t.id] = make_cut(t, inst)
+    blocks = [model.blocks[t.id] for t in flow_trips]
     key = (frozenset(blocks), fixed)
     if key in model.masters:
         (design, root), solves = model.masters[key], 0

@@ -30,9 +30,9 @@ class TripClass:
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Knobs for ``generate_synthetic``. Defaults mirror a mid-size
-    agency evening commute: theta 0.001, $1/km shuttles, $3.87/km buses
-    running 16 times over the horizon, 7.5 minute waits, $2.5 ticket,
-    and (the ``CostParams`` defaults) per-km bus costs and no fixed arcs.
+    agency evening commute: theta 0.001, $1/km shuttles, and the
+    ``CostParams`` defaults for the rest (per-km bus costs, no fixed
+    arcs).
     """
 
     stops: int = 100
@@ -46,12 +46,12 @@ class GeneratorConfig:
     speed_kmh: float = 36.0
     theta: float = 0.001
     omega: float = 1.0
-    bus_rate: float = 3.87
-    buses_per_leg: float = 16.0
-    wait: float = 7.5
-    ticket: float = 2.5
-    shuttle_between_hubs: bool = False
-    candidate: str | int = "all"
+    bus_rate: float = CostParams.bus_rate
+    buses_per_leg: float = CostParams.buses_per_leg
+    wait: float = CostParams.wait
+    ticket: float = CostParams.ticket
+    shuttle_between_hubs: bool = CostParams.shuttle_between_hubs
+    candidate: str | int = CostParams.candidate
 
 
 def _pick_hubs(points: np.ndarray, k: int) -> list[int]:

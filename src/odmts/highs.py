@@ -69,8 +69,9 @@ def core(pattern=None):
         if not found:
             raise RuntimeError(f"HiGHS core not found at {pattern}")
         loader = importlib.machinery.ExtensionFileLoader(MODULE, found[0])
-        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(MODULE, loader))
+        core_spec = importlib.util.spec_from_loader(MODULE, loader)
         try:
+            module = importlib.util.module_from_spec(core_spec)  # opens the shared object
             loader.exec_module(module)
         except ImportError as e:
             raise RuntimeError(f"HiGHS core at {found[0]} failed to load: {e}") from None
@@ -144,12 +145,12 @@ def solve(highs, lo, up, cap, log):
 def branch(highs, lo, up, cap, tie, log):
     """Depth-first branch and bound on the first fractional column of the
     first len(lo) ones, below their bounds (lo, up), down child first,
-    over solutions integral there with value <= cap: the first one when
-    ``tie`` is None, else the least, the first among equals, lowering the
-    cap to its value plus ``tie`` times its magnitude, so that every
-    integral point lies in a leaf met or in a node pruned above the final
-    cap. Returns (value, mask of columns at 1, lo and up of its leaf,
-    least value of the other integral leaves met or inf), or None."""
+    over solutions integral there with value <= cap: the least, the first
+    among equals. Each leaf that improves lowers the cap to its value plus
+    ``tie`` times its magnitude, so that every integral point lies in a
+    leaf met or in a node pruned above the final cap. Returns (value, mask
+    of columns at 1, lo and up of its leaf, least value of the other
+    integral leaves met or inf), or None."""
     best, other = None, np.inf
     stack = [(lo, up)]
     while stack:
@@ -160,8 +161,6 @@ def branch(highs, lo, up, cap, tie, log):
         value, x = res
         frac = np.flatnonzero(np.abs(x - np.round(x)) > INT_TOL)
         if not frac.size:
-            if tie is None:
-                return value, x > 0.5, lo, up, other
             if best is not None and value >= best[0]:
                 other = min(other, value)
             else:

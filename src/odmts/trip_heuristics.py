@@ -8,7 +8,9 @@ by trip id). The serving cost is the ``money`` of the design's
 
 * greedy adoption (rho-GRAD): permanently absorbs the rho cheapest
   adopters each round; stops when nothing outside the absorbed set
-  adopts, so the final design rejects every excluded trip.
+  adopts, so the final design rejects every excluded trip. Each round
+  that does not stop absorbs a new latent trip, so it stops within
+  len(latent) + 1 rounds; so does rho-GAGR's adoption loop.
 * greedy rejection (eta-GRRE): tracks a growing rejection set and a
   quota m (+eta per round) of adopters to keep; returns the best design
   seen because the trip set does not grow monotonically and designs
@@ -54,12 +56,11 @@ def rho_grad(inst: Instance, rho: int | None = None):
     if rho < 1:
         raise ValueError("rho must be >= 1")
     latent = inst.latent_trips
-    cap = len(latent) // rho + 10
     model = FlowModel(inst)
     trace = HeuristicTrace()
     absorbed = set()
     k = 0
-    while k <= cap:
+    while True:
         t0 = time.perf_counter()
         tset = inst.core_ids | absorbed
         sol = solve_dfd(inst, tset, _model=model)
@@ -74,7 +75,6 @@ def rho_grad(inst: Instance, rho: int | None = None):
             return sol.design, trace.finish(sol.design, tset)
         absorbed.update(t.id for t in ranked[:rho])
         k += 1
-    raise RuntimeError(f"greedy adoption exceeded {cap} iterations")
 
 
 def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
@@ -132,14 +132,13 @@ def rho_gagr(inst: Instance, rho: int | None = None, eta: int | None = None,
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time_limit must be >= 0, got {time_limit}")
     latent = inst.latent_trips
-    cap = len(latent) // rho + 10
     model = FlowModel(inst)
     trace = HeuristicTrace()
     started = time.perf_counter()
     absorbed = set()
     best = (float("inf"), None, None)  # (objective, design, tset); the first minimum wins
     k = 0
-    while k <= cap:
+    while True:
         t0 = time.perf_counter()
         tbar = inst.core_ids | absorbed
         design, inner = eta_grre(inst, eta=eta, start_tset=tbar, _model=model)

@@ -29,7 +29,6 @@ from odmts import (
     route,
     solve_dfd,
 )
-from odmts.dfd import _direct_flags
 from conftest import block_price, oracle_route, random_design, tiny_config
 
 REL_TOL = 1e-9
@@ -127,9 +126,8 @@ def test_criterion_3_cut_validity():
     checked = 0
     for inst, _, _ in dfd_results():
         designs = list(balanced_designs(inst))
-        direct = _direct_flags(inst)
         for trip in inst.trips:
-            if direct[trip.id]:
+            if is_direct_trip(trip, inst):
                 continue
             block = make_cut(trip, inst)
             for z in designs:

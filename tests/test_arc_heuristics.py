@@ -201,6 +201,14 @@ class TestArcS1:
             assert ev.a_false == 0.0
 
 
+@pytest.mark.parametrize("run", [lambda inst: arc_s1(inst, "x"),
+                                 lambda inst: arc_s2(inst, "d", "x")],
+                         ids=["arc_s1", "arc_s2_stage2"])
+def test_unknown_rule_rejected(run):
+    with pytest.raises(ValueError, match="^unknown expansion rule 'x'$"):
+        run(tiny_instance(0))
+
+
 class TestArcS2:
     def test_stage_one_rule_a_rejected(self):
         with pytest.raises(ValueError):

@@ -50,8 +50,9 @@ class TestGenerate:
         ("--omega=nan", "params: bad 'omega': expected a finite number, got nan"),
         ("--buses-per-leg=inf", "params: bad 'buses_per_leg': expected a finite number, got inf"),
         ("--ticket=nan", "params: bad 'ticket': expected a finite number, got nan"),
+        ("--hubs=0", "need at least 2 stops and 1 hub"),
     ], ids=["square_km", "speed_kmh", "max_riders", "class_count", "omega_nan",
-            "buses_per_leg_inf", "ticket_nan"])
+            "buses_per_leg_inf", "ticket_nan", "no_hub"])
     def test_bad_config_exits_one(self, tmp_path, capsys, flag, message):
         path = tmp_path / "x.json"
         assert main(gen_args(path) + [flag]) == 1
@@ -139,6 +140,15 @@ class TestSolve:
                    "--rules", rules, "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: arc-s1 needs exactly one rule in --rules\n"
+        assert not (out / "design.json").exists()
+
+    @pytest.mark.parametrize("rules", ["a", "d,a,b"])
+    def test_arc_s2_takes_two_rules(self, tmp_path, instance_file, capsys, rules):
+        out = tmp_path / "run"
+        rc = main(["solve", "--instance", str(instance_file), "--alg", "arc-s2",
+                   "--rules", rules, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: arc-s2 needs --rules stage1,stage2\n"
         assert not (out / "design.json").exists()
 
     def test_solver_failure_exits_two(self, tmp_path, instance_file, capsys, monkeypatch):

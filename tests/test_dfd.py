@@ -11,6 +11,7 @@ from odmts import (
     Trip,
     balanced_designs,
     enumerate_dfd,
+    is_direct_trip,
     ValidationError,
     make_cut,
     rho_gagr,
@@ -20,9 +21,9 @@ from odmts import (
 )
 from odmts import dfd, highs
 from odmts.adoption import arcs_cost
-from odmts.dfd import _TIE, FlowModel, TripBlock, _direct_flags
+from odmts.dfd import _TIE, FlowModel, TripBlock
 from conftest import block_price, make_example_instance, reference_block, tiny_instance
-from test_router import EDGE_CASES, grid_instance
+from test_router import EDGE_CASES, grid_instance, non_metric
 
 
 def hub_origin_instance(seed):
@@ -46,8 +47,7 @@ def hub_origin_instance(seed):
 
 def flow_blocks(inst):
     """The blocks ``solve_dfd`` builds for the full trip set."""
-    direct = _direct_flags(inst)
-    return [make_cut(t, inst) for t in inst.trips if not direct[t.id]]
+    return [make_cut(t, inst) for t in inst.trips if not is_direct_trip(t, inst)]
 
 
 class TestMakeCut:
@@ -83,10 +83,13 @@ class TestMakeCut:
                 route(trip, z).g, rel=1e-12
             )
 
-    def test_shape_and_cache(self, example_instance):
+    def test_shape_and_no_cache(self, example_instance):
         trip = example_instance.trips[0]
         block = make_cut(trip, example_instance)
-        assert make_cut(trip, example_instance) is block
+        again = make_cut(trip, example_instance)  # built anew, equal array for array
+        assert again is not block and again.nodes == block.nodes
+        for name in ("tail", "head", "g", "arc"):
+            assert np.array_equal(getattr(again, name), getattr(block, name))
         assert block.trip == trip and block.nodes == 4  # origin, hubs 1 and 2, destination
         assert (block.tail != block.nodes - 1).all()  # nothing leaves the destination
         assert (block.head != 0).all()  # nothing enters the origin
@@ -186,8 +189,8 @@ class TestSolveMaster:
         # the arc-by-arc tie pass took 19 LPs in all
         inst = tiny_instance(24, n_stops=12, n_hubs=4, core=6, mid=6, high=4)
         tset = [0, 1, 2, 3, 5, 7, 8, 11, 12, 13, 15]
-        direct = _direct_flags(inst)
-        blocks = [make_cut(inst.trip_by_id(t), inst) for t in tset if not direct[t]]
+        trips = map(inst.trip_by_id, tset)
+        blocks = [make_cut(t, inst) for t in trips if not is_direct_trip(t, inst)]
         model = FlowModel(inst)
         model.use(blocks)
         na = len(inst.candidate_arcs)
@@ -328,10 +331,10 @@ class TestSolveDfd:
         # every design have the same flow blocks: the second solve takes
         # the first one's design without an LP; other fixed arcs miss
         inst = tiny_instance(0)
-        direct = _direct_flags(inst)
+        model = FlowModel(inst)
+        direct = model.direct
         flow = [t.id for t in inst.trips if not direct[t.id]]
         tset = flow + [t.id for t in inst.trips if direct[t.id]]
-        model = FlowModel(inst)
         first = solve_dfd(inst, flow, _model=model)
         again = solve_dfd(inst, tset, _model=model)
         assert first.iterations >= 1 and again.iterations == 0
@@ -361,6 +364,37 @@ class TestSolveDfd:
         assert again.design is first.design
         assert (again.objective, again.tset, again.bounds) == (first.objective, first.tset,
                                                                 first.bounds)
+
+    def test_shared_model_builds_each_block_once(self, monkeypatch):
+        # a second solve on the model builds blocks only for the flow trips
+        # the first did not use, and reuses the first solve's block objects
+        inst = tiny_instance(2)
+        model = FlowModel(inst)
+        flow = [t.id for t in inst.trips if not model.direct[t.id]]
+        first_ids, second_ids = flow[:4], flow[2:] + [t.id for t in inst.trips]
+        built = []
+
+        def counted(trip, inst):
+            built.append(trip.id)
+            return make_cut(trip, inst)
+
+        monkeypatch.setattr(dfd, "make_cut", counted)
+        solve_dfd(inst, first_ids, _model=model)
+        assert built == first_ids
+        first_blocks = dict(model.blocks)
+        built.clear()
+        solve_dfd(inst, second_ids, _model=model)
+        assert built == flow[4:]
+        assert all(model.blocks[i] is b for i, b in first_blocks.items())
+        assert set(model.at) == set(model.blocks.values())
+
+    @pytest.mark.parametrize(
+        "inst", [tiny_instance(seed) for seed in range(3)] + [non_metric(tiny_instance(0))],
+        ids=[f"tiny{seed}" for seed in range(3)] + ["non_metric"],
+    )
+    def test_model_direct_flags(self, inst):
+        # the model's flags, by trip id, are is_direct_trip's
+        assert FlowModel(inst).direct == {t.id: is_direct_trip(t, inst) for t in inst.trips}
 
     @pytest.mark.parametrize("tset", [[0, 1.0], [0, True]], ids=["float_id", "bool_id"])
     def test_repeat_checks_its_ids(self, tset):

@@ -64,9 +64,9 @@ class TestBranch:
 
     def test_cap_and_bounds(self):
         log = []
-        assert highs.branch(pair_model(), np.zeros(2), np.ones(2), -1.2, None, log) is None
+        assert highs.branch(pair_model(), np.zeros(2), np.ones(2), -1.2, 1e-9, log) is None
         value, at_one, *_ = highs.branch(pair_model(), np.array([0.0, 1.0]), np.ones(2), -0.5,
-                                         None, log)
+                                         1e-9, log)
         assert value == pytest.approx(-1.0) and at_one.tolist() == [False, True]
 
     def test_infeasible_bounds(self):
@@ -92,7 +92,7 @@ class TestCutoff:
         res = highs.solve(solver, np.zeros(150), np.full(150, 10.0), value - below, log)
         assert res[0] == pytest.approx(value, rel=1e-12)
         found = highs.branch(chain_model(), np.zeros(150), np.full(150, 10.0), value - below,
-                             None, [])
+                             1e-9, [])
         assert (found is None) == (below > 0)
 
     def test_cap_resets_on_every_solve(self):
@@ -102,19 +102,15 @@ class TestCutoff:
         assert res[0] == pytest.approx(150 * 151 / 2, rel=1e-12)
 
 
-class RefusingBound:
-    """A solver that refuses the ``objective_bound`` option."""
+class Overridden:
+    """A solver with some of its methods replaced by ``methods``."""
 
-    def __init__(self, solver):
+    def __init__(self, solver, **methods):
         self.solver = solver
+        self.__dict__.update(methods)
 
     def __getattr__(self, name):
         return getattr(self.solver, name)
-
-    def setOptionValue(self, option, value):
-        if option == "objective_bound":
-            return highs.core().HighsStatus.kError
-        return self.solver.setOptionValue(option, value)
 
 
 class TestOptions:
@@ -134,8 +130,30 @@ class TestOptions:
             pair_model()
 
     def test_rejected_objective_bound_raises(self):
+        solver = pair_model()
+
+        def set_option(option, value):
+            if option == "objective_bound":
+                return highs.core().HighsStatus.kError
+            return solver.setOptionValue(option, value)
+
         with pytest.raises(RuntimeError, match="^HiGHS rejected option objective_bound = "):
-            highs.solve(RefusingBound(pair_model()), np.zeros(2), np.ones(2), np.inf, [])
+            highs.solve(Overridden(solver, setOptionValue=set_option), np.zeros(2), np.ones(2),
+                        np.inf, [])
+
+
+class TestFailures:
+    def test_refused_append_raises(self):
+        solver = Overridden(pair_model(), addRows=lambda *args: highs.core().HighsStatus.kError)
+        with pytest.raises(highs.SolveError, match="^HiGHS refused 1 columns and 1 rows$"):
+            highs.grow(solver, np.ones(1), np.ones(1), np.zeros(1), np.ones(1),
+                       np.zeros(1, dtype=int), np.full(1, 2), np.ones(1))
+
+    def test_status_other_than_optimal_raises(self):
+        limit = highs.core().HighsModelStatus.kIterationLimit
+        solver = Overridden(pair_model(), getModelStatus=lambda: limit)
+        with pytest.raises(highs.SolveError, match="^HiGHS ended with status .*[Ii]teration"):
+            highs.solve(solver, np.zeros(2), np.ones(2), np.inf, [])
 
 
 class TestCore:
@@ -144,6 +162,14 @@ class TestCore:
         with pytest.raises(RuntimeError, match="not found at " + str(tmp_path)) as err:
             highs.core(str(tmp_path / "_core*.so"))
         assert "\n" not in str(err.value)
+
+    def test_file_that_fails_to_load(self, tmp_path, monkeypatch):
+        monkeypatch.delitem(sys.modules, highs.MODULE, raising=False)
+        (tmp_path / "_core.so").write_bytes(b"not a shared object")
+        with pytest.raises(RuntimeError, match="_core.so failed to load: ") as err:
+            highs.core(str(tmp_path / "_core*.so"))
+        assert "\n" not in str(err.value)
+        assert highs.MODULE not in sys.modules
 
     def test_missing_api(self, monkeypatch):
         # a core with every name of the API but one, as an older scipy

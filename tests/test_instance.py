@@ -432,8 +432,10 @@ class TestGenerator:
         (dict(speed_kmh=float("nan")), "speed_kmh"),
         (dict(classes=(TripClass(3, None), TripClass(-2, 2.0))), "count"),
         (dict(classes=(TripClass(3, None, max_riders=0),)), "max_riders"),
+        (dict(stops=1, hubs=1), "^need at least 2 stops and 1 hub$"),
+        (dict(hubs=0), "^need at least 2 stops and 1 hub$"),
     ], ids=["square_neg", "square_zero", "square_inf", "speed_zero", "speed_nan",
-            "count_neg", "riders_zero"])
+            "count_neg", "riders_zero", "one_stop", "no_hub"])
     def test_bad_config_rejected(self, change, match):
         with pytest.raises(ValidationError, match=match):
             generate_synthetic(dataclasses.replace(tiny_config(), **change), seed=0)

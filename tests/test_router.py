@@ -45,6 +45,16 @@ class TestDesign:
         assert z0.fingerprint() == "-"
         assert z1.fingerprint() == "1>2;2>1"
 
+    def test_equal_designs_hash_alike(self, example_instance):
+        # equal arc sets on one instance are one design, however built;
+        # the same arcs on another instance are not
+        arcs = frozenset({(1, 2), (2, 1)})
+        z1 = Design(example_instance, arcs)
+        z2 = Design(example_instance, frozenset({(2, 1)}) | {(1, 2)})
+        other = Design(make_example_instance(), arcs)
+        assert z1 is not z2 and hash(z1) == hash(z2)
+        assert {z1, z2, other} == {z1, other} and len({z1, other}) == 2
+
     def test_replace_builds_its_own_tables(self, example_instance):
         z0 = Design.minimal(example_instance)
         trip_arrays(z0)  # builds z0's hub-path table and arrays
