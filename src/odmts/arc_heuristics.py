@@ -94,7 +94,7 @@ def adoption_ub(trip: Trip, r: Route, inst: Instance) -> float:
     scale = (1.0 - theta) / theta * inst.params.omega
     sidx = inst.stop_index
     o, d = sidx[trip.origin], sidx[trip.destination]
-    minsum = _min_access_egress_km(inst, o, d)
+    minsum = float(_min_access_egress_km(inst, o, d))
     span = r.bus_span
     if span is not None:
         m, n = span

@@ -17,10 +17,12 @@ instances only) are constants and get no flow.
 
 The LPs run on HiGHS's compiled core, which ships inside scipy (see
 ``highs``). A heuristic run keeps one ``FlowModel``, which holds all of
-the run's DFD state: each trip's direct flag, computed once, and each
-trip's block, built by ``make_cut`` and joining the solver the first
-time a solve uses the trip. Blocks outside a solve are switched off and
-every solve starts warm from the previous basis.
+the run's DFD state: each trip's direct flag, computed for all trips at
+once, and each trip's block, joining the solver the first time a solve
+uses the trip. A solve builds the blocks it lacks in one ``make_cut``
+call, which builds a batch of trips on the disjoint union of their
+graphs. Blocks outside a solve are switched off and every solve starts
+warm from the previous basis.
 ``solve_dfd`` answers the run's repeats from the model without an LP: a
 repeat of a solve's trip ids and fixed arcs gets the stored solution,
 and a repeat of its flow blocks and fixed arcs the stored design. Each
@@ -28,9 +30,9 @@ LP stops early once its dual bound passes the cap of its search. One
 depth-first search finds the optimum and meets every other integral
 design within the tie cap outside the optimum's own leaf; a search of
 that leaf under a no-good row that excludes the optimum can then prove
-it the only one, which skips the tie pass. Each trip's block
-is built from the router's edge arrays (``router._edges``), the rule
-the per-trip route search uses as well.
+it the only one, which skips the tie pass. The blocks are built from
+the router's edge arrays (``router._edges``), the rule the per-trip
+route search reads as well.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from . import highs
 from .highs import SolveError
 from .instance import Instance, Trip, ValidationError
 from .adoption import arcs_cost
-from .router import Design, _arc_labels, _edges, is_direct_trip, route, trip_arrays
+from .router import Design, _arc_labels, _edges, _min_access_egress_km, route, trip_arrays
 
 # Relative margin within which two designs' values count as tied.
 _TIE = 1e-9
@@ -82,8 +84,11 @@ class TripBlock:
 
 
 def _distances(tail, head, g, n, source):
-    """Shortest distances from node ``source`` over the edges tail -> head
-    of non-negative cost g (Bellman-Ford, one numpy pass per round)."""
+    """Shortest distances from the node or nodes ``source`` over the edges
+    tail -> head of non-negative cost g (Bellman-Ford, one numpy pass per
+    round). On a disjoint union of graphs with one source each, every
+    graph's distances are those of a run on it alone: a graph that has
+    settled stays put while the others go on."""
     dist = np.full(n, np.inf)
     dist[source] = 0.0
     while True:
@@ -94,9 +99,9 @@ def _distances(tail, head, g, n, source):
         dist = step
 
 
-def make_cut(trip: Trip, inst: Instance) -> TripBlock:
-    """The trip's flow block, built anew on every call (``solve_dfd``
-    keeps one per trip on its ``FlowModel``).
+def make_cut(trips, inst: Instance) -> list:
+    """The flow blocks of ``trips``, in order, built anew on every call
+    (``solve_dfd`` keeps one per trip on its ``FlowModel``).
 
     For fixed z the cheapest unit flow whose bus edges carry at most
     their arc's z is, at integral z, the trip's routed g. By LP duality
@@ -106,7 +111,7 @@ def make_cut(trip: Trip, inst: Instance) -> TripBlock:
     onto (z, g) is the intersection of all of them: one block states
     every cut of the trip at once.
 
-    The edges are those of ``router._edges`` for the trip with every
+    A trip's edges are those of ``router._edges`` for the trip with every
     candidate arc open, renumbered with the origin first, the destination
     last and the other nodes in their graph order.
     An edge is dropped when every origin-destination path through it
@@ -115,23 +120,52 @@ def make_cut(trip: Trip, inst: Instance) -> TripBlock:
     flow on such a path moves to that edge at a lower cost, so the
     block's value is unchanged. A bus edge between two hub endpoints is
     not such an edge, since its arc may close.
+
+    The trips are built together, as one disjoint union of their graphs,
+    each block equal array for array to the one a batch of one gives.
+    Without the triangle property every stop is a node, so there each
+    trip is built alone to keep the (trip, node, node) grids small.
     """
-    o, d = trip.origin, trip.destination
+    trips = list(trips)
     labels = _arc_labels(inst, inst.candidate_arcs)
-    nodes, tail, head, g, _, arc, _ = _edges(inst, labels, o, d)
-    pos = {u: i for i, u in enumerate([o] + [u for u in nodes if u not in (o, d)] + [d])}
-    number = np.array([pos[u] for u in nodes])
-    tail, head, n = number[tail], number[head], len(pos)
-    so, sd = _distances(tail, head, g, n, 0), _distances(head, tail, g, n, n - 1)
+    batches = [trips] if inst.metric_consistent else [[t] for t in trips]
+    return [b for batch in batches for b in _blocks(batch, inst, labels)]
+
+
+def _blocks(trips, inst: Instance, labels) -> list:
+    """``make_cut`` of one batch of trips, over ``labels`` of every
+    candidate arc, on the disjoint union of their graphs: trip i's nodes
+    take the ids i * width to i * width + nodes - 1."""
+    nodes, trip, tail, head, g, _, arc, _ = _edges(
+        inst, labels, [(t.origin, t.destination) for t in trips])
+    size = np.array([len(u) for u in nodes], dtype=int)
+    k, width = len(trips), size.max(initial=0)
+    origin = np.arange(k) * width
+    dest = origin + size - 1
+    o_at, d_at = origin[trip], dest[trip]  # the endpoints of each edge's trip
+    first = np.array([u.index(t.origin) for u, t in zip(nodes, trips)], dtype=int)[trip]
+    last = np.array([u.index(t.destination) for u, t in zip(nodes, trips)], dtype=int)[trip]
+
+    def number(u):  # origin first, destination last, the others in graph order
+        inner = o_at + 1 + u - (first < u) - (last < u)
+        return np.where(u == first, o_at, np.where(u == last, d_at, inner))
+
+    tail, head = number(tail), number(head)
+    so, sd = _distances(tail, head, g, k * width, origin), _distances(head, tail, g, k * width, dest)
     through = so[tail] + g + sd[head]  # cheapest origin-destination path over each edge
-    direct = g[(tail == 0) & (head == n - 1) & (arc < 0)]
-    keep = through <= direct.min(initial=np.inf)
-    used = np.zeros(n, dtype=bool)
-    used[[0, n - 1]] = True
+    direct = np.full(k, np.inf)
+    at = (tail == o_at) & (head == d_at) & (arc < 0)
+    np.minimum.at(direct, trip[at], g[at])
+    keep = through <= direct[trip]
+    used = np.zeros(k * width, dtype=bool)
+    used[origin] = used[dest] = True
     used[tail[keep]] = used[head[keep]] = True
-    number = np.cumsum(used) - 1
-    return TripBlock(trip, number[tail[keep]], number[head[keep]], g[keep], arc[keep],
-                     int(used.sum()))
+    used = used.reshape(k, width)
+    renumber = (np.cumsum(used, axis=1) - 1).ravel()
+    tail, head, g, arc = renumber[tail[keep]], renumber[head[keep]], g[keep], arc[keep]
+    cut = np.searchsorted(trip[keep], np.arange(k + 1))
+    return [TripBlock(t, tail[a:b], head[a:b], g[a:b], arc[a:b], int(n))
+            for t, a, b, n in zip(trips, cut[:-1], cut[1:], used.sum(axis=1))]
 
 
 class FlowModel:
@@ -166,7 +200,12 @@ class FlowModel:
         )
         self.no_good_row, self.no_good_coef = nh, np.ones(na)
         self.cols, self.rows = na, nh + 1
-        self.direct = {t.id: is_direct_trip(t, inst) for t in inst.trips}
+        sidx = inst.stop_index
+        o = np.array([sidx[t.origin] for t in inst.trips], dtype=int)
+        d = np.array([sidx[t.destination] for t in inst.trips], dtype=int)
+        # is_direct_trip of every trip at once
+        direct = inst.metric_consistent & (_min_access_egress_km(inst, o, d) >= inst.dist[o, d])
+        self.direct = dict(zip((t.id for t in inst.trips), direct.tolist()))
         self.blocks = {}  # trip id -> block
         self.at = {}  # block -> (first column, origin row)
         self.on = set()
@@ -333,8 +372,9 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
 
     ``_model`` is the ``FlowModel`` to solve on, a new one by default; a
     heuristic run passes its own to every solve. The direct flags come
-    from the model, and ``make_cut`` runs only for the flow trips whose
-    block the model does not hold yet. After the checks of
+    from the model, and one ``make_cut`` call builds the blocks of the
+    flow trips whose block the model does not hold yet, none when it
+    holds them all. After the checks of
     ``tset`` and ``fixed``, a repeat of trip ids and fixed arcs the model
     has answered returns the stored solution with ``iterations`` 0, and
     a repeat of flow blocks and fixed arcs (trip sets that differ only
@@ -347,9 +387,9 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
     trips = sorted(map(inst.trip_by_id, ids), key=lambda t: t.id)
     direct = model.direct
     flow_trips = [t for t in trips if not direct[t.id]]
-    for t in flow_trips:
-        if t.id not in model.blocks:
-            model.blocks[t.id] = make_cut(t, inst)
+    missing = [t for t in flow_trips if t.id not in model.blocks]
+    if missing:
+        model.blocks.update((b.trip.id, b) for b in make_cut(missing, inst))
     blocks = [model.blocks[t.id] for t in flow_trips]
     key = (frozenset(blocks), fixed)
     if key in model.masters:

@@ -167,60 +167,78 @@ def _arc_labels(inst: Instance, arcs) -> np.ndarray:
     return labels
 
 
-def _edges(inst: Instance, labels, o: int, d: int):
-    """The edges of the trip's search graph with the arcs ``labels`` marks
-    (see ``_arc_labels``) open, as (nodes, tail, head, g, f, arc, relay).
+def _edges(inst: Instance, labels, pairs):
+    """The edges of the search graph of each (o, d) trip in ``pairs``, with
+    the arcs ``labels`` marks (see ``_arc_labels``) open, as (nodes, trip,
+    tail, head, g, f, arc, relay), built for the whole batch at once.
 
-    When both matrices are metric the nodes are the endpoints and the
-    hubs, with a bridge per hub pair while hub-to-hub shuttles are
-    banned; otherwise every stop, with no bridges. No edge leaves d or
-    enters o. From u to v there is a bus leg when both are hubs and the
-    arc is open, a shuttle leg unless both are hubs (hub-to-hub shuttles
-    allowed, or u -> v being o -> d), and a bridge u -> x -> v through the
-    pair's first relay x other than o and d. ``tail`` and ``head`` index
-    ``nodes``; the edges run over the (tail, head, kind) grid in order,
-    kinds ordered bus, shuttle, bridge. ``arc`` holds a bus edge's label,
-    ``relay`` a bridge's relay stop index, both -1 elsewhere."""
+    When both matrices are metric a trip's nodes are its endpoints and
+    the hubs, in the order of ``list({o, d} | set(hubs))``, with a bridge
+    per hub pair while hub-to-hub shuttles are banned; otherwise every
+    stop, with no bridges. No edge leaves d or enters o. From u to v there
+    is a bus leg when both are hubs and the arc is open, a shuttle leg
+    unless both are hubs (hub-to-hub shuttles allowed, or u -> v being
+    o -> d), and a bridge u -> x -> v through the pair's first relay x
+    other than o and d. ``nodes`` lists each trip's nodes, ``trip`` holds
+    each edge's position in ``pairs``, and ``tail`` and ``head`` index
+    that trip's nodes. The edges run trip by trip, each trip's over its
+    (tail, head, kind) grid in order, kinds ordered bus, shuttle, bridge.
+    ``arc`` holds a bus edge's label, ``relay`` a bridge's relay stop
+    index, both -1 elsewhere. Every trip's grid is padded to H + 2 nodes
+    (every stop without the triangle property); no edge touches a pad.
+    ``_build_graph`` reads a batch of one, so the route search and the
+    flow blocks of ``dfd.make_cut`` share one edge rule."""
     w = weights_of(inst)
     sidx, hidx = inst.stop_index, inst.hub_index
     between = inst.params.shuttle_between_hubs
-    nodes = list({o, d} | set(inst.hubs)) if inst.metric_consistent else list(inst.stops)
-    n = len(nodes)
-    s = np.array([sidx[u] for u in nodes])
-    h = np.array([hidx.get(u, -1) for u in nodes])
-    hu, hv = h[:, None], h[None, :]
+    hubs = set(inst.hubs)
+    nodes = [list({o, d} | hubs) if inst.metric_consistent else list(inst.stops) for o, d in pairs]
+    size = np.array([len(u) for u in nodes], dtype=int)
+    k, n = len(pairs), len(hubs) + 2 if inst.metric_consistent else len(inst.stops)
+    real = np.arange(n) < size[:, None]
+    s, h = np.full((k, n), -1), np.full((k, n), -1)
+    s[real] = [sidx[u] for row in nodes for u in row]
+    h[real] = [hidx.get(u, -1) for row in nodes for u in row]
+    so = np.array([sidx[o] for o, _ in pairs], dtype=int)[:, None]
+    sd = np.array([sidx[d] for _, d in pairs], dtype=int)[:, None]
+    hu, hv = h[:, :, None], h[:, None, :]
     both = (hu >= 0) & (hv >= 0)
     arc = np.where(both, labels[hu, hv], -1)
-    x = np.full((n, n), -1)
+    x = np.full((k, n, n), -1)
     if inst.metric_consistent and not between:
         relays = _relays(inst)[hu, hv]
-        ok = (relays != sidx[o]) & (relays != sidx[d])
+        ok = (relays != so[..., None, None]) & (relays != sd[..., None, None])
         ok[..., -1] = True
-        x = np.where(both, np.take_along_axis(relays, ok.argmax(axis=2)[..., None], 2)[..., 0], -1)
-    mask = np.stack([arc >= 0, ~both | between, x >= 0], axis=2)
+        x = np.where(both, np.take_along_axis(relays, ok.argmax(axis=3)[..., None], 3)[..., 0], -1)
+    mask = np.stack([arc >= 0, ~both | between, x >= 0], axis=3)
+    mask &= (real[:, :, None] & real[:, None, :])[..., None]
     # o -> d always has its shuttle; nothing leaves d, enters o or loops
-    mask[nodes.index(o), nodes.index(d), _SHUTTLE_EDGE] = True
-    mask[nodes.index(d)] = False
-    mask[:, nodes.index(o)] = False
-    mask[np.arange(n), np.arange(n)] = False
-    at = np.flatnonzero(mask)
-    pair, kind = np.divmod(at, 3)
+    rows, io, id_ = np.arange(k), (s == so).argmax(axis=1), (s == sd).argmax(axis=1)
+    mask[rows, io, id_, _SHUTTLE_EDGE] = True
+    mask[rows, id_] = False
+    mask[rows, :, io] = False
+    mask[:, np.arange(n), np.arange(n)] = False
+    cell, kind = np.divmod(np.flatnonzero(mask), 3)
+    trip, pair = np.divmod(cell, n * n)
     tail, head = np.divmod(pair, n)
-    su, sv, x = s[tail], s[head], x.ravel()[pair]
+    su, sv, x = s[trip, tail], s[trip, head], x.ravel()[cell]
+    hu, hv = h[trip, tail], h[trip, head]
     t = inst.time
     bus, bridge = kind == _BUS_EDGE, kind == _BRIDGE_EDGE
-    g = np.where(bus, w.tau[h[tail], h[head]], w.gamma[su, sv])
-    f = np.where(bus, t[su, sv] + inst.wait_matrix[h[tail], h[head]], t[su, sv])
+    g = np.where(bus, w.tau[hu, hv], w.gamma[su, sv])
+    f = np.where(bus, t[su, sv] + inst.wait_matrix[hu, hv], t[su, sv])
     g[bridge] = w.gamma[su, x][bridge] + w.gamma[x, sv][bridge]
     f[bridge] = t[su, x][bridge] + t[x, sv][bridge]
-    return nodes, tail, head, g, f, np.where(bus, arc.ravel()[pair], -1), np.where(bridge, x, -1)
+    return (nodes, trip, tail, head, g, f, np.where(bus, arc.ravel()[cell], -1),
+            np.where(bridge, x, -1))
 
 
 def _build_graph(inst: Instance, open_arcs, o: int, d: int):
     """The trip's search graph over ``_edges``, u -> [(v, g, f, legs,
     seq_ext, modes_ext)]. The heap key orders labels completely, so the
     adjacency order never changes a route."""
-    nodes, tail, head, g, f, arc, relay = _edges(inst, _arc_labels(inst, open_arcs), o, d)
+    nodes, _, tail, head, g, f, arc, relay = _edges(inst, _arc_labels(inst, open_arcs), [(o, d)])
+    nodes = nodes[0]
     adj = {u: [] for u in nodes}
     for u, v, dg, df, a, x in zip(tail.tolist(), head.tolist(), g.tolist(), f.tolist(),
                                   arc.tolist(), relay.tolist()):
@@ -563,11 +581,13 @@ def is_direct_trip(trip: Trip, inst: Instance) -> bool:
         return False
     sidx = inst.stop_index
     o, d = sidx[trip.origin], sidx[trip.destination]
-    return _min_access_egress_km(inst, o, d) >= float(inst.dist[o, d])
+    return bool(_min_access_egress_km(inst, o, d) >= inst.dist[o, d])
 
 
-def _min_access_egress_km(inst: Instance, o: int, d: int) -> float:
+def _min_access_egress_km(inst: Instance, o, d):
     """The shortest shuttle distance from stop index ``o`` to a hub plus
-    the shortest from a hub to stop index ``d``."""
+    the shortest from a hub to stop index ``d``; ``o`` and ``d`` may be
+    equal-length arrays of stop indices, paired element by element."""
     hub_pos = inst.hub_positions
-    return float(inst.dist[o, hub_pos].min() + inst.dist[hub_pos, d].min())
+    o, d = np.asarray(o)[..., None], np.asarray(d)[..., None]
+    return inst.dist[o, hub_pos].min(axis=-1) + inst.dist[hub_pos, d].min(axis=-1)

@@ -253,8 +253,8 @@ def reference_graph(inst, open_arcs, o, d):
 
 def reference_block(trip, inst):
     """The trip's flow block from ``reference_graph`` with every candidate
-    arc open, numbered and pruned as ``make_cut`` does: (tail, head, g,
-    arc, nodes)."""
+    arc open, numbered and pruned as ``make_cut`` does for each trip of a
+    batch, one trip at a time: (tail, head, g, arc, nodes)."""
     from odmts.dfd import _distances
 
     o, d = trip.origin, trip.destination

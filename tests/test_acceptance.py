@@ -126,10 +126,8 @@ def test_criterion_3_cut_validity():
     checked = 0
     for inst, _, _ in dfd_results():
         designs = list(balanced_designs(inst))
-        for trip in inst.trips:
-            if is_direct_trip(trip, inst):
-                continue
-            block = make_cut(trip, inst)
+        for block in make_cut([t for t in inst.trips if not is_direct_trip(t, inst)], inst):
+            trip = block.trip
             for z in designs:
                 checked += 1
                 assert block_price(inst, block, z.open_arcs) == pytest.approx(

@@ -23,7 +23,7 @@ from odmts import dfd, highs
 from odmts.adoption import arcs_cost
 from odmts.dfd import _TIE, FlowModel, TripBlock
 from conftest import block_price, make_example_instance, reference_block, tiny_instance
-from test_router import EDGE_CASES, grid_instance, non_metric
+from test_router import EDGE_CASES, grid_instance, non_metric, with_hub_trips
 
 
 def hub_origin_instance(seed):
@@ -47,14 +47,30 @@ def hub_origin_instance(seed):
 
 def flow_blocks(inst):
     """The blocks ``solve_dfd`` builds for the full trip set."""
-    return [make_cut(t, inst) for t in inst.trips if not is_direct_trip(t, inst)]
+    return make_cut([t for t in inst.trips if not is_direct_trip(t, inst)], inst)
+
+
+def assert_block(block, tail, head, g, arc, nodes):
+    """``block`` holds exactly these arrays, dtype included, and node count."""
+    assert block.nodes == nodes
+    for got, want in zip((block.tail, block.head, block.g, block.arc), (tail, head, g, arc)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# Trips from a hub, to a hub, between two hubs and between two other stops,
+# whose metric search graphs have H + 1, H + 1, H and H + 2 nodes.
+MIXED = {
+    "hub_shuttles": lambda: with_hub_trips(tiny_instance(2, n_stops=8, n_hubs=4),
+                                           shuttle_between_hubs=True),
+    "non_metric": lambda: non_metric(with_hub_trips(tiny_instance(2, n_stops=8, n_hubs=4))),
+}
 
 
 class TestMakeCut:
     def test_example_coefficient(self, example_instance):
         # the backbone cut's coefficient on an arc is the block's price
         # drop when that arc opens: 4.75 on (1, 2), none on (2, 1)
-        block = make_cut(example_instance.trips[0], example_instance)
+        [block] = make_cut(example_instance.trips[:1], example_instance)
         base = block_price(example_instance, block, frozenset())
         assert base == pytest.approx(18.5)
         assert base - block_price(example_instance, block, {(1, 2)}) == pytest.approx(4.75)
@@ -63,7 +79,7 @@ class TestMakeCut:
     def test_open_arcs_carry_no_coefficient(self, example_instance):
         # once (1, 2) is open, the price is the through cost of that arc
         # and (2, 1) lowers it no further
-        block = make_cut(example_instance.trips[0], example_instance)
+        [block] = make_cut(example_instance.trips[:1], example_instance)
         both = block_price(example_instance, block, {(1, 2), (2, 1)})
         assert both == pytest.approx(13.75)
         assert both == block_price(example_instance, block, {(1, 2)})
@@ -77,7 +93,7 @@ class TestMakeCut:
 
     def test_exact_at_generating_design(self, example_instance):
         trip = example_instance.trips[0]
-        block = make_cut(trip, example_instance)
+        [block] = make_cut([trip], example_instance)
         for z in balanced_designs(example_instance):
             assert block_price(example_instance, block, z.open_arcs) == pytest.approx(
                 route(trip, z).g, rel=1e-12
@@ -85,8 +101,8 @@ class TestMakeCut:
 
     def test_shape_and_no_cache(self, example_instance):
         trip = example_instance.trips[0]
-        block = make_cut(trip, example_instance)
-        again = make_cut(trip, example_instance)  # built anew, equal array for array
+        [block] = make_cut([trip], example_instance)
+        [again] = make_cut([trip], example_instance)  # built anew, equal array for array
         assert again is not block and again.nodes == block.nodes
         for name in ("tail", "head", "g", "arc"):
             assert np.array_equal(getattr(again, name), getattr(block, name))
@@ -108,8 +124,7 @@ class TestMakeCut:
         # so each block still prices every design at its routed g; a bus
         # edge between hub endpoints must not serve as that direct edge
         designs = list(balanced_designs(inst))
-        for trip in inst.trips:
-            block = make_cut(trip, inst)
+        for trip, block in zip(inst.trips, make_cut(inst.trips, inst)):
             for z in designs:
                 assert block_price(inst, block, z.open_arcs) == pytest.approx(
                     route(trip, z).g, rel=1e-12
@@ -117,20 +132,41 @@ class TestMakeCut:
 
     @pytest.mark.parametrize("case", list(EDGE_CASES))
     def test_matches_per_pair_reference(self, case):
-        # the array-built block is the per-pair loop's, array for array
+        # each block of a batch of all the instance's trips is the per-pair
+        # loop's, array for array
         for inst in EDGE_CASES[case]():
-            for trip in inst.trips:
-                block = make_cut(trip, inst)
-                *want, nodes = reference_block(trip, inst)
-                assert block.nodes == nodes
-                for got, ref in zip((block.tail, block.head, block.g, block.arc), want):
-                    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            for trip, block in zip(inst.trips, make_cut(inst.trips, inst), strict=True):
+                assert_block(block, *reference_block(trip, inst))
+
+    @pytest.mark.parametrize("build", MIXED.values(), ids=MIXED.keys())
+    def test_mixed_batch_matches_reference(self, build):
+        # one batch over graphs of every node count, hub endpoints included
+        inst = build()
+        hubs = set(inst.hubs)
+        assert len({(t.origin in hubs, t.destination in hubs) for t in inst.trips}) == 4
+        for trip, block in zip(inst.trips, make_cut(inst.trips, inst), strict=True):
+            assert block.trip is trip
+            assert_block(block, *reference_block(trip, inst))
+
+    @pytest.mark.parametrize("build", MIXED.values(), ids=MIXED.keys())
+    def test_batch_independence(self, build):
+        # a trip's block does not depend on the other trips of its batch
+        inst = build()
+        trips = inst.trips[::-1]
+        for block, trip in zip(make_cut(trips, inst), trips, strict=True):
+            [alone] = make_cut([trip], inst)
+            assert block.trip is trip
+            assert_block(block, alone.tail, alone.head, alone.g, alone.arc, alone.nodes)
+
+    @pytest.mark.parametrize("build", MIXED.values(), ids=MIXED.keys())
+    def test_empty_batch(self, build):
+        assert make_cut([], build()) == []
 
 
 class TestSolveMaster:
     def test_two_design_enumeration(self, example_instance):
-        block = make_cut(example_instance.trips[0], example_instance)
-        design, value, root, solves = solve_master(example_instance, [block])
+        blocks = make_cut(example_instance.trips[:1], example_instance)
+        design, value, root, solves = solve_master(example_instance, blocks)
         assert sorted(design.open_arcs) == [(1, 2), (2, 1)]
         assert value == pytest.approx(17.75)
         assert root <= value + 1e-9 and solves >= 1
@@ -190,7 +226,7 @@ class TestSolveMaster:
         inst = tiny_instance(24, n_stops=12, n_hubs=4, core=6, mid=6, high=4)
         tset = [0, 1, 2, 3, 5, 7, 8, 11, 12, 13, 15]
         trips = map(inst.trip_by_id, tset)
-        blocks = [make_cut(t, inst) for t in trips if not is_direct_trip(t, inst)]
+        blocks = make_cut([t for t in trips if not is_direct_trip(t, inst)], inst)
         model = FlowModel(inst)
         model.use(blocks)
         na = len(inst.candidate_arcs)
@@ -366,25 +402,28 @@ class TestSolveDfd:
                                                                 first.bounds)
 
     def test_shared_model_builds_each_block_once(self, monkeypatch):
-        # a second solve on the model builds blocks only for the flow trips
-        # the first did not use, and reuses the first solve's block objects
+        # each solve builds, in one call, blocks only for the flow trips no
+        # earlier solve used, and reuses the earlier solves' block objects
         inst = tiny_instance(2)
         model = FlowModel(inst)
         flow = [t.id for t in inst.trips if not model.direct[t.id]]
         first_ids, second_ids = flow[:4], flow[2:] + [t.id for t in inst.trips]
-        built = []
+        built = []  # the trip ids of each make_cut call
 
-        def counted(trip, inst):
-            built.append(trip.id)
-            return make_cut(trip, inst)
+        def counted(trips, inst):
+            built.append([t.id for t in trips])
+            return make_cut(trips, inst)
 
         monkeypatch.setattr(dfd, "make_cut", counted)
         solve_dfd(inst, first_ids, _model=model)
-        assert built == first_ids
+        assert built == [first_ids]
         first_blocks = dict(model.blocks)
         built.clear()
         solve_dfd(inst, second_ids, _model=model)
-        assert built == flow[4:]
+        assert built == [flow[4:]]
+        built.clear()
+        solve_dfd(inst, flow[1:5], _model=model)  # every block held: no call
+        assert built == []
         assert all(model.blocks[i] is b for i, b in first_blocks.items())
         assert set(model.at) == set(model.blocks.values())
 
@@ -460,7 +499,7 @@ class TestSolveDfd:
         lambda inst, fixed: list(balanced_designs(inst, fixed=fixed)),
         lambda inst, fixed: enumerate_dfd(inst, [0], fixed=fixed),
         lambda inst, fixed: solve_dfd(inst, [0], fixed=fixed),
-        lambda inst, fixed: solve_master(inst, [make_cut(inst.trips[0], inst)], fixed=fixed),
+        lambda inst, fixed: solve_master(inst, make_cut(inst.trips[:1], inst), fixed=fixed),
     ], ids=["balanced_designs", "enumerate_dfd", "solve_dfd", "solve_master"])
     def test_fixed_arc_outside_candidates_rejected(self, example_instance, entry, monkeypatch):
         def solved(*args):
