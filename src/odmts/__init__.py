@@ -42,7 +42,6 @@ from .trace import HeuristicTrace, TraceRecord, write_trace_csv
 from .trip_heuristics import default_step, eta_grre, rho_gagr, rho_grad
 from .arc_heuristics import (
     Cycle,
-    CycleCapError,
     adoption_ub,
     arc_s1,
     arc_s2,
@@ -56,7 +55,6 @@ __all__ = [
     "CapExceeded",
     "CostParams",
     "Cycle",
-    "CycleCapError",
     "Design",
     "DesignEvaluation",
     "DfdSolution",

@@ -25,18 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adoption import _served, design_objective, eval_design
-from .dfd import FlowModel, solve_dfd
+from .dfd import CapExceeded, FlowModel, solve_dfd
 from .instance import Instance, Trip
 from .router import Design, Route, _min_access_egress_km, route, trip_arrays
 from .trace import HeuristicTrace
 
 RULES = ("a", "b", "c", "d")
-# find_cycles raises CycleCapError past this many cycles.
+# find_cycles raises CapExceeded past this many cycles.
 CYCLE_CAP = 100_000
-
-
-class CycleCapError(RuntimeError):
-    """Too many elementary cycles; use a smaller expansion step."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,7 @@ def find_cycles(arcs) -> list:
                 if v == start:
                     out.append(Cycle(path))
                     if len(out) > CYCLE_CAP:
-                        raise CycleCapError(
+                        raise CapExceeded(
                             f"more than {CYCLE_CAP} elementary cycles; use a smaller expansion step"
                         )
                 elif v > start and v not in path:
@@ -140,13 +136,10 @@ def _arc_stage(inst, rule, z, tbar, bound, k, trace, stage, model, expanded=Fals
     while True:
         t0 = time.perf_counter()
         sol = solve_dfd(inst, tbar, fixed=z.open_arcs, _model=model)
-        best = None
-        for c in find_cycles(sol.design.open_arcs - z.open_arcs):
-            # pre-sorted: ties go to the shorter, lex-smaller cycle
-            grown = z.with_arcs(c.arcs)
-            obj = design_objective(inst, grown)
-            if best is None or obj < best[0]:
-                best = (obj, grown)
+        # pre-sorted, and min keeps the first of equals: the shorter, lex-smaller cycle
+        grown = (z.with_arcs(c.arcs) for c in find_cycles(sol.design.open_arcs - z.open_arcs))
+        scored = ((design_objective(inst, g), g) for g in grown)
+        best = min(scored, key=lambda b: b[0], default=None)
         fixed = best is not None and best[0] < bound
         if fixed:
             bound, z = best

@@ -3,8 +3,9 @@
 Subcommands: ``generate`` (synthetic instances), ``solve`` (one
 algorithm, writing design.json / evaluation.json / trace.csv),
 ``evaluate`` (re-score a saved design), ``compare`` (run several
-algorithms and tabulate). Exit codes: 0 success, 1 usage or config
-error, 2 solver failure.
+algorithms and tabulate). Exit codes: 0 success, 1 usage, input or
+config error (or a hard size cap), 2 any HiGHS failure; ``main`` alone
+maps exception types to them, with one stderr line.
 
 Outputs are deterministic for fixed inputs and seed; wall-clock fields
 sit in trailing columns or header lines so the remainder is
@@ -29,7 +30,7 @@ from .instance import Instance, InstanceParseError, _integral, load_instance, sa
 from .router import Design
 from .trace import HeuristicTrace, write_trace_csv
 from .trip_heuristics import eta_grre, rho_gagr, rho_grad
-from .arc_heuristics import CycleCapError, arc_s1, arc_s2
+from .arc_heuristics import arc_s1, arc_s2
 
 ALGORITHMS = ("dfd", "exact", "grad", "grre", "gagr", "arc-s1", "arc-s2")
 
@@ -122,11 +123,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    try:
-        design, tset, trace, extra = _run_algorithm(inst, args.alg, args)
-    except SolveError as e:
-        print(f"solver failure: {e}", file=sys.stderr)
-        return 2
+    design, tset, trace, extra = _run_algorithm(inst, args.alg, args)
     wall = time.perf_counter() - t0
     ev = eval_design(inst, design, tset)
     _write_json(out / "design.json", _design_doc(design, args.alg, tset, ev.objective))
@@ -173,12 +170,10 @@ COMPARE_COLUMNS = [
 def cmd_compare(args) -> int:
     algs = [a for a in args.algs.split(",") if a]
     if not algs:
-        print("empty algorithm list", file=sys.stderr)
-        return 1
+        raise ValueError("empty algorithm list")
     for a in algs:
         if a not in ALGORITHMS:
-            print(f"unknown algorithm {a!r}", file=sys.stderr)
-            return 1
+            raise ValueError(f"unknown algorithm {a!r}")
     rows = []
     for inst_path in args.instances:
         inst = load_instance(inst_path)
@@ -193,7 +188,7 @@ def cmd_compare(args) -> int:
                     "a_false": ev.a_false, **ev.kpis,
                     "time_s": time.perf_counter() - t0,
                 })
-            except (SolveError, CapExceeded, CycleCapError, ValueError) as e:
+            except (SolveError, CapExceeded, ValueError) as e:
                 rows.append({
                     "instance": inst_path, "algorithm": alg,
                     "status": f"error: {e}", "time_s": time.perf_counter() - t0,
@@ -224,8 +219,8 @@ def cmd_compare(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors print one line and exit 1; exit 2 means solver failure.
-    Subcommand parsers inherit the class."""
+    """Usage errors print one line and exit 1, as ``main`` does for
+    input errors. Subcommand parsers inherit the class."""
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -288,7 +283,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CapExceeded, CycleCapError, ValueError, OSError) as e:
+    except SolveError as e:
+        print(f"solver failure: {e}", file=sys.stderr)
+        return 2
+    except (CapExceeded, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -54,7 +54,8 @@ ENUMERATION_CAP = 16
 
 
 class CapExceeded(RuntimeError):
-    """An exhaustive routine was asked to run beyond its hard size cap."""
+    """A routine was asked to run beyond its hard size cap: the oracle's
+    ``ENUMERATION_CAP`` or ``arc_heuristics.CYCLE_CAP``."""
 
 
 def _fixed_arcs(inst: Instance, fixed) -> frozenset:

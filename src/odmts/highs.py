@@ -7,12 +7,12 @@ name, so a later scipy import reuses it (the file cannot load twice).
 Models run single-threaded, without presolve and without output, and
 the dual simplex prices with Devex weights: the default steepest-edge
 weights are paid for again on every warm re-solve, which costs more
-than the few extra iterations Devex takes. Every option is checked, and
-one the core rejects raises a one-line ``RuntimeError`` naming it. A
-model is built by appending columns and rows to an empty solver and can
-keep growing; after a bound change or an append, the next solve starts
-warm from the last basis. A solve given a cap stops in the dual simplex
-as soon as its dual bound proves the value above the cap.
+than the few extra iterations Devex takes. A model is built by
+appending columns and rows to an empty solver and can keep growing;
+after a bound change or an append, the next solve starts warm from the
+last basis. A solve given a cap stops in the dual simplex as soon as its
+dual bound proves the value above the cap. Every failure of the core
+raises a one-line ``SolveError``.
 """
 
 from __future__ import annotations
@@ -50,12 +50,13 @@ _checked = None
 
 
 class SolveError(RuntimeError):
-    """HiGHS ended an LP solve with a status other than optimal."""
+    """HiGHS failed: its core is missing, fails to load or lacks an ``API``
+    name, it refused an option or an append, or a solve was not optimal."""
 
 
 def core(pattern=None):
     """The core module from the installed scipy; a missing file or API
-    raises a one-line ``RuntimeError`` naming the path."""
+    raises a one-line ``SolveError`` naming the path."""
     global _checked
     module = sys.modules.get(MODULE)
     if module is not None and module is _checked:
@@ -67,20 +68,20 @@ def core(pattern=None):
             pattern = os.path.join(base, "optimize", "_highspy", "_core*.so")
         found = sorted(glob.glob(pattern))
         if not found:
-            raise RuntimeError(f"HiGHS core not found at {pattern}")
+            raise SolveError(f"HiGHS core not found at {pattern}")
         loader = importlib.machinery.ExtensionFileLoader(MODULE, found[0])
         core_spec = importlib.util.spec_from_loader(MODULE, loader)
         try:
             module = importlib.util.module_from_spec(core_spec)  # opens the shared object
             loader.exec_module(module)
         except ImportError as e:
-            raise RuntimeError(f"HiGHS core at {found[0]} failed to load: {e}") from None
+            raise SolveError(f"HiGHS core at {found[0]} failed to load: {e}") from None
         sys.modules[MODULE] = module
     missing = [name for name in API if functools.reduce(
         lambda obj, part: getattr(obj, part, None), name.split("."), module) is None]
     if missing:
         where = getattr(module, "__file__", MODULE)
-        raise RuntimeError(f"HiGHS core at {where} lacks {', '.join(missing)}")
+        raise SolveError(f"HiGHS core at {where} lacks {', '.join(missing)}")
     _checked = module
     return module
 
@@ -97,7 +98,7 @@ def model(cost, upper, row_lower, row_upper, rows, cols, vals):
 
 def _set(highs, option, value):
     if highs.setOptionValue(option, value) != core().HighsStatus.kOk:
-        raise RuntimeError(f"HiGHS rejected option {option} = {value!r}")
+        raise SolveError(f"HiGHS rejected option {option} = {value!r}")
 
 
 def grow(highs, cost, upper, row_lower, row_upper, rows, cols, vals):

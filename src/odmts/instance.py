@@ -215,6 +215,8 @@ class Instance:
         n = len(self.stops)
         if len(set(self.stops)) != n:
             raise ValidationError("duplicate stop ids")
+        if len(set(self.hubs)) != len(self.hubs):
+            raise ValidationError("duplicate hub ids")
         if not set(self.hubs) <= set(self.stops):
             raise ValidationError("hubs must be a subset of stops")
         if not self.hubs:
@@ -308,10 +310,14 @@ class Instance:
                 raise ValidationError(f"trip {t.id}: unknown kind {t.kind!r}")
 
     def _validate_fixed_arcs(self):
-        cand = set(self.candidate_arcs)
+        cand, seen = set(self.candidate_arcs), set()
         for a in self.params.fixed_arcs:
-            if tuple(a) not in cand:
+            pair = tuple(a)
+            if pair in seen:
+                raise ValidationError(f"duplicate fixed arc {pair}")
+            if pair not in cand:
                 raise ValidationError(f"fixed arc {a} outside the candidate set")
+            seen.add(pair)
         if any(self.hub_degree(self.params.fixed_arcs)):
             raise ValidationError("fixed arcs are not weakly connected")
 

@@ -26,7 +26,7 @@ import time
 
 from .adoption import eval_design
 from .dfd import FlowModel, solve_dfd
-from .instance import Instance
+from .instance import Instance, _integral
 from .router import trip_arrays
 from .trace import HeuristicTrace
 
@@ -39,23 +39,30 @@ def default_step(inst: Instance) -> int:
     return max(1, len(inst.latent_trips) // 20)
 
 
-def _ranked_adopters(inst, design, candidates, adopters):
-    """Adopting candidates ordered by (net cost, trip id). Two distinct
-    money values may give one net cost once the ticket is subtracted; the
-    trip id then decides."""
+def _step(inst: Instance, name: str, value) -> int:
+    """The step size ``value``, ``default_step`` when None; a non-int or bool raises."""
+    if value is None:
+        return default_step(inst)
+    if not _integral(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _ranked_adopters(inst, design, adopters, excluded):
+    """The ids of ``adopters`` outside ``excluded``, ordered by (net cost,
+    trip id). Two distinct money values may give one net cost once the
+    ticket is subtracted; the trip id then decides."""
     money = trip_arrays(design)[2].tolist()
     row, ticket = inst.trip_index, inst.params.ticket
-    picked = [t for t in candidates if t.id in adopters]
-    return sorted(picked, key=lambda t: (money[row[t.id]] - ticket, t.id))
+    return sorted(adopters - excluded, key=lambda i: (money[row[i]] - ticket, i))
 
 
 def rho_grad(inst: Instance, rho: int | None = None):
     """Greedy adoption. Returns (design, trace); trace.tset is the trip
     set that generated the design."""
-    rho = default_step(inst) if rho is None else int(rho)
+    rho = _step(inst, "rho", rho)
     if rho < 1:
         raise ValueError("rho must be >= 1")
-    latent = inst.latent_trips
     model = FlowModel(inst)
     trace = HeuristicTrace()
     absorbed = set()
@@ -69,11 +76,10 @@ def rho_grad(inst: Instance, rho: int | None = None):
             k, 1, len(tset), sol.design, ev.objective, len(ev.adopters),
             time.perf_counter() - t0,
         )
-        candidates = [t for t in latent if t.id not in absorbed]
-        ranked = _ranked_adopters(inst, sol.design, candidates, ev.adopters)
+        ranked = _ranked_adopters(inst, sol.design, ev.adopters, absorbed)
         if not ranked:
             return sol.design, trace.finish(sol.design, tset)
-        absorbed.update(t.id for t in ranked[:rho])
+        absorbed.update(ranked[:rho])
         k += 1
 
 
@@ -85,10 +91,10 @@ def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
     truncated after iteration ``MAX_ITER``. ``_model`` is the DFD model
     of an enclosing ``rho_gagr`` run, a new one by default; ``solve_dfd``
     answers the repeats of every run that shares it."""
-    eta = default_step(inst) if eta is None else int(eta)
+    eta = _step(inst, "eta", eta)
     if eta < 1:
         raise ValueError("eta must be >= 1")
-    latent = inst.latent_trips
+    latent = {t.id for t in inst.latent_trips}
     model = FlowModel(inst) if _model is None else _model
     trace = HeuristicTrace()
     rejected = set()
@@ -96,7 +102,7 @@ def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
     k = 0
     tbar = frozenset(start_tset) if start_tset is not None else inst.core_ids
     best = (float("inf"), None, None)  # (objective, design, tset); the first minimum wins
-    prev_key = None
+    prev_arcs = None
     while True:
         t0 = time.perf_counter()
         sol = solve_dfd(inst, tbar, _model=model)
@@ -107,17 +113,16 @@ def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
         )
         if ev.objective < best[0]:
             best = (ev.objective, sol.design, tbar)
-        candidates = [t for t in latent if t.id not in rejected]
-        rejected.update(t.id for t in candidates if t.id not in ev.adopters)
+        rejected |= latent - ev.adopters
         m += eta
-        ranked = _ranked_adopters(inst, sol.design, candidates, ev.adopters)
-        key = sol.design.key()
-        stable = k >= 2 and prev_key == key and (m - eta) >= len(ranked)
+        ranked = _ranked_adopters(inst, sol.design, ev.adopters, rejected)
+        arcs = sol.design.open_arcs
+        stable = k >= 2 and prev_arcs == arcs and (m - eta) >= len(ranked)
         if stable or k >= MAX_ITER:
             _, design, tset = best
             return design, trace.finish(design, tset, truncated=not stable)
-        tbar = inst.core_ids | {t.id for t in ranked[:m]}
-        prev_key = key
+        tbar = inst.core_ids | set(ranked[:m])
+        prev_arcs = arcs
         k += 1
 
 
@@ -125,13 +130,11 @@ def rho_gagr(inst: Instance, rho: int | None = None, eta: int | None = None,
              time_limit: float | None = None):
     """Combined greedy adoption with greedy-rejection subproblems.
     Returns (design, trace) for the minimum-objective inner result."""
-    rho = default_step(inst) if rho is None else int(rho)
-    eta = default_step(inst) if eta is None else int(eta)
+    rho, eta = _step(inst, "rho", rho), _step(inst, "eta", eta)
     if rho < 1 or eta < 1:
         raise ValueError("rho and eta must be >= 1")
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time_limit must be >= 0, got {time_limit}")
-    latent = inst.latent_trips
     model = FlowModel(inst)
     trace = HeuristicTrace()
     started = time.perf_counter()
@@ -149,12 +152,11 @@ def rho_gagr(inst: Instance, rho: int | None = None, eta: int | None = None,
         )
         if ev.objective < best[0]:
             best = (ev.objective, design, inner.tset)
-        candidates = [t for t in latent if t.id not in absorbed]
-        ranked = _ranked_adopters(inst, design, candidates, ev.adopters)
+        ranked = _ranked_adopters(inst, design, ev.adopters, absorbed)
         timed_out = time_limit is not None and time.perf_counter() - started >= time_limit
         if not ranked or timed_out:
             break
-        absorbed.update(t.id for t in ranked[:rho])
+        absorbed.update(ranked[:rho])
         k += 1
     _, design, tset = best
     return design, trace.finish(design, tset)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from odmts import (
+    CapExceeded,
     Cycle,
-    CycleCapError,
     Design,
     Trip,
     adoption_ub,
@@ -50,7 +50,7 @@ class TestFindCycles:
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(arc_heuristics, "CYCLE_CAP", 10)
         arcs = {(a, b) for a in range(8) for b in range(8) if a != b}
-        with pytest.raises(CycleCapError):
+        with pytest.raises(CapExceeded, match="^more than 10 elementary cycles; "):
             find_cycles(arcs)
 
     def test_cycle_canonical_rotation(self):

@@ -22,6 +22,15 @@ def instance_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def core_lacking_api(monkeypatch):
+    """A HiGHS core that fails the API check, as one from another scipy
+    would: the loaded module lacks one name of ``highs.API``."""
+    monkeypatch.setattr(highs, "API", highs.API + ("_Highs.noSuchCall",))
+    monkeypatch.setattr(highs, "_checked", None)
+    return "lacks _Highs.noSuchCall"
+
+
 class TestGenerate:
     def test_determinism(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -163,6 +172,15 @@ class TestSolve:
         assert err == "solver failure: HiGHS ended with status Time limit reached\n"
         assert not (out / "design.json").exists()
 
+    def test_core_failure_exits_two(self, tmp_path, instance_file, capsys, core_lacking_api):
+        out = tmp_path / "run"
+        rc = main(["solve", "--instance", str(instance_file), "--alg", "dfd", "--out", str(out)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("solver failure: HiGHS core at ")
+        assert lines[0].endswith(core_lacking_api)
+        assert not (out / "design.json").exists()
+
     def test_missing_instance(self, tmp_path):
         rc = main(["solve", "--instance", str(tmp_path / "nope.json"), "--alg", "grad"])
         assert rc == 1
@@ -256,18 +274,32 @@ class TestCompare:
             ("arc-s1", "error: arc-s1 needs exactly one rule in --rules"), ("arc-s2", "ok")]
         assert rows[0]["objective"] == "" and float(rows[1]["gap_vs_best"]) == 0.0
 
+    def test_core_failure_row(self, tmp_path, instance_file, core_lacking_api):
+        out = tmp_path / "cmp.csv"
+        rc = main(["compare", "--instances", str(instance_file), "--algs", "dfd,grad",
+                   "--out", str(out)])
+        assert rc == 0
+        rows = list(csv.DictReader(
+            line for line in out.read_text().splitlines() if not line.startswith("#")
+        ))
+        assert [r["algorithm"] for r in rows] == ["dfd", "grad"]
+        for r in rows:
+            assert r["status"].startswith("error: HiGHS core at ")
+            assert r["status"].endswith(core_lacking_api) and r["objective"] == ""
+
     def test_unknown_alg_exits_one(self, tmp_path, instance_file, capsys):
         out = tmp_path / "x.csv"
         rc = main(["compare", "--instances", str(instance_file), "--algs", "grad,bogus",
                    "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == "unknown algorithm 'bogus'\n"
+        assert capsys.readouterr().err == "error: unknown algorithm 'bogus'\n"
         assert not out.exists()
 
-    def test_empty_algs(self, tmp_path, instance_file):
+    def test_empty_algs(self, tmp_path, instance_file, capsys):
         rc = main(["compare", "--instances", str(instance_file), "--algs", "",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+        assert capsys.readouterr().err == "error: empty algorithm list\n"
 
     def test_body_determinism(self, tmp_path, instance_file):
         outs = []

@@ -120,13 +120,13 @@ class TestOptions:
 
     def test_unknown_option_raises(self, monkeypatch):
         monkeypatch.setattr(highs, "OPTIONS", highs.OPTIONS + (("no_such_option", 1),))
-        with pytest.raises(RuntimeError, match="^HiGHS rejected option no_such_option = 1$"):
+        with pytest.raises(highs.SolveError, match="^HiGHS rejected option no_such_option = 1$"):
             pair_model()
 
     def test_rejected_value_raises(self, monkeypatch):
         # a known option with a value outside its range
         monkeypatch.setattr(highs, "OPTIONS", (("simplex_dual_edge_weight_strategy", 9),))
-        with pytest.raises(RuntimeError, match="simplex_dual_edge_weight_strategy = 9$"):
+        with pytest.raises(highs.SolveError, match="simplex_dual_edge_weight_strategy = 9$"):
             pair_model()
 
     def test_rejected_objective_bound_raises(self):
@@ -137,7 +137,7 @@ class TestOptions:
                 return highs.core().HighsStatus.kError
             return solver.setOptionValue(option, value)
 
-        with pytest.raises(RuntimeError, match="^HiGHS rejected option objective_bound = "):
+        with pytest.raises(highs.SolveError, match="^HiGHS rejected option objective_bound = "):
             highs.solve(Overridden(solver, setOptionValue=set_option), np.zeros(2), np.ones(2),
                         np.inf, [])
 
@@ -159,14 +159,14 @@ class TestFailures:
 class TestCore:
     def test_missing_file(self, tmp_path, monkeypatch):
         monkeypatch.delitem(sys.modules, highs.MODULE, raising=False)
-        with pytest.raises(RuntimeError, match="not found at " + str(tmp_path)) as err:
+        with pytest.raises(highs.SolveError, match="not found at " + str(tmp_path)) as err:
             highs.core(str(tmp_path / "_core*.so"))
         assert "\n" not in str(err.value)
 
     def test_file_that_fails_to_load(self, tmp_path, monkeypatch):
         monkeypatch.delitem(sys.modules, highs.MODULE, raising=False)
         (tmp_path / "_core.so").write_bytes(b"not a shared object")
-        with pytest.raises(RuntimeError, match="_core.so failed to load: ") as err:
+        with pytest.raises(highs.SolveError, match="_core.so failed to load: ") as err:
             highs.core(str(tmp_path / "_core*.so"))
         assert "\n" not in str(err.value)
         assert highs.MODULE not in sys.modules
@@ -187,7 +187,7 @@ class TestCore:
                 owner = getattr(owner, part)
             setattr(owner, last, object())
         monkeypatch.setitem(sys.modules, highs.MODULE, fake)
-        with pytest.raises(RuntimeError, match="/nowhere/_core.so lacks _Highs.addRows$") as err:
+        with pytest.raises(highs.SolveError, match="/nowhere/_core.so lacks _Highs.addRows$") as err:
             highs.core()
         assert "\n" not in str(err.value)
 

@@ -130,6 +130,11 @@ class TestLoadInstance:
             (("params", "ticket"), float("nan"), "bad 'ticket'"),
             ((), [small_doc()], "document must be a mapping"),
             (("hubs",), DELETE, "missing section 'hubs'"),
+            # each duplicate is named, balanced or not
+            (("hubs",), [1, 2, 1], "^duplicate hub ids$"),
+            (("params", "fixed_arcs"), [[1, 2], [2, 1], [1, 2], [2, 1]],
+             r"^duplicate fixed arc \(1, 2\)$"),
+            (("params", "fixed_arcs"), [[1, 2], [2, 1], [1, 2]], r"^duplicate fixed arc \(1, 2\)$"),
         ],
         ids=["alpha_nan", "alpha_inf", "alpha_str", "t_cur_nan", "t_cur_inf",
              "wait_nan", "wait_inf", "riders_fraction", "riders_bool",
@@ -137,7 +142,8 @@ class TestLoadInstance:
              "trips_int", "trips_mapping", "stops_int", "hub_null",
              "fixed_arcs_int", "time_str", "shuttle_flag_str", "costed_flag_str",
              "id_fraction", "origin_str", "theta_bool", "omega_str", "ticket_nan",
-             "document_list", "hubs_missing"],
+             "document_list", "hubs_missing", "hub_twice", "fixed_arcs_twice",
+             "fixed_arcs_twice_unbalanced"],
     )
     def test_malformed_document_rejected(self, tmp_path, path, value, match):
         f = tmp_path / "bad.json"
@@ -235,6 +241,7 @@ class TestDirectConstruction:
         ("instance", dict(dist=matrix_with("dist", 0, 1, -1.0)), "dist has negative entries"),
         ("instance", dict(dist=matrix_with("dist", 2, 2, 1.0)), "dist diagonal must be zero"),
         ("instance", dict(stops=(0, 1, 2, 2)), "duplicate stop ids"),
+        ("instance", dict(hubs=(1, 2, 1)), "duplicate hub ids"),
         ("instance", dict(hubs=(1, 9)), "hubs must be a subset of stops"),
         ("instance", dict(hubs=()), "at least one hub is required"),
         ("params", dict(bus_rate=-1.0), "monetary rates must be non-negative"),
@@ -243,6 +250,8 @@ class TestDirectConstruction:
         ("params", dict(wait=[[0, -5], [5, 0]]), "wait entries must be finite and non-negative"),
         ("params", dict(fixed_arcs=((1, 2.0), (2, 1))), "params: bad 'fixed_arcs'"),
         ("params", dict(fixed_arcs=((1, 3), (3, 1))), r"fixed arc \(1, 3\) outside the candidate"),
+        ("params", dict(fixed_arcs=((1, 2), (2, 1), (1, 2), (2, 1))),
+         r"^duplicate fixed arc \(1, 2\)$"),
         ("trip", dict(id=1), "duplicate trip id 1"),
         ("trip", dict(destination=9), "trip 0: unknown stop 9"),
         ("trip", dict(destination=0), "trip 0: origin equals destination"),
@@ -250,8 +259,9 @@ class TestDirectConstruction:
     ], ids=["omega_nan", "bus_rate_inf", "theta_bool", "shuttle_flag_str", "fixed_arc_short",
             "id_fraction", "id_bool", "origin_float", "stop_fraction", "hub_null",
             "time_shape", "time_nan", "dist_negative", "dist_diagonal", "stop_twice",
-            "hub_not_a_stop", "no_hub", "bus_rate_negative", "cost_mode_unknown", "wait_shape",
-            "wait_negative", "fixed_arc_fraction", "fixed_arc_not_candidate", "trip_id_twice",
+            "hub_twice", "hub_not_a_stop", "no_hub", "bus_rate_negative", "cost_mode_unknown",
+            "wait_shape", "wait_negative", "fixed_arc_fraction", "fixed_arc_not_candidate",
+            "fixed_arc_twice", "trip_id_twice",
             "destination_unknown", "origin_is_destination", "kind_unknown"])
     def test_bad_value_rejected(self, part, change, match):
         parts = small_parts()

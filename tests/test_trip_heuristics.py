@@ -107,6 +107,20 @@ def test_step_below_one_rejected(run, match):
         run(tiny_instance(0))
 
 
+@pytest.mark.parametrize("run, match", [
+    (lambda inst: rho_grad(inst, rho=2.7), "^rho must be an integer, got 2.7$"),
+    (lambda inst: rho_grad(inst, rho=True), "^rho must be an integer, got True$"),
+    (lambda inst: rho_grad(inst, rho="2"), "^rho must be an integer, got '2'$"),
+    (lambda inst: eta_grre(inst, eta=1.0), "^eta must be an integer, got 1.0$"),
+    (lambda inst: rho_gagr(inst, rho=2.0), "^rho must be an integer, got 2.0$"),
+    (lambda inst: rho_gagr(inst, eta=False), "^eta must be an integer, got False$"),
+], ids=["grad_fraction", "grad_bool", "grad_str", "grre_float", "gagr_rho_float",
+        "gagr_eta_bool"])
+def test_step_not_an_integer_rejected(run, match):
+    with pytest.raises(ValueError, match=match):
+        run(tiny_instance(0))
+
+
 class TestEtaGrre:
     def test_no_latent_three_identical_solves(self):
         inst = no_latent_instance()
