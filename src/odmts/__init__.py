@@ -41,7 +41,6 @@ from .adoption import (
 from .trace import HeuristicTrace, TraceRecord, write_trace_csv
 from .trip_heuristics import default_step, eta_grre, rho_gagr, rho_grad
 from .arc_heuristics import (
-    Cycle,
     adoption_ub,
     arc_s1,
     arc_s2,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapExceeded",
     "CostParams",
-    "Cycle",
     "Design",
     "DesignEvaluation",
     "DfdSolution",

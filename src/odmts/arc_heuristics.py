@@ -20,7 +20,6 @@ Expansion rules, applied to the latent trips after each fixing step:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,31 +34,12 @@ RULES = ("a", "b", "c", "d")
 CYCLE_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """An elementary directed cycle, canonicalized to start at its
-    smallest hub."""
-
-    hubs: tuple
-
-    def __post_init__(self):
-        lo = self.hubs.index(min(self.hubs))
-        object.__setattr__(self, "hubs", self.hubs[lo:] + self.hubs[:lo])
-
-    @property
-    def arcs(self) -> tuple:
-        seq = self.hubs
-        return tuple((seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq)))
-
-    def __len__(self):
-        return len(self.hubs)
-
-
 def find_cycles(arcs) -> list:
-    """All elementary directed cycles of an arc set, each reported once,
-    ordered by (length, hub sequence). Each cycle is found from its
-    smallest hub: a depth-first walk from every start hub visits only
-    larger hubs and closes cycles back at the start."""
+    """All elementary directed cycles of an arc set, each once, as the
+    tuple of its hubs (h1, ..., hn), which opens the arcs (h1, h2), ...,
+    (hn, h1); ordered by (length, hub sequence). A cycle starts at its
+    smallest hub, from which it is found: a depth-first walk from every
+    start hub visits only larger hubs and closes cycles back at it."""
     succ = {}
     for h, l in set(arcs):
         succ.setdefault(h, []).append(l)
@@ -70,14 +50,14 @@ def find_cycles(arcs) -> list:
             path = stack.pop()
             for v in succ.get(path[-1], ()):
                 if v == start:
-                    out.append(Cycle(path))
+                    out.append(path)
                     if len(out) > CYCLE_CAP:
                         raise CapExceeded(
                             f"more than {CYCLE_CAP} elementary cycles; use a smaller expansion step"
                         )
                 elif v > start and v not in path:
                     stack.append(path + (v,))
-    out.sort(key=lambda c: (len(c), c.hubs))
+    out.sort(key=lambda c: (len(c), c))
     return out
 
 
@@ -137,7 +117,8 @@ def _arc_stage(inst, rule, z, tbar, bound, k, trace, stage, model, expanded=Fals
         t0 = time.perf_counter()
         sol = solve_dfd(inst, tbar, fixed=z.open_arcs, _model=model)
         # pre-sorted, and min keeps the first of equals: the shorter, lex-smaller cycle
-        grown = (z.with_arcs(c.arcs) for c in find_cycles(sol.design.open_arcs - z.open_arcs))
+        cycles = find_cycles(sol.design.open_arcs - z.open_arcs)
+        grown = (z.with_arcs(zip(c, c[1:] + c[:1])) for c in cycles)
         scored = ((design_objective(inst, g), g) for g in grown)
         best = min(scored, key=lambda b: b[0], default=None)
         fixed = best is not None and best[0] < bound

@@ -20,13 +20,15 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
 from .adoption import eval_design, exact_tiny
 from .dfd import CapExceeded, SolveError, solve_dfd
 from .generator import GeneratorConfig, TripClass, generate_synthetic
-from .instance import Instance, InstanceParseError, _integral, load_instance, save_instance
+from .instance import (Instance, InstanceParseError, ValidationError, _integral, load_instance,
+                       save_instance)
 from .router import Design
 from .trace import HeuristicTrace, write_trace_csv
 from .trip_heuristics import eta_grre, rho_gagr, rho_grad
@@ -151,7 +153,12 @@ def cmd_evaluate(args) -> int:
     tset = doc.get("tset", [t.id for t in inst.trips])
     if not _int_list(tset):
         raise InstanceParseError(f"{args.design}: 'tset' must be a list of trip ids")
-    design = Design(inst, frozenset(tuple(a) for a in arcs))
+    pairs = [tuple(a) for a in arcs]
+    for items, what in ((pairs, "arc {} in open_arcs"), (tset, "trip id {} in tset")):
+        twice = [x for x, n in Counter(items).items() if n > 1]
+        if twice:
+            raise ValidationError(f"{args.design}: duplicate {what.format(twice[0])}")
+    design = Design(inst, frozenset(pairs))
     ev = eval_design(inst, design, tset)
     out = {"tool_version": __version__, **ev.to_dict()}
     if args.out:

@@ -17,27 +17,25 @@ instances only) are constants and get no flow.
 
 The LPs run on HiGHS's compiled core, which ships inside scipy (see
 ``highs``). A heuristic run keeps one ``FlowModel``, which holds all of
-the run's DFD state: each trip's direct flag, computed for all trips at
-once, and each trip's block, joining the solver the first time a solve
-uses the trip. A solve builds the blocks it lacks in one ``make_cut``
-call, which builds a batch of trips on the disjoint union of their
-graphs. Blocks outside a solve are switched off and every solve starts
-warm from the previous basis.
-``solve_dfd`` answers the run's repeats from the model without an LP: a
-repeat of a solve's trip ids and fixed arcs gets the stored solution,
-and a repeat of its flow blocks and fixed arcs the stored design. Each
-LP stops early once its dual bound passes the cap of its search. One
-depth-first search finds the optimum and meets every other integral
-design within the tie cap outside the optimum's own leaf; a search of
-that leaf under a no-good row that excludes the optimum can then prove
-it the only one, which skips the tie pass. The blocks are built from
-the router's edge arrays (``router._edges``), the rule the per-trip
-route search reads as well.
+the run's DFD state: the direct trips, found for all trips at once; each
+trip's block, joining the solver the first time a solve uses the trip;
+and one memo of answers, keyed by a solve's flow trips and fixed arcs,
+from which ``solve_dfd`` answers the run's repeats without an LP. A
+solve builds the blocks it lacks in one ``make_cut`` call, which builds
+a batch of trips on the disjoint union of their graphs. Blocks outside
+a solve are switched off and every solve starts warm from the previous
+basis. Each LP stops early once its dual bound passes the cap of its
+search. One depth-first search finds the optimum and meets every other
+integral design within the tie cap outside the optimum's own leaf; a
+search of that leaf under a no-good row that excludes the optimum can
+then prove it the only one, which skips the tie pass. The blocks are
+built from the router's edge arrays (``router._edges``), the rule the
+per-trip route search reads as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,12 +171,10 @@ class FlowModel:
     """The arc-flow model of one instance on one HiGHS solver, grown by
     a trip's block the first time a solve uses it. The solver keeps its
     basis, so every solve starts warm from the previous one. ``direct``
-    holds ``is_direct_trip`` of every instance trip and ``blocks`` the
-    block ``solve_dfd`` built for each flow trip, both by trip id; a
-    block stays the same object for the model's life, as ``at`` and
-    ``masters`` key on it. ``solved`` and ``masters`` hold the answers
-    ``solve_dfd`` has given on the model, by (trip ids, fixed arcs) and
-    by (flow blocks, fixed arcs).
+    holds the ids of the trips ``is_direct_trip`` accepts, ``blocks``
+    each flow trip's block by trip id (the same object for the model's
+    life, as ``at`` keys on it) and ``solved`` the answers ``solve_dfd``
+    has given on the model (see there).
 
     Columns: z, then the blocks' edges in the order the blocks joined.
     Rows: hub balance, the no-good row (free unless ``exclude`` set it),
@@ -206,12 +202,11 @@ class FlowModel:
         d = np.array([sidx[t.destination] for t in inst.trips], dtype=int)
         # is_direct_trip of every trip at once
         direct = inst.metric_consistent & (_min_access_egress_km(inst, o, d) >= inst.dist[o, d])
-        self.direct = dict(zip((t.id for t in inst.trips), direct.tolist()))
+        self.direct = frozenset(t.id for t, on in zip(inst.trips, direct.tolist()) if on)
         self.blocks = {}  # trip id -> block
         self.at = {}  # block -> (first column, origin row)
         self.on = set()
-        self.solved = {}  # (trip ids, fixed arcs) -> DfdSolution
-        self.masters = {}  # (blocks, fixed arcs) -> solve_master's (design, root)
+        self.solved = {}  # (flow-trip ids, fixed arcs) -> (design, root LP value, flow objective)
 
     def use(self, blocks):
         """Append the blocks not in the model yet and switch on exactly
@@ -354,15 +349,24 @@ class DfdSolution:
 
     ``design``, ``objective`` and ``tset`` depend on the solve's inputs
     alone. On a shared ``FlowModel`` the root LP value in ``bounds`` (in
-    its last bits) and ``iterations`` also depend on the warm basis that
-    earlier solves on the model left behind; ``iterations`` is 0 when
-    ``solve_dfd`` answered from the model (see ``solve_dfd``)."""
+    its last bits) and ``iterations`` also depend on the warm basis of
+    earlier solves; a memo answer reports the first solve's root LP value
+    for its flow trips and fixed arcs, and ``iterations`` 0."""
 
     design: Design
     objective: float
     tset: frozenset  # trip ids
     bounds: tuple  # ((1, root LP value, objective, open arcs, trip blocks),)
     iterations: int  # LP solves
+
+
+def _riders_g(design: Design, ids, total: float) -> float:
+    """``total`` plus riders times g under ``design`` over ``ids``, in id order."""
+    inst = design.instance
+    g, row = trip_arrays(design)[0].tolist(), inst.trip_index
+    for i in sorted(ids):
+        total += inst.trips[row[i]].riders * g[row[i]]
+    return total
 
 
 def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -> DfdSolution:
@@ -372,49 +376,32 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
     each trip's routed g from the design's ``trip_arrays``.
 
     ``_model`` is the ``FlowModel`` to solve on, a new one by default; a
-    heuristic run passes its own to every solve. The direct flags come
-    from the model, and one ``make_cut`` call builds the blocks of the
-    flow trips whose block the model does not hold yet, none when it
-    holds them all. After the checks of
-    ``tset`` and ``fixed``, a repeat of trip ids and fixed arcs the model
-    has answered returns the stored solution with ``iterations`` 0, and
-    a repeat of flow blocks and fixed arcs (trip sets that differ only
-    in direct trips) takes the stored design and root LP value without
-    calling ``solve_master``."""
+    heuristic run passes its own to every solve. After the checks of
+    ``tset`` and ``fixed``, the model's memo answers the flow trips
+    (``tset`` less the model's direct trips) and fixed arcs with the
+    design, its root LP value and its flow objective (investment plus
+    riders times g over the flow trips). On a miss one ``make_cut`` call
+    builds the blocks the model lacks, if any, and ``solve_master``
+    runs; a hit reports ``iterations`` 0. The direct trips' constant is
+    added last."""
     ids, fixed = inst.trip_ids(tset), _fixed_arcs(inst, fixed)
     model = FlowModel(inst) if _model is None else _model
-    if (ids, fixed) in model.solved:
-        return replace(model.solved[ids, fixed], iterations=0)
-    trips = sorted(map(inst.trip_by_id, ids), key=lambda t: t.id)
-    direct = model.direct
-    flow_trips = [t for t in trips if not direct[t.id]]
-    missing = [t for t in flow_trips if t.id not in model.blocks]
-    if missing:
-        model.blocks.update((b.trip.id, b) for b in make_cut(missing, inst))
-    blocks = [model.blocks[t.id] for t in flow_trips]
-    key = (frozenset(blocks), fixed)
-    if key in model.masters:
-        (design, root), solves = model.masters[key], 0
-    else:
+    flow, solves = ids - model.direct, 0
+    if (flow, fixed) not in model.solved:
+        trips = [inst.trip_by_id(i) for i in sorted(flow)]
+        missing = [t for t in trips if t.id not in model.blocks]
+        if missing:
+            model.blocks.update((b.trip.id, b) for b in make_cut(missing, inst))
+        blocks = [model.blocks[t.id] for t in trips]
         design, _, root, solves = solve_master(inst, blocks, fixed=fixed, _model=model)
-        model.masters[key] = (design, root)
-    g = trip_arrays(design)[0].tolist()
-    row = inst.trip_index
-    objective = arcs_cost(inst, design.open_arcs)
-    for t in flow_trips:
-        objective += t.riders * g[row[t.id]]
+        objective = _riders_g(design, flow, arcs_cost(inst, design.open_arcs))
+        model.solved[flow, fixed] = design, root, objective
+    design, root, objective = model.solved[flow, fixed]
     # a direct trip rides the same shuttle under every design
-    const = 0.0
-    for t in trips:
-        if direct[t.id]:
-            const += t.riders * g[row[t.id]]
-    objective += const
-    record = (1, root + const, objective, len(design.open_arcs), len(flow_trips))
-    model.solved[ids, fixed] = DfdSolution(
-        design=design, objective=objective, tset=frozenset(t.id for t in trips),
-        bounds=(record,), iterations=solves,
-    )
-    return model.solved[ids, fixed]
+    const = _riders_g(design, ids & model.direct, 0.0)
+    record = (1, root + const, objective + const, len(design.open_arcs), len(flow))
+    return DfdSolution(design=design, objective=objective + const, tset=ids,
+                       bounds=(record,), iterations=solves)
 
 
 # -- exhaustive oracle -------------------------------------------------

@@ -26,7 +26,7 @@ import time
 
 from .adoption import eval_design
 from .dfd import FlowModel, solve_dfd
-from .instance import Instance, _integral
+from .instance import Instance, _finite, _integral
 from .router import trip_arrays
 from .trace import HeuristicTrace
 
@@ -133,6 +133,8 @@ def rho_gagr(inst: Instance, rho: int | None = None, eta: int | None = None,
     rho, eta = _step(inst, "rho", rho), _step(inst, "eta", eta)
     if rho < 1 or eta < 1:
         raise ValueError("rho and eta must be >= 1")
+    if time_limit is not None and not (_finite(time_limit) or time_limit == float("inf")):
+        raise ValueError(f"time_limit must be a finite number, inf or None, got {time_limit!r}")
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time_limit must be >= 0, got {time_limit}")
     model = FlowModel(inst)

@@ -237,6 +237,23 @@ class TestEvaluate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and key in err[0]
 
+    @pytest.mark.parametrize("key", ["open_arcs", "tset"])
+    def test_duplicate_exits_one(self, tmp_path, instance_file, capsys, key):
+        # a design file that repeats an arc or a trip id is refused, not
+        # scored as if each appeared once
+        out = tmp_path / "run"
+        main(["solve", "--instance", str(instance_file), "--alg", "dfd", "--out", str(out)])
+        capsys.readouterr()
+        doc = json.loads((out / "design.json").read_text())
+        first = doc[key][0]
+        doc[key].append(first)
+        bad = tmp_path / "twice.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["evaluate", "--instance", str(instance_file), "--design", str(bad)])
+        assert rc == 1
+        what = f"arc {tuple(first)}" if key == "open_arcs" else f"trip id {first}"
+        assert capsys.readouterr().err == f"error: {bad}: duplicate {what} in {key}\n"
+
     def test_missing_design_file_exits_one(self, tmp_path, instance_file, capsys):
         rc = main(["evaluate", "--instance", str(instance_file),
                    "--design", str(tmp_path / "missing.json")])

@@ -368,9 +368,8 @@ class TestSolveDfd:
         # the first one's design without an LP; other fixed arcs miss
         inst = tiny_instance(0)
         model = FlowModel(inst)
-        direct = model.direct
-        flow = [t.id for t in inst.trips if not direct[t.id]]
-        tset = flow + [t.id for t in inst.trips if direct[t.id]]
+        flow = [t.id for t in inst.trips if t.id not in model.direct]
+        tset = flow + [t.id for t in inst.trips if t.id in model.direct]
         first = solve_dfd(inst, flow, _model=model)
         again = solve_dfd(inst, tset, _model=model)
         assert first.iterations >= 1 and again.iterations == 0
@@ -401,12 +400,37 @@ class TestSolveDfd:
         assert (again.objective, again.tset, again.bounds) == (first.objective, first.tset,
                                                                 first.bounds)
 
+    def test_one_memo_entry_per_flow_set(self, monkeypatch):
+        # all trips, then the same flow trips with fewer direct trips, then
+        # all trips again: one memo entry answers the second and third
+        # solves, and each answer is the one a fresh model gives
+        inst = tiny_instance(0)
+        model = FlowModel(inst)
+        every = [t.id for t in inst.trips]
+        direct = [t.id for t in inst.trips if is_direct_trip(t, inst)]
+        fewer = sorted(set(every) - set(direct)) + direct[:1]
+        first = solve_dfd(inst, every, _model=model)
+
+        def called(*args, **kwargs):
+            raise AssertionError("called on a repeat")
+
+        monkeypatch.setattr(dfd, "make_cut", called)
+        monkeypatch.setattr(dfd, "solve_master", called)
+        answers = [first] + [solve_dfd(inst, tset, _model=model) for tset in (fewer, every)]
+        assert len(model.solved) == 1
+        assert [sol.iterations for sol in answers[1:]] == [0, 0]
+        monkeypatch.undo()
+        for sol, tset in zip(answers, [every, fewer, every]):
+            fresh = solve_dfd(inst, tset)
+            assert (sol.objective, sol.tset, sol.bounds) == (fresh.objective, fresh.tset,
+                                                              fresh.bounds)
+
     def test_shared_model_builds_each_block_once(self, monkeypatch):
         # each solve builds, in one call, blocks only for the flow trips no
         # earlier solve used, and reuses the earlier solves' block objects
         inst = tiny_instance(2)
         model = FlowModel(inst)
-        flow = [t.id for t in inst.trips if not model.direct[t.id]]
+        flow = [t.id for t in inst.trips if t.id not in model.direct]
         first_ids, second_ids = flow[:4], flow[2:] + [t.id for t in inst.trips]
         built = []  # the trip ids of each make_cut call
 
@@ -432,8 +456,8 @@ class TestSolveDfd:
         ids=[f"tiny{seed}" for seed in range(3)] + ["non_metric"],
     )
     def test_model_direct_flags(self, inst):
-        # the model's flags, by trip id, are is_direct_trip's
-        assert FlowModel(inst).direct == {t.id: is_direct_trip(t, inst) for t in inst.trips}
+        # the model's direct trips are those for which is_direct_trip holds
+        assert FlowModel(inst).direct == {t.id for t in inst.trips if is_direct_trip(t, inst)}
 
     @pytest.mark.parametrize("tset", [[0, 1.0], [0, True]], ids=["float_id", "bool_id"])
     def test_repeat_checks_its_ids(self, tset):

@@ -209,7 +209,7 @@ class TestRhoGagr:
         assert len(trace.records) == 1
         assert design is not None
 
-    @pytest.mark.parametrize("limit", [-1.0, float("nan")])
+    @pytest.mark.parametrize("limit", [-1.0, float("nan"), True, "5"])
     def test_time_limit_validation(self, limit):
         with pytest.raises(ValueError, match="time_limit"):
             rho_gagr(tiny_instance(4), time_limit=limit)
