@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dfd import balanced_designs, solve_dfd
 from .instance import PER_DISTANCE, Instance, Trip, ValidationError, memo
-from .router import Design, Route, trip_arrays, weights_of
+from .router import Design, Route, arcs_cost, trip_arrays, weights_of
 
 
 def choice(r: Route, trip: Trip) -> int:
@@ -25,21 +26,6 @@ def choice(r: Route, trip: Trip) -> int:
     if not trip.is_latent:
         raise ValueError(f"trip {trip.id} is a core trip and has no mode choice")
     return 1 if r.f <= trip.alpha * trip.t_cur else 0
-
-
-def arcs_cost(inst: Instance, arcs) -> float:
-    """Investment cost of a set of open arcs; fixed backbone arcs are
-    free when the instance says so."""
-    w = weights_of(inst)
-    hidx = inst.hub_index
-    fixed = inst.fixed_arcs
-    costed = inst.params.fixed_arc_costed
-    total = 0.0
-    for h, l in arcs:
-        if not costed and (h, l) in fixed:
-            continue
-        total += float(w.beta[hidx[h], hidx[l]])
-    return total
 
 
 @dataclass(frozen=True)
@@ -178,8 +164,6 @@ def exact_tiny(inst: Instance) -> ExactTinyResult:
     one (ties: lexicographically smallest arc set). Also re-solves the
     fixed-demand problem on core + adopters and reports whether that
     reproduces the optimum with zero false rates."""
-    from .dfd import balanced_designs, solve_dfd
-
     best = min(balanced_designs(inst), key=lambda d: (design_objective(inst, d), d.key()))
     ids = _trip_terms(inst)[0]
     tset = frozenset(ids[_served(inst, best)[1]].tolist())  # core trips and adopters

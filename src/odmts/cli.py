@@ -83,41 +83,47 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _rules(alg: str, args) -> list:
+    """``alg``'s rules from --rules, [] for its defaults; a count it cannot take raises."""
+    rules = args.rules.split(",") if args.rules else []
+    if alg == "arc-s1" and len(rules) > 1:
+        raise ValueError("arc-s1 needs exactly one rule in --rules")
+    if alg == "arc-s2" and len(rules) not in (0, 2):
+        raise ValueError("arc-s2 needs --rules stage1,stage2")
+    return rules
+
+
 def _run_algorithm(inst: Instance, alg: str, args):
-    """Returns (design, tset, trace, extra) where extra documents bounds."""
+    """Returns (design, trace, extra); trace.tset is the trip set that
+    produced the design and extra documents bounds."""
     if alg == "dfd":
         tset = [t.id for t in inst.trips]
         sol = solve_dfd(inst, tset)
         trace = HeuristicTrace()
         trace.add(0, 1, len(tset), sol.design, sol.objective, 0, 0.0)
-        trace.finish(sol.design, tset)
-        return sol.design, frozenset(tset), trace, {"bounds": sol.bounds}
+        return sol.design, trace.finish(sol.design, tset), {"bounds": sol.bounds}
     if alg == "exact":
         res = exact_tiny(inst)
         trace = HeuristicTrace()
         trace.add(0, 1, len(res.tset), res.design, res.evaluation.objective,
                   len(res.evaluation.adopters), 0.0)
-        trace.finish(res.design, res.tset)
-        return res.design, res.tset, trace, {"resolve_matches": res.resolve_matches}
-    rules = args.rules.split(",") if args.rules else []  # [] keeps the defaults
+        return (res.design, trace.finish(res.design, res.tset),
+                {"resolve_matches": res.resolve_matches})
+    rules = _rules(alg, args)
     if alg == "grad":
         design, trace = rho_grad(inst, rho=args.rho)
     elif alg == "grre":
         design, trace = eta_grre(inst, eta=args.eta)
-        return design, trace.tset, trace, {"truncated": trace.truncated}
+        return design, trace, {"truncated": trace.truncated}
     elif alg == "gagr":
         design, trace = rho_gagr(inst, rho=args.rho, eta=args.eta, time_limit=args.time_limit)
     elif alg == "arc-s1":
-        if len(rules) > 1:
-            raise ValueError("arc-s1 needs exactly one rule in --rules")
         design, trace = arc_s1(inst, *rules)
     elif alg == "arc-s2":
-        if len(rules) not in (0, 2):
-            raise ValueError("arc-s2 needs --rules stage1,stage2")
         design, trace = arc_s2(inst, *rules)
     else:
         raise ValueError(f"unknown algorithm {alg!r}")
-    return design, trace.tset, trace, {}
+    return design, trace, {}
 
 
 def cmd_solve(args) -> int:
@@ -125,10 +131,10 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    design, tset, trace, extra = _run_algorithm(inst, args.alg, args)
+    design, trace, extra = _run_algorithm(inst, args.alg, args)
     wall = time.perf_counter() - t0
-    ev = eval_design(inst, design, tset)
-    _write_json(out / "design.json", _design_doc(design, args.alg, tset, ev.objective))
+    ev = eval_design(inst, design, trace.tset)
+    _write_json(out / "design.json", _design_doc(design, args.alg, trace.tset, ev.objective))
     doc = {"tool_version": __version__, **ev.to_dict(), **extra}
     _write_json(out / "evaluation.json", doc)
     write_trace_csv(out / "trace.csv", trace, header_note=f"tool_version={__version__}")
@@ -181,14 +187,15 @@ def cmd_compare(args) -> int:
     for a in algs:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}")
+        _rules(a, args)
     rows = []
     for inst_path in args.instances:
         inst = load_instance(inst_path)
         for alg in algs:
             t0 = time.perf_counter()
             try:
-                design, tset, trace, _ = _run_algorithm(inst, alg, args)
-                ev = eval_design(inst, design, tset)
+                design, trace, _ = _run_algorithm(inst, alg, args)
+                ev = eval_design(inst, design, trace.tset)
                 rows.append({
                     "instance": inst_path, "algorithm": alg, "status": "ok",
                     "objective": ev.objective, "r_false": ev.r_false,
@@ -203,21 +210,15 @@ def cmd_compare(args) -> int:
     best = {}
     for r in rows:
         if r["status"] == "ok":
-            key = r["instance"]
-            if key not in best or r["objective"] < best[key]:
-                best[key] = r["objective"]
+            best[r["instance"]] = min(best.get(r["instance"], r["objective"]), r["objective"])
     with open(args.out, "w", newline="") as fh:
         fh.write(f"# generated_at={time.strftime('%Y-%m-%dT%H:%M:%S')} tool_version={__version__}\n")
         writer = csv.DictWriter(fh, fieldnames=COMPARE_COLUMNS)
         writer.writeheader()
         for r in rows:
-            if r["status"] == "ok" and r["instance"] in best:
-                r["gap_vs_best"] = repr(r["objective"] - best[r["instance"]])
-                r["objective"] = repr(r["objective"])
-                r["r_false"] = repr(r["r_false"])
-                r["a_false"] = repr(r["a_false"])
-                for k in ("shuttle_km", "bus_investment", "bus_cost_dollars",
-                          "total_convenience_minutes", "agency_net_cost"):
+            if r["status"] == "ok":
+                r["gap_vs_best"] = r["objective"] - best[r["instance"]]
+                for k in COMPARE_COLUMNS[3:-1]:  # objective through agency_net_cost
                     r[k] = repr(r[k])
             r["time_s"] = f"{r['time_s']:.3f}"
             writer.writerow(r)

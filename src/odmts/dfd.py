@@ -42,8 +42,8 @@ import numpy as np
 from . import highs
 from .highs import SolveError
 from .instance import Instance, Trip, ValidationError
-from .adoption import arcs_cost
-from .router import Design, _arc_labels, _edges, _min_access_egress_km, route, trip_arrays
+from .router import (Design, _arc_labels, _edges, _min_access_egress_km, arcs_cost, route,
+                     trip_arrays)
 
 # Relative margin within which two designs' values count as tied.
 _TIE = 1e-9

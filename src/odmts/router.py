@@ -57,6 +57,21 @@ def weights_of(inst: Instance) -> WeightTable:
     return derive_weights(inst)
 
 
+def arcs_cost(inst: Instance, arcs) -> float:
+    """Investment cost of a set of open arcs; fixed backbone arcs are
+    free when the instance says so."""
+    w = weights_of(inst)
+    hidx = inst.hub_index
+    fixed = inst.fixed_arcs
+    costed = inst.params.fixed_arc_costed
+    total = 0.0
+    for h, l in arcs:
+        if not costed and (h, l) in fixed:
+            continue
+        total += float(w.beta[hidx[h], hidx[l]])
+    return total
+
+
 @memo
 def _relays(inst: Instance) -> np.ndarray:
     """For each ordered pair of hub indices, the stop indices of the best

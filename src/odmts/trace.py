@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .router import Design
 
@@ -19,39 +19,29 @@ class TraceRecord:
     wall_time: float
 
 
-@dataclass
 class HeuristicTrace:
-    """Iteration log plus the returned design and the trip set that
-    generated it (the basis for false rejection/adoption rates)."""
+    """Iteration log of one heuristic run. ``finish`` records the trip set
+    that generated the returned design (the basis for false rejection and
+    adoption rates) and whether the run was truncated."""
 
-    records: list = field(default_factory=list)
-    design: Design | None = None
-    tset: frozenset = frozenset()
-    truncated: bool = False
+    def __init__(self):
+        self.records = []
+        self.tset = frozenset()
+        self.truncated = False
 
     def add(self, k, stage, tset_size, design, objective, adopters, wall_time):
-        self.records.append(
-            TraceRecord(
-                k=k,
-                stage=stage,
-                tset_size=tset_size,
-                fingerprint=design.fingerprint(),
-                objective=float(objective),
-                adopters=int(adopters),
-                wall_time=float(wall_time),
-            )
-        )
+        self.records.append(TraceRecord(k, stage, tset_size, design.fingerprint(), float(objective),
+                                        int(adopters), float(wall_time)))
 
     @property
     def objectives(self) -> list:
         return [r.objective for r in self.records]
 
     def finish(self, design: Design, tset, truncated: bool = False) -> "HeuristicTrace":
-        self.design = design
-        self.tset = frozenset(tset)
-        self.truncated = truncated
         if not any(r.fingerprint == design.fingerprint() for r in self.records):
             raise RuntimeError(f"finished on design {design.fingerprint()} never traced")
+        self.tset = frozenset(tset)
+        self.truncated = truncated
         return self
 
 

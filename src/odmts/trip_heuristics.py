@@ -40,11 +40,13 @@ def default_step(inst: Instance) -> int:
 
 
 def _step(inst: Instance, name: str, value) -> int:
-    """The step size ``value``, ``default_step`` when None; a non-int or bool raises."""
+    """The step size ``value``, ``default_step`` when None; raises unless an integer >= 1."""
     if value is None:
         return default_step(inst)
     if not _integral(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
     return int(value)
 
 
@@ -61,8 +63,6 @@ def rho_grad(inst: Instance, rho: int | None = None):
     """Greedy adoption. Returns (design, trace); trace.tset is the trip
     set that generated the design."""
     rho = _step(inst, "rho", rho)
-    if rho < 1:
-        raise ValueError("rho must be >= 1")
     model = FlowModel(inst)
     trace = HeuristicTrace()
     absorbed = set()
@@ -92,8 +92,6 @@ def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
     of an enclosing ``rho_gagr`` run, a new one by default; ``solve_dfd``
     answers the repeats of every run that shares it."""
     eta = _step(inst, "eta", eta)
-    if eta < 1:
-        raise ValueError("eta must be >= 1")
     latent = {t.id for t in inst.latent_trips}
     model = FlowModel(inst) if _model is None else _model
     trace = HeuristicTrace()
@@ -131,8 +129,6 @@ def rho_gagr(inst: Instance, rho: int | None = None, eta: int | None = None,
     """Combined greedy adoption with greedy-rejection subproblems.
     Returns (design, trace) for the minimum-objective inner result."""
     rho, eta = _step(inst, "rho", rho), _step(inst, "eta", eta)
-    if rho < 1 or eta < 1:
-        raise ValueError("rho and eta must be >= 1")
     if time_limit is not None and not (_finite(time_limit) or time_limit == float("inf")):
         raise ValueError(f"time_limit must be a finite number, inf or None, got {time_limit!r}")
     if time_limit is not None and not time_limit >= 0:

@@ -278,18 +278,31 @@ class TestCompare:
             assert float(r["gap_vs_best"]) >= 0.0
 
     def test_error_row(self, tmp_path, instance_file):
-        # one --rules for every algorithm: two rules are an error for arc-s1,
-        # which gets a row of its own while arc-s2 runs
+        # an unknown rule is an error of the arc-s1 run, which gets a row of
+        # its own while grad runs
         out = tmp_path / "cmp.csv"
-        rc = main(["compare", "--instances", str(instance_file), "--algs", "arc-s1,arc-s2",
-                   "--rules", "d,a", "--out", str(out)])
+        rc = main(["compare", "--instances", str(instance_file), "--algs", "arc-s1,grad",
+                   "--rules", "x", "--out", str(out)])
         assert rc == 0
         rows = list(csv.DictReader(
             line for line in out.read_text().splitlines() if not line.startswith("#")
         ))
         assert [(r["algorithm"], r["status"]) for r in rows] == [
-            ("arc-s1", "error: arc-s1 needs exactly one rule in --rules"), ("arc-s2", "ok")]
+            ("arc-s1", "error: unknown expansion rule 'x'"), ("grad", "ok")]
         assert rows[0]["objective"] == "" and float(rows[1]["gap_vs_best"]) == 0.0
+
+    @pytest.mark.parametrize("algs, rules, message", [
+        ("arc-s1,arc-s2", "d,a", "arc-s1 needs exactly one rule in --rules"),
+        ("grad,arc-s2", "a", "arc-s2 needs --rules stage1,stage2"),
+    ], ids=["arc_s1_two", "arc_s2_one"])
+    def test_rule_count_checked_before_any_run(self, tmp_path, instance_file, capsys,
+                                               algs, rules, message):
+        out = tmp_path / "x.csv"
+        rc = main(["compare", "--instances", str(instance_file), "--algs", algs,
+                   "--rules", rules, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     def test_core_failure_row(self, tmp_path, instance_file, core_lacking_api):
         out = tmp_path / "cmp.csv"

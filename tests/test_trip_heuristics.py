@@ -99,8 +99,8 @@ class TestRhoGrad:
 
 @pytest.mark.parametrize("run, match", [
     (lambda inst: eta_grre(inst, eta=0), "^eta must be >= 1$"),
-    (lambda inst: rho_gagr(inst, rho=0), "^rho and eta must be >= 1$"),
-    (lambda inst: rho_gagr(inst, eta=0), "^rho and eta must be >= 1$"),
+    (lambda inst: rho_gagr(inst, rho=0), "^rho must be >= 1$"),
+    (lambda inst: rho_gagr(inst, eta=0), "^eta must be >= 1$"),
 ], ids=["grre_eta", "gagr_rho", "gagr_eta"])
 def test_step_below_one_rejected(run, match):
     with pytest.raises(ValueError, match=match):
