@@ -89,17 +89,14 @@ def design_objective(inst: Instance, design: Design) -> float:
     return _running_sum(arcs_cost(inst, design.open_arcs), terms[served])
 
 
-def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
-    """Evaluate a design against the full trip set.
-
-    ``tset`` is the trip-id set that produced the design; it anchors the
-    false rejection rate (latent trips outside it that adopt) and false
-    adoption rate (latent trips inside it that reject). Rates are
-    percentages of the latent trip count.
-    """
-    tset = inst.trip_ids(tset)
-    ids, latent, riders, _ = _trip_terms(inst)
-    in_tset = np.fromiter(map(tset.__contains__, ids.tolist()), bool, len(ids))
+@memo
+def _scored(design: Design):
+    """(adopt, objective, adopters, kpis): what ``eval_design`` reads of
+    the design whatever the trip set, kept on the design. ``adopt`` is
+    the read-only adoption mask in trip order; the objective and the
+    KPIs are sums in trip order (arc order for the bus costs)."""
+    inst = design.instance
+    ids, _, riders, _ = _trip_terms(inst)
     p = inst.params
     adopt, served, terms = _served(inst, design)
     _, f, _, km = trip_arrays(design)
@@ -110,7 +107,6 @@ def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
     shuttle_km = _running_sum(0.0, (riders * km)[served])
     convenience = _running_sum(0.0, (riders * f)[served])
     fare_riders = int(riders[served].sum())
-    n_latent = int(latent.sum())
 
     sidx = inst.stop_index
     bus_cost_dollars = 0.0
@@ -120,6 +116,37 @@ def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
         else:
             bus_cost_dollars += p.bus_rate * p.buses_per_leg * float(inst.time[sidx[h], sidx[l]]) / 60.0
 
+    kpis = {
+        "shuttle_km": shuttle_km,
+        "bus_investment": bus_investment,
+        "bus_cost_dollars": bus_cost_dollars,
+        "total_convenience_minutes": convenience,
+        "agency_net_cost": bus_cost_dollars + p.omega * shuttle_km - p.ticket * fare_riders,
+    }
+    adopt.setflags(write=False)
+    return adopt, objective, adopters, kpis
+
+
+def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
+    """Evaluate a design against the full trip set.
+
+    ``tset`` is the trip-id set that produced the design; it anchors the
+    false rejection rate (latent trips outside it that adopt) and false
+    adoption rate (latent trips inside it that reject). Rates are
+    percentages of the latent trip count.
+
+    Everything else (the objective, the adopters and the KPIs) depends
+    on the design alone and is computed once per design (``_scored``),
+    so a repeat costs the ``tset`` check and the two rates. Each
+    evaluation gets its own ``kpis`` dict.
+    """
+    tset = inst.trip_ids(tset)
+    if design.instance is not inst:
+        raise ValidationError("design belongs to another instance")
+    adopt, objective, adopters, kpis = _scored(design)
+    ids, latent, _, _ = _trip_terms(inst)
+    in_tset = np.fromiter(map(tset.__contains__, ids.tolist()), bool, len(ids))
+    n_latent = int(latent.sum())
     if n_latent:
         false_rej = int((adopt & ~in_tset).sum())
         false_adp = int((latent & in_tset & ~adopt).sum())
@@ -128,20 +155,12 @@ def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
     else:
         r_false = 0.0
         a_false = 0.0
-
-    kpis = {
-        "shuttle_km": shuttle_km,
-        "bus_investment": bus_investment,
-        "bus_cost_dollars": bus_cost_dollars,
-        "total_convenience_minutes": convenience,
-        "agency_net_cost": bus_cost_dollars + p.omega * shuttle_km - p.ticket * fare_riders,
-    }
     return DesignEvaluation(
         objective=objective,
         adopters=adopters,
         r_false=r_false,
         a_false=a_false,
-        kpis=kpis,
+        kpis=dict(kpis),
     )
 
 

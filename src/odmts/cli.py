@@ -32,7 +32,7 @@ from .instance import (Instance, InstanceParseError, ValidationError, _integral,
 from .router import Design
 from .trace import HeuristicTrace, write_trace_csv
 from .trip_heuristics import eta_grre, rho_gagr, rho_grad
-from .arc_heuristics import arc_s1, arc_s2
+from .arc_heuristics import RULES, arc_s1, arc_s2
 
 ALGORITHMS = ("dfd", "exact", "grad", "grre", "gagr", "arc-s1", "arc-s2")
 
@@ -84,12 +84,16 @@ def cmd_generate(args) -> int:
 
 
 def _rules(alg: str, args) -> list:
-    """``alg``'s rules from --rules, [] for its defaults; a count it cannot take raises."""
+    """``alg``'s rules from --rules, [] for its defaults; a count it cannot
+    take or an unknown rule letter raises."""
     rules = args.rules.split(",") if args.rules else []
     if alg == "arc-s1" and len(rules) > 1:
         raise ValueError("arc-s1 needs exactly one rule in --rules")
     if alg == "arc-s2" and len(rules) not in (0, 2):
         raise ValueError("arc-s2 needs --rules stage1,stage2")
+    unknown = [r for r in rules if r not in RULES]
+    if alg in ("arc-s1", "arc-s2") and unknown:
+        raise ValueError(f"unknown expansion rule {unknown[0]!r}")
     return rules
 
 

@@ -19,8 +19,10 @@ The LPs run on HiGHS's compiled core, which ships inside scipy (see
 ``highs``). A heuristic run keeps one ``FlowModel``, which holds all of
 the run's DFD state: the direct trips, found for all trips at once; each
 trip's block, joining the solver the first time a solve uses the trip;
-and one memo of answers, keyed by a solve's flow trips and fixed arcs,
-from which ``solve_dfd`` answers the run's repeats without an LP. A
+one memo of answers, keyed by a solve's flow trips and fixed arcs,
+from which ``solve_dfd`` answers the run's repeats without an LP; and
+one ``Design`` per open-arc tuple, so that every answer with that tuple
+shares the design's memos (its route tables, arrays and evaluation). A
 solve builds the blocks it lacks in one ``make_cut`` call, which builds
 a batch of trips on the disjoint union of their graphs. Blocks outside
 a solve are switched off and every solve starts warm from the previous
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import highs
 from .highs import SolveError
-from .instance import Instance, Trip, ValidationError
+from .instance import Instance, Trip, ValidationError, memo
 from .router import (Design, _arc_labels, _edges, _min_access_egress_km, arcs_cost, route,
                      trip_arrays)
 
@@ -173,8 +175,11 @@ class FlowModel:
     basis, so every solve starts warm from the previous one. ``direct``
     holds the ids of the trips ``is_direct_trip`` accepts, ``blocks``
     each flow trip's block by trip id (the same object for the model's
-    life, as ``at`` keys on it) and ``solved`` the answers ``solve_dfd``
-    has given on the model (see there).
+    life, as ``at`` keys on it), ``solved`` the answers ``solve_dfd``
+    has given on the model (see there) and ``designs`` the one design
+    ``solve_master`` returns for each ``tuple(design.open_arcs)``. The
+    key is the tuple, not the set: ``arcs_cost`` sums in iteration
+    order, so equal sets that iterate differently stay apart.
 
     Columns: z, then the blocks' edges in the order the blocks joined.
     Rows: hub balance, the no-good row (free unless ``exclude`` set it),
@@ -207,6 +212,7 @@ class FlowModel:
         self.at = {}  # block -> (first column, origin row)
         self.on = set()
         self.solved = {}  # (flow-trip ids, fixed arcs) -> (design, root LP value, flow objective)
+        self.designs = {}  # tuple(open arcs) -> design
 
     def use(self, blocks):
         """Append the blocks not in the model yet and switch on exactly
@@ -276,10 +282,13 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
 
     Returns (design, value, root, solves): the model's optimal value v*,
     its root LP value and the number of LP solves. The design is the
-    smallest sorted arc tuple among the designs within a relative 1e-9
-    of v* (the cap), the tie rule of ``enumerate_dfd``. The search for v*
-    prunes only above the incumbent's cap, so every integral design lies
-    in the incumbent's leaf, in another integral leaf or above the cap.
+    model's own for its open-arc tuple (``FlowModel.designs``), the same
+    object on every call that opens those arcs in that order. Its arcs
+    are the smallest sorted arc tuple among the designs within a
+    relative 1e-9 of v* (the cap), the tie rule of ``enumerate_dfd``.
+    The search for v* prunes only above the incumbent's cap, so every
+    integral design lies in the incumbent's leaf, in another integral
+    leaf or above the cap.
     The incumbent is the answer when it opens no arc, or when no other
     leaf lies within the cap and a search of its leaf under the no-good
     row that excludes it finds no design within the cap.
@@ -340,7 +349,9 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
     # arcs_cost sums in set order, so how this set is built fixes the
     # objective's last bits; this order reproduces bench/references.json
     opened = frozenset(a for a, on in zip(cand, inc) if on and a not in fixed)
-    return Design(inst, fixed | opened), best, root, len(log)
+    design = Design(inst, fixed | opened)
+    design = model.designs.setdefault(tuple(design.open_arcs), design)
+    return design, best, root, len(log)
 
 
 @dataclass(frozen=True)
@@ -360,10 +371,16 @@ class DfdSolution:
     iterations: int  # LP solves
 
 
+@memo
+def _g_list(design: Design) -> list:
+    """The design's ``trip_arrays`` g as a list of floats, in trip order."""
+    return trip_arrays(design)[0].tolist()
+
+
 def _riders_g(design: Design, ids, total: float) -> float:
     """``total`` plus riders times g under ``design`` over ``ids``, in id order."""
     inst = design.instance
-    g, row = trip_arrays(design)[0].tolist(), inst.trip_index
+    g, row = _g_list(design), inst.trip_index
     for i in sorted(ids):
         total += inst.trips[row[i]].riders * g[row[i]]
     return total
@@ -382,8 +399,9 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
     design, its root LP value and its flow objective (investment plus
     riders times g over the flow trips). On a miss one ``make_cut`` call
     builds the blocks the model lacks, if any, and ``solve_master``
-    runs; a hit reports ``iterations`` 0. The direct trips' constant is
-    added last."""
+    runs; a hit reports ``iterations`` 0. Either way the design is the
+    model's one for its open-arc tuple, so a run evaluates each design
+    once. The direct trips' constant is added last."""
     ids, fixed = inst.trip_ids(tset), _fixed_arcs(inst, fixed)
     model = FlowModel(inst) if _model is None else _model
     flow, solves = ids - model.direct, 0

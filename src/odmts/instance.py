@@ -346,8 +346,9 @@ class Instance:
     def trip_ids(self, ids) -> frozenset:
         """``ids`` as a set of this instance's trip ids; an unknown or a
         non-integer id (``True`` and ``1.0`` included) raises
-        ``ValidationError``."""
-        ids = list(ids)
+        ``ValidationError``. A frozenset is checked and returned as is."""
+        if type(ids) is not frozenset:
+            ids = list(ids)  # checked before {1, True} or {1, 1.0} collapse
         out = frozenset(ids)
         kinds = set(map(type, ids))  # bools are not integers here
         integral = all(issubclass(k, numbers.Integral) and k is not bool for k in kinds)

@@ -26,7 +26,7 @@ import time
 
 from .adoption import eval_design
 from .dfd import FlowModel, solve_dfd
-from .instance import Instance, _finite, _integral
+from .instance import Instance, _finite, _integral, memo
 from .router import trip_arrays
 from .trace import HeuristicTrace
 
@@ -50,13 +50,24 @@ def _step(inst: Instance, name: str, value) -> int:
     return int(value)
 
 
-def _ranked_adopters(inst, design, adopters, excluded):
-    """The ids of ``adopters`` outside ``excluded``, ordered by (net cost,
-    trip id). Two distinct money values may give one net cost once the
-    ticket is subtracted; the trip id then decides."""
+@memo
+def _net_cost_order(design) -> list:
+    """Every latent trip id of the design's instance, ordered by (net
+    cost, trip id), kept on the design. Two distinct money values may
+    give one net cost once the ticket is subtracted; the trip id then
+    decides."""
+    inst = design.instance
     money = trip_arrays(design)[2].tolist()
     row, ticket = inst.trip_index, inst.params.ticket
-    return sorted(adopters - excluded, key=lambda i: (money[row[i]] - ticket, i))
+    return sorted((t.id for t in inst.latent_trips), key=lambda i: (money[row[i]] - ticket, i))
+
+
+def _ranked_adopters(design, adopters, excluded):
+    """The ids of ``adopters`` outside ``excluded``, ordered by (net cost,
+    trip id): ``_net_cost_order`` filtered. The keys are unique, so this
+    is the order a sort of the remaining ids alone gives."""
+    keep = adopters - excluded
+    return [i for i in _net_cost_order(design) if i in keep]
 
 
 def rho_grad(inst: Instance, rho: int | None = None):
@@ -76,7 +87,7 @@ def rho_grad(inst: Instance, rho: int | None = None):
             k, 1, len(tset), sol.design, ev.objective, len(ev.adopters),
             time.perf_counter() - t0,
         )
-        ranked = _ranked_adopters(inst, sol.design, ev.adopters, absorbed)
+        ranked = _ranked_adopters(sol.design, ev.adopters, absorbed)
         if not ranked:
             return sol.design, trace.finish(sol.design, tset)
         absorbed.update(ranked[:rho])
@@ -113,7 +124,7 @@ def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
             best = (ev.objective, sol.design, tbar)
         rejected |= latent - ev.adopters
         m += eta
-        ranked = _ranked_adopters(inst, sol.design, ev.adopters, rejected)
+        ranked = _ranked_adopters(sol.design, ev.adopters, rejected)
         arcs = sol.design.open_arcs
         stable = k >= 2 and prev_arcs == arcs and (m - eta) >= len(ranked)
         if stable or k >= MAX_ITER:
@@ -150,7 +161,7 @@ def rho_gagr(inst: Instance, rho: int | None = None, eta: int | None = None,
         )
         if ev.objective < best[0]:
             best = (ev.objective, design, inner.tset)
-        ranked = _ranked_adopters(inst, design, ev.adopters, absorbed)
+        ranked = _ranked_adopters(design, ev.adopters, absorbed)
         timed_out = time_limit is not None and time.perf_counter() - started >= time_limit
         if not ranked or timed_out:
             break

@@ -250,6 +250,25 @@ def evaluated_cases(draw):
 
 
 class TestArrayEvaluation:
+    @settings(max_examples=30, deadline=None)
+    @given(evaluated_cases(), st.data())
+    def test_repeat_equals_a_fresh_design(self, case, data):
+        # later evaluations of one design read what the first one kept on
+        # it; each equals the evaluation of a fresh equal design
+        inst, z = case
+        ids = [t.id for t in inst.trips]
+        kept = Design(inst, z.open_arcs)
+        seen = []
+        for _ in range(3):
+            tset = data.draw(st.sets(st.sampled_from(ids)))
+            ev = eval_design(inst, kept, tset)
+            assert repr(ev) == repr(eval_design(inst, Design(inst, z.open_arcs), tset))
+            assert all(ev.kpis is not other.kpis for other in seen)
+            seen.append(ev)
+        ev.kpis.clear()
+        assert eval_design(inst, kept, ids).kpis == \
+            eval_design(inst, Design(inst, z.open_arcs), ids).kpis != {}
+
     @settings(max_examples=60, deadline=None)
     @given(evaluated_cases())
     def test_objective_is_the_routed_sum(self, case):

@@ -278,23 +278,25 @@ class TestCompare:
             assert float(r["gap_vs_best"]) >= 0.0
 
     def test_error_row(self, tmp_path, instance_file):
-        # an unknown rule is an error of the arc-s1 run, which gets a row of
-        # its own while grad runs
+        # a negative time limit is an error of the gagr run, which gets a
+        # row of its own while grad runs
         out = tmp_path / "cmp.csv"
-        rc = main(["compare", "--instances", str(instance_file), "--algs", "arc-s1,grad",
-                   "--rules", "x", "--out", str(out)])
+        rc = main(["compare", "--instances", str(instance_file), "--algs", "gagr,grad",
+                   "--time-limit", "-1", "--out", str(out)])
         assert rc == 0
         rows = list(csv.DictReader(
             line for line in out.read_text().splitlines() if not line.startswith("#")
         ))
         assert [(r["algorithm"], r["status"]) for r in rows] == [
-            ("arc-s1", "error: unknown expansion rule 'x'"), ("grad", "ok")]
+            ("gagr", "error: time_limit must be >= 0, got -1.0"), ("grad", "ok")]
         assert rows[0]["objective"] == "" and float(rows[1]["gap_vs_best"]) == 0.0
 
     @pytest.mark.parametrize("algs, rules, message", [
         ("arc-s1,arc-s2", "d,a", "arc-s1 needs exactly one rule in --rules"),
         ("grad,arc-s2", "a", "arc-s2 needs --rules stage1,stage2"),
-    ], ids=["arc_s1_two", "arc_s2_one"])
+        ("arc-s1,grad", "x", "unknown expansion rule 'x'"),
+        ("grad,arc-s2", "d,y", "unknown expansion rule 'y'"),
+    ], ids=["arc_s1_two", "arc_s2_one", "arc_s1_unknown", "arc_s2_unknown"])
     def test_rule_count_checked_before_any_run(self, tmp_path, instance_file, capsys,
                                                algs, rules, message):
         out = tmp_path / "x.csv"

@@ -365,7 +365,8 @@ class TestSolveDfd:
     def test_repeated_flow_trips_run_no_lp(self):
         # trip sets that differ only in trips riding a direct shuttle under
         # every design have the same flow blocks: the second solve takes
-        # the first one's design without an LP; other fixed arcs miss
+        # the first one's design without an LP; other fixed arcs miss, yet
+        # give the model's one design for the same arc tuple
         inst = tiny_instance(0)
         model = FlowModel(inst)
         flow = [t.id for t in inst.trips if t.id not in model.direct]
@@ -378,7 +379,7 @@ class TestSolveDfd:
         assert again.objective == fresh.objective and again.tset == fresh.tset
         assert again.bounds[0][2:] == fresh.bounds[0][2:]
         fixed = solve_dfd(inst, tset, fixed=first.design.open_arcs, _model=model)
-        assert fixed.iterations >= 1 and fixed.design is not first.design
+        assert fixed.iterations >= 1 and fixed.design is first.design
         assert fixed.design.key() == first.design.key()
 
     def test_exact_repeat_builds_and_solves_nothing(self, monkeypatch):

@@ -315,6 +315,22 @@ class TestDirectConstruction:
                                   out["trips"][1]["t_cur"])] == [int, int, int]
 
 
+class TestTripIds:
+    def test_frozenset_returned_as_is(self):
+        inst = tiny_instance(0)
+        ids = frozenset(t.id for t in inst.trips[:3])
+        assert inst.trip_ids(ids) is ids
+        assert inst.trip_ids(list(ids)) == ids
+
+    @pytest.mark.parametrize("ids", [frozenset({True}), frozenset({1.0}), frozenset({0, 2.0}),
+                                     frozenset({999})], ids=["bool", "float", "mixed", "unknown"])
+    def test_frozenset_checked_as_any_iterable(self, ids):
+        # a frozenset skips the copy, not the check
+        inst = tiny_instance(0)
+        with pytest.raises(ValidationError, match="unknown trip ids"):
+            inst.trip_ids(ids)
+
+
 class TestCaches:
     def test_replace_builds_its_own_trip_index(self):
         inst = tiny_instance(0, n_stops=12)

@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
 
-from odmts import trip_heuristics
+from odmts import dfd, router, trip_heuristics
 from odmts.dfd import FlowModel
+from odmts.instance import memo
+from odmts.router import trip_arrays
+from odmts.trip_heuristics import _ranked_adopters
 from odmts import (
     Design,
     HeuristicTrace,
@@ -14,7 +18,7 @@ from odmts import (
     route,
     solve_dfd,
 )
-from conftest import make_example_instance, tiny_instance
+from conftest import make_example_instance, random_design, tiny_instance
 
 
 def no_latent_instance():
@@ -213,6 +217,63 @@ class TestRhoGagr:
     def test_time_limit_validation(self, limit):
         with pytest.raises(ValueError, match="time_limit"):
             rho_gagr(tiny_instance(4), time_limit=limit)
+
+
+class TestOneDesignPerArcTuple:
+    def test_table_built_once_per_arc_tuple(self, monkeypatch):
+        # a rho_gagr run solves more masters than it finds designs; every
+        # master with one arc tuple returns one object, whose hub-path
+        # table is built once however often the design comes back
+        inst = tiny_instance(0)
+        solved, built = [], []
+        master, table = dfd.solve_master, router._table
+
+        def counted_master(*args, **kwargs):
+            out = master(*args, **kwargs)
+            solved.append(out[0])
+            return out
+
+        def counted_table(design):
+            built.append(tuple(design.open_arcs))
+            return table.__wrapped__(design)
+
+        monkeypatch.setattr(dfd, "solve_master", counted_master)
+        monkeypatch.setattr(router, "_table", memo(counted_table))
+        rho_gagr(inst)
+        tuples = {tuple(d.open_arcs) for d in solved}
+        assert len(solved) > len(tuples) > 1
+        assert len({id(d) for d in solved}) == len(tuples)
+        assert sorted(built) == sorted(tuples)
+
+    def test_ranked_adopters_is_the_sorted_order(self):
+        # the per-design order of all latent ids, filtered, is the sort
+        # of the remaining ids by (net cost, id)
+        rng = np.random.default_rng(0)
+        for seed in range(4):
+            inst = tiny_instance(seed, n_stops=12, n_hubs=4)
+            latent = sorted(t.id for t in inst.latent_trips)
+            row, ticket = inst.trip_index, inst.params.ticket
+            for _ in range(3):
+                design = random_design(inst, rng)
+                money = trip_arrays(design)[2].tolist()
+                for _ in range(10):
+                    adopters = frozenset(i for i in latent if rng.random() < 0.7)
+                    excluded = {i for i in latent if rng.random() < 0.3}
+                    old = sorted(adopters - excluded, key=lambda i: (money[row[i]] - ticket, i))
+                    assert _ranked_adopters(design, adopters, excluded) == old
+
+    def test_equal_net_costs_rank_by_id(self):
+        # three latent trips on one origin-destination pair cost the same
+        latent = dict(kind="latent", alpha=100.0, t_cur=100.0)
+        inst = make_example_instance(trips=(
+            Trip(id=0, origin=0, destination=3, riders=1),
+            Trip(id=5, origin=0, destination=3, riders=1, **latent),
+            Trip(id=2, origin=0, destination=3, riders=2, **latent),
+            Trip(id=4, origin=0, destination=3, riders=1, **latent),
+        ))
+        design = Design.minimal(inst)
+        assert _ranked_adopters(design, frozenset({2, 4, 5}), set()) == [2, 4, 5]
+        assert _ranked_adopters(design, frozenset({2, 4, 5}), {4}) == [2, 5]
 
 
 class TestDeterminism:
