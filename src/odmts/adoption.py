@@ -12,6 +12,7 @@ equilibrium in which exactly the trips used to produce it adopt it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .router import Design, Route, arcs_cost, trip_arrays, weights_of
 
 
 def choice(r: Route, trip: Trip) -> int:
-    """1 if the rider of a latent trip adopts the proposed route; ``_served``
+    """1 if the rider of a latent trip adopts the proposed route; ``_scored``
     applies the same rule to every trip's ``trip_arrays`` time at once."""
     if not trip.is_latent:
         raise ValueError(f"trip {trip.id} is a core trip and has no mode choice")
@@ -61,20 +62,6 @@ def _trip_terms(inst: Instance):
     )
 
 
-def _served(inst: Instance, design: Design):
-    """Which trips adopt (latent) and which are served (core or adopting),
-    and each trip's objective term: riders * g for a core trip, riders *
-    (g - varphi) for a latent one, read from ``trip_arrays``, which routes
-    on the design's own instance."""
-    if design.instance is not inst:
-        raise ValidationError("design belongs to another instance")
-    g, f, _, _ = trip_arrays(design)
-    _, latent, riders, limit = _trip_terms(inst)
-    adopt = latent & (f <= limit)
-    terms = riders * np.where(latent, g - weights_of(inst).varphi, g)
-    return adopt, adopt | ~latent, terms
-
-
 def _running_sum(start: float, values) -> float:
     """start + values[0] + values[1] + ..., added in order; np.sum adds in
     pairs, which changes the last bits."""
@@ -83,27 +70,30 @@ def _running_sum(start: float, values) -> float:
     return start
 
 
-def design_objective(inst: Instance, design: Design) -> float:
-    """eval(z) alone, for hot loops that do not need metrics."""
-    _, served, terms = _served(inst, design)
-    return _running_sum(arcs_cost(inst, design.open_arcs), terms[served])
+class _Score(NamedTuple):
+    adopt: np.ndarray  # read-only adoption mask in trip order
+    objective: float
+    adopters: frozenset
+    kpis: dict
 
 
 @memo
-def _scored(design: Design):
-    """(adopt, objective, adopters, kpis): what ``eval_design`` reads of
-    the design whatever the trip set, kept on the design. ``adopt`` is
-    the read-only adoption mask in trip order; the objective and the
-    KPIs are sums in trip order (arc order for the bus costs)."""
+def _scored(design: Design) -> _Score:
+    """The design's score whatever the trip set, kept on the design: the
+    choice rule applied to its ``trip_arrays`` (routed on the design's
+    own instance), and eval(z): core trips add riders * g, adopting
+    latent trips riders * (g - varphi). The objective and the KPIs are
+    sums in trip order (arc order for the bus costs)."""
     inst = design.instance
-    ids, _, riders, _ = _trip_terms(inst)
+    ids, latent, riders, limit = _trip_terms(inst)
     p = inst.params
-    adopt, served, terms = _served(inst, design)
-    _, f, _, km = trip_arrays(design)
+    g, f, _, km = trip_arrays(design)
+    adopt = latent & (f <= limit)
+    served = adopt | ~latent
+    terms = riders * np.where(latent, g - weights_of(inst).varphi, g)
 
     bus_investment = arcs_cost(inst, design.open_arcs)
     objective = _running_sum(bus_investment, terms[served])
-    adopters = frozenset(ids[adopt].tolist())
     shuttle_km = _running_sum(0.0, (riders * km)[served])
     convenience = _running_sum(0.0, (riders * f)[served])
     fare_riders = int(riders[served].sum())
@@ -124,7 +114,14 @@ def _scored(design: Design):
         "agency_net_cost": bus_cost_dollars + p.omega * shuttle_km - p.ticket * fare_riders,
     }
     adopt.setflags(write=False)
-    return adopt, objective, adopters, kpis
+    return _Score(adopt, objective, frozenset(ids[adopt].tolist()), kpis)
+
+
+def design_objective(inst: Instance, design: Design) -> float:
+    """eval(z) alone: the objective of the design's score (``_scored``)."""
+    if design.instance is not inst:
+        raise ValidationError("design belongs to another instance")
+    return _scored(design).objective
 
 
 def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
@@ -135,31 +132,21 @@ def eval_design(inst: Instance, design: Design, tset) -> DesignEvaluation:
     adoption rate (latent trips inside it that reject). Rates are
     percentages of the latent trip count.
 
-    Everything else (the objective, the adopters and the KPIs) depends
-    on the design alone and is computed once per design (``_scored``),
-    so a repeat costs the ``tset`` check and the two rates. Each
-    evaluation gets its own ``kpis`` dict.
+    Everything else (the objective, the adopters and the KPIs) is the
+    design's score (``_scored``), so a repeat costs the ``tset`` check
+    and two set differences. Each evaluation gets its own ``kpis`` dict.
     """
     tset = inst.trip_ids(tset)
     if design.instance is not inst:
         raise ValidationError("design belongs to another instance")
-    adopt, objective, adopters, kpis = _scored(design)
-    ids, latent, _, _ = _trip_terms(inst)
-    in_tset = np.fromiter(map(tset.__contains__, ids.tolist()), bool, len(ids))
-    n_latent = int(latent.sum())
-    if n_latent:
-        false_rej = int((adopt & ~in_tset).sum())
-        false_adp = int((latent & in_tset & ~adopt).sum())
-        r_false = 100.0 * false_rej / n_latent
-        a_false = 100.0 * false_adp / n_latent
-    else:
-        r_false = 0.0
-        a_false = 0.0
+    _, objective, adopters, kpis = _scored(design)
+    latent = inst.latent_ids
+    n = len(latent)
     return DesignEvaluation(
         objective=objective,
         adopters=adopters,
-        r_false=r_false,
-        a_false=a_false,
+        r_false=100.0 * len(adopters - tset) / n if n else 0.0,
+        a_false=100.0 * len((latent & tset) - adopters) / n if n else 0.0,
         kpis=dict(kpis),
     )
 
@@ -184,8 +171,7 @@ def exact_tiny(inst: Instance) -> ExactTinyResult:
     fixed-demand problem on core + adopters and reports whether that
     reproduces the optimum with zero false rates."""
     best = min(balanced_designs(inst), key=lambda d: (design_objective(inst, d), d.key()))
-    ids = _trip_terms(inst)[0]
-    tset = frozenset(ids[_served(inst, best)[1]].tolist())  # core trips and adopters
+    tset = inst.core_ids | _scored(best).adopters
     evaluation = eval_design(inst, best, tset)
     redo = solve_dfd(inst, tset)
     redo_eval = eval_design(inst, redo.design, tset)

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .adoption import _served, design_objective, eval_design
+from .adoption import _scored, design_objective
 from .dfd import CapExceeded, FlowModel, solve_dfd
 from .instance import Instance, Trip
 from .router import Design, Route, _min_access_egress_km, route, trip_arrays
@@ -86,7 +86,7 @@ def expand(rule: str, design: Design) -> set:
     if rule not in RULES:
         raise ValueError(f"unknown expansion rule {rule!r}")
     inst = design.instance
-    adopt = _served(inst, design)[0]
+    adopt = _scored(design).adopt
     if rule == "b":
         adopt = adopt & (trip_arrays(design)[2] <= inst.params.ticket)
     trips = [inst.trips[i] for i in np.flatnonzero(adopt).tolist()]
@@ -127,8 +127,9 @@ def _arc_stage(inst, rule, z, tbar, bound, k, trace, stage, model, expanded=Fals
         if fixed or not expanded:
             tbar = tbar | expand(rule, z)
             expanded = True
-        ev = eval_design(inst, z, tbar)
-        trace.add(k, stage, len(tbar), z, ev.objective, len(ev.adopters), time.perf_counter() - t0)
+        score = _scored(z)
+        trace.add(k, stage, len(tbar), z, score.objective, len(score.adopters),
+                  time.perf_counter() - t0)
         if not fixed:
             return z, tbar, bound, k
         k += 1

@@ -97,6 +97,21 @@ def _rules(alg: str, args) -> list:
     return rules
 
 
+def _check_flags(algs, args) -> None:
+    """Raises unless each of ``algs`` is known and can take --rules
+    (``_rules``), and one of them takes each solver flag given; runs
+    before any instance loads."""
+    for alg in algs:
+        if alg not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {alg!r}")
+        _rules(alg, args)
+    taken_by = {"rho": ("grad", "gagr"), "eta": ("grre", "gagr"), "time_limit": ("gagr",),
+                "rules": ("arc-s1", "arc-s2")}
+    for dest, takers in taken_by.items():
+        if getattr(args, dest) is not None and not set(takers) & set(algs):
+            raise ValueError(f"--{dest.replace('_', '-')} applies only to {' and '.join(takers)}")
+
+
 def _run_algorithm(inst: Instance, alg: str, args):
     """Returns (design, trace, extra); trace.tset is the trip set that
     produced the design and extra documents bounds."""
@@ -113,7 +128,6 @@ def _run_algorithm(inst: Instance, alg: str, args):
                   len(res.evaluation.adopters), 0.0)
         return (res.design, trace.finish(res.design, res.tset),
                 {"resolve_matches": res.resolve_matches})
-    rules = _rules(alg, args)
     if alg == "grad":
         design, trace = rho_grad(inst, rho=args.rho)
     elif alg == "grre":
@@ -122,15 +136,16 @@ def _run_algorithm(inst: Instance, alg: str, args):
     elif alg == "gagr":
         design, trace = rho_gagr(inst, rho=args.rho, eta=args.eta, time_limit=args.time_limit)
     elif alg == "arc-s1":
-        design, trace = arc_s1(inst, *rules)
+        design, trace = arc_s1(inst, *_rules(alg, args))
     elif alg == "arc-s2":
-        design, trace = arc_s2(inst, *rules)
+        design, trace = arc_s2(inst, *_rules(alg, args))
     else:
         raise ValueError(f"unknown algorithm {alg!r}")
     return design, trace, {}
 
 
 def cmd_solve(args) -> int:
+    _check_flags([args.alg], args)
     inst = load_instance(args.instance)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -188,10 +203,7 @@ def cmd_compare(args) -> int:
     algs = [a for a in args.algs.split(",") if a]
     if not algs:
         raise ValueError("empty algorithm list")
-    for a in algs:
-        if a not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {a!r}")
-        _rules(a, args)
+    _check_flags(algs, args)
     rows = []
     for inst_path in args.instances:
         inst = load_instance(inst_path)

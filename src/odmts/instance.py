@@ -407,6 +407,11 @@ class Instance:
     def latent_trips(self) -> tuple[Trip, ...]:
         return tuple(t for t in self.trips if t.is_latent)
 
+    @cached_property
+    def latent_ids(self) -> frozenset:
+        """Ids of the latent trips, which may adopt a design or not."""
+        return frozenset(t.id for t in self.latent_trips)
+
     def trip_by_id(self, trip_id: int) -> Trip:
         return self.trips[self.trip_index[trip_id]]
 

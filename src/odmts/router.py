@@ -120,6 +120,7 @@ class Design:
         """The smallest feasible design: the fixed backbone only."""
         return cls(inst, frozenset(inst.fixed_arcs))
 
+    @memo
     def key(self) -> tuple:
         return tuple(sorted(self.open_arcs))
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 
-from .adoption import eval_design
+from .adoption import _scored
 from .dfd import FlowModel, solve_dfd
 from .instance import Instance, _finite, _integral, memo
 from .router import trip_arrays
@@ -62,11 +62,11 @@ def _net_cost_order(design) -> list:
     return sorted((t.id for t in inst.latent_trips), key=lambda i: (money[row[i]] - ticket, i))
 
 
-def _ranked_adopters(design, adopters, excluded):
-    """The ids of ``adopters`` outside ``excluded``, ordered by (net cost,
-    trip id): ``_net_cost_order`` filtered. The keys are unique, so this
-    is the order a sort of the remaining ids alone gives."""
-    keep = adopters - excluded
+def _ranked_adopters(design, excluded):
+    """The ids of the design's adopters outside ``excluded``, ordered by
+    (net cost, trip id): ``_net_cost_order`` filtered. The keys are
+    unique, so this is the order a sort of the remaining ids alone gives."""
+    keep = _scored(design).adopters - excluded
     return [i for i in _net_cost_order(design) if i in keep]
 
 
@@ -82,12 +82,10 @@ def rho_grad(inst: Instance, rho: int | None = None):
         t0 = time.perf_counter()
         tset = inst.core_ids | absorbed
         sol = solve_dfd(inst, tset, _model=model)
-        ev = eval_design(inst, sol.design, tset)
-        trace.add(
-            k, 1, len(tset), sol.design, ev.objective, len(ev.adopters),
-            time.perf_counter() - t0,
-        )
-        ranked = _ranked_adopters(sol.design, ev.adopters, absorbed)
+        score = _scored(sol.design)
+        trace.add(k, 1, len(tset), sol.design, score.objective, len(score.adopters),
+                  time.perf_counter() - t0)
+        ranked = _ranked_adopters(sol.design, absorbed)
         if not ranked:
             return sol.design, trace.finish(sol.design, tset)
         absorbed.update(ranked[:rho])
@@ -103,7 +101,6 @@ def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
     of an enclosing ``rho_gagr`` run, a new one by default; ``solve_dfd``
     answers the repeats of every run that shares it."""
     eta = _step(inst, "eta", eta)
-    latent = {t.id for t in inst.latent_trips}
     model = FlowModel(inst) if _model is None else _model
     trace = HeuristicTrace()
     rejected = set()
@@ -115,16 +112,14 @@ def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
     while True:
         t0 = time.perf_counter()
         sol = solve_dfd(inst, tbar, _model=model)
-        ev = eval_design(inst, sol.design, tbar)
-        trace.add(
-            k, 1, len(tbar), sol.design, ev.objective, len(ev.adopters),
-            time.perf_counter() - t0,
-        )
-        if ev.objective < best[0]:
-            best = (ev.objective, sol.design, tbar)
-        rejected |= latent - ev.adopters
+        score = _scored(sol.design)
+        trace.add(k, 1, len(tbar), sol.design, score.objective, len(score.adopters),
+                  time.perf_counter() - t0)
+        if score.objective < best[0]:
+            best = (score.objective, sol.design, tbar)
+        rejected |= inst.latent_ids - score.adopters
         m += eta
-        ranked = _ranked_adopters(sol.design, ev.adopters, rejected)
+        ranked = _ranked_adopters(sol.design, rejected)
         arcs = sol.design.open_arcs
         stable = k >= 2 and prev_arcs == arcs and (m - eta) >= len(ranked)
         if stable or k >= MAX_ITER:
@@ -154,14 +149,12 @@ def rho_gagr(inst: Instance, rho: int | None = None, eta: int | None = None,
         t0 = time.perf_counter()
         tbar = inst.core_ids | absorbed
         design, inner = eta_grre(inst, eta=eta, start_tset=tbar, _model=model)
-        ev = eval_design(inst, design, inner.tset)
-        trace.add(
-            k, 1, len(inner.tset), design, ev.objective, len(ev.adopters),
-            time.perf_counter() - t0,
-        )
-        if ev.objective < best[0]:
-            best = (ev.objective, design, inner.tset)
-        ranked = _ranked_adopters(design, ev.adopters, absorbed)
+        score = _scored(design)
+        trace.add(k, 1, len(inner.tset), design, score.objective, len(score.adopters),
+                  time.perf_counter() - t0)
+        if score.objective < best[0]:
+            best = (score.objective, design, inner.tset)
+        ranked = _ranked_adopters(design, absorbed)
         timed_out = time_limit is not None and time.perf_counter() - started >= time_limit
         if not ranked or timed_out:
             break

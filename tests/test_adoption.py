@@ -130,7 +130,7 @@ class TestEvalDesign:
         rng = np.random.default_rng(1)
         z = random_design(inst, rng)
         ev = eval_design(inst, z, tset={t.id for t in inst.core_trips})
-        assert design_objective(inst, z) == pytest.approx(ev.objective, rel=1e-12)
+        assert design_objective(inst, z) == ev.objective
 
     def test_unknown_tset_rejected(self, example_instance):
         with pytest.raises(Exception, match="unknown trip"):
@@ -162,6 +162,27 @@ class TestEvalDesign:
             design_objective(copy, design)
         assert eval_design(copy, Design(copy, design.open_arcs), ids).objective == \
             design_objective(copy, Design(copy, design.open_arcs))
+
+    def test_rates_match_trip_by_trip_counts(self):
+        # reference: each latent trip routed and put to the choice rule
+        # one at a time, counted against random trip sets
+        rng = np.random.default_rng(4)
+        no_latent = make_example_instance(trips=(Trip(id=0, origin=0, destination=3, riders=1),))
+        cases = [(tiny_instance(seed, n_stops=12, n_hubs=4), 3) for seed in range(6)]
+        for inst, n_designs in cases + [(no_latent, 1)]:
+            ids = [t.id for t in inst.trips]
+            n = len(inst.latent_trips)
+            for _ in range(n_designs):
+                z = random_design(inst, rng)
+                adopts = {t.id: choice(route(t, z), t) for t in inst.latent_trips}
+                for _ in range(4):
+                    tset = {i for i in ids if rng.random() < 0.5}
+                    rej = sum(a for i, a in adopts.items() if i not in tset)
+                    adp = sum(1 - a for i, a in adopts.items() if i in tset)
+                    ev = eval_design(inst, z, tset)
+                    assert ev.r_false == (100.0 * rej / n if n else 0.0)
+                    assert ev.a_false == (100.0 * adp / n if n else 0.0)
+                    assert ev.adopters == {i for i, a in adopts.items() if a}
 
     def test_adoption_consistency(self):
         inst = tiny_instance(6)

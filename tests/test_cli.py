@@ -15,6 +15,14 @@ def gen_args(out, stops=12, hubs=3, seed=5):
     ]
 
 
+# The algorithms that take each solver flag, and a valid value for it.
+TAKERS = {"--rho": ("grad", "gagr"), "--eta": ("grre", "gagr"), "--time-limit": ("gagr",),
+          "--rules": ("arc-s1", "arc-s2")}
+VALUES = {"--rho": "3", "--eta": "2", "--time-limit": "5", "--rules": "a"}
+IGNORED = [(alg, flag) for flag, takers in TAKERS.items() for alg in ALGORITHMS
+           if alg not in takers]
+
+
 @pytest.fixture
 def instance_file(tmp_path):
     path = tmp_path / "inst.json"
@@ -159,6 +167,17 @@ class TestSolve:
         assert rc == 1
         assert capsys.readouterr().err == "error: arc-s2 needs --rules stage1,stage2\n"
         assert not (out / "design.json").exists()
+
+    @pytest.mark.parametrize("alg, flag", IGNORED)
+    def test_ignored_flag_exits_one(self, tmp_path, capsys, alg, flag):
+        # the instance file does not exist: the flag fails before it loads
+        out = tmp_path / "run"
+        rc = main(["solve", "--instance", str(tmp_path / "missing.json"), "--alg", alg,
+                   flag, VALUES[flag], "--out", str(out)])
+        assert rc == 1
+        takers = " and ".join(TAKERS[flag])
+        assert capsys.readouterr() == ("", f"error: {flag} applies only to {takers}\n")
+        assert not out.exists()
 
     def test_solver_failure_exits_two(self, tmp_path, instance_file, capsys, monkeypatch):
         def fails(*args):
@@ -305,6 +324,29 @@ class TestCompare:
         assert rc == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("algs, flag", [
+        ("dfd,grad", "--eta"), ("grad,arc-s1", "--time-limit"), ("grre,exact", "--rho"),
+        ("dfd,gagr", "--rules"),
+    ])
+    def test_flag_no_listed_algorithm_takes(self, tmp_path, capsys, algs, flag):
+        out = tmp_path / "x.csv"
+        rc = main(["compare", "--instances", str(tmp_path / "missing.json"), "--algs", algs,
+                   flag, VALUES[flag], "--out", str(out)])
+        assert rc == 1
+        takers = " and ".join(TAKERS[flag])
+        assert capsys.readouterr() == ("", f"error: {flag} applies only to {takers}\n")
+        assert not out.exists()
+
+    def test_flag_one_listed_algorithm_takes(self, tmp_path, instance_file):
+        out = tmp_path / "x.csv"
+        rc = main(["compare", "--instances", str(instance_file), "--algs", "dfd,grad",
+                   "--rho", "1", "--out", str(out)])
+        assert rc == 0
+        rows = list(csv.DictReader(
+            line for line in out.read_text().splitlines() if not line.startswith("#")
+        ))
+        assert [(r["algorithm"], r["status"]) for r in rows] == [("dfd", "ok"), ("grad", "ok")]
 
     def test_core_failure_row(self, tmp_path, instance_file, core_lacking_api):
         out = tmp_path / "cmp.csv"
