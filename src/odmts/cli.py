@@ -35,6 +35,9 @@ from .trip_heuristics import eta_grre, rho_gagr, rho_grad
 from .arc_heuristics import RULES, arc_s1, arc_s2
 
 ALGORITHMS = ("dfd", "exact", "grad", "grre", "gagr", "arc-s1", "arc-s2")
+# The GeneratorConfig fields that ``generate`` takes as flags of the same name.
+GENERATE_FLAGS = ("stops", "hubs", "square_km", "speed_kmh", "theta", "omega", "bus_rate",
+                  "buses_per_leg", "wait", "ticket", "shuttle_between_hubs")
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -61,18 +64,7 @@ def cmd_generate(args) -> int:
         alpha = None if fields[1] in ("core", "-") else float(fields[1])
         classes.append(TripClass(count=count, alpha=alpha, max_riders=args.max_riders))
     config = GeneratorConfig(
-        stops=args.stops,
-        hubs=args.hubs,
-        classes=tuple(classes),
-        square_km=args.square_km,
-        speed_kmh=args.speed_kmh,
-        theta=args.theta,
-        omega=args.omega,
-        bus_rate=args.bus_rate,
-        buses_per_leg=args.buses_per_leg,
-        wait=args.wait,
-        ticket=args.ticket,
-        shuttle_between_hubs=args.shuttle_between_hubs,
+        classes=tuple(classes), **{name: getattr(args, name) for name in GENERATE_FLAGS},
         candidate=GeneratorConfig.candidate if args.nearest_k is None else args.nearest_k,
     )
     inst = generate_synthetic(config, seed=args.seed)
@@ -256,19 +248,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a synthetic instance file")
-    g.add_argument("--stops", type=int, default=GeneratorConfig.stops)
-    g.add_argument("--hubs", type=int, default=GeneratorConfig.hubs)
+    for name in GENERATE_FLAGS:
+        default, flag = getattr(GeneratorConfig, name), "--" + name.replace("_", "-")
+        if isinstance(default, bool):
+            g.add_argument(flag, action="store_true")
+        else:
+            g.add_argument(flag, type=type(default), default=default)
     g.add_argument("--seed", type=int, default=0)
     classes = "/".join(f"{c.count}:{'core' if c.alpha is None else c.alpha}"
                        for c in GeneratorConfig.classes)
     g.add_argument("--classes", default=classes,
                    help="count:alpha groups split by '/', alpha 'core' marks core trips")
     g.add_argument("--max-riders", type=int, default=TripClass.max_riders)
-    for name in ("square_km", "speed_kmh", "theta", "omega", "bus_rate", "buses_per_leg",
-                 "wait", "ticket"):
-        g.add_argument("--" + name.replace("_", "-"), type=float,
-                       default=getattr(GeneratorConfig, name))
-    g.add_argument("--shuttle-between-hubs", action="store_true")
     g.add_argument("--nearest-k", type=int, default=None,
                    help="restrict candidate arcs to the k nearest hubs per hub")
     g.add_argument("--out", required=True)

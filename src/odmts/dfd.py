@@ -16,23 +16,20 @@ direct shuttle under every design (``is_direct_trip``, on metric
 instances only) are constants and get no flow.
 
 The LPs run on HiGHS's compiled core, which ships inside scipy (see
-``highs``). A heuristic run keeps one ``FlowModel``, which holds all of
-the run's DFD state: the direct trips, found for all trips at once; each
-trip's block, joining the solver the first time a solve uses the trip;
-one memo of answers, keyed by a solve's flow trips and fixed arcs,
-from which ``solve_dfd`` answers the run's repeats without an LP; and
-one ``Design`` per open-arc tuple, so that every answer with that tuple
-shares the design's memos (its route tables, arrays and evaluation). A
-solve builds the blocks it lacks in one ``make_cut`` call, which builds
-a batch of trips on the disjoint union of their graphs. Blocks outside
-a solve are switched off and every solve starts warm from the previous
-basis. Each LP stops early once its dual bound passes the cap of its
-search. One depth-first search finds the optimum and meets every other
-integral design within the tie cap outside the optimum's own leaf; a
-search of that leaf under a no-good row that excludes the optimum can
-then prove it the only one, which skips the tie pass. The blocks are
-built from the router's edge arrays (``router._edges``), the rule the
-per-trip route search reads as well.
+``highs``). A heuristic run keeps one ``FlowModel``, which holds the
+run's answers: the direct trips, found for all trips at once; each
+trip's block; one memo of answers, keyed by a solve's flow trips and
+fixed arcs, from which ``solve_dfd`` answers the run's repeats without
+an LP; each answer's direct-trip constant; and one ``Design`` per
+open-arc tuple, so that every answer with that tuple shares the
+design's memos (its route tables, arrays and evaluation). The model's
+one ``FlowLP`` alone holds the solver and runs the exact search
+(``FlowLP.search``): a block joins it the first time a solve uses its
+trip, blocks outside a solve are switched off, and every solve starts
+warm from the previous basis. A solve builds the blocks it lacks in one
+``make_cut`` call, on the disjoint union of their graphs, from the
+router's edge arrays (``router._edges``), the rule the per-trip route
+search reads as well.
 """
 
 from __future__ import annotations
@@ -43,9 +40,9 @@ import numpy as np
 
 from . import highs
 from .highs import SolveError
-from .instance import Instance, Trip, ValidationError, memo
-from .router import (Design, _arc_labels, _edges, _min_access_egress_km, arcs_cost, route,
-                     trip_arrays)
+from .instance import Instance, Trip, ValidationError
+from .router import (Design, _arc_labels, _edges, _min_access_egress_km, _trip_costs, arcs_cost,
+                     route, trip_arrays)
 
 # Relative margin within which two designs' values count as tied.
 _TIE = 1e-9
@@ -169,17 +166,11 @@ def _blocks(trips, inst: Instance, labels) -> list:
             for t, a, b, n in zip(trips, cut[:-1], cut[1:], used.sum(axis=1))]
 
 
-class FlowModel:
-    """The arc-flow model of one instance on one HiGHS solver, grown by
-    a trip's block the first time a solve uses it. The solver keeps its
-    basis, so every solve starts warm from the previous one. ``direct``
-    holds the ids of the trips ``is_direct_trip`` accepts, ``blocks``
-    each flow trip's block by trip id (the same object for the model's
-    life, as ``at`` keys on it), ``solved`` the answers ``solve_dfd``
-    has given on the model (see there) and ``designs`` the one design
-    ``solve_master`` returns for each ``tuple(design.open_arcs)``. The
-    key is the tuple, not the set: ``arcs_cost`` sums in iteration
-    order, so equal sets that iterate differently stay apart.
+class FlowLP:
+    """The arc-flow LP of one instance on one HiGHS solver, and the exact
+    search on it (``search``). A block joins the first time a solve uses
+    it; ``on`` holds the blocks of the current solve. The solver keeps its
+    basis, so every solve starts warm from the previous one.
 
     Columns: z, then the blocks' edges in the order the blocks joined.
     Rows: hub balance, the no-good row (free unless ``exclude`` set it),
@@ -191,8 +182,7 @@ class FlowModel:
     def __init__(self, inst: Instance):
         cand = inst.candidate_arcs
         na, nh = len(cand), len(inst.hubs)
-        hubs = [[inst.hub_index[h] for h in a] for a in cand]
-        self.hubs = np.array(hubs, dtype=int).reshape(na, 2)
+        self.hubs = np.array([[inst.hub_index[h] for h in a] for a in cand], int).reshape(-1, 2)
         z = np.arange(na)
         self.solver = highs.model(
             np.array([arcs_cost(inst, [a]) for a in cand], dtype=float), np.ones(na),
@@ -200,22 +190,12 @@ class FlowModel:
             np.concatenate([self.hubs[:, 0], self.hubs[:, 1], np.full(na, nh)]),
             np.concatenate([z, z, z]), np.concatenate([np.ones(na), -np.ones(na), np.ones(na)]),
         )
-        self.no_good_row, self.no_good_coef = nh, np.ones(na)
-        self.cols, self.rows = na, nh + 1
-        sidx = inst.stop_index
-        o = np.array([sidx[t.origin] for t in inst.trips], dtype=int)
-        d = np.array([sidx[t.destination] for t in inst.trips], dtype=int)
-        # is_direct_trip of every trip at once
-        direct = inst.metric_consistent & (_min_access_egress_km(inst, o, d) >= inst.dist[o, d])
-        self.direct = frozenset(t.id for t, on in zip(inst.trips, direct.tolist()) if on)
-        self.blocks = {}  # trip id -> block
+        self.nh, self.no_good_coef = nh, np.ones(na)  # the no-good row follows the hub rows
         self.at = {}  # block -> (first column, origin row)
         self.on = set()
-        self.solved = {}  # (flow-trip ids, fixed arcs) -> (design, root LP value, flow objective)
-        self.designs = {}  # tuple(open arcs) -> design
 
     def use(self, blocks):
-        """Append the blocks not in the model yet and switch on exactly
+        """Append the blocks not in the LP yet and switch on exactly
         ``blocks``, touching only the blocks whose state changes."""
         new = [b for b in dict.fromkeys(blocks) if b not in self.at]
         if new:
@@ -235,9 +215,10 @@ class FlowModel:
     def _append(self, blocks):
         rows, cols, vals, cost, rhs = [], [], [], [], []
         bus_col, bus_arc = [], []
-        row0, col0 = 0, self.cols
+        ncol, nrow = self.solver.getNumCol(), self.solver.getNumRow()
+        row0, col0 = 0, ncol
         for b in blocks:
-            self.at[b] = (col0, self.rows + row0)
+            self.at[b] = (col0, nrow + row0)
             col = col0 + np.arange(len(b.g))
             inner = b.head < b.nodes - 1
             rows += [row0 + b.tail, row0 + b.head[inner]]
@@ -251,82 +232,69 @@ class FlowModel:
         bus_col, bus_arc = np.concatenate(bus_col), np.concatenate(bus_arc)
         nbus = len(bus_col)
         highs.grow(
-            self.solver, np.concatenate(cost), np.full(col0 - self.cols, np.inf),
+            self.solver, np.concatenate(cost), np.full(col0 - ncol, np.inf),
             np.concatenate(rhs + [np.full(nbus, -np.inf)]),
             np.concatenate(rhs + [np.zeros(nbus)]),
             np.concatenate(rows + [row0 + np.arange(nbus)] * 2),
             np.concatenate(cols + [bus_col, bus_arc]),
             np.concatenate(vals + [np.ones(nbus), -np.ones(nbus)]),
         )
-        self.cols, self.rows = col0, self.rows + row0 + nbus
 
     def exclude(self, inc):
         """Set the no-good row to sum_{i not in inc} z_i - sum_{i in inc} z_i
         >= 1 - |inc|, which every integral z but ``inc`` (a mask over the
         candidate arcs) satisfies; None frees the row again."""
-        row = self.no_good_row
         if inc is None:
-            self.solver.changeRowBounds(row, -np.inf, np.inf)
+            self.solver.changeRowBounds(self.nh, -np.inf, np.inf)
             return
         coef = np.where(inc, -1.0, 1.0)
         for i in np.flatnonzero(coef != self.no_good_coef).tolist():
-            self.solver.changeCoeff(row, i, coef[i])
+            self.solver.changeCoeff(self.nh, i, coef[i])
         self.no_good_coef = coef
-        self.solver.changeRowBounds(row, 1.0 - inc.sum(), np.inf)
+        self.solver.changeRowBounds(self.nh, 1.0 - inc.sum(), np.inf)
 
+    def search(self, is_fixed):
+        """The optimal design of the blocks switched on, with the arcs of
+        the mask ``is_fixed`` held open. Returns (mask of its open arcs,
+        the optimal value v*, the root LP value, the number of LP solves).
 
-def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = None):
-    """Optimal design of the flow model over ``blocks``, with ``fixed``
-    arcs open on top of the backbone, by one search on ``_model``, the
-    ``FlowModel`` to solve on (a new one by default).
+        Its arcs are the smallest sorted arc tuple among the designs
+        within a relative 1e-9 of v* (the cap), the tie rule of
+        ``enumerate_dfd``. The search for v* prunes only above the
+        incumbent's cap, so every integral design lies in the incumbent's
+        leaf, in another integral leaf or above the cap.
+        The incumbent is the answer when it opens no arc, or when no other
+        leaf lies within the cap and a search of its leaf under the no-good
+        row that excludes it finds no design within the cap.
+        Otherwise the design is decided arc by arc in candidate (sorted)
+        order, keeping an integral incumbent within the cap which agrees
+        with the arcs decided so far:
 
-    Returns (design, value, root, solves): the model's optimal value v*,
-    its root LP value and the number of LP solves. The design is the
-    model's own for its open-arc tuple (``FlowModel.designs``), the same
-    object on every call that opens those arcs in that order. Its arcs
-    are the smallest sorted arc tuple among the designs within a
-    relative 1e-9 of v* (the cap), the tie rule of ``enumerate_dfd``.
-    The search for v* prunes only above the incumbent's cap, so every
-    integral design lies in the incumbent's leaf, in another integral
-    leaf or above the cap.
-    The incumbent is the answer when it opens no arc, or when no other
-    leaf lies within the cap and a search of its leaf under the no-good
-    row that excludes it finds no design within the cap.
-    Otherwise the design is decided arc by arc in candidate (sorted)
-    order, keeping an integral incumbent within the cap which agrees
-    with the arcs decided so far:
+        1. when no fixed arc is left ahead and the arcs decided open form a
+           balanced design within the cap, that design is the answer: every
+           other candidate extends it;
+        2. fixed arcs and arcs the incumbent opens stay open;
+        3. otherwise the arc is probed forced open, depth first, taking the
+           least integral solution within the cap, and closed when there is
+           none.
 
-    1. when no fixed arc is left ahead and the arcs decided open form a
-       balanced design within the cap, that design is the answer: every
-       other candidate extends it;
-    2. fixed arcs and arcs the incumbent opens stay open;
-    3. otherwise the arc is probed forced open, depth first, taking the
-       least integral solution within the cap, and closed when there is
-       none.
-
-    Every LP is solved under the cap of its search (see ``highs.solve``).
-    """
-    fixed = _fixed_arcs(inst, fixed)
-    model = FlowModel(inst) if _model is None else _model
-    cand = inst.candidate_arcs
-    na, nh = len(cand), len(inst.hubs)
-    model.use(blocks)
-    solver, hubs = model.solver, model.hubs
-    is_fixed = np.array([a in fixed for a in cand], dtype=bool)
-    lo, up = is_fixed.astype(float), np.ones(na)
-    log = []
-    found = highs.branch(solver, lo, up, np.inf, _TIE, log)
-    if found is None:
-        raise ValidationError("master infeasible: fixed arcs cannot be balanced")
-    best, inc, leaf_lo, leaf_up, other = found
-    root = log[0][0]
-    cap = best + _TIE * abs(best)
-    tied = other <= cap
-    if inc.any() and not tied:
-        model.exclude(inc)
-        tied = highs.branch(solver, leaf_lo, leaf_up, cap, _TIE, log) is not None
-        model.exclude(None)
-    if inc.any() and tied:
+        Every LP is solved under the cap of its search (see ``highs.solve``).
+        """
+        solver, hubs, nh, na = self.solver, self.hubs, self.nh, len(is_fixed)
+        lo, up = is_fixed.astype(float), np.ones(na)
+        log = []
+        found = highs.branch(solver, lo, up, np.inf, _TIE, log)
+        if found is None:
+            raise ValidationError("master infeasible: fixed arcs cannot be balanced")
+        best, inc, leaf_lo, leaf_up, other = found
+        cap = best + _TIE * abs(best)
+        tied = other <= cap
+        if inc.any() and not tied:
+            self.exclude(inc)
+            tied = highs.branch(solver, leaf_lo, leaf_up, cap, _TIE, log) is not None
+            self.exclude(None)
+        if not (inc.any() and tied):
+            return inc, best, log[0][0], len(log)
         for i in range(na):
             if not inc[i:].any():
                 break
@@ -346,12 +314,46 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
                     continue
                 inc = probe[1]
             lo[i] = 1.0
+        return inc, best, log[0][0], len(log)
+
+
+class FlowModel:
+    """One DFD run's answers on one instance, kept across its solves;
+    ``lp``, the run's one ``FlowLP``, alone holds the solver. A block
+    stays the same object for the model's life, as the LP keys on it.
+    ``designs`` is keyed by the tuple, not the set: ``arcs_cost`` sums in
+    iteration order, so equal sets that iterate differently stay apart."""
+
+    def __init__(self, inst: Instance):
+        o, d = _trip_costs(inst)[:2]
+        # is_direct_trip of every trip at once
+        direct = inst.metric_consistent & (_min_access_egress_km(inst, o, d) >= inst.dist[o, d])
+        self.direct = frozenset(t.id for t, on in zip(inst.trips, direct.tolist()) if on)
+        self.blocks = {}  # trip id -> block
+        self.solved = {}  # (flow-trip ids, fixed arcs) -> (design, root LP value, flow objective)
+        self.consts = {}  # (design, direct trip ids) -> riders times g over those trips
+        self.designs = {}  # tuple(open arcs) -> the design solve_master returns for them
+        self.lp = FlowLP(inst)
+
+
+def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = None):
+    """Optimal design of the flow model over ``blocks``, with ``fixed``
+    arcs open on top of the backbone, by one ``FlowLP.search`` on the LP
+    of ``_model``, the ``FlowModel`` to solve on (a new one by default).
+    Returns (design, v*, root LP value, LP solves). The design is the
+    model's own for its open-arc tuple (``FlowModel.designs``), the same
+    object on every call that opens those arcs in that order."""
+    fixed = _fixed_arcs(inst, fixed)
+    model = FlowModel(inst) if _model is None else _model
+    cand = inst.candidate_arcs
+    model.lp.use(blocks)
+    inc, best, root, solves = model.lp.search(np.array([a in fixed for a in cand], dtype=bool))
     # arcs_cost sums in set order, so how this set is built fixes the
     # objective's last bits; this order reproduces bench/references.json
     opened = frozenset(a for a, on in zip(cand, inc) if on and a not in fixed)
     design = Design(inst, fixed | opened)
     design = model.designs.setdefault(tuple(design.open_arcs), design)
-    return design, best, root, len(log)
+    return design, best, root, solves
 
 
 @dataclass(frozen=True)
@@ -371,16 +373,10 @@ class DfdSolution:
     iterations: int  # LP solves
 
 
-@memo
-def _g_list(design: Design) -> list:
-    """The design's ``trip_arrays`` g as a list of floats, in trip order."""
-    return trip_arrays(design)[0].tolist()
-
-
 def _riders_g(design: Design, ids, total: float) -> float:
     """``total`` plus riders times g under ``design`` over ``ids``, in id order."""
     inst = design.instance
-    g, row = _g_list(design), inst.trip_index
+    g, row = trip_arrays(design)[0].tolist(), inst.trip_index
     for i in sorted(ids):
         total += inst.trips[row[i]].riders * g[row[i]]
     return total
@@ -401,7 +397,8 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
     builds the blocks the model lacks, if any, and ``solve_master``
     runs; a hit reports ``iterations`` 0. Either way the design is the
     model's one for its open-arc tuple, so a run evaluates each design
-    once. The direct trips' constant is added last."""
+    once. The direct trips' constant, kept on the model per design and
+    direct trip ids, is added last."""
     ids, fixed = inst.trip_ids(tset), _fixed_arcs(inst, fixed)
     model = FlowModel(inst) if _model is None else _model
     flow, solves = ids - model.direct, 0
@@ -416,7 +413,10 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
         model.solved[flow, fixed] = design, root, objective
     design, root, objective = model.solved[flow, fixed]
     # a direct trip rides the same shuttle under every design
-    const = _riders_g(design, ids & model.direct, 0.0)
+    direct = design, ids & model.direct
+    const = model.consts.get(direct)
+    if const is None:
+        const = model.consts[direct] = _riders_g(*direct, 0.0)
     record = (1, root + const, objective + const, len(design.open_arcs), len(flow))
     return DfdSolution(design=design, objective=objective + const, tset=ids,
                        bounds=(record,), iterations=solves)

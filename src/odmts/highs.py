@@ -27,11 +27,12 @@ import sys
 import numpy as np
 
 MODULE = "scipy.optimize._highspy._core"
+# The core names called here and by ``dfd.FlowLP`` (getNumCol, getNumRow); ``core`` checks each.
 API = (
     "HighsStatus", "HighsModelStatus.kObjectiveBound", "_Highs.setOptionValue", "_Highs.addCols",
     "_Highs.addRows", "_Highs.changeColsBounds", "_Highs.changeRowBounds", "_Highs.changeCoeff",
-    "_Highs.run", "_Highs.getModelStatus", "_Highs.getInfo", "_Highs.getSolution",
-    "_Highs.modelStatusToString",
+    "_Highs.getNumCol", "_Highs.getNumRow", "_Highs.run", "_Highs.getModelStatus",
+    "_Highs.getInfo", "_Highs.getSolution", "_Highs.modelStatusToString",
 )
 # Options set on every new solver; 1 is Devex dual pricing.
 OPTIONS = (

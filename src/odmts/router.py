@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, Trip, ValidationError, WeightTable, derive_weights, memo
+from .instance import Instance, Trip, ValidationError, WeightTable, _integral, derive_weights, memo
 
 BUS = "bus"
 SHUTTLE = "shuttle"
@@ -95,7 +95,8 @@ def _relays(inst: Instance) -> np.ndarray:
 class Design:
     """A weakly connected set of open bus arcs over the candidate set.
 
-    Open arcs always include the instance's fixed backbone. Designs are
+    Open arcs always include the instance's fixed backbone; hub ids must
+    be integers, not bools, and are kept as ``int``. Designs are
     immutable; each keeps its hub-path table and its ``trip_arrays``
     (see ``memo``), built on first use.
     """
@@ -105,7 +106,14 @@ class Design:
 
     def __post_init__(self):
         inst = self.instance
-        object.__setattr__(self, "open_arcs", frozenset(tuple(a) for a in self.open_arcs))
+        arcs = [tuple(a) for a in self.open_arcs]
+        if any(type(h) is not int for a in arcs for h in a):
+            bad = [a for a in arcs if not all(map(_integral, a))]
+            if bad:
+                raise ValidationError(f"arc {bad[0]!r}: hub ids must be integers")
+            arcs = [(int(h), int(l)) for h, l in arcs]
+        # built in the input's order, which fixes the set's iteration order
+        object.__setattr__(self, "open_arcs", frozenset(arcs))
         cand = set(inst.candidate_arcs)
         for h, l in self.open_arcs:
             if (h, l) not in cand:
@@ -404,11 +412,11 @@ def _hub_paths(design: Design) -> _HubPaths:
 def _trip_costs(inst: Instance):
     """The instance trips' origin and destination stop indices (trips),
     then access (trips x hubs), egress (trips x hubs) and direct-shuttle
-    (trips) costs, computed on the first route, not at load. A hub
-    endpoint's only access or egress hub is itself, at cost 0; the direct
-    shuttle is inf where the table holds it already: as the own-hub
-    candidate of a trip with one hub endpoint, and as a hop between hub
-    endpoints while hub-to-hub shuttles run."""
+    (trips) costs, computed on first use (a route or a ``dfd.FlowModel``),
+    not at load. A hub endpoint's only access or egress hub is itself, at
+    cost 0; the direct shuttle is inf where the table holds it already: as
+    the own-hub candidate of a trip with one hub endpoint, and as a hop
+    between hub endpoints while hub-to-hub shuttles run."""
     w = weights_of(inst)
     sidx, hidx = inst.stop_index, inst.hub_index
     trips = inst.trips

@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from odmts import SolveError, highs
+from odmts import GeneratorConfig, SolveError, TripClass, generate_synthetic, highs
 from odmts.cli import ALGORITHMS, main
 
 
@@ -58,6 +59,27 @@ class TestGenerate:
         args[args.index("--classes") + 1] = "60"
         assert main(args) == 1
         assert capsys.readouterr().err == "error: --classes group '60' is not count:alpha\n"
+
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--stops=14", "stops", 14), ("--hubs=4", "hubs", 4),
+        ("--square-km=20", "square_km", 20.0), ("--speed-kmh=50", "speed_kmh", 50.0),
+        ("--theta=0.2", "theta", 0.2), ("--omega=1.5", "omega", 1.5),
+        ("--bus-rate=0.8", "bus_rate", 0.8), ("--buses-per-leg=6", "buses_per_leg", 6.0),
+        ("--wait=3", "wait", 3.0), ("--ticket=4", "ticket", 4.0),
+        ("--shuttle-between-hubs", "shuttle_between_hubs", True),
+        ("--nearest-k=2", "candidate", 2),
+    ], ids=["stops", "hubs", "square_km", "speed_kmh", "theta", "omega", "bus_rate",
+            "buses_per_leg", "wait", "ticket", "shuttle_between_hubs", "nearest_k"])
+    def test_every_flag_reaches_the_instance(self, tmp_path, flag, field, value):
+        # the written instance is the generator's for the same config with
+        # that one field changed, and differs from the one without the flag
+        base = GeneratorConfig(stops=12, hubs=3, classes=(
+            TripClass(5, None), TripClass(4, 2.0), TripClass(3, 1.5)), buses_per_leg=4.0,
+            bus_rate=0.5)
+        path = tmp_path / "x.json"
+        assert main(gen_args(path) + [flag]) == 0
+        want = generate_synthetic(dataclasses.replace(base, **{field: value}), 5).to_json()
+        assert path.read_text() == want != generate_synthetic(base, 5).to_json()
 
     @pytest.mark.parametrize("flag, message", [
         ("--square-km=-3", "square_km must be finite and > 0, got -3.0"),

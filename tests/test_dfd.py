@@ -21,7 +21,7 @@ from odmts import (
 )
 from odmts import dfd, highs
 from odmts.adoption import arcs_cost
-from odmts.dfd import _TIE, FlowModel, TripBlock
+from odmts.dfd import _TIE, FlowLP, FlowModel, TripBlock
 from conftest import block_price, make_example_instance, reference_block, tiny_instance
 from test_router import EDGE_CASES, grid_instance, non_metric, with_hub_trips
 
@@ -208,9 +208,9 @@ class TestSolveMaster:
             trip=inst.trips[0], tail=np.array([0, 0, 1, 2]), head=np.array([3, 1, 2, 3]),
             g=np.array([12.5, 0.5, 7.5, 0.5]), arc=np.array([-1, -1, bus, -1]), nodes=4,
         )
-        model = FlowModel(inst)
-        model.use([block])
-        value, inc, *_ = highs.branch(model.solver, np.zeros(2), np.ones(2), np.inf, _TIE, [])
+        lp = FlowLP(inst)
+        lp.use([block])
+        value, inc, *_ = highs.branch(lp.solver, np.zeros(2), np.ones(2), np.inf, _TIE, [])
         assert value == 12.5 and inc.all()
         prices = {z.key(): arcs_cost(inst, z.open_arcs) + block_price(inst, block, z.open_arcs)
                   for z in balanced_designs(inst)}
@@ -227,12 +227,12 @@ class TestSolveMaster:
         tset = [0, 1, 2, 3, 5, 7, 8, 11, 12, 13, 15]
         trips = map(inst.trip_by_id, tset)
         blocks = make_cut([t for t in trips if not is_direct_trip(t, inst)], inst)
-        model = FlowModel(inst)
-        model.use(blocks)
+        lp = FlowLP(inst)
+        lp.use(blocks)
         na = len(inst.candidate_arcs)
-        best, inc, *_ = highs.branch(model.solver, np.zeros(na), np.ones(na), np.inf, _TIE, [])
-        model.exclude(inc)
-        other = highs.solve(model.solver, np.zeros(na), np.ones(na), np.inf, [])
+        best, inc, *_ = highs.branch(lp.solver, np.zeros(na), np.ones(na), np.inf, _TIE, [])
+        lp.exclude(inc)
+        other = highs.solve(lp.solver, np.zeros(na), np.ones(na), np.inf, [])
         assert other[0] <= best * (1 + 1e-9)  # so every optimum of it is fractional
         design, value, _, solves = solve_master(inst, blocks)
         slow = enumerate_dfd(inst, [b.trip.id for b in blocks])
@@ -263,7 +263,7 @@ class TestSolveMaster:
         def searched(*args):
             raise AssertionError("searched under the no-good row")
 
-        monkeypatch.setattr(FlowModel, "exclude", searched)
+        monkeypatch.setattr(FlowLP, "exclude", searched)
         design, value, root, _ = solve_master(inst, [block])
         assert root == 6.5 and value == 7.0
         assert design.key() == ((0, 1), (1, 2), (2, 0))
@@ -401,6 +401,34 @@ class TestSolveDfd:
         assert (again.objective, again.tset, again.bounds) == (first.objective, first.tset,
                                                                 first.bounds)
 
+    def test_direct_constant_kept_per_design_and_ids(self, monkeypatch):
+        # the direct trips' constant is summed once per (design, direct
+        # trip ids) on a model: a repeat with the same direct ids, in any
+        # order, sums nothing, and fewer direct ids sum once more
+        inst = tiny_instance(0)
+        model = FlowModel(inst)
+        every = [t.id for t in inst.trips]
+        direct = sorted(model.direct)
+        fewer = sorted(set(every) - set(direct)) + direct[:1]
+        assert len(direct) > 1
+        first = solve_dfd(inst, every, _model=model)
+        summed = []
+
+        def counted(design, ids, total):
+            summed.append(sorted(ids))
+            return riders_g(design, ids, total)
+
+        riders_g = dfd._riders_g
+        monkeypatch.setattr(dfd, "_riders_g", counted)
+        answers = [solve_dfd(inst, tset, _model=model) for tset in (reversed(every), fewer)]
+        assert summed == [direct[:1]]
+        monkeypatch.undo()
+        for sol, tset in zip([first] + answers, [every, every, fewer]):
+            fresh = solve_dfd(inst, tset)
+            assert sol.design is first.design
+            assert (sol.objective, sol.tset, sol.bounds) == (fresh.objective, fresh.tset,
+                                                              fresh.bounds)
+
     def test_one_memo_entry_per_flow_set(self, monkeypatch):
         # all trips, then the same flow trips with fewer direct trips, then
         # all trips again: one memo entry answers the second and third
@@ -450,7 +478,7 @@ class TestSolveDfd:
         solve_dfd(inst, flow[1:5], _model=model)  # every block held: no call
         assert built == []
         assert all(model.blocks[i] is b for i, b in first_blocks.items())
-        assert set(model.at) == set(model.blocks.values())
+        assert set(model.lp.at) == set(model.blocks.values())
 
     @pytest.mark.parametrize(
         "inst", [tiny_instance(seed) for seed in range(3)] + [non_metric(tiny_instance(0))],

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from odmts import (
     is_direct_trip,
     route,
 )
-from odmts import router
+from odmts import cli, router
 from odmts.dfd import balanced_designs
 from odmts.router import BUS, SHUTTLE, _build_graph, _lex_search, trip_arrays
 from conftest import (
@@ -38,6 +39,24 @@ class TestDesign:
     def test_candidate_set_enforced(self, make, arcs, match):
         with pytest.raises(ValidationError, match=match):
             Design(make(), frozenset(arcs))
+
+    @pytest.mark.parametrize("arcs", [{(1.0, 2.0), (2.0, 1.0)}, {(True, 2), (2, True)}],
+                             ids=["float", "bool"])
+    def test_hub_ids_must_be_integers(self, example_instance, arcs):
+        # 1.0 and True equal hub 1 as set members, so the candidate check
+        # alone would let them through
+        with pytest.raises(ValidationError, match="hub ids must be integers"):
+            Design(example_instance, frozenset(arcs))
+
+    def test_integral_hub_ids_become_int(self, example_instance):
+        # numpy ids fingerprint, hash and serialize as the ints they equal
+        arcs = [(np.int64(1), np.int64(2)), (np.int32(2), 1)]
+        z = Design(example_instance, frozenset(arcs))
+        plain = Design(example_instance, frozenset({(1, 2), (2, 1)}))
+        assert {type(h) for a in z.open_arcs for h in a} == {int}
+        assert z == plain and hash(z) == hash(plain) and z.fingerprint() == "1>2;2>1"
+        doc = cli._design_doc(z, "dfd", [0], 1.0)
+        assert json.loads(json.dumps(doc))["open_arcs"] == [[1, 2], [2, 1]]
 
     def test_minimal_and_comparison(self, example_instance):
         z0 = Design.minimal(example_instance)
