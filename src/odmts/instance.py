@@ -55,12 +55,17 @@ class InstanceParseError(ValueError):
 
 def _finite(x) -> bool:
     """A finite real number; bools (JSON true/false) are not numbers here."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    return (type(x) is float or _real(type(x))) and math.isfinite(x)
 
 
 def _integral(x) -> bool:
     """An integer; bools (JSON true/false) are not integers here."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+
+
+def _real(kind: type) -> bool:
+    """A real number type other than bool (numpy's ``np.bool_`` is none)."""
+    return issubclass(kind, numbers.Real) and kind is not bool
 
 
 def _bad(where: str, key: str, expected: str, value) -> ValidationError:
@@ -173,13 +178,28 @@ class WeightTable:
     varphi: float
 
 
-def _as_matrix(rows, n: int, name: str) -> np.ndarray:
+def _float_matrix(rows, n: int, where: str, name: str) -> np.ndarray:
+    """``rows`` as an n x n float array whose entries were all numbers.
+    The array cannot tell: it reads "0.5" and true as numbers and null as
+    NaN. So an ndarray is judged by its dtype, and a list of rows by the
+    set of entry types of each row (``_real``)."""
     try:
         m = np.array(rows, dtype=float, copy=True)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"instance: bad {name!r}: {e}") from None
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"{where}: bad {name!r}: {e}") from None
     if m.shape != (n, n):
         raise ValidationError(f"{name} must be {n}x{n}, got {m.shape}")
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind not in "iuf":
+            raise _bad(where, name, "a matrix of numbers", rows.dtype)
+    elif not all(map(_real, set().union(*(map(type, row) for row in rows)))):
+        bad = next(x for row in rows for x in row if not _real(type(x)))
+        raise _bad(where, name, "a matrix of numbers", bad)
+    return m
+
+
+def _as_matrix(rows, n: int, name: str) -> np.ndarray:
+    m = _float_matrix(rows, n, "instance", name)
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} has non-finite entries")
     if np.any(m < 0):
@@ -255,18 +275,11 @@ class Instance:
             raise ValidationError("monetary rates must be non-negative")
         if p.bus_cost_mode not in (PER_DISTANCE, PER_TIME):
             raise ValidationError(f"unknown bus_cost_mode {p.bus_cost_mode!r}")
-        nh = len(self.hubs)
-        wait = p.wait
-        if np.isscalar(wait):
-            if not _finite(wait) or wait < 0:
+        if np.isscalar(p.wait):
+            if not _finite(p.wait) or p.wait < 0:
                 raise ValidationError("wait must be finite and non-negative")
         else:
-            try:
-                wait = np.asarray(wait, dtype=float)
-            except (TypeError, ValueError) as e:
-                raise ValidationError(f"params: bad 'wait': {e}") from None
-            if wait.shape != (nh, nh):
-                raise ValidationError(f"wait must be {nh}x{nh}")
+            wait = _float_matrix(p.wait, len(self.hubs), "params", "wait")
             if np.any(wait < 0) or not np.all(np.isfinite(wait)):
                 raise ValidationError("wait entries must be finite and non-negative")
         if p.candidate != "all":
@@ -430,11 +443,10 @@ class Instance:
 
     @cached_property
     def metric_consistent(self) -> bool:
-        """True when both matrices satisfy the triangle inequality.
-
-        Routing exploits this to restrict the search graph to the trip
-        endpoints, the hubs, and precomputed two-leg shuttle bridges.
-        """
+        """True when both matrices satisfy the triangle inequality, an O(n^3)
+        check on the first read, over half the pairs of a symmetric matrix.
+        Routing then restricts its search graph to the trip endpoints, the
+        hubs and precomputed two-leg shuttle bridges."""
         return bool(_satisfies_triangle(self.dist) and _satisfies_triangle(self.time))
 
     # -- serialization -------------------------------------------------
@@ -497,8 +509,15 @@ def _read(kind, doc: dict, where: str):
 
 
 def _satisfies_triangle(m: np.ndarray) -> bool:
-    """No m[i, j] exceeds m[i, k] + m[k, j] + 1e-9, checked one row i at a
-    time against the row's min-plus product with m."""
+    """No m[i, j] exceeds m[i, k] + m[k, j] + 1e-9; m has a zero diagonal and
+    no negative entry, so no pair (i, i) fails. A symmetric m is checked
+    over the pairs j > i as min over k of m[j, k] + m[i, k], bit for bit
+    m[i, k] + m[k, j]; any other m row by row against its min-plus product."""
+    if np.array_equal(m, m.T):
+        lo = np.full_like(m, np.inf)  # inf on and below the diagonal
+        for i in range(m.shape[0] - 1):
+            (m[i + 1:] + m[i]).min(axis=1, out=lo[i, i + 1:])
+        return not (m > lo + 1e-9).any()
     for i in range(m.shape[0]):
         if np.any(m[i] > (m[i, :, None] + m).min(axis=0) + 1e-9):
             return False

@@ -155,6 +155,15 @@ class TestSolve:
         assert exc.value.code == 1
         assert capsys.readouterr().err == "odmts: error: unrecognized arguments: --threads 2\n"
 
+    def test_string_matrix_entry_exits_one(self, tmp_path, instance_file, capsys):
+        doc = json.loads(instance_file.read_text())
+        doc["time"][0][1] = "0.5"
+        path = tmp_path / "str.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--instance", str(path), "--alg", "dfd"]) == 1
+        assert capsys.readouterr().err == (
+            "error: instance: bad 'time': expected a matrix of numbers, got '0.5'\n")
+
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_instance_without_trips(self, tmp_path, capsys, alg):
         path = tmp_path / "empty.json"

@@ -20,7 +20,7 @@ from odmts import (
     load_instance,
     save_instance,
 )
-from odmts.instance import _satisfies_triangle
+from odmts.instance import _finite, _integral, _satisfies_triangle
 from odmts.router import trip_arrays, weights_of
 from conftest import make_example_instance, random_design, tiny_config, tiny_instance
 
@@ -43,6 +43,13 @@ def small_doc():
         "params": {"theta": 0.5, "omega": 1.0, "bus_rate": 1.0,
                    "buses_per_leg": 4.0, "wait": 5.0, "ticket": 2.5},
     }
+
+
+def matrix_with(name, i, j, value):
+    """``small_doc``'s ``name`` matrix with entry (i, j) set to ``value``."""
+    m = small_doc()[name]
+    m[i][j] = value
+    return m
 
 
 class TestLoadInstance:
@@ -135,6 +142,16 @@ class TestLoadInstance:
             (("params", "fixed_arcs"), [[1, 2], [2, 1], [1, 2], [2, 1]],
              r"^duplicate fixed arc \(1, 2\)$"),
             (("params", "fixed_arcs"), [[1, 2], [2, 1], [1, 2]], r"^duplicate fixed arc \(1, 2\)$"),
+            # a float array reads "0.5" and true as numbers and null as NaN;
+            # the entry types are checked
+            (("time",), matrix_with("time", 0, 1, "0.5"), "^instance: bad 'time': .* got '0.5'$"),
+            (("time",), matrix_with("time", 1, 0, True), "^instance: bad 'time': .* got True$"),
+            (("dist",), matrix_with("dist", 2, 3, "3"), "^instance: bad 'dist': .* got '3'$"),
+            (("params", "wait"), [[0, "7.5"], [True, 0]], "^params: bad 'wait': .* got '7.5'$"),
+            (("params", "wait"), [[0, 7.5], [True, 0]], "^params: bad 'wait': .* got True$"),
+            (("time",), matrix_with("time", 3, 2, None), "^instance: bad 'time': .* got None$"),
+            # so is an integer entry too large for a float
+            (("time",), matrix_with("time", 0, 1, 10**400), "^instance: bad 'time': int too large"),
         ],
         ids=["alpha_nan", "alpha_inf", "alpha_str", "t_cur_nan", "t_cur_inf",
              "wait_nan", "wait_inf", "riders_fraction", "riders_bool",
@@ -143,7 +160,9 @@ class TestLoadInstance:
              "fixed_arcs_int", "time_str", "shuttle_flag_str", "costed_flag_str",
              "id_fraction", "origin_str", "theta_bool", "omega_str", "ticket_nan",
              "document_list", "hubs_missing", "hub_twice", "fixed_arcs_twice",
-             "fixed_arcs_twice_unbalanced"],
+             "fixed_arcs_twice_unbalanced", "time_entry_str", "time_entry_bool",
+             "dist_entry_str", "wait_entries_str_and_bool", "wait_entry_bool",
+             "time_entry_null", "time_entry_huge"],
     )
     def test_malformed_document_rejected(self, tmp_path, path, value, match):
         f = tmp_path / "bad.json"
@@ -197,13 +216,6 @@ def changed_doc(path, value):
     return doc
 
 
-def matrix_with(name, i, j, value):
-    """``small_doc``'s ``name`` matrix with entry (i, j) set to ``value``."""
-    m = small_doc()[name]
-    m[i][j] = value
-    return m
-
-
 def small_parts():
     """``small_doc`` as the arguments of a direct ``Instance`` call."""
     doc = small_doc()
@@ -240,6 +252,10 @@ class TestDirectConstruction:
         ("instance", dict(time=matrix_with("time", 0, 1, float("nan"))), "time has non-finite"),
         ("instance", dict(dist=matrix_with("dist", 0, 1, -1.0)), "dist has negative entries"),
         ("instance", dict(dist=matrix_with("dist", 2, 2, 1.0)), "dist diagonal must be zero"),
+        ("instance", dict(time=np.array(small_doc()["time"], dtype=bool)),
+         r"^instance: bad 'time': expected a matrix of numbers, got dtype\('bool'\)$"),
+        ("instance", dict(dist=np.array(small_doc()["dist"], dtype=object)), "bad 'dist'"),
+        ("instance", dict(time=np.array(small_doc()["time"]).astype(str)), "bad 'time'"),
         ("instance", dict(stops=(0, 1, 2, 2)), "duplicate stop ids"),
         ("instance", dict(hubs=(1, 2, 1)), "duplicate hub ids"),
         ("instance", dict(hubs=(1, 9)), "hubs must be a subset of stops"),
@@ -258,7 +274,8 @@ class TestDirectConstruction:
         ("trip", dict(kind="walk"), "trip 0: unknown kind 'walk'"),
     ], ids=["omega_nan", "bus_rate_inf", "theta_bool", "shuttle_flag_str", "fixed_arc_short",
             "id_fraction", "id_bool", "origin_float", "stop_fraction", "hub_null",
-            "time_shape", "time_nan", "dist_negative", "dist_diagonal", "stop_twice",
+            "time_shape", "time_nan", "dist_negative", "dist_diagonal", "time_bool_array",
+            "dist_object_array", "time_str_array", "stop_twice",
             "hub_twice", "hub_not_a_stop", "no_hub", "bus_rate_negative", "cost_mode_unknown",
             "wait_shape", "wait_negative", "fixed_arc_fraction", "fixed_arc_not_candidate",
             "fixed_arc_twice", "trip_id_twice",
@@ -313,6 +330,30 @@ class TestDirectConstruction:
         out = Instance.from_dict(doc).to_dict()
         assert [type(x) for x in (out["params"]["wait"], out["trips"][1]["alpha"],
                                   out["trips"][1]["t_cur"])] == [int, int, int]
+
+    @pytest.mark.parametrize("convert", [
+        lambda m: np.array(m, dtype=np.int64), lambda m: np.array(m, dtype=np.float32),
+        lambda m: np.array(m, dtype=np.uint16), lambda m: [list(map(np.int64, r)) for r in m],
+        lambda m: [np.array(r, dtype=float) for r in m],
+    ], ids=["int64_array", "float32_array", "uint16_array", "int64_entries", "array_rows"])
+    def test_numpy_numbers_accepted(self, convert):
+        plain, parts = small_parts(), small_parts()
+        plain["params"] = dataclasses.replace(plain["params"], wait=[[0, 5], [3, 0]])
+        for key in ("time", "dist"):
+            parts[key] = convert(parts[key])
+        parts["params"] = dataclasses.replace(parts["params"], wait=convert([[0, 5], [3, 0]]))
+        assert Instance(**parts).to_json() == Instance(**plain).to_json()
+
+
+@pytest.mark.parametrize("x, integral, finite", [
+    (3, True, True), (np.int64(3), True, True), (2.5, False, True), (np.float32(2.5), False, True),
+    (True, False, False), (np.bool_(True), False, False), (float("inf"), False, False),
+    (np.float32("nan"), False, False), ("1", False, False), (None, False, False),
+], ids=["int", "int64", "float", "float32", "bool", "numpy_bool", "inf", "float32_nan",
+        "str", "null"])
+def test_number_checks(x, integral, finite):
+    # plain ints and floats take a fast path; numpy scalars still pass, bools do not
+    assert _integral(x) is integral and _finite(x) is finite
 
 
 class TestTripIds:
@@ -531,6 +572,48 @@ class TestSatisfiesTriangle:
             if rng.random() < 0.2:
                 m = rng.uniform(0.0, 10.0, (n, n))
             np.fill_diagonal(m, 0.0)
+            holds = _satisfies_triangle(m)
+            assert holds is triangle_by_pivots(m)
+            seen.add(holds)
+        assert seen == {True, False}
+
+    @staticmethod
+    def symmetric_matrix(rng, n):
+        """Euclidean distances of n random points, on a small integer grid
+        half the time (exactly collinear triples), with the pairs (i, j)
+        and (j, i) shifted alike by a step around the tolerance."""
+        if rng.random() < 0.5:
+            xy = rng.integers(0, 4, (n, 2)).astype(float)
+        else:
+            xy = rng.uniform(0.0, 10.0, (n, 2))
+        m = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
+        shift = rng.choice([0.0, 0.5e-9, 1e-9, 1.5e-9, 1e-3], (n, n)) * rng.integers(0, 2, (n, n))
+        shift = np.triu(shift, 1)
+        m += shift + shift.T
+        assert np.array_equal(m, m.T)  # the half-pair path
+        return m
+
+    def test_symmetric_matches_the_pivot_loop(self):
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(300):
+            m = self.symmetric_matrix(rng, int(rng.integers(2, 12)))
+            holds = _satisfies_triangle(m)
+            assert holds is triangle_by_pivots(m)
+            seen.add(holds)
+        assert seen == {True, False}
+
+    def test_one_asymmetric_entry_matches_the_pivot_loop(self):
+        rng = np.random.default_rng(12)
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(3, 12))
+            m = self.symmetric_matrix(rng, n)
+            i, j = rng.choice(n, 2, replace=False)
+            m[i, j] += rng.choice([0.5e-9, 1.5e-9, 1e-3, -1e-3])
+            m[i, j] = max(m[i, j], 0.0)
+            if np.array_equal(m, m.T):  # the shift rounded away or hit a zero
+                continue
             holds = _satisfies_triangle(m)
             assert holds is triangle_by_pivots(m)
             seen.add(holds)
