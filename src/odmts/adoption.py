@@ -63,11 +63,10 @@ def _trip_terms(inst: Instance):
 
 
 def _running_sum(start: float, values) -> float:
-    """start + values[0] + values[1] + ..., added in order; np.sum adds in
-    pairs, which changes the last bits."""
-    for v in values.tolist():
-        start += v
-    return start
+    """start + values[0] + values[1] + ..., added in order, as an
+    accumulation does by definition; np.sum adds in pairs, which changes
+    the last bits."""
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
 class _Score(NamedTuple):

@@ -28,7 +28,7 @@ from .adoption import eval_design, exact_tiny
 from .dfd import CapExceeded, SolveError, solve_dfd
 from .generator import GeneratorConfig, TripClass, generate_synthetic
 from .instance import (Instance, InstanceParseError, ValidationError, _integral, load_instance,
-                       save_instance)
+                       read_json, save_instance)
 from .router import Design
 from .trace import HeuristicTrace, write_trace_csv
 from .trip_heuristics import eta_grre, rho_gagr, rho_grad
@@ -161,7 +161,7 @@ def _int_list(value) -> bool:
 
 def cmd_evaluate(args) -> int:
     inst = load_instance(args.instance)
-    doc = json.loads(Path(args.design).read_text())
+    doc = read_json(args.design, "design")
     if not isinstance(doc, dict) or "open_arcs" not in doc:
         raise InstanceParseError(f"{args.design}: design file has no 'open_arcs' key")
     arcs = doc["open_arcs"]

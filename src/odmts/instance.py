@@ -54,8 +54,12 @@ class InstanceParseError(ValueError):
 
 
 def _finite(x) -> bool:
-    """A finite real number; bools (JSON true/false) are not numbers here."""
-    return (type(x) is float or _real(type(x))) and math.isfinite(x)
+    """A finite real number; bools (JSON true/false) are not numbers here,
+    and an integer too large for a float is not finite."""
+    try:
+        return (type(x) is float or _real(type(x))) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _integral(x) -> bool:
@@ -524,17 +528,21 @@ def _satisfies_triangle(m: np.ndarray) -> bool:
     return True
 
 
-def load_instance(path: str | Path) -> Instance:
-    """Read and validate a schema-1 instance file."""
+def read_json(path: str | Path, what: str):
+    """The JSON document in the file at ``path``. A file that cannot be
+    read, is not UTF-8 text or is not JSON raises ``InstanceParseError``
+    naming it, ``what`` saying which kind of file it is."""
     try:
-        text = Path(path).read_text()
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise InstanceParseError(f"cannot read {path}: {e}") from e
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InstanceParseError(f"malformed instance file {path}: {e}") from e
-    return Instance.from_dict(doc)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise InstanceParseError(f"malformed {what} file {path}: {e}") from e
+
+
+def load_instance(path: str | Path) -> Instance:
+    """Read and validate a schema-1 instance file."""
+    return Instance.from_dict(read_json(path, "instance"))
 
 
 def save_instance(inst: Instance, path: str | Path) -> str:

@@ -16,11 +16,16 @@ the best relays of each hub pair are precomputed per instance as
 "bridges". Each design therefore gets one table, built on its first
 route: the g-cheapest path between every ordered hub pair over its bus
 arcs, hub-to-hub shuttles when allowed and otherwise each pair's first
-bridge, with the count of near-tied last hops into every pair. A
-single numpy minimum over access[o, h] + path[h, l] + egress[l, d] and
-the direct shuttle then picks every instance trip's route at once. A
-hub origin's only access hub is itself, as is a hub destination's only
-egress hub; table paths are simple, so no endpoint sits inside one.
+bridge, with the count of near-tied last hops into every pair. One
+segmented numpy minimum over each trip's candidates, access[o, h] +
+path[h, l] + egress[l, d] and the direct shuttle, then picks every
+instance trip's route at once. A trip's candidates are fixed per
+instance: the hub pairs whose access + egress stays within a relative
+1e-6 of the direct shuttle's cost. Hub paths cost at least 0, so no
+other pair can win or come within the tie margin below, and the picks
+equal those over every pair. A hub origin's only access hub is itself,
+as is a hub destination's only egress hub; table paths are simple, so
+no endpoint sits inside one.
 The winners' g, f, money and shuttle_km are summed for all instance
 trips at once, column by column in the order the search below adds
 legs, so they are bit-identical to it. ``trip_arrays`` yields these
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -334,7 +340,9 @@ def _hop_table(inst: Instance):
     ``_edges`` gives. ``usable[kind, u, v]`` says whether the instance has
     the hop: hub-to-hub shuttles when they run and otherwise each pair's
     first bridge; bus hops need their arc open in the design, so none is
-    usable here."""
+    usable here. A third value is the absolute tie margin of the hub-path
+    table: ``_TIE`` times the largest shuttle cost, as a route's g never
+    exceeds it, the direct shuttle being always available."""
     w = weights_of(inst)
     nh = len(inst.hubs)
     pos = inst.hub_positions
@@ -351,7 +359,7 @@ def _hop_table(inst: Instance):
         terms[:, _BRIDGE_HOP] = (w.gamma[u, x] + w.gamma[x, v], inst.time[u, x] + inst.time[x, v],
                                  inst.dist[u, x], inst.dist[x, v])
     terms.setflags(write=False)
-    return terms, usable
+    return terms, usable, _TIE * float(w.gamma.max())
 
 
 @memo
@@ -361,10 +369,9 @@ def _hub_paths(design: Design) -> _HubPaths:
     first bridge; costs come from Floyd-Warshall over the cheapest hop of
     each pair."""
     inst = design.instance
-    w = weights_of(inst)
     hidx = inst.hub_index
     nh = len(inst.hubs)
-    terms, usable = _hop_table(inst)
+    terms, usable, margin = _hop_table(inst)
     usable = usable.copy()
     for a, b in design.open_arcs:
         usable[_BUS_HOP, hidx[a], hidx[b]] = True
@@ -373,11 +380,8 @@ def _hub_paths(design: Design) -> _HubPaths:
     np.fill_diagonal(cost, 0.0)
     for k in range(nh):
         np.minimum(cost, cost[:, k, None] + cost[None, k, :], out=cost)
-    # via[h, kind, u, l]: g from h to l with last hop (kind, u). The
-    # margin is absolute: a route's g never exceeds the largest shuttle
-    # cost, the direct shuttle being always available.
+    # via[h, kind, u, l]: g from h to l with last hop (kind, u)
     via = cost[:, None, :, None] + hop[None]
-    margin = _TIE * float(w.gamma.max())
     ties = (via <= cost[:, None, None, :] + margin).sum(axis=(1, 2))
     # Walk every pair's path back from its head at once, by flat index
     # h * H + v; at v == h a walk stays put and adds hop -1. A simple
@@ -408,24 +412,51 @@ def _hub_paths(design: Design) -> _HubPaths:
     )
 
 
+# Relative slack above the direct shuttle's g within which a hub pair's
+# access + egress keeps it a table candidate; far above _TIE.
+_SLACK = 1e-6
+
+
+class _Candidates(NamedTuple):
+    """The instance trips' table candidates, ordered by trip, then by
+    ``pick``: each trip's entries start at ``start[trip]``."""
+
+    start: np.ndarray
+    trip: np.ndarray  # each entry's trip
+    pick: np.ndarray  # the hub pair h * H + l, or H * H for the direct shuttle
+    access: np.ndarray  # g before the hub path: the access shuttle, or the direct one
+    egress: np.ndarray  # g after it: the egress shuttle, 0 for the direct one
+
+
 @memo
 def _trip_costs(inst: Instance):
-    """The instance trips' origin and destination stop indices (trips),
-    then access (trips x hubs), egress (trips x hubs) and direct-shuttle
-    (trips) costs, computed on first use (a route or a ``dfd.FlowModel``),
-    not at load. A hub endpoint's only access or egress hub is itself, at
-    cost 0; the direct shuttle is inf where the table holds it already: as
-    the own-hub candidate of a trip with one hub endpoint, and as a hop
-    between hub endpoints while hub-to-hub shuttles run."""
+    """The instance trips' origin and destination stop indices, then
+    their table candidates (``_Candidates``), computed on first use (a
+    route or a ``dfd.FlowModel``), not at load.
+
+    A hub endpoint's only access or egress hub is itself, at cost 0; the
+    direct shuttle is no candidate where the table holds it already: as
+    the own-hub pair of a trip with one hub endpoint, and as a hop between
+    hub endpoints while hub-to-hub shuttles run. Some candidate thus costs
+    at most gamma[o, d]: the direct shuttle, or else the own-hub pair
+    (whose hub path, for two hub endpoints, is at most their shuttle).
+    Hub paths cost at least 0, since tau and gamma do, so pair (h, l)
+    costs at least access[h] + egress[l]. A pair whose sum exceeds
+    gamma[o, d] by more than the relative ``_SLACK`` therefore costs more
+    than the winner by more than the tie margin ``_TIE``: it can neither
+    win nor make the winner's lead a tie, and is left out. The picks and
+    ties over the rest are those over every pair."""
     w = weights_of(inst)
     sidx, hidx = inst.stop_index, inst.hub_index
     trips = inst.trips
+    n, nh = len(trips), len(inst.hubs)
     hub_pos = inst.hub_positions
     o = np.array([sidx[t.origin] for t in trips], dtype=int)
     d = np.array([sidx[t.destination] for t in trips], dtype=int)
     access = w.gamma[o[:, None], hub_pos[None, :]]
     egress = w.gamma[hub_pos[None, :], d[:, None]]
     direct = w.gamma[o, d]
+    bound = direct * (1.0 + _SLACK)
     o_hub = np.array([hidx.get(t.origin, -1) for t in trips], dtype=int)
     d_hub = np.array([hidx.get(t.destination, -1) for t in trips], dtype=int)
     for cost, own in ((access, o_hub), (egress, d_hub)):
@@ -435,26 +466,33 @@ def _trip_costs(inst: Instance):
     one_hub = (o_hub >= 0) != (d_hub >= 0)
     two_hubs = (o_hub >= 0) & (d_hub >= 0)
     direct[one_hub | (two_hubs & inst.params.shuttle_between_hubs)] = np.inf
-    return o, d, access, egress, direct
+    # [trip, h * H + l], then the direct shuttle; an inf is never kept
+    before = np.concatenate([np.repeat(access, nh, axis=1), direct[:, None]], axis=1)
+    after = np.concatenate([np.tile(egress, nh), np.zeros((n, 1))], axis=1)
+    keep = before + after <= bound[:, None]
+    trip, pick = np.divmod(np.flatnonzero(keep), nh * nh + 1)
+    cand = _Candidates(np.searchsorted(trip, np.arange(n)), trip, pick, before[keep], after[keep])
+    return o, d, cand
 
 
-def _pick(paths: _HubPaths, access, egress, direct):
+def _pick(paths: _HubPaths, cand: _Candidates):
     """Each trip's cheapest candidate, as h * H + l or H * H for the
     direct shuttle, and whether it beats every other candidate by more
-    than the tie margin."""
-    n = len(direct)
-    cost = access[:, :, None] + paths.cost
-    cost += egress[:, None, :]
-    cost = cost.reshape(n, paths.cost.size)
-    best = cost.argmin(axis=1)
-    rows = np.arange(n)
-    low = cost[rows, best]
-    cost[rows, best] = np.inf
-    # the runner-up: the next hub candidate, or the direct shuttle
-    second = np.minimum(cost.min(axis=1), np.maximum(low, direct))
-    best[direct < low] = cost.shape[1]
-    low = np.minimum(low, direct)
-    return best, second - low > _TIE * low
+    than the tie margin. Only the trip's candidates of ``_trip_costs`` are
+    read; a hub pair left out there costs more than the winner by more
+    than the tie margin, so leaving it out changes neither answer. Costs
+    add access + path + egress in that order; a tie goes to the first
+    candidate, so a hub pair beats the direct shuttle at equal cost.
+    Every trip has a candidate."""
+    path = np.append(paths.cost.ravel(), 0.0)  # the direct shuttle has no hub path
+    cost = cand.access + path[cand.pick]
+    cost += cand.egress
+    low = np.minimum.reduceat(cost, cand.start)
+    first = np.minimum.reduceat(
+        np.where(cost == low[cand.trip], np.arange(len(cost)), len(cost)), cand.start)
+    cost[first] = np.inf
+    second = np.minimum.reduceat(cost, cand.start)
+    return cand.pick[first], second - low > _TIE * low
 
 
 @memo
@@ -484,8 +522,8 @@ def _table(design: Design):
     w = weights_of(inst)
     nh = len(inst.hubs)
     paths = _hub_paths(design)
-    o, d, access, egress, direct = _trip_costs(inst)
-    best, clear = _pick(paths, access, egress, direct)
+    o, d, cand = _trip_costs(inst)
+    best, clear = _pick(paths, cand)
     is_direct = best == nh * nh
     h, l = np.divmod(np.where(is_direct, 0, best), nh)
     pos = inst.hub_positions

@@ -7,6 +7,7 @@ elementary circuits.
 """
 
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -193,6 +194,64 @@ def oracle_route(trip, design):
     g, f, legs, seq, modes = best
     leg_list = tuple((modes[i], seq[i], seq[i + 1]) for i in range(legs))
     return g, f, leg_list
+
+
+# -- dense reference for the hub-path table's picks --------------------------
+
+
+def dense_costs(inst):
+    """access (trips x hubs), egress (trips x hubs) and direct-shuttle
+    (trips) costs of the instance trips, every hub pair a candidate. A hub
+    endpoint's only access or egress hub is itself, at cost 0; the direct
+    shuttle is inf where the table holds it already: as the own-hub pair
+    of a trip with one hub endpoint, and as a hop between hub endpoints
+    while hub-to-hub shuttles run."""
+    w = weights_of(inst)
+    sidx, hidx = inst.stop_index, inst.hub_index
+    hub_pos = inst.hub_positions
+    o = np.array([sidx[t.origin] for t in inst.trips], dtype=int)
+    d = np.array([sidx[t.destination] for t in inst.trips], dtype=int)
+    access = w.gamma[o[:, None], hub_pos[None, :]]
+    egress = w.gamma[hub_pos[None, :], d[:, None]]
+    direct = w.gamma[o, d]
+    o_hub = np.array([hidx.get(t.origin, -1) for t in inst.trips], dtype=int)
+    d_hub = np.array([hidx.get(t.destination, -1) for t in inst.trips], dtype=int)
+    for cost, own in ((access, o_hub), (egress, d_hub)):
+        rows = np.flatnonzero(own >= 0)
+        cost[rows] = np.inf
+        cost[rows, own[rows]] = 0.0
+    one_hub = (o_hub >= 0) != (d_hub >= 0)
+    two_hubs = (o_hub >= 0) & (d_hub >= 0)
+    direct[one_hub | (two_hubs & inst.params.shuttle_between_hubs)] = np.inf
+    return access, egress, direct
+
+
+def dense_pick(paths, access, egress, direct):
+    """Each trip's cheapest of all H * H hub pairs and the direct shuttle,
+    as h * H + l or H * H, and whether it beats every other by more than
+    the tie margin; ``router._pick`` reads a pruned candidate set instead."""
+    n = len(direct)
+    cost = access[:, :, None] + paths.cost
+    cost += egress[:, None, :]
+    cost = cost.reshape(n, paths.cost.size)
+    best = cost.argmin(axis=1)
+    rows = np.arange(n)
+    low = cost[rows, best]
+    cost[rows, best] = np.inf
+    # the runner-up: the next hub candidate, or the direct shuttle
+    second = np.minimum(cost.min(axis=1), np.maximum(low, direct))
+    best[direct < low] = cost.shape[1]
+    low = np.minimum(low, direct)
+    return best, second - low > router._TIE * low
+
+
+def dense_table(design):
+    """``router._table`` of a fresh copy of the design, its picks taken by
+    ``dense_pick`` over every hub pair."""
+    inst = design.instance
+    costs = dense_costs(inst)
+    with mock.patch.object(router, "_pick", lambda paths, cand: dense_pick(paths, *costs)):
+        return router._table(Design(inst, design.open_arcs))
 
 
 # -- per-pair reference for the search graph and the flow blocks ------------

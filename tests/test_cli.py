@@ -235,6 +235,26 @@ class TestSolve:
         rc = main(["solve", "--instance", str(tmp_path / "nope.json"), "--alg", "grad"])
         assert rc == 1
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{not json"], ids=["not_utf8", "not_json"])
+    def test_unreadable_instance_named(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        rc = main(["solve", "--instance", str(path), "--alg", "dfd", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: malformed instance file {path}: ")
+
+    def test_huge_rate_exits_one(self, tmp_path, instance_file, capsys):
+        # an integer too large for a float is no finite rate
+        doc = json.loads(instance_file.read_text())
+        doc["params"]["omega"] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["solve", "--instance", str(path), "--alg", "dfd", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: params: bad 'omega': expected a finite")
+
     def test_dfd_writes_one_bounds_record(self, tmp_path, instance_file):
         out = tmp_path / "dfd"
         rc = main(["solve", "--instance", str(instance_file), "--alg", "dfd", "--out", str(out)])
@@ -303,6 +323,15 @@ class TestEvaluate:
         assert rc == 1
         what = f"arc {tuple(first)}" if key == "open_arcs" else f"trip id {first}"
         assert capsys.readouterr().err == f"error: {bad}: duplicate {what} in {key}\n"
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"], ids=["not_json", "not_utf8"])
+    def test_unreadable_design_named(self, tmp_path, instance_file, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        rc = main(["evaluate", "--instance", str(instance_file), "--design", str(bad)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: malformed design file {bad}: ")
 
     def test_missing_design_file_exits_one(self, tmp_path, instance_file, capsys):
         rc = main(["evaluate", "--instance", str(instance_file),

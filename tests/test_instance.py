@@ -82,7 +82,14 @@ class TestLoadInstance:
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
-        with pytest.raises(InstanceParseError):
+        with pytest.raises(InstanceParseError, match=f"^malformed instance file {path}: "):
+            load_instance(path)
+
+    def test_undecodable_file(self, tmp_path):
+        # a UTF-16 byte order mark is not UTF-8 text
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(InstanceParseError, match=f"^malformed instance file {path}: .*utf-8"):
             load_instance(path)
 
     def test_schema_version_required(self, tmp_path):
@@ -152,6 +159,11 @@ class TestLoadInstance:
             (("time",), matrix_with("time", 3, 2, None), "^instance: bad 'time': .* got None$"),
             # so is an integer entry too large for a float
             (("time",), matrix_with("time", 0, 1, 10**400), "^instance: bad 'time': int too large"),
+            # and a rate, a scalar wait, alpha and t_cur too large for a float
+            (("params", "omega"), 10**400, "^params: bad 'omega': expected a finite number"),
+            (("params", "wait"), 10**400, "^wait must be finite and non-negative$"),
+            (("trips", 1, "alpha"), 10**400, "latent trip needs a finite alpha"),
+            (("trips", 1, "t_cur"), 10**400, "latent trip needs a finite t_cur"),
         ],
         ids=["alpha_nan", "alpha_inf", "alpha_str", "t_cur_nan", "t_cur_inf",
              "wait_nan", "wait_inf", "riders_fraction", "riders_bool",
@@ -162,7 +174,8 @@ class TestLoadInstance:
              "document_list", "hubs_missing", "hub_twice", "fixed_arcs_twice",
              "fixed_arcs_twice_unbalanced", "time_entry_str", "time_entry_bool",
              "dist_entry_str", "wait_entries_str_and_bool", "wait_entry_bool",
-             "time_entry_null", "time_entry_huge"],
+             "time_entry_null", "time_entry_huge", "omega_huge", "wait_huge", "alpha_huge",
+             "t_cur_huge"],
     )
     def test_malformed_document_rejected(self, tmp_path, path, value, match):
         f = tmp_path / "bad.json"
@@ -239,6 +252,8 @@ class TestDirectConstruction:
 
     @pytest.mark.parametrize("part, change, match", [
         ("params", dict(omega=float("nan")), "params: bad 'omega': expected a finite number, got nan"),
+        ("params", dict(ticket=10**400), "params: bad 'ticket': expected a finite number"),
+        ("params", dict(wait=-10**400), "wait must be finite and non-negative"),
         ("params", dict(bus_rate=float("inf")), "params: bad 'bus_rate'"),
         ("params", dict(theta=True), "params: bad 'theta'"),
         ("params", dict(shuttle_between_hubs="no"), "params: bad 'shuttle_between_hubs'"),
@@ -272,7 +287,7 @@ class TestDirectConstruction:
         ("trip", dict(destination=9), "trip 0: unknown stop 9"),
         ("trip", dict(destination=0), "trip 0: origin equals destination"),
         ("trip", dict(kind="walk"), "trip 0: unknown kind 'walk'"),
-    ], ids=["omega_nan", "bus_rate_inf", "theta_bool", "shuttle_flag_str", "fixed_arc_short",
+    ], ids=["omega_nan", "ticket_huge", "wait_huge_negative", "bus_rate_inf", "theta_bool", "shuttle_flag_str", "fixed_arc_short",
             "id_fraction", "id_bool", "origin_float", "stop_fraction", "hub_null",
             "time_shape", "time_nan", "dist_negative", "dist_diagonal", "time_bool_array",
             "dist_object_array", "time_str_array", "stop_twice",

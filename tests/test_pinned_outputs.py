@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from odmts import (
@@ -27,7 +28,8 @@ from odmts import (
     solve_dfd,
 )
 from odmts.cli import ALGORITHMS, main
-from conftest import tiny_instance
+from odmts.router import Design, _table
+from conftest import random_design, tiny_instance
 from test_router import backbone_instance, non_metric, with_hub_trips
 
 INSTANCES = {
@@ -177,3 +179,25 @@ def test_solve_outputs_pinned(tmp_path, capsys):
         assert main(["solve", "--instance", str(path), "--alg", alg, "--out", str(out)]) == 0
         got[alg] = solve_outputs(out)
     assert got == SOLVE_PINNED
+
+
+def table_digest(inst) -> str:
+    """The hub-path table's picks and decided flags for the instance trips
+    under the minimal design and seeded random designs."""
+    rng = np.random.default_rng(len(inst.trips))
+    designs = [Design.minimal(inst)] + [random_design(inst, rng) for _ in range(8)]
+    return digest([[a.tolist() for a in _table(z)[:2]] for z in designs])
+
+
+TABLE_PINNED = {
+    "tiny0": "79dc62b21298fe82",
+    "tiny3": "ee308dd12d76f8dd",
+    "backbone": "da5a5f4c17fd928d",
+    "hub_shuttles": "f36e997af06997a4",
+    "non_metric": "f9aa45af18f708e4",
+}
+
+
+@pytest.mark.parametrize("inst_name", list(INSTANCES))
+def test_table_pinned(inst_name):
+    assert table_digest(INSTANCES[inst_name]()) == TABLE_PINNED[inst_name]

@@ -21,8 +21,8 @@ from odmts import cli, router
 from odmts.dfd import balanced_designs
 from odmts.router import BUS, SHUTTLE, _build_graph, _lex_search, trip_arrays
 from conftest import (
-    bridge_table, make_example_instance, oracle_route, random_design, reference_graph,
-    tiny_instance,
+    bridge_table, dense_table, make_example_instance, oracle_route, random_design,
+    reference_graph, tiny_instance,
 )
 
 
@@ -634,3 +634,101 @@ class TestProperties:
         large = random_design(inst, rng, base=small.open_arcs)
         for t in inst.trips:
             assert route(t, large).g <= route(t, small).g
+
+
+# -- the table's pruned candidates against every hub pair ------------------
+
+
+def assert_table_matches_dense(design):
+    """``_table`` picks and decides as ``dense_table`` does over every hub
+    pair, trip by trip, and its sums are the same bits."""
+    best, decided, sums = router._table(design)
+    want_best, want_decided, want_sums = dense_table(design)
+    assert best.tolist() == want_best.tolist()
+    assert decided.tolist() == want_decided.tolist()
+    assert sums.tobytes() == want_sums.tobytes()
+
+
+def designs_of(inst, seed, k=4):
+    rng = np.random.default_rng(seed)
+    return [Design.minimal(inst)] + [random_design(inst, rng) for _ in range(k)]
+
+
+# Grid instances whose candidates tie exactly, with the designs that tie them.
+TIE_CASES = {
+    "access_hubs": lambda: grid_instance(
+        [(0, 0), (1, 1), (1, -1), (9, 1), (9, -1), (10, 0)],
+        hubs=(1, 2, 3, 4), trips=[(0, 5), (0, 1)],
+    ),
+    "hub_paths": lambda: grid_instance(
+        [(0, 0), (1, 0), (5, 0), (9, 0), (10, 0)], hubs=(1, 2, 3), trips=[(0, 4), (0, 2)],
+    ),
+    "endpoint_relay": lambda: grid_instance(
+        [(0, 0), (1, 0), (10, 0), (9, 0)], hubs=(1, 2), trips=[(0, 3), (3, 0)],
+        theta=0.01, wait=5.0,
+    ),
+}
+TIE_ARCS = {
+    "access_hubs": {(1, 3), (3, 1), (2, 4), (4, 2)},
+    "hub_paths": {(1, 3), (3, 1), (1, 2), (2, 3), (3, 2), (2, 1)},
+    "endpoint_relay": {(1, 2), (2, 1)},
+}
+
+
+@st.composite
+def grid_cases(draw):
+    """A random instance on distinct integer points (Manhattan distances,
+    so exact ties abound) with trips that may start or end at hubs,
+    hub-to-hub shuttles or not, maybe a fixed backbone, and a random
+    design seed."""
+    points = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                           min_size=3, max_size=8, unique=True))
+    n = len(points)
+    hubs = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n))))
+    trips = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), min_size=1, max_size=8))
+    params = dict(shuttle_between_hubs=draw(st.booleans()), wait=draw(st.sampled_from([0.0, 2.0])))
+    if draw(st.booleans()):
+        params.update(fixed_arcs=((hubs[0], hubs[1]), (hubs[1], hubs[0])),
+                      fixed_arc_costed=draw(st.booleans()))
+    return grid_instance(points, hubs, trips, **params), draw(st.integers(0, 2**16))
+
+
+class TestPrunedCandidates:
+    @pytest.mark.parametrize("case", list(TABLE_CASES))
+    def test_table_cases(self, case):
+        inst = TABLE_CASES[case]()
+        for z in designs_of(inst, 6):
+            assert_table_matches_dense(z)
+
+    @pytest.mark.parametrize("case", list(TIE_CASES))
+    def test_exact_ties(self, case):
+        inst = TIE_CASES[case]()
+        assert_table_matches_dense(Design(inst, frozenset(TIE_ARCS[case])))
+        assert_table_matches_dense(Design.minimal(inst))
+
+    def test_most_pairs_are_left_out(self):
+        # at 200 stops and 12 hubs few hub pairs can beat the direct shuttle
+        inst = city_instance()
+        cand = router._trip_costs(inst)[2]
+        pairs = int((cand.pick < len(inst.hubs) ** 2).sum())
+        assert pairs < 0.2 * len(inst.trips) * len(inst.hubs) ** 2
+        # every trip keeps a candidate
+        assert np.all(np.diff(np.append(cand.start, len(cand.pick))) >= 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_cases())
+    def test_grid_instances(self, case):
+        inst, seed = case
+        for z in designs_of(inst, seed, k=2):
+            assert_table_matches_dense(z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_cases(), st.booleans())
+    def test_euclidean_instances(self, case, backbone):
+        inst, seed = case
+        if backbone:
+            h = inst.hubs
+            inst = rebuilt(inst, fixed_arcs=((h[0], h[1]), (h[1], h[0])), fixed_arc_costed=False)
+        for z in designs_of(inst, seed, k=2):
+            assert_table_matches_dense(z)
