@@ -34,7 +34,6 @@ from .trace import HeuristicTrace, write_trace_csv
 from .trip_heuristics import eta_grre, rho_gagr, rho_grad
 from .arc_heuristics import RULES, arc_s1, arc_s2
 
-ALGORITHMS = ("dfd", "exact", "grad", "grre", "gagr", "arc-s1", "arc-s2")
 # The GeneratorConfig fields that ``generate`` takes as flags of the same name.
 GENERATE_FLAGS = ("stops", "hubs", "square_km", "speed_kmh", "theta", "omega", "bus_rate",
                   "buses_per_leg", "wait", "ticket", "shuttle_between_hubs")
@@ -75,10 +74,10 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _rules(alg: str, args) -> list:
-    """``alg``'s rules from --rules, [] for its defaults; a count it cannot
-    take or an unknown rule letter raises."""
-    rules = args.rules.split(",") if args.rules else []
+def _rules(alg: str, rules) -> list:
+    """``alg``'s rules from the --rules value, [] for its defaults; a count
+    it cannot take or an unknown rule letter raises."""
+    rules = rules.split(",") if rules else []
     if alg == "arc-s1" and len(rules) > 1:
         raise ValueError("arc-s1 needs exactly one rule in --rules")
     if alg == "arc-s2" and len(rules) not in (0, 2):
@@ -89,6 +88,42 @@ def _rules(alg: str, args) -> list:
     return rules
 
 
+def _one_step(design: Design, tset, objective, adopters: int, extra: dict):
+    trace = HeuristicTrace()
+    trace.add(0, 1, len(tset), design, objective, adopters, 0.0)
+    return design, trace.finish(design, tset), extra
+
+
+def _dfd(inst: Instance):
+    sol = solve_dfd(inst, tset := [t.id for t in inst.trips])
+    return _one_step(sol.design, tset, sol.objective, 0, {"bounds": sol.bounds})
+
+
+def _exact(inst: Instance):
+    res = exact_tiny(inst)
+    return _one_step(res.design, res.tset, res.evaluation.objective,
+                     len(res.evaluation.adopters), {"resolve_matches": res.resolve_matches})
+
+
+def _grre(inst: Instance, eta):
+    design, trace = eta_grre(inst, eta=eta)
+    return design, trace, {"truncated": trace.truncated}
+
+
+# Each algorithm's solver flags and its run, which takes them as keywords
+# and returns (design, trace, extra): trace.tset is the trip set that
+# produced the design, extra documents bounds. Keys in --alg choice order.
+ALGORITHMS = {
+    "dfd": ((), _dfd),
+    "exact": ((), _exact),
+    "grad": (("rho",), lambda inst, **kw: (*rho_grad(inst, **kw), {})),
+    "grre": (("eta",), _grre),
+    "gagr": (("rho", "eta", "time_limit"), lambda inst, **kw: (*rho_gagr(inst, **kw), {})),
+    "arc-s1": (("rules",), lambda inst, rules: (*arc_s1(inst, *_rules("arc-s1", rules)), {})),
+    "arc-s2": (("rules",), lambda inst, rules: (*arc_s2(inst, *_rules("arc-s2", rules)), {})),
+}
+
+
 def _check_flags(algs, args) -> None:
     """Raises unless each of ``algs`` is known and can take --rules
     (``_rules``), and one of them takes each solver flag given; runs
@@ -96,44 +131,16 @@ def _check_flags(algs, args) -> None:
     for alg in algs:
         if alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {alg!r}")
-        _rules(alg, args)
-    taken_by = {"rho": ("grad", "gagr"), "eta": ("grre", "gagr"), "time_limit": ("gagr",),
-                "rules": ("arc-s1", "arc-s2")}
-    for dest, takers in taken_by.items():
+        _rules(alg, args.rules)
+    for dest in dict.fromkeys(f for flags, _ in ALGORITHMS.values() for f in flags):
+        takers = [alg for alg, (flags, _) in ALGORITHMS.items() if dest in flags]
         if getattr(args, dest) is not None and not set(takers) & set(algs):
             raise ValueError(f"--{dest.replace('_', '-')} applies only to {' and '.join(takers)}")
 
 
 def _run_algorithm(inst: Instance, alg: str, args):
-    """Returns (design, trace, extra); trace.tset is the trip set that
-    produced the design and extra documents bounds."""
-    if alg == "dfd":
-        tset = [t.id for t in inst.trips]
-        sol = solve_dfd(inst, tset)
-        trace = HeuristicTrace()
-        trace.add(0, 1, len(tset), sol.design, sol.objective, 0, 0.0)
-        return sol.design, trace.finish(sol.design, tset), {"bounds": sol.bounds}
-    if alg == "exact":
-        res = exact_tiny(inst)
-        trace = HeuristicTrace()
-        trace.add(0, 1, len(res.tset), res.design, res.evaluation.objective,
-                  len(res.evaluation.adopters), 0.0)
-        return (res.design, trace.finish(res.design, res.tset),
-                {"resolve_matches": res.resolve_matches})
-    if alg == "grad":
-        design, trace = rho_grad(inst, rho=args.rho)
-    elif alg == "grre":
-        design, trace = eta_grre(inst, eta=args.eta)
-        return design, trace, {"truncated": trace.truncated}
-    elif alg == "gagr":
-        design, trace = rho_gagr(inst, rho=args.rho, eta=args.eta, time_limit=args.time_limit)
-    elif alg == "arc-s1":
-        design, trace = arc_s1(inst, *_rules(alg, args))
-    elif alg == "arc-s2":
-        design, trace = arc_s2(inst, *_rules(alg, args))
-    else:
-        raise ValueError(f"unknown algorithm {alg!r}")
-    return design, trace, {}
+    flags, run = ALGORITHMS[alg]
+    return run(inst, **{dest: getattr(args, dest) for dest in flags})
 
 
 def cmd_solve(args) -> int:

@@ -39,8 +39,8 @@ PER_TIME = "per_time"
 
 # CostParams fields that must be finite numbers.
 _RATES = ("theta", "omega", "bus_rate", "buses_per_leg", "ticket")
-# Trip fields stored as int.
-_TRIP_INTS = ("id", "origin", "destination", "riders")
+# Trip ids and riders lie in [-_INT64, _INT64), the int64 arrays routing builds.
+_INT64 = 2**63
 
 
 class ValidationError(ValueError):
@@ -130,17 +130,6 @@ class Trip:
         return d
 
 
-def _plain_trip(t: Trip) -> Trip:
-    """t with int id, stops and riders and, on a latent trip, ``_plain``
-    alpha and t_cur; t itself when they are so already."""
-    plain = {key: int(getattr(t, key)) for key in _TRIP_INTS}
-    if t.is_latent:
-        plain.update(alpha=_plain(t.alpha), t_cur=_plain(t.t_cur))
-    if all(type(v) is type(getattr(t, key)) for key, v in plain.items()):
-        return t
-    return dataclasses.replace(t, **plain)
-
-
 @dataclass(frozen=True)
 class CostParams:
     """Cost model knobs shared by every solver component.
@@ -183,9 +172,9 @@ class WeightTable:
 
 
 def _float_matrix(rows, n: int, where: str, name: str) -> np.ndarray:
-    """``rows`` as an n x n float array whose entries were all numbers.
-    The array cannot tell: it reads "0.5" and true as numbers and null as
-    NaN. So an ndarray is judged by its dtype, and a list of rows by the
+    """``rows`` as a new read-only n x n float array whose entries were all
+    numbers. The array cannot tell: it reads "0.5" and true as numbers and
+    null as NaN. So an ndarray is judged by its dtype, and a list of rows by the
     set of entry types of each row (``_real``)."""
     try:
         m = np.array(rows, dtype=float, copy=True)
@@ -199,6 +188,7 @@ def _float_matrix(rows, n: int, where: str, name: str) -> np.ndarray:
     elif not all(map(_real, set().union(*(map(type, row) for row in rows)))):
         bad = next(x for row in rows for x in row if not _real(type(x)))
         raise _bad(where, name, "a matrix of numbers", bad)
+    m.setflags(write=False)
     return m
 
 
@@ -210,15 +200,99 @@ def _as_matrix(rows, n: int, name: str) -> np.ndarray:
         raise ValidationError(f"{name} has negative entries")
     if np.any(np.diag(m) != 0):
         raise ValidationError(f"{name} diagonal must be zero")
-    m.setflags(write=False)
     return m
+
+
+def _read_params(p: CostParams, n_hubs: int) -> CostParams:
+    """p checked and in its stored form: float rates, a ``_plain`` scalar
+    wait or a read-only float wait matrix, an int candidate k and fixed
+    arcs as int pairs."""
+    for key in _RATES:
+        if not _finite(getattr(p, key)):
+            raise _bad("params", key, "a finite number", getattr(p, key))
+    for key in ("shuttle_between_hubs", "fixed_arc_costed"):
+        if not isinstance(getattr(p, key), bool):
+            raise _bad("params", key, "true or false", getattr(p, key))
+    if not 0.0 <= p.theta <= 1.0:
+        raise ValidationError("theta out of range [0, 1]")
+    if p.omega < 0 or p.ticket < 0 or p.buses_per_leg < 0 or p.bus_rate < 0:
+        raise ValidationError("monetary rates must be non-negative")
+    if p.bus_cost_mode not in (PER_DISTANCE, PER_TIME):
+        raise ValidationError(f"unknown bus_cost_mode {p.bus_cost_mode!r}")
+    if np.isscalar(p.wait):
+        if not _finite(p.wait) or p.wait < 0:
+            raise ValidationError("wait must be finite and non-negative")
+        wait = _plain(p.wait)
+    else:
+        wait = _float_matrix(p.wait, n_hubs, "params", "wait")
+        if np.any(wait < 0) or not np.all(np.isfinite(wait)):
+            raise ValidationError("wait entries must be finite and non-negative")
+    if p.candidate != "all":
+        if not _integral(p.candidate) or p.candidate < 1:
+            raise ValidationError("candidate must be 'all' or a positive integer k")
+    if not isinstance(p.fixed_arcs, (list, tuple)):
+        raise _bad("params", "fixed_arcs", "a list of [h, l] hub pairs", p.fixed_arcs)
+    for a in p.fixed_arcs:
+        if not isinstance(a, (list, tuple)) or not all(map(_integral, a)):
+            raise _bad("params", "fixed_arcs", "a list of integers", a)
+    if any(len(a) != 2 for a in p.fixed_arcs):
+        raise ValidationError("params: bad 'fixed_arcs': expected [h, l] hub pairs")
+    return dataclasses.replace(
+        p, **{key: float(getattr(p, key)) for key in _RATES}, wait=wait,
+        candidate=p.candidate if p.candidate == "all" else int(p.candidate),
+        fixed_arcs=tuple((int(h), int(l)) for h, l in p.fixed_arcs),
+    )
+
+
+def _read_trips(trips, known: set) -> tuple[Trip, ...]:
+    """The trips checked, each with int id, stops and riders and, when
+    latent, ``_plain`` alpha and t_cur; a trip already so is kept as is."""
+    out, seen = [], set()
+    for k, t in enumerate(trips):
+        for key in ("id", "origin", "destination"):
+            if not _integral(getattr(t, key)):
+                raise _bad(f"trip entry {k}", key, "an integer", getattr(t, key))
+        if not -_INT64 <= t.id < _INT64:
+            raise _bad(f"trip entry {k}", "id", "an integer within int64", t.id)
+        if t.id in seen:
+            raise ValidationError(f"duplicate trip id {t.id}")
+        seen.add(t.id)
+        if t.origin not in known:
+            raise ValidationError(f"trip {t.id}: unknown stop {t.origin}")
+        if t.destination not in known:
+            raise ValidationError(f"trip {t.id}: unknown stop {t.destination}")
+        if t.origin == t.destination:
+            raise ValidationError(f"trip {t.id}: origin equals destination")
+        if not _integral(t.riders) or t.riders < 1:
+            raise ValidationError(f"trip {t.id}: riders must be a positive integer")
+        if t.riders >= _INT64:
+            raise _bad(f"trip entry {k}", "riders", "an integer within int64", t.riders)
+        alpha, t_cur = t.alpha, t.t_cur
+        if t.kind == CORE:
+            if alpha is not None or t_cur is not None:
+                raise ValidationError(f"trip {t.id}: core trips carry no alpha/t_cur")
+        elif t.kind == LATENT:
+            if not _finite(alpha) or alpha < 1.0:
+                raise ValidationError(f"trip {t.id}: latent trip needs a finite alpha >= 1")
+            if not _finite(t_cur) or t_cur <= 0:
+                raise ValidationError(f"trip {t.id}: latent trip needs a finite t_cur > 0")
+            alpha, t_cur = _plain(alpha), _plain(t_cur)
+        else:
+            raise ValidationError(f"trip {t.id}: unknown kind {t.kind!r}")
+        if {type(t.id), type(t.origin), type(t.destination), type(t.riders)} != {int} or (
+                alpha is not t.alpha or t_cur is not t.t_cur):
+            t = dataclasses.replace(t, id=int(t.id), origin=int(t.origin),
+                                    destination=int(t.destination), riders=int(t.riders),
+                                    alpha=alpha, t_cur=t_cur)
+        out.append(t)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class Instance:
     """Immutable problem instance. Build via ``from_dict``/``load_instance``,
-    the synthetic generator or directly: ``__post_init__`` runs every
-    value rule on all three paths and raises ``ValidationError``.
+    the synthetic generator or directly: on all three paths ``__post_init__``
+    stores each section as its reader checks and returns it.
     """
 
     stops: tuple[int, ...]
@@ -235,106 +309,26 @@ class Instance:
                 raise _bad("instance", key, "a list of integers", ids)
         object.__setattr__(self, "stops", tuple(int(s) for s in self.stops))
         object.__setattr__(self, "hubs", tuple(sorted(int(h) for h in self.hubs)))
-        object.__setattr__(self, "trips", tuple(self.trips))
-        n = len(self.stops)
-        if len(set(self.stops)) != n:
+        n, known = len(self.stops), set(self.stops)
+        if len(known) != n:
             raise ValidationError("duplicate stop ids")
         if len(set(self.hubs)) != len(self.hubs):
             raise ValidationError("duplicate hub ids")
-        if not set(self.hubs) <= set(self.stops):
+        if not set(self.hubs) <= known:
             raise ValidationError("hubs must be a subset of stops")
         if not self.hubs:
             raise ValidationError("at least one hub is required")
         object.__setattr__(self, "time", _as_matrix(self.time, n, "time"))
         object.__setattr__(self, "dist", _as_matrix(self.dist, n, "dist"))
-        self._validate_params()
-        self._validate_trips()
-        self._validate_fixed_arcs()
-        # one form whatever the entry point: int trip fields, float rates,
-        # a float wait matrix, Python numbers for alpha, t_cur and a
-        # scalar wait (see _plain), an int candidate k, fixed arcs as
-        # tuple pairs
-        object.__setattr__(self, "trips", tuple(map(_plain_trip, self.trips)))
-        p = self.params
-        object.__setattr__(self, "params", dataclasses.replace(
-            p, **{key: float(getattr(p, key)) for key in _RATES},
-            wait=_plain(p.wait) if np.isscalar(p.wait) else np.asarray(p.wait, dtype=float),
-            candidate=p.candidate if p.candidate == "all" else int(p.candidate),
-            fixed_arcs=tuple(tuple(a) for a in p.fixed_arcs),
-        ))
-
-    # -- validation ----------------------------------------------------
-
-    def _validate_params(self):
-        p = self.params
-        for key in _RATES:
-            if not _finite(getattr(p, key)):
-                raise _bad("params", key, "a finite number", getattr(p, key))
-        for key in ("shuttle_between_hubs", "fixed_arc_costed"):
-            if not isinstance(getattr(p, key), bool):
-                raise _bad("params", key, "true or false", getattr(p, key))
-        if not 0.0 <= p.theta <= 1.0:
-            raise ValidationError("theta out of range [0, 1]")
-        if p.omega < 0 or p.ticket < 0 or p.buses_per_leg < 0 or p.bus_rate < 0:
-            raise ValidationError("monetary rates must be non-negative")
-        if p.bus_cost_mode not in (PER_DISTANCE, PER_TIME):
-            raise ValidationError(f"unknown bus_cost_mode {p.bus_cost_mode!r}")
-        if np.isscalar(p.wait):
-            if not _finite(p.wait) or p.wait < 0:
-                raise ValidationError("wait must be finite and non-negative")
-        else:
-            wait = _float_matrix(p.wait, len(self.hubs), "params", "wait")
-            if np.any(wait < 0) or not np.all(np.isfinite(wait)):
-                raise ValidationError("wait entries must be finite and non-negative")
-        if p.candidate != "all":
-            if not _integral(p.candidate) or p.candidate < 1:
-                raise ValidationError("candidate must be 'all' or a positive integer k")
-        if not isinstance(p.fixed_arcs, (list, tuple)):
-            raise _bad("params", "fixed_arcs", "a list of [h, l] hub pairs", p.fixed_arcs)
-        for a in p.fixed_arcs:
-            if not isinstance(a, (list, tuple)) or not all(map(_integral, a)):
-                raise _bad("params", "fixed_arcs", "a list of integers", a)
-        if any(len(a) != 2 for a in p.fixed_arcs):
-            raise ValidationError("params: bad 'fixed_arcs': expected [h, l] hub pairs")
-
-    def _validate_trips(self):
-        known = set(self.stops)
-        seen = set()
-        for k, t in enumerate(self.trips):
-            for key in ("id", "origin", "destination"):
-                if not _integral(getattr(t, key)):
-                    raise _bad(f"trip entry {k}", key, "an integer", getattr(t, key))
-            if t.id in seen:
-                raise ValidationError(f"duplicate trip id {t.id}")
-            seen.add(t.id)
-            if t.origin not in known:
-                raise ValidationError(f"trip {t.id}: unknown stop {t.origin}")
-            if t.destination not in known:
-                raise ValidationError(f"trip {t.id}: unknown stop {t.destination}")
-            if t.origin == t.destination:
-                raise ValidationError(f"trip {t.id}: origin equals destination")
-            if not _integral(t.riders) or t.riders < 1:
-                raise ValidationError(f"trip {t.id}: riders must be a positive integer")
-            if t.kind == CORE:
-                if t.alpha is not None or t.t_cur is not None:
-                    raise ValidationError(f"trip {t.id}: core trips carry no alpha/t_cur")
-            elif t.kind == LATENT:
-                if not _finite(t.alpha) or t.alpha < 1.0:
-                    raise ValidationError(f"trip {t.id}: latent trip needs a finite alpha >= 1")
-                if not _finite(t.t_cur) or t.t_cur <= 0:
-                    raise ValidationError(f"trip {t.id}: latent trip needs a finite t_cur > 0")
-            else:
-                raise ValidationError(f"trip {t.id}: unknown kind {t.kind!r}")
-
-    def _validate_fixed_arcs(self):
+        object.__setattr__(self, "params", _read_params(self.params, len(self.hubs)))
+        object.__setattr__(self, "trips", _read_trips(self.trips, known))
         cand, seen = set(self.candidate_arcs), set()
         for a in self.params.fixed_arcs:
-            pair = tuple(a)
-            if pair in seen:
-                raise ValidationError(f"duplicate fixed arc {pair}")
-            if pair not in cand:
+            if a in seen:
+                raise ValidationError(f"duplicate fixed arc {a}")
+            if a not in cand:
                 raise ValidationError(f"fixed arc {a} outside the candidate set")
-            seen.add(pair)
+            seen.add(a)
         if any(self.hub_degree(self.params.fixed_arcs)):
             raise ValidationError("fixed arcs are not weakly connected")
 
@@ -394,7 +388,6 @@ class Instance:
         if self.params.candidate == "all":
             arcs = [(h, l) for h in self.hubs for l in self.hubs if h != l]
         else:
-            k = int(self.params.candidate)
             idx = self.stop_index
             arcs = set()
             for h in self.hubs:
@@ -402,7 +395,7 @@ class Instance:
                     (l for l in self.hubs if l != h),
                     key=lambda l: (self.time[idx[h], idx[l]], l),
                 )
-                for l in others[:k]:
+                for l in others[:self.params.candidate]:
                     arcs.add((h, l))
                     arcs.add((l, h))
         return tuple(sorted(arcs))
@@ -434,14 +427,12 @@ class Instance:
 
     @cached_property
     def wait_matrix(self) -> np.ndarray:
-        """Bus waiting minutes over hub pairs (scalar broadcast if needed)."""
-        nh = len(self.hubs)
-        w = self.params.wait
-        if np.isscalar(w):
-            w = np.full((nh, nh), float(w))
-            np.fill_diagonal(w, 0.0)
-        else:
-            w = np.array(w, dtype=float, copy=True)
+        """Bus waiting minutes over hub pairs: the stored matrix, or a scalar
+        wait broadcast off the diagonal; read-only."""
+        if isinstance(self.params.wait, np.ndarray):
+            return self.params.wait
+        w = np.full((len(self.hubs),) * 2, float(self.params.wait))
+        np.fill_diagonal(w, 0.0)
         w.setflags(write=False)
         return w
 

@@ -48,12 +48,11 @@ class HeuristicTrace:
 TRACE_COLUMNS = ["k", "stage", "tset_size", "open_arcs", "objective", "adopters", "wall_time"]
 
 
-def write_trace_csv(path, trace: HeuristicTrace, header_note: str = "") -> None:
-    """The wall_time column is inherently run-dependent; every other
-    column is deterministic for a fixed seed."""
+def write_trace_csv(path, trace: HeuristicTrace, header_note: str) -> None:
+    """A ``# header_note`` line, then the records: wall_time is inherently
+    run-dependent, every other column deterministic for a fixed seed."""
     with open(path, "w", newline="") as fh:
-        if header_note:
-            fh.write(f"# {header_note}\n")
+        fh.write(f"# {header_note}\n")
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for r in trace.records:

@@ -164,6 +164,19 @@ class TestSolve:
         assert capsys.readouterr().err == (
             "error: instance: bad 'time': expected a matrix of numbers, got '0.5'\n")
 
+    @pytest.mark.parametrize("key, value", [("id", 2**63), ("riders", 10**400)],
+                             ids=["id", "riders"])
+    def test_trip_beyond_int64_exits_one(self, tmp_path, instance_file, capsys, key, value):
+        doc = json.loads(instance_file.read_text())
+        doc["trips"][0][key] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--instance", str(path), "--alg", "dfd",
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(
+            f"error: trip entry 0: bad {key!r}: expected an integer within int64, got {value}")
+
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_instance_without_trips(self, tmp_path, capsys, alg):
         path = tmp_path / "empty.json"

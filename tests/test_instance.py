@@ -164,6 +164,12 @@ class TestLoadInstance:
             (("params", "wait"), 10**400, "^wait must be finite and non-negative$"),
             (("trips", 1, "alpha"), 10**400, "latent trip needs a finite alpha"),
             (("trips", 1, "t_cur"), 10**400, "latent trip needs a finite t_cur"),
+            # a trip id or riders outside the int64 arrays that routing builds
+            (("trips", 0, "id"), 2**63, "^trip entry 0: bad 'id': expected an integer within int64"),
+            (("trips", 1, "id"), -2**63 - 1, "^trip entry 1: bad 'id': expected an integer within"),
+            (("trips", 0, "riders"), 10**400,
+             "^trip entry 0: bad 'riders': expected an integer within int64, got 1000"),
+            (("trips", 1, "riders"), 2**63, "^trip entry 1: bad 'riders': expected an integer within"),
         ],
         ids=["alpha_nan", "alpha_inf", "alpha_str", "t_cur_nan", "t_cur_inf",
              "wait_nan", "wait_inf", "riders_fraction", "riders_bool",
@@ -175,7 +181,8 @@ class TestLoadInstance:
              "fixed_arcs_twice_unbalanced", "time_entry_str", "time_entry_bool",
              "dist_entry_str", "wait_entries_str_and_bool", "wait_entry_bool",
              "time_entry_null", "time_entry_huge", "omega_huge", "wait_huge", "alpha_huge",
-             "t_cur_huge"],
+             "t_cur_huge", "id_beyond_int64", "id_below_int64", "riders_huge",
+             "riders_beyond_int64"],
     )
     def test_malformed_document_rejected(self, tmp_path, path, value, match):
         f = tmp_path / "bad.json"
@@ -321,6 +328,27 @@ class TestDirectConstruction:
         got = inst.params if part == "params" else inst.trips[0]
         assert type(getattr(got, key)) is int
         assert inst.to_json() == Instance(**plain).to_json()
+
+    def test_numpy_fixed_arcs_stored_as_int_pairs(self, tmp_path):
+        parts = small_parts()
+        arcs = np.array([[1, 2], [2, 1]], dtype=np.int64)
+        parts["params"] = dataclasses.replace(parts["params"], fixed_arcs=tuple(map(tuple, arcs)))
+        inst = Instance(**parts)
+        assert inst.params.fixed_arcs == ((1, 2), (2, 1))
+        assert {type(h) for a in inst.params.fixed_arcs for h in a} == {int}
+        save_instance(inst, tmp_path / "a.json")
+        assert load_instance(tmp_path / "a.json").to_dict() == inst.to_dict()
+
+    def test_wait_array_copied_read_only(self):
+        parts = small_parts()
+        wait = np.array([[0.0, 7.5], [6.0, 0.0]])
+        parts["params"] = dataclasses.replace(parts["params"], wait=wait)
+        inst = Instance(**parts)
+        wait[0, 1] = 1000.0
+        assert inst.params.wait[0, 1] == 7.5 and inst.wait_matrix[0, 1] == 7.5
+        assert inst.wait_matrix is inst.params.wait and not inst.params.wait.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            inst.params.wait[0, 1] = 1000.0
 
     @pytest.mark.parametrize("part, key, value", [
         ("trip", "alpha", np.float32(1.5)), ("trip", "t_cur", np.float32(12.0)),
