@@ -34,6 +34,16 @@ RULES = ("a", "b", "c", "d")
 CYCLE_CAP = 100_000
 
 
+def check_rules(rules) -> None:
+    """Raises ``ValueError`` unless ``rules``, one run's rules in stage order,
+    are all in ``RULES`` and a two-stage run's first is not (a)."""
+    unknown = [r for r in rules if r not in RULES]
+    if unknown:
+        raise ValueError(f"unknown expansion rule {unknown[0]!r}")
+    if len(rules) == 2 and rules[0] == "a":
+        raise ValueError("stage-1 rule must be one of b, c, d")
+
+
 def find_cycles(arcs) -> list:
     """All elementary directed cycles of an arc set, each once, as the
     tuple of its hubs (h1, ..., hn), which opens the arcs (h1, h2), ...,
@@ -83,8 +93,7 @@ def expand(rule: str, design: Design) -> set:
     """Ids of the latent trips the given rule admits under ``design``.
     Adoption and rule b read the design's ``trip_arrays``; rules c and d
     route the adopters, whose legs they read."""
-    if rule not in RULES:
-        raise ValueError(f"unknown expansion rule {rule!r}")
+    check_rules([rule])
     inst = design.instance
     adopt = _scored(design).adopt
     if rule == "b":
@@ -137,8 +146,7 @@ def _arc_stage(inst, rule, z, tbar, bound, k, trace, stage, model, expanded=Fals
 
 def arc_s1(inst: Instance, rule: str = "a"):
     """Single-stage arc-based greedy. Returns (design, trace)."""
-    if rule not in RULES:
-        raise ValueError(f"unknown expansion rule {rule!r}")
+    check_rules([rule])
     trace = HeuristicTrace()
     z, tbar, _, _ = _arc_stage(inst, rule, Design.minimal(inst), inst.core_ids, float("inf"), 0,
                                trace, 1, FlowModel(inst))
@@ -149,10 +157,7 @@ def arc_s2(inst: Instance, rule_stage1: str = "d", rule_stage2: str = "a"):
     """Two-stage extension: a conservative expansion rule to convergence,
     then a faster one continuing from the resulting fixed design and
     trip set. Stage one must not be rule (a), which subsumes the rest."""
-    if rule_stage1 not in ("b", "c", "d"):
-        raise ValueError("stage-1 rule must be one of b, c, d")
-    if rule_stage2 not in RULES:
-        raise ValueError(f"unknown expansion rule {rule_stage2!r}")
+    check_rules([rule_stage1, rule_stage2])
     trace = HeuristicTrace()
     model = FlowModel(inst)
     z, tbar, bound, k = _arc_stage(inst, rule_stage1, Design.minimal(inst), inst.core_ids,

@@ -27,12 +27,12 @@ from . import __version__
 from .adoption import eval_design, exact_tiny
 from .dfd import CapExceeded, SolveError, solve_dfd
 from .generator import GeneratorConfig, TripClass, generate_synthetic
-from .instance import (Instance, InstanceParseError, ValidationError, _integral, load_instance,
-                       read_json, save_instance)
+from .instance import (Instance, InstanceParseError, ValidationError, _integral, hub_pairs,
+                       load_instance, read_json, save_instance)
 from .router import Design
 from .trace import HeuristicTrace, write_trace_csv
 from .trip_heuristics import eta_grre, rho_gagr, rho_grad
-from .arc_heuristics import RULES, arc_s1, arc_s2
+from .arc_heuristics import arc_s1, arc_s2, check_rules
 
 # The GeneratorConfig fields that ``generate`` takes as flags of the same name.
 GENERATE_FLAGS = ("stops", "hubs", "square_km", "speed_kmh", "theta", "omega", "bus_rate",
@@ -76,15 +76,13 @@ def cmd_generate(args) -> int:
 
 def _rules(alg: str, rules) -> list:
     """``alg``'s rules from the --rules value, [] for its defaults; a count
-    it cannot take or an unknown rule letter raises."""
+    it cannot take or rules ``check_rules`` refuses raise."""
     rules = rules.split(",") if rules else []
     if alg == "arc-s1" and len(rules) > 1:
         raise ValueError("arc-s1 needs exactly one rule in --rules")
     if alg == "arc-s2" and len(rules) not in (0, 2):
         raise ValueError("arc-s2 needs --rules stage1,stage2")
-    unknown = [r for r in rules if r not in RULES]
-    if alg in ("arc-s1", "arc-s2") and unknown:
-        raise ValueError(f"unknown expansion rule {unknown[0]!r}")
+    check_rules(rules)
     return rules
 
 
@@ -125,13 +123,14 @@ ALGORITHMS = {
 
 
 def _check_flags(algs, args) -> None:
-    """Raises unless each of ``algs`` is known and can take --rules
-    (``_rules``), and one of them takes each solver flag given; runs
-    before any instance loads."""
+    """Raises unless each of ``algs`` is known, each that takes --rules can
+    take its value (``_rules``), and one of them takes each solver flag
+    given; runs before any instance loads."""
     for alg in algs:
         if alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {alg!r}")
-        _rules(alg, args.rules)
+        if "rules" in ALGORITHMS[alg][0]:
+            _rules(alg, args.rules)
     for dest in dict.fromkeys(f for flags, _ in ALGORITHMS.values() for f in flags):
         takers = [alg for alg, (flags, _) in ALGORITHMS.items() if dest in flags]
         if getattr(args, dest) is not None and not set(takers) & set(algs):
@@ -161,23 +160,17 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _int_list(value) -> bool:
-    """A JSON list of integers (true/false excluded)."""
-    return isinstance(value, list) and all(map(_integral, value))
-
-
 def cmd_evaluate(args) -> int:
     inst = load_instance(args.instance)
     doc = read_json(args.design, "design")
     if not isinstance(doc, dict) or "open_arcs" not in doc:
         raise InstanceParseError(f"{args.design}: design file has no 'open_arcs' key")
-    arcs = doc["open_arcs"]
-    if not isinstance(arcs, list) or not all(_int_list(a) and len(a) == 2 for a in arcs):
+    if not isinstance(doc["open_arcs"], list):
         raise InstanceParseError(f"{args.design}: 'open_arcs' must be a list of [h, l] hub pairs")
+    pairs = hub_pairs(doc["open_arcs"], f"{args.design}: open_arcs entry")
     tset = doc.get("tset", [t.id for t in inst.trips])
-    if not _int_list(tset):
+    if not (isinstance(tset, list) and all(map(_integral, tset))):
         raise InstanceParseError(f"{args.design}: 'tset' must be a list of trip ids")
-    pairs = [tuple(a) for a in arcs]
     for items, what in ((pairs, "arc {} in open_arcs"), (tset, "trip id {} in tset")):
         twice = [x for x, n in Counter(items).items() if n > 1]
         if twice:

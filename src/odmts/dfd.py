@@ -40,7 +40,7 @@ import numpy as np
 
 from . import highs
 from .highs import SolveError
-from .instance import Instance, Trip, ValidationError
+from .instance import Instance, Trip, ValidationError, hub_pairs
 from .router import (Design, _arc_labels, _edges, _min_access_egress_km, _trip_costs, arcs_cost,
                      route, trip_arrays)
 
@@ -56,13 +56,8 @@ class CapExceeded(RuntimeError):
 
 
 def _fixed_arcs(inst: Instance, fixed) -> frozenset:
-    """The arcs ``fixed`` plus the instance backbone, as a set of pairs;
-    an arc outside the candidate set raises ``ValidationError``."""
-    fixed = frozenset(tuple(a) for a in fixed) | inst.fixed_arcs
-    outside = fixed - set(inst.candidate_arcs)
-    if outside:
-        raise ValidationError(f"fixed arc {min(outside, key=str)} outside the candidate set")
-    return fixed
+    """The arcs ``fixed``, read by ``hub_pairs``, plus the instance backbone."""
+    return frozenset(hub_pairs(fixed, "fixed arc", inst)) | inst.fixed_arcs
 
 
 @dataclass(frozen=True, eq=False)

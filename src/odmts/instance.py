@@ -39,7 +39,7 @@ PER_TIME = "per_time"
 
 # CostParams fields that must be finite numbers.
 _RATES = ("theta", "omega", "bus_rate", "buses_per_leg", "ticket")
-# Trip ids and riders lie in [-_INT64, _INT64), the int64 arrays routing builds.
+# Trip ids lie in [-_INT64, _INT64), the int64 arrays routing builds.
 _INT64 = 2**63
 
 
@@ -81,6 +81,23 @@ def _plain(x):
     """x as a Python number: an int or a float stays as it is, so a JSON
     integer keeps its bytes; any other number becomes a float."""
     return x if type(x) in (int, float) else float(x)
+
+
+def hub_pairs(arcs, label: str, inst: Instance | None = None) -> list:
+    """``arcs`` as (int, int) hub pairs, in their order. Each arc is a list
+    or tuple of two integer hub ids (bools are not) and, given ``inst``, one
+    of its candidate arcs; an error names the arc as ``label`` and its value."""
+    pairs = []
+    for a in arcs:
+        if not (type(a) is tuple and len(a) == 2 and type(a[0]) is type(a[1]) is int):
+            if not (isinstance(a, (list, tuple)) and len(a) == 2 and all(map(_integral, a))):
+                raise ValidationError(f"{label} {a!r} is not a pair of integer hub ids")
+            a = (int(a[0]), int(a[1]))
+        pairs.append(a)
+    if inst is not None and not _candidate_set(inst).issuperset(pairs):
+        outside = next(a for a in pairs if a not in _candidate_set(inst))
+        raise ValidationError(f"{label} {outside} outside the candidate set")
+    return pairs
 
 
 def memo(fn):
@@ -232,15 +249,10 @@ def _read_params(p: CostParams, n_hubs: int) -> CostParams:
             raise ValidationError("candidate must be 'all' or a positive integer k")
     if not isinstance(p.fixed_arcs, (list, tuple)):
         raise _bad("params", "fixed_arcs", "a list of [h, l] hub pairs", p.fixed_arcs)
-    for a in p.fixed_arcs:
-        if not isinstance(a, (list, tuple)) or not all(map(_integral, a)):
-            raise _bad("params", "fixed_arcs", "a list of integers", a)
-    if any(len(a) != 2 for a in p.fixed_arcs):
-        raise ValidationError("params: bad 'fixed_arcs': expected [h, l] hub pairs")
     return dataclasses.replace(
         p, **{key: float(getattr(p, key)) for key in _RATES}, wait=wait,
         candidate=p.candidate if p.candidate == "all" else int(p.candidate),
-        fixed_arcs=tuple((int(h), int(l)) for h, l in p.fixed_arcs),
+        fixed_arcs=tuple(hub_pairs(p.fixed_arcs, "fixed arc")),
     )
 
 
@@ -265,8 +277,8 @@ def _read_trips(trips, known: set) -> tuple[Trip, ...]:
             raise ValidationError(f"trip {t.id}: origin equals destination")
         if not _integral(t.riders) or t.riders < 1:
             raise ValidationError(f"trip {t.id}: riders must be a positive integer")
-        if t.riders >= _INT64:
-            raise _bad(f"trip entry {k}", "riders", "an integer within int64", t.riders)
+        if t.riders > 2**53:  # scoring and the LP weigh riders as floats, exact up to 2**53
+            raise _bad(f"trip entry {k}", "riders", "an integer within [1, 2**53]", t.riders)
         alpha, t_cur = t.alpha, t.t_cur
         if t.kind == CORE:
             if alpha is not None or t_cur is not None:
@@ -322,13 +334,11 @@ class Instance:
         object.__setattr__(self, "dist", _as_matrix(self.dist, n, "dist"))
         object.__setattr__(self, "params", _read_params(self.params, len(self.hubs)))
         object.__setattr__(self, "trips", _read_trips(self.trips, known))
-        cand, seen = set(self.candidate_arcs), set()
-        for a in self.params.fixed_arcs:
-            if a in seen:
-                raise ValidationError(f"duplicate fixed arc {a}")
-            if a not in cand:
-                raise ValidationError(f"fixed arc {a} outside the candidate set")
-            seen.add(a)
+        fixed = self.params.fixed_arcs
+        if len(set(fixed)) < len(fixed):
+            twice = next(a for i, a in enumerate(fixed) if a in fixed[:i])
+            raise ValidationError(f"duplicate fixed arc {twice}")
+        hub_pairs(fixed, "fixed arc", self)
         if any(self.hub_degree(self.params.fixed_arcs)):
             raise ValidationError("fixed arcs are not weakly connected")
 
@@ -503,6 +513,11 @@ def _read(kind, doc: dict, where: str):
     return kind(**args)
 
 
+@memo
+def _candidate_set(inst: Instance) -> frozenset:
+    return frozenset(inst.candidate_arcs)
+
+
 def _satisfies_triangle(m: np.ndarray) -> bool:
     """No m[i, j] exceeds m[i, k] + m[k, j] + 1e-9; m has a zero diagonal and
     no negative entry, so no pair (i, i) fails. A symmetric m is checked
@@ -521,13 +536,14 @@ def _satisfies_triangle(m: np.ndarray) -> bool:
 
 def read_json(path: str | Path, what: str):
     """The JSON document in the file at ``path``. A file that cannot be
-    read, is not UTF-8 text or is not JSON raises ``InstanceParseError``
-    naming it, ``what`` saying which kind of file it is."""
+    read, is not UTF-8 text or is not JSON that Python reads (an integer
+    of more than 4300 digits is not) raises ``InstanceParseError`` naming
+    it, ``what`` saying which kind of file it is."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise InstanceParseError(f"cannot read {path}: {e}") from e
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError among them
         raise InstanceParseError(f"malformed {what} file {path}: {e}") from e
 
 

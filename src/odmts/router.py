@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instance import Instance, Trip, ValidationError, WeightTable, _integral, derive_weights, memo
+from .instance import Instance, Trip, ValidationError, WeightTable, derive_weights, hub_pairs, memo
 
 BUS = "bus"
 SHUTTLE = "shuttle"
@@ -101,10 +101,10 @@ def _relays(inst: Instance) -> np.ndarray:
 class Design:
     """A weakly connected set of open bus arcs over the candidate set.
 
-    Open arcs always include the instance's fixed backbone; hub ids must
-    be integers, not bools, and are kept as ``int``. Designs are
-    immutable; each keeps its hub-path table and its ``trip_arrays``
-    (see ``memo``), built on first use.
+    Open arcs always include the instance's fixed backbone; each arc is
+    read by ``instance.hub_pairs`` and kept as an ``(int, int)`` pair.
+    Designs are immutable; each keeps its hub-path table and its
+    ``trip_arrays`` (see ``memo``), built on first use.
     """
 
     instance: Instance
@@ -112,18 +112,8 @@ class Design:
 
     def __post_init__(self):
         inst = self.instance
-        arcs = [tuple(a) for a in self.open_arcs]
-        if any(type(h) is not int for a in arcs for h in a):
-            bad = [a for a in arcs if not all(map(_integral, a))]
-            if bad:
-                raise ValidationError(f"arc {bad[0]!r}: hub ids must be integers")
-            arcs = [(int(h), int(l)) for h, l in arcs]
         # built in the input's order, which fixes the set's iteration order
-        object.__setattr__(self, "open_arcs", frozenset(arcs))
-        cand = set(inst.candidate_arcs)
-        for h, l in self.open_arcs:
-            if (h, l) not in cand:
-                raise ValidationError(f"arc ({h},{l}) outside the candidate set")
+        object.__setattr__(self, "open_arcs", frozenset(hub_pairs(self.open_arcs, "arc", inst)))
         if not inst.fixed_arcs <= self.open_arcs:
             raise ValidationError("design must contain all fixed arcs")
         if any(inst.hub_degree(self.open_arcs)):

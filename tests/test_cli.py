@@ -22,6 +22,8 @@ TAKERS = {"--rho": ("grad", "gagr"), "--eta": ("grre", "gagr"), "--time-limit": 
 VALUES = {"--rho": "3", "--eta": "2", "--time-limit": "5", "--rules": "a"}
 IGNORED = [(alg, flag) for flag, takers in TAKERS.items() for alg in ALGORITHMS
            if alg not in takers]
+# JSON whose integer has more digits than Python converts (4300 by default).
+LONG_INTEGER = b'{"trips": [{"riders": ' + b"9" * 5001 + b"}]}"
 
 
 @pytest.fixture
@@ -164,9 +166,12 @@ class TestSolve:
         assert capsys.readouterr().err == (
             "error: instance: bad 'time': expected a matrix of numbers, got '0.5'\n")
 
-    @pytest.mark.parametrize("key, value", [("id", 2**63), ("riders", 10**400)],
-                             ids=["id", "riders"])
-    def test_trip_beyond_int64_exits_one(self, tmp_path, instance_file, capsys, key, value):
+    @pytest.mark.parametrize("key, value, expected", [
+        ("id", 2**63, "an integer within int64"),
+        ("riders", 10**400, "an integer within [1, 2**53]"),
+    ], ids=["id", "riders"])
+    def test_trip_beyond_int64_exits_one(self, tmp_path, instance_file, capsys, key, value,
+                                         expected):
         doc = json.loads(instance_file.read_text())
         doc["trips"][0][key] = value
         path = tmp_path / "huge.json"
@@ -175,7 +180,22 @@ class TestSolve:
                      "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(
-            f"error: trip entry 0: bad {key!r}: expected an integer within int64, got {value}")
+            f"error: trip entry 0: bad {key!r}: expected {expected}, got {value}")
+
+    @pytest.mark.parametrize("riders, rc", [(2**53, 0), (2**53 + 1, 1), (2**62, 1)],
+                             ids=["2**53", "2**53+1", "2**62"])
+    def test_riders_up_to_2_53(self, tmp_path, instance_file, capsys, riders, rc):
+        # scoring and the flow LP weigh riders as floats, which hold every
+        # count up to 2**53 exactly; two trips of 2**62 riders made HiGHS fail
+        doc = json.loads(instance_file.read_text())
+        doc["trips"][0]["riders"] = doc["trips"][1]["riders"] = riders
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--instance", str(path), "--alg", "dfd",
+                     "--out", str(tmp_path / "run")]) == rc
+        err = capsys.readouterr().err
+        assert err == ("" if rc == 0 else "error: trip entry 0: bad 'riders': expected an "
+                       f"integer within [1, 2**53], got {riders}\n")
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_instance_without_trips(self, tmp_path, capsys, alg):
@@ -202,6 +222,15 @@ class TestSolve:
         assert rc == 1
         assert capsys.readouterr().err == "error: arc-s1 needs exactly one rule in --rules\n"
         assert not (out / "design.json").exists()
+
+    def test_stage_one_rule_a_exits_before_load(self, tmp_path, capsys):
+        # the instance file does not exist: the rule fails before it loads
+        out = tmp_path / "run"
+        rc = main(["solve", "--instance", str(tmp_path / "missing.json"), "--alg", "arc-s2",
+                   "--rules", "a,a", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: stage-1 rule must be one of b, c, d\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("rules", ["a", "d,a,b"])
     def test_arc_s2_takes_two_rules(self, tmp_path, instance_file, capsys, rules):
@@ -248,7 +277,8 @@ class TestSolve:
         rc = main(["solve", "--instance", str(tmp_path / "nope.json"), "--alg", "grad"])
         assert rc == 1
 
-    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{not json"], ids=["not_utf8", "not_json"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{not json", LONG_INTEGER],
+                             ids=["not_utf8", "not_json", "integer_too_long"])
     def test_unreadable_instance_named(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
@@ -337,7 +367,8 @@ class TestEvaluate:
         what = f"arc {tuple(first)}" if key == "open_arcs" else f"trip id {first}"
         assert capsys.readouterr().err == f"error: {bad}: duplicate {what} in {key}\n"
 
-    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"], ids=["not_json", "not_utf8"])
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}", LONG_INTEGER],
+                             ids=["not_json", "not_utf8", "integer_too_long"])
     def test_unreadable_design_named(self, tmp_path, instance_file, capsys, content):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
@@ -396,6 +427,15 @@ class TestCompare:
                    "--rules", rules, "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algs", ["arc-s2", "grad,arc-s2"])
+    def test_stage_one_rule_a_exits_before_load(self, tmp_path, capsys, algs):
+        out = tmp_path / "x.csv"
+        rc = main(["compare", "--instances", str(tmp_path / "missing.json"), "--algs", algs,
+                   "--rules", "a,a", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: stage-1 rule must be one of b, c, d\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("algs, flag", [

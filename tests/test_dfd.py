@@ -548,19 +548,31 @@ class TestSolveDfd:
         assert fast.design.key() == slow.design.key() == ((1, 2), (2, 1))
         assert fast.objective == slow.objective == pytest.approx(17.75)
 
-    @pytest.mark.parametrize("entry", [
-        lambda inst, fixed: list(balanced_designs(inst, fixed=fixed)),
-        lambda inst, fixed: enumerate_dfd(inst, [0], fixed=fixed),
-        lambda inst, fixed: solve_dfd(inst, [0], fixed=fixed),
-        lambda inst, fixed: solve_master(inst, make_cut(inst.trips[:1], inst), fixed=fixed),
-    ], ids=["balanced_designs", "enumerate_dfd", "solve_dfd", "solve_master"])
-    def test_fixed_arc_outside_candidates_rejected(self, example_instance, entry, monkeypatch):
+    @pytest.mark.parametrize("entry, fixed, match", [
+        pytest.param(entry, fixed, match, id=name + suffix)
+        for name, entry in [
+            ("balanced_designs", lambda inst, fixed: list(balanced_designs(inst, fixed=fixed))),
+            ("enumerate_dfd", lambda inst, fixed: enumerate_dfd(inst, [0], fixed=fixed)),
+            ("solve_dfd", lambda inst, fixed: solve_dfd(inst, [0], fixed=fixed)),
+            ("solve_master", lambda inst, fixed: solve_master(
+                inst, make_cut(inst.trips[:1], inst), fixed=fixed)),
+        ]
+        for suffix, fixed, match in [
+            ("", [(99, 1), (1, 2)], r"^fixed arc \(99, 1\) outside the candidate set$"),
+            # 1.0 and True equal hub 1, so the candidate set alone would take them
+            ("-float", [(1.0, 2.0), (2, 1)],
+             r"^fixed arc \(1\.0, 2\.0\) is not a pair of integer hub ids$"),
+            ("-bool", [(2, 1), (True, 2)], r"^fixed arc \(True, 2\) is not a pair of integer hub ids$"),
+        ]
+    ])
+    def test_fixed_arc_outside_candidates_rejected(self, example_instance, entry, fixed, match,
+                                                   monkeypatch):
         def solved(*args):
             raise AssertionError("an LP was solved")
 
         monkeypatch.setattr(highs, "branch", solved)
-        with pytest.raises(ValidationError, match=r"^fixed arc \(99, 1\) outside the candidate set$"):
-            entry(example_instance, [(99, 1), (1, 2)])
+        with pytest.raises(ValidationError, match=match):
+            entry(example_instance, fixed)
 
     def test_non_metric_trip_is_not_a_constant(self):
         # distances are metric but the direct shuttle 0 -> 3 takes 100

@@ -168,8 +168,11 @@ class TestLoadInstance:
             (("trips", 0, "id"), 2**63, "^trip entry 0: bad 'id': expected an integer within int64"),
             (("trips", 1, "id"), -2**63 - 1, "^trip entry 1: bad 'id': expected an integer within"),
             (("trips", 0, "riders"), 10**400,
-             "^trip entry 0: bad 'riders': expected an integer within int64, got 1000"),
+             r"^trip entry 0: bad 'riders': expected an integer within \[1, 2\*\*53\], got 1000"),
             (("trips", 1, "riders"), 2**63, "^trip entry 1: bad 'riders': expected an integer within"),
+            # and riders beyond 2**53, the floats of scoring and the flow LP
+            (("trips", 0, "riders"), 2**53 + 1,
+             r"^trip entry 0: bad 'riders': expected an integer within \[1, 2\*\*53\], got 9007"),
         ],
         ids=["alpha_nan", "alpha_inf", "alpha_str", "t_cur_nan", "t_cur_inf",
              "wait_nan", "wait_inf", "riders_fraction", "riders_bool",
@@ -182,7 +185,7 @@ class TestLoadInstance:
              "dist_entry_str", "wait_entries_str_and_bool", "wait_entry_bool",
              "time_entry_null", "time_entry_huge", "omega_huge", "wait_huge", "alpha_huge",
              "t_cur_huge", "id_beyond_int64", "id_below_int64", "riders_huge",
-             "riders_beyond_int64"],
+             "riders_beyond_int64", "riders_beyond_2_53"],
     )
     def test_malformed_document_rejected(self, tmp_path, path, value, match):
         f = tmp_path / "bad.json"
@@ -264,7 +267,7 @@ class TestDirectConstruction:
         ("params", dict(bus_rate=float("inf")), "params: bad 'bus_rate'"),
         ("params", dict(theta=True), "params: bad 'theta'"),
         ("params", dict(shuttle_between_hubs="no"), "params: bad 'shuttle_between_hubs'"),
-        ("params", dict(fixed_arcs=((1,),)), "params: bad 'fixed_arcs'"),
+        ("params", dict(fixed_arcs=((1,),)), r"^fixed arc \(1,\) is not a pair of integer hub ids$"),
         ("trip", dict(id=1.5), "trip entry 0: bad 'id'"),
         ("trip", dict(id=True), "trip entry 0: bad 'id'"),
         ("trip", dict(origin=0.0), "trip entry 0: bad 'origin'"),
@@ -286,7 +289,7 @@ class TestDirectConstruction:
         ("params", dict(bus_cost_mode="per_km"), "unknown bus_cost_mode 'per_km'"),
         ("params", dict(wait=[[0, 5, 5], [5, 0, 5]]), "wait must be 2x2"),
         ("params", dict(wait=[[0, -5], [5, 0]]), "wait entries must be finite and non-negative"),
-        ("params", dict(fixed_arcs=((1, 2.0), (2, 1))), "params: bad 'fixed_arcs'"),
+        ("params", dict(fixed_arcs=((1, 2.0), (2, 1))), r"^fixed arc \(1, 2\.0\) is not a pair of"),
         ("params", dict(fixed_arcs=((1, 3), (3, 1))), r"fixed arc \(1, 3\) outside the candidate"),
         ("params", dict(fixed_arcs=((1, 2), (2, 1), (1, 2), (2, 1))),
          r"^duplicate fixed arc \(1, 2\)$"),

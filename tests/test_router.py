@@ -32,20 +32,21 @@ class TestDesign:
             Design(example_instance, frozenset({(1, 2)}))
 
     @pytest.mark.parametrize("make, arcs, match", [
-        (make_example_instance, {(0, 1), (1, 0)}, r"arc \([01],[01]\) outside the candidate set"),
-        (make_example_instance, {(1, 1)}, r"arc \(1,1\) outside the candidate set"),
+        (make_example_instance, {(0, 1), (1, 0)}, r"arc \([01], [01]\) outside the candidate set"),
+        (make_example_instance, {(1, 1)}, r"^arc \(1, 1\) outside the candidate set$"),
         (lambda: backbone_instance(), set(), "design must contain all fixed arcs"),  # defined below
     ], ids=["non_hub_arcs", "self_arc", "backbone_missing"])
     def test_candidate_set_enforced(self, make, arcs, match):
         with pytest.raises(ValidationError, match=match):
             Design(make(), frozenset(arcs))
 
-    @pytest.mark.parametrize("arcs", [{(1.0, 2.0), (2.0, 1.0)}, {(True, 2), (2, True)}],
-                             ids=["float", "bool"])
+    @pytest.mark.parametrize("arcs", [{(1.0, 2.0), (2.0, 1.0)}, {(True, 2), (2, True)},
+                                      {(0, 7, 0)}, {(0,)}, {5}],
+                             ids=["float", "bool", "triple", "single", "int"])
     def test_hub_ids_must_be_integers(self, example_instance, arcs):
         # 1.0 and True equal hub 1 as set members, so the candidate check
         # alone would let them through
-        with pytest.raises(ValidationError, match="hub ids must be integers"):
+        with pytest.raises(ValidationError, match=r"^arc .* is not a pair of integer hub ids$"):
             Design(example_instance, frozenset(arcs))
 
     def test_integral_hub_ids_become_int(self, example_instance):
