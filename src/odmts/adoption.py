@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dfd import balanced_designs, solve_dfd
-from .instance import PER_DISTANCE, Instance, Trip, ValidationError, memo
+from .instance import Instance, Trip, ValidationError, memo
 from .router import Design, Route, arcs_cost, trip_arrays, weights_of
 
 
@@ -85,25 +85,20 @@ def _scored(design: Design) -> _Score:
     sums in trip order (arc order for the bus costs)."""
     inst = design.instance
     ids, latent, riders, limit = _trip_terms(inst)
-    p = inst.params
+    p, w, hidx = inst.params, weights_of(inst), inst.hub_index
     g, f, _, km = trip_arrays(design)
     adopt = latent & (f <= limit)
     served = adopt | ~latent
-    terms = riders * np.where(latent, g - weights_of(inst).varphi, g)
+    terms = riders * np.where(latent, g - w.varphi, g)
 
     bus_investment = arcs_cost(inst, design.open_arcs)
     objective = _running_sum(bus_investment, terms[served])
     shuttle_km = _running_sum(0.0, (riders * km)[served])
     convenience = _running_sum(0.0, (riders * f)[served])
     fare_riders = int(riders[served].sum())
-
-    sidx = inst.stop_index
     bus_cost_dollars = 0.0
     for h, l in design.open_arcs:
-        if p.bus_cost_mode == PER_DISTANCE:
-            bus_cost_dollars += p.bus_rate * p.buses_per_leg * float(inst.dist[sidx[h], sidx[l]])
-        else:
-            bus_cost_dollars += p.bus_rate * p.buses_per_leg * float(inst.time[sidx[h], sidx[l]]) / 60.0
+        bus_cost_dollars += float(w.bus_dollars[hidx[h], hidx[l]])
 
     kpis = {
         "shuttle_km": shuttle_km,

@@ -27,8 +27,8 @@ from . import __version__
 from .adoption import eval_design, exact_tiny
 from .dfd import CapExceeded, SolveError, solve_dfd
 from .generator import GeneratorConfig, TripClass, generate_synthetic
-from .instance import (Instance, InstanceParseError, ValidationError, _integral, hub_pairs,
-                       load_instance, read_json, save_instance)
+from .instance import (Instance, InstanceParseError, ValidationError, hub_pairs, load_instance,
+                       read_json, save_instance)
 from .router import Design
 from .trace import HeuristicTrace, write_trace_csv
 from .trip_heuristics import eta_grre, rho_gagr, rho_grad
@@ -169,14 +169,15 @@ def cmd_evaluate(args) -> int:
         raise InstanceParseError(f"{args.design}: 'open_arcs' must be a list of [h, l] hub pairs")
     pairs = hub_pairs(doc["open_arcs"], f"{args.design}: open_arcs entry")
     tset = doc.get("tset", [t.id for t in inst.trips])
-    if not (isinstance(tset, list) and all(map(_integral, tset))):
+    if not isinstance(tset, list):
         raise InstanceParseError(f"{args.design}: 'tset' must be a list of trip ids")
+    ids = inst.trip_ids(tset, f"{args.design}: tset")
     for items, what in ((pairs, "arc {} in open_arcs"), (tset, "trip id {} in tset")):
         twice = [x for x, n in Counter(items).items() if n > 1]
         if twice:
             raise ValidationError(f"{args.design}: duplicate {what.format(twice[0])}")
     design = Design(inst, frozenset(pairs))
-    ev = eval_design(inst, design, tset)
+    ev = eval_design(inst, design, ids)
     out = {"tool_version": __version__, **ev.to_dict()}
     if args.out:
         _write_json(Path(args.out), out)

@@ -44,8 +44,6 @@ from .instance import Instance, Trip, ValidationError, hub_pairs
 from .router import (Design, _arc_labels, _edges, _min_access_egress_km, _trip_costs, arcs_cost,
                      route, trip_arrays)
 
-# Relative margin within which two designs' values count as tied.
-_TIE = 1e-9
 # Most candidate arcs the exhaustive oracle enumerates designs over.
 ENUMERATION_CAP = 16
 
@@ -114,51 +112,48 @@ def make_cut(trips, inst: Instance) -> list:
     block's value is unchanged. A bus edge between two hub endpoints is
     not such an edge, since its arc may close.
 
-    The trips are built together, as one disjoint union of their graphs,
+    The trips are built together, as one disjoint union of their graphs
+    (trip i's nodes take the ids i * width to i * width + nodes - 1),
     each block equal array for array to the one a batch of one gives.
     Without the triangle property every stop is a node, so there each
     trip is built alone to keep the (trip, node, node) grids small.
     """
     trips = list(trips)
     labels = _arc_labels(inst, inst.candidate_arcs)
-    batches = [trips] if inst.metric_consistent else [[t] for t in trips]
-    return [b for batch in batches for b in _blocks(batch, inst, labels)]
+    out = []
+    for batch in [trips] if inst.metric_consistent else [[t] for t in trips]:
+        nodes, trip, tail, head, g, _, arc, _ = _edges(
+            inst, labels, [(t.origin, t.destination) for t in batch])
+        size = np.array([len(u) for u in nodes], dtype=int)
+        k, width = len(batch), size.max(initial=0)
+        origin = np.arange(k) * width
+        dest = origin + size - 1
+        o_at, d_at = origin[trip], dest[trip]  # the endpoints of each edge's trip
+        first = np.array([u.index(t.origin) for u, t in zip(nodes, batch)], dtype=int)[trip]
+        last = np.array([u.index(t.destination) for u, t in zip(nodes, batch)], dtype=int)[trip]
 
+        def number(u):  # origin first, destination last, the others in graph order
+            inner = o_at + 1 + u - (first < u) - (last < u)
+            return np.where(u == first, o_at, np.where(u == last, d_at, inner))
 
-def _blocks(trips, inst: Instance, labels) -> list:
-    """``make_cut`` of one batch of trips, over ``labels`` of every
-    candidate arc, on the disjoint union of their graphs: trip i's nodes
-    take the ids i * width to i * width + nodes - 1."""
-    nodes, trip, tail, head, g, _, arc, _ = _edges(
-        inst, labels, [(t.origin, t.destination) for t in trips])
-    size = np.array([len(u) for u in nodes], dtype=int)
-    k, width = len(trips), size.max(initial=0)
-    origin = np.arange(k) * width
-    dest = origin + size - 1
-    o_at, d_at = origin[trip], dest[trip]  # the endpoints of each edge's trip
-    first = np.array([u.index(t.origin) for u, t in zip(nodes, trips)], dtype=int)[trip]
-    last = np.array([u.index(t.destination) for u, t in zip(nodes, trips)], dtype=int)[trip]
-
-    def number(u):  # origin first, destination last, the others in graph order
-        inner = o_at + 1 + u - (first < u) - (last < u)
-        return np.where(u == first, o_at, np.where(u == last, d_at, inner))
-
-    tail, head = number(tail), number(head)
-    so, sd = _distances(tail, head, g, k * width, origin), _distances(head, tail, g, k * width, dest)
-    through = so[tail] + g + sd[head]  # cheapest origin-destination path over each edge
-    direct = np.full(k, np.inf)
-    at = (tail == o_at) & (head == d_at) & (arc < 0)
-    np.minimum.at(direct, trip[at], g[at])
-    keep = through <= direct[trip]
-    used = np.zeros(k * width, dtype=bool)
-    used[origin] = used[dest] = True
-    used[tail[keep]] = used[head[keep]] = True
-    used = used.reshape(k, width)
-    renumber = (np.cumsum(used, axis=1) - 1).ravel()
-    tail, head, g, arc = renumber[tail[keep]], renumber[head[keep]], g[keep], arc[keep]
-    cut = np.searchsorted(trip[keep], np.arange(k + 1))
-    return [TripBlock(t, tail[a:b], head[a:b], g[a:b], arc[a:b], int(n))
-            for t, a, b, n in zip(trips, cut[:-1], cut[1:], used.sum(axis=1))]
+        tail, head = number(tail), number(head)
+        so = _distances(tail, head, g, k * width, origin)
+        sd = _distances(head, tail, g, k * width, dest)
+        through = so[tail] + g + sd[head]  # cheapest origin-destination path over each edge
+        direct = np.full(k, np.inf)
+        at = (tail == o_at) & (head == d_at) & (arc < 0)
+        np.minimum.at(direct, trip[at], g[at])
+        keep = through <= direct[trip]
+        used = np.zeros(k * width, dtype=bool)
+        used[origin] = used[dest] = True
+        used[tail[keep]] = used[head[keep]] = True
+        used = used.reshape(k, width)
+        renumber = (np.cumsum(used, axis=1) - 1).ravel()
+        tail, head, g, arc = renumber[tail[keep]], renumber[head[keep]], g[keep], arc[keep]
+        cut = np.searchsorted(trip[keep], np.arange(k + 1))
+        out += [TripBlock(t, tail[a:b], head[a:b], g[a:b], arc[a:b], int(n))
+                for t, a, b, n in zip(batch, cut[:-1], cut[1:], used.sum(axis=1))]
+    return out
 
 
 class FlowLP:
@@ -254,7 +249,7 @@ class FlowLP:
         the optimal value v*, the root LP value, the number of LP solves).
 
         Its arcs are the smallest sorted arc tuple among the designs
-        within a relative 1e-9 of v* (the cap), the tie rule of
+        within a relative ``highs.TIE`` of v* (the cap), the tie rule of
         ``enumerate_dfd``. The search for v* prunes only above the
         incumbent's cap, so every integral design lies in the incumbent's
         leaf, in another integral leaf or above the cap.
@@ -278,15 +273,15 @@ class FlowLP:
         solver, hubs, nh, na = self.solver, self.hubs, self.nh, len(is_fixed)
         lo, up = is_fixed.astype(float), np.ones(na)
         log = []
-        found = highs.branch(solver, lo, up, np.inf, _TIE, log)
+        found = highs.branch(solver, lo, up, np.inf, log)
         if found is None:
             raise ValidationError("master infeasible: fixed arcs cannot be balanced")
         best, inc, leaf_lo, leaf_up, other = found
-        cap = best + _TIE * abs(best)
+        cap = best + highs.TIE * abs(best)
         tied = other <= cap
         if inc.any() and not tied:
             self.exclude(inc)
-            tied = highs.branch(solver, leaf_lo, leaf_up, cap, _TIE, log) is not None
+            tied = highs.branch(solver, leaf_lo, leaf_up, cap, log) is not None
             self.exclude(None)
         if not (inc.any() and tied):
             return inc, best, log[0][0], len(log)
@@ -303,7 +298,7 @@ class FlowLP:
             if not (is_fixed[i] or inc[i]):
                 forced = lo.copy()
                 forced[i] = 1.0
-                probe = highs.branch(solver, forced, up, cap, _TIE, log)
+                probe = highs.branch(solver, forced, up, cap, log)
                 if probe is None:
                     up[i] = 0.0
                     continue

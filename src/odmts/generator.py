@@ -103,7 +103,6 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Instance:
     all_stops = np.arange(n)
 
     trips = []
-    tid = 0
     for c, spec in enumerate(config.classes):
         dests = class_stops[c] if len(class_stops[c]) else all_stops
         for _ in range(spec.count):
@@ -112,21 +111,11 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Instance:
             while orig == de:
                 orig = int(rng.choice(all_stops))
             riders = int(rng.integers(1, spec.max_riders + 1))
-            if spec.alpha is None:
-                trips.append(Trip(id=tid, origin=orig, destination=de, riders=riders, kind=CORE))
-            else:
-                trips.append(
-                    Trip(
-                        id=tid,
-                        origin=orig,
-                        destination=de,
-                        riders=riders,
-                        kind=LATENT,
-                        alpha=float(spec.alpha),
-                        t_cur=float(time[orig, de]),
-                    )
-                )
-            tid += 1
+            latent = spec.alpha is not None
+            trips.append(Trip(id=len(trips), origin=orig, destination=de, riders=riders,
+                              kind=LATENT if latent else CORE,
+                              alpha=float(spec.alpha) if latent else None,
+                              t_cur=float(time[orig, de]) if latent else None))
 
     params = CostParams(
         theta=config.theta,

@@ -44,6 +44,9 @@ INT_TOL = 1e-6
 # Absolute slack on a bound read from the dual simplex, for its dual
 # feasibility tolerance (1e-7 per reduced cost).
 DUAL_SLACK = 1e-6
+# Relative margin within which two designs' values count as tied: the
+# cap ``branch`` keeps above its best leaf, and ``dfd.FlowLP.search``'s.
+TIE = 1e-9
 
 
 # The core module that last passed the API check.
@@ -144,12 +147,12 @@ def solve(highs, lo, up, cap, log):
     return log[-1]
 
 
-def branch(highs, lo, up, cap, tie, log):
+def branch(highs, lo, up, cap, log):
     """Depth-first branch and bound on the first fractional column of the
     first len(lo) ones, below their bounds (lo, up), down child first,
     over solutions integral there with value <= cap: the least, the first
     among equals. Each leaf that improves lowers the cap to its value plus
-    ``tie`` times its magnitude, so that every integral point lies in a
+    ``TIE`` times its magnitude, so that every integral point lies in a
     leaf met or in a node pruned above the final cap. Returns (value, mask
     of columns at 1, lo and up of its leaf, least value of the other
     integral leaves met or inf), or None."""
@@ -168,7 +171,7 @@ def branch(highs, lo, up, cap, tie, log):
             else:
                 other = other if best is None else best[0]
                 best = (value, x > 0.5, lo, up)
-                cap = min(cap, value + tie * abs(value))
+                cap = min(cap, value + TIE * abs(value))
             continue
         lo_up, up_down = lo.copy(), up.copy()
         lo_up[frac[0]] = 1.0

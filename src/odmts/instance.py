@@ -10,7 +10,9 @@ choice), and the cost parameters from which all arc weights derive:
     varphi   = (1 - theta) * ticket               (adoption revenue)
 
 In per-time mode the investment uses the hourly rate: beta_hl =
-(1 - theta) * rate * n * t_hl / 60 with t in minutes.
+(1 - theta) * rate * n * t_hl / 60 with t in minutes. The unweighted
+dollars of each bus leg, rate * n * d_hl (or rate * n * t_hl / 60),
+come with the weights too, for the agency's bus cost.
 
 Units are fixed: minutes for time, kilometers for distance, dollars for
 money. Instances are immutable after construction and safe to share
@@ -180,12 +182,14 @@ class CostParams:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Derived arc weights: beta/tau over hub pairs, gamma over stop pairs."""
+    """Derived arc weights: beta/tau over hub pairs, gamma over stop pairs;
+    bus_dollars holds each hub-pair leg's unweighted dollars."""
 
     beta: np.ndarray
     tau: np.ndarray
     gamma: np.ndarray
     varphi: float
+    bus_dollars: np.ndarray
 
 
 def _float_matrix(rows, n: int, where: str, name: str) -> np.ndarray:
@@ -364,18 +368,21 @@ class Instance:
         """Row of each trip in ``trips``, by trip id."""
         return {t.id: i for i, t in enumerate(self.trips)}
 
-    def trip_ids(self, ids) -> frozenset:
-        """``ids`` as a set of this instance's trip ids; an unknown or a
-        non-integer id (``True`` and ``1.0`` included) raises
-        ``ValidationError``. A frozenset is checked and returned as is."""
+    def trip_ids(self, ids, label: str = "tset") -> frozenset:
+        """``ids`` as a set of this instance's trip ids. Entry types are
+        checked before the set is built, so a list entry raises no
+        ``TypeError`` and {1, True} or {1, 1.0} do not collapse; the first
+        non-integer (``True`` and ``1.0`` included) or unknown entry raises
+        ``ValidationError``, after ``label``. A frozenset is checked and
+        returned as is."""
         if type(ids) is not frozenset:
-            ids = list(ids)  # checked before {1, True} or {1, 1.0} collapse
-        out = frozenset(ids)
-        kinds = set(map(type, ids))  # bools are not integers here
-        integral = all(issubclass(k, numbers.Integral) and k is not bool for k in kinds)
-        if not (integral and self.trip_index.keys() >= out):
-            raise ValidationError("tset references unknown trip ids")
-        return out
+            ids = list(ids)
+        if all(issubclass(k, numbers.Integral) and k is not bool for k in set(map(type, ids))):
+            out = frozenset(ids)
+            if self.trip_index.keys() >= out:
+                return out
+        bad = next(x for x in ids if not (_integral(x) and x in self.trip_index))
+        raise ValidationError(f"{label} references unknown trip ids, first {bad!r}")
 
     def hub_degree(self, arcs) -> list:
         """Out-degree minus in-degree of each hub over ``arcs``, in ``hubs``
@@ -560,17 +567,22 @@ def save_instance(inst: Instance, path: str | Path) -> str:
 
 
 def derive_weights(inst: Instance) -> WeightTable:
-    """Materialize beta, tau, gamma and varphi from the cost parameters."""
+    """Materialize beta, tau, gamma, varphi and the bus legs' dollars from
+    the cost parameters. beta keeps its own product, as folding it onto
+    the dollars would change its last bits."""
     p = inst.params
     hub_pos = inst.hub_positions
     t_hub = inst.time[np.ix_(hub_pos, hub_pos)]
     d_hub = inst.dist[np.ix_(hub_pos, hub_pos)]
     if p.bus_cost_mode == PER_DISTANCE:
         beta = (1.0 - p.theta) * p.bus_rate * p.buses_per_leg * d_hub
+        dollars = p.bus_rate * p.buses_per_leg * d_hub
     else:
         beta = (1.0 - p.theta) * p.bus_rate * p.buses_per_leg * t_hub / 60.0
+        dollars = p.bus_rate * p.buses_per_leg * t_hub / 60.0
     tau = p.theta * (t_hub + inst.wait_matrix)
     gamma = (1.0 - p.theta) * p.omega * inst.dist + p.theta * inst.time
-    for m in (beta, tau, gamma):
+    for m in (beta, tau, gamma, dollars):
         m.setflags(write=False)
-    return WeightTable(beta=beta, tau=tau, gamma=gamma, varphi=(1.0 - p.theta) * p.ticket)
+    return WeightTable(beta=beta, tau=tau, gamma=gamma, varphi=(1.0 - p.theta) * p.ticket,
+                       bus_dollars=dollars)

@@ -173,8 +173,9 @@ class Route:
 
 
 _MODE_RANK = {BUS: 0, SHUTTLE: 1}
-# Edge kinds of the search graph, in the order it lists a node pair's edges.
-_BUS_EDGE, _SHUTTLE_EDGE, _BRIDGE_EDGE = range(3)
+# Kinds of a search-graph edge and of a hub-path hop, in the order
+# ``_edges`` lists a node pair's edges and ``_hop_table`` its hops.
+_BUS_KIND, _SHUTTLE_KIND, _BRIDGE_KIND = range(3)
 
 
 def _arc_labels(inst: Instance, arcs) -> np.ndarray:
@@ -234,7 +235,7 @@ def _edges(inst: Instance, labels, pairs):
     mask &= (real[:, :, None] & real[:, None, :])[..., None]
     # o -> d always has its shuttle; nothing leaves d, enters o or loops
     rows, io, id_ = np.arange(k), (s == so).argmax(axis=1), (s == sd).argmax(axis=1)
-    mask[rows, io, id_, _SHUTTLE_EDGE] = True
+    mask[rows, io, id_, _SHUTTLE_KIND] = True
     mask[rows, id_] = False
     mask[rows, :, io] = False
     mask[:, np.arange(n), np.arange(n)] = False
@@ -244,7 +245,7 @@ def _edges(inst: Instance, labels, pairs):
     su, sv, x = s[trip, tail], s[trip, head], x.ravel()[cell]
     hu, hv = h[trip, tail], h[trip, head]
     t = inst.time
-    bus, bridge = kind == _BUS_EDGE, kind == _BRIDGE_EDGE
+    bus, bridge = kind == _BUS_KIND, kind == _BRIDGE_KIND
     g = np.where(bus, w.tau[hu, hv], w.gamma[su, sv])
     f = np.where(bus, t[su, sv] + inst.wait_matrix[hu, hv], t[su, sv])
     g[bridge] = w.gamma[su, x][bridge] + w.gamma[x, sv][bridge]
@@ -301,8 +302,6 @@ def _lex_search(adj, o: int, d: int):
 
 # Relative margin within which two candidate costs count as tied.
 _TIE = 1e-9
-# Hop kinds of the hub-path table.
-_BUS_HOP, _SHUTTLE_HOP, _BRIDGE_HOP = range(3)
 
 
 @dataclass(frozen=True)
@@ -339,14 +338,14 @@ def _hop_table(inst: Instance):
     u, v = pos[:, None], pos[None, :]
     terms = np.zeros((4, 3, nh, nh))
     usable = np.zeros((3, nh, nh), dtype=bool)
-    terms[:2, _BUS_HOP] = w.tau, inst.time[u, v] + inst.wait_matrix
-    terms[:3, _SHUTTLE_HOP] = w.gamma[u, v], inst.time[u, v], inst.dist[u, v]
+    terms[:2, _BUS_KIND] = w.tau, inst.time[u, v] + inst.wait_matrix
+    terms[:3, _SHUTTLE_KIND] = w.gamma[u, v], inst.time[u, v], inst.dist[u, v]
     if inst.params.shuttle_between_hubs:
-        usable[_SHUTTLE_HOP] = ~np.eye(nh, dtype=bool)
+        usable[_SHUTTLE_KIND] = ~np.eye(nh, dtype=bool)
     else:
         x = _relays(inst)[..., 0]
-        usable[_BRIDGE_HOP] = (x >= 0) & ~np.eye(nh, dtype=bool)
-        terms[:, _BRIDGE_HOP] = (w.gamma[u, x] + w.gamma[x, v], inst.time[u, x] + inst.time[x, v],
+        usable[_BRIDGE_KIND] = (x >= 0) & ~np.eye(nh, dtype=bool)
+        terms[:, _BRIDGE_KIND] = (w.gamma[u, x] + w.gamma[x, v], inst.time[u, x] + inst.time[x, v],
                                  inst.dist[u, x], inst.dist[x, v])
     terms.setflags(write=False)
     return terms, usable, _TIE * float(w.gamma.max())
@@ -364,7 +363,7 @@ def _hub_paths(design: Design) -> _HubPaths:
     terms, usable, margin = _hop_table(inst)
     usable = usable.copy()
     for a, b in design.open_arcs:
-        usable[_BUS_HOP, hidx[a], hidx[b]] = True
+        usable[_BUS_KIND, hidx[a], hidx[b]] = True
     hop = np.where(usable, terms[0], np.inf)
     cost = hop.min(0)
     np.fill_diagonal(cost, 0.0)
@@ -557,11 +556,11 @@ def _table_legs(inst: Instance, paths: _HubPaths, o: int, d: int, pick: int):
         kind, rest = divmod(code, nh * nh)
         i, j = divmod(rest, nh)
         u, v = hubs[i], hubs[j]
-        if kind == _BRIDGE_HOP:
+        if kind == _BRIDGE_KIND:
             x = inst.stops[_relays(inst)[i, j, 0]]
             legs += [(SHUTTLE, u, x), (SHUTTLE, x, v)]
         else:
-            legs.append((BUS if kind == _BUS_HOP else SHUTTLE, u, v))
+            legs.append((BUS if kind == _BUS_KIND else SHUTTLE, u, v))
     if d != hubs[l]:
         legs.append((SHUTTLE, hubs[l], d))
     return tuple(legs)

@@ -12,16 +12,19 @@ by trip id). The serving cost is the ``money`` of the design's
   that does not stop absorbs a new latent trip, so it stops within
   len(latent) + 1 rounds; so does rho-GAGR's adoption loop.
 * greedy rejection (eta-GRRE): tracks a growing rejection set and a
-  quota m (+eta per round) of adopters to keep; returns the best design
-  seen because the trip set does not grow monotonically and designs
-  can oscillate.
-* combined (rho-GAGR): the adoption loop with each inner design
-  produced by a full greedy-rejection run seeded at the absorbed set,
-  trading time for a much wider design search.
+  quota m (+eta per round) of adopters to keep; returns the first design
+  of least objective seen because the trip set does not grow
+  monotonically and designs can oscillate.
+* combined (rho-GAGR): the adoption loop of rho-GRAD (``_adopt``, one
+  loop for both) with each inner design produced by a full
+  greedy-rejection run seeded at the absorbed set, trading time for a
+  much wider design search; returns the first inner result of least
+  objective.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 
 from .adoption import _scored
@@ -70,95 +73,89 @@ def _ranked_adopters(design, excluded):
     return [i for i in _net_cost_order(design) if i in keep]
 
 
+def _adopt(inst: Instance, rho: int, inner, time_limit: float | None = None):
+    """The adoption loop of rho-GRAD and rho-GAGR. Each round runs
+    ``inner(tbar)`` on the core trips plus the absorbed ones, which gives
+    a design and the trip set that produced it, then absorbs the ``rho``
+    cheapest adopters outside the absorbed set. It stops when none is
+    left, or once ``time_limit`` seconds have passed. Returns the rounds'
+    (design, trip set) steps in order, and the trace."""
+    trace, steps, absorbed = HeuristicTrace(), [], set()
+    started = time.perf_counter()
+    for k in itertools.count():
+        t0 = time.perf_counter()
+        design, tset = inner(inst.core_ids | absorbed)
+        score = _scored(design)
+        trace.add(k, 1, len(tset), design, score.objective, len(score.adopters),
+                  time.perf_counter() - t0)
+        steps.append((design, tset))
+        ranked = _ranked_adopters(design, absorbed)
+        if not ranked or (time_limit is not None and time.perf_counter() - started >= time_limit):
+            return steps, trace
+        absorbed.update(ranked[:rho])
+
+
+def _first_min(steps):
+    """The first (design, trip set) step of least objective."""
+    return min(steps, key=lambda step: _scored(step[0]).objective)
+
+
 def rho_grad(inst: Instance, rho: int | None = None):
-    """Greedy adoption. Returns (design, trace); trace.tset is the trip
+    """Greedy adoption: ``_adopt`` with one ``solve_dfd`` per round.
+    Returns (design, trace) for the last round; trace.tset is the trip
     set that generated the design."""
     rho = _step(inst, "rho", rho)
     model = FlowModel(inst)
-    trace = HeuristicTrace()
-    absorbed = set()
-    k = 0
-    while True:
-        t0 = time.perf_counter()
-        tset = inst.core_ids | absorbed
-        sol = solve_dfd(inst, tset, _model=model)
-        score = _scored(sol.design)
-        trace.add(k, 1, len(tset), sol.design, score.objective, len(score.adopters),
-                  time.perf_counter() - t0)
-        ranked = _ranked_adopters(sol.design, absorbed)
-        if not ranked:
-            return sol.design, trace.finish(sol.design, tset)
-        absorbed.update(ranked[:rho])
-        k += 1
+    steps, trace = _adopt(inst, rho,
+                          lambda tbar: (solve_dfd(inst, tbar, _model=model).design, tbar))
+    design, tset = steps[-1]
+    return design, trace.finish(design, tset)
 
 
 def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
              _model: FlowModel | None = None):
-    """Greedy rejection. Returns (design, trace); trace.tset is the trip
-    set that generated the returned (minimum-objective) design. Stops
+    """Greedy rejection. Returns (design, trace) for the first step of
+    least objective; trace.tset is the trip set that generated it. Stops
     when the design repeats with the quota past the ranked adopters, or
     truncated after iteration ``MAX_ITER``. ``_model`` is the DFD model
     of an enclosing ``rho_gagr`` run, a new one by default; ``solve_dfd``
     answers the repeats of every run that shares it."""
     eta = _step(inst, "eta", eta)
     model = FlowModel(inst) if _model is None else _model
-    trace = HeuristicTrace()
-    rejected = set()
-    m = 0
-    k = 0
+    trace, steps, rejected = HeuristicTrace(), [], set()
     tbar = frozenset(start_tset) if start_tset is not None else inst.core_ids
-    best = (float("inf"), None, None)  # (objective, design, tset); the first minimum wins
-    prev_arcs = None
-    while True:
+    for k in itertools.count():  # step k keeps a quota of eta * (k + 1) ranked adopters
         t0 = time.perf_counter()
-        sol = solve_dfd(inst, tbar, _model=model)
-        score = _scored(sol.design)
-        trace.add(k, 1, len(tbar), sol.design, score.objective, len(score.adopters),
+        design = solve_dfd(inst, tbar, _model=model).design
+        score = _scored(design)
+        trace.add(k, 1, len(tbar), design, score.objective, len(score.adopters),
                   time.perf_counter() - t0)
-        if score.objective < best[0]:
-            best = (score.objective, sol.design, tbar)
+        steps.append((design, tbar))
         rejected |= inst.latent_ids - score.adopters
-        m += eta
-        ranked = _ranked_adopters(sol.design, rejected)
-        arcs = sol.design.open_arcs
-        stable = k >= 2 and prev_arcs == arcs and (m - eta) >= len(ranked)
+        ranked = _ranked_adopters(design, rejected)
+        stable = k >= 2 and steps[-2][0].open_arcs == design.open_arcs and eta * k >= len(ranked)
         if stable or k >= MAX_ITER:
-            _, design, tset = best
+            design, tset = _first_min(steps)
             return design, trace.finish(design, tset, truncated=not stable)
-        tbar = inst.core_ids | set(ranked[:m])
-        prev_arcs = arcs
-        k += 1
+        tbar = inst.core_ids | set(ranked[:eta * (k + 1)])
 
 
 def rho_gagr(inst: Instance, rho: int | None = None, eta: int | None = None,
              time_limit: float | None = None):
-    """Combined greedy adoption with greedy-rejection subproblems.
-    Returns (design, trace) for the minimum-objective inner result."""
+    """Combined greedy adoption: ``_adopt`` with a greedy-rejection run
+    seeded at each round's trip set. Returns (design, trace) for the
+    first round of least objective."""
     rho, eta = _step(inst, "rho", rho), _step(inst, "eta", eta)
     if time_limit is not None and not (_finite(time_limit) or time_limit == float("inf")):
         raise ValueError(f"time_limit must be a finite number, inf or None, got {time_limit!r}")
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time_limit must be >= 0, got {time_limit}")
     model = FlowModel(inst)
-    trace = HeuristicTrace()
-    started = time.perf_counter()
-    absorbed = set()
-    best = (float("inf"), None, None)  # (objective, design, tset); the first minimum wins
-    k = 0
-    while True:
-        t0 = time.perf_counter()
-        tbar = inst.core_ids | absorbed
-        design, inner = eta_grre(inst, eta=eta, start_tset=tbar, _model=model)
-        score = _scored(design)
-        trace.add(k, 1, len(inner.tset), design, score.objective, len(score.adopters),
-                  time.perf_counter() - t0)
-        if score.objective < best[0]:
-            best = (score.objective, design, inner.tset)
-        ranked = _ranked_adopters(design, absorbed)
-        timed_out = time_limit is not None and time.perf_counter() - started >= time_limit
-        if not ranked or timed_out:
-            break
-        absorbed.update(ranked[:rho])
-        k += 1
-    _, design, tset = best
+
+    def inner(tbar):
+        design, run = eta_grre(inst, eta=eta, start_tset=tbar, _model=model)
+        return design, run.tset
+
+    steps, trace = _adopt(inst, rho, inner, time_limit)
+    design, tset = _first_min(steps)
     return design, trace.finish(design, tset)

@@ -86,6 +86,31 @@ class TestEvalDesign:
         ev = eval_design(inst, Design(inst, frozenset({(1, 2), (2, 1)})), tset={0})
         assert ev.kpis["bus_cost_dollars"] == pytest.approx(dollars, rel=1e-12)
 
+    @pytest.mark.parametrize("mode", ["per_distance", "per_time"])
+    def test_bus_cost_dollars_bit_exact(self, mode):
+        # rate * n * d per leg, or rate * n * t / 60, added in the design's
+        # arc order: equal to the last bit on a design of several arcs,
+        # where adding in sorted arc order gives other last bits
+        base = tiny_instance(5, n_stops=12, n_hubs=5)
+        inst = dataclasses.replace(base, params=dataclasses.replace(
+            base.params, bus_cost_mode=mode, bus_rate=3.87, buses_per_leg=16.0))
+        h = inst.hubs
+        design = Design(inst, frozenset({(h[0], h[1]), (h[1], h[2]), (h[2], h[0]),
+                                         (h[3], h[4]), (h[4], h[3])}))
+        p, sidx = inst.params, inst.stop_index
+
+        def dollars(arcs):
+            total = 0.0
+            for a, b in arcs:
+                if mode == "per_distance":
+                    total += p.bus_rate * p.buses_per_leg * float(inst.dist[sidx[a], sidx[b]])
+                else:
+                    total += p.bus_rate * p.buses_per_leg * float(inst.time[sidx[a], sidx[b]]) / 60.0
+            return total
+
+        assert dollars(design.open_arcs) != dollars(sorted(design.open_arcs))
+        assert eval_design(inst, design, tset={0}).kpis["bus_cost_dollars"] == dollars(design.open_arcs)
+
     @pytest.mark.parametrize("costed", [True, False])
     def test_backbone_investment(self, costed):
         # an uncosted backbone adds nothing to arcs_cost; the other arcs

@@ -350,6 +350,19 @@ class TestEvaluate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and key in err[0]
 
+    @pytest.mark.parametrize("tset, first", [
+        ([[1]], "[1]"), ([0, 1.5], "1.5"), ([0, True], "True"), ([0, 10**6], "1000000"),
+    ], ids=["list_entry", "float", "bool", "unknown"])
+    def test_bad_tset_entry_named(self, tmp_path, instance_file, capsys, tset, first):
+        # the first bad entry is named after the design file; a non-integer
+        # entry is a ValidationError, as a bad open_arcs entry is
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"open_arcs": [], "tset": tset}))
+        rc = main(["evaluate", "--instance", str(instance_file), "--design", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: tset references unknown trip ids, first {first}\n")
+
     @pytest.mark.parametrize("key", ["open_arcs", "tset"])
     def test_duplicate_exits_one(self, tmp_path, instance_file, capsys, key):
         # a design file that repeats an arc or a trip id is refused, not

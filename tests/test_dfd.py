@@ -21,7 +21,7 @@ from odmts import (
 )
 from odmts import dfd, highs
 from odmts.adoption import arcs_cost
-from odmts.dfd import _TIE, FlowLP, FlowModel, TripBlock
+from odmts.dfd import FlowLP, FlowModel, TripBlock
 from conftest import block_price, make_example_instance, reference_block, tiny_instance
 from test_router import EDGE_CASES, grid_instance, non_metric, with_hub_trips
 
@@ -210,7 +210,7 @@ class TestSolveMaster:
         )
         lp = FlowLP(inst)
         lp.use([block])
-        value, inc, *_ = highs.branch(lp.solver, np.zeros(2), np.ones(2), np.inf, _TIE, [])
+        value, inc, *_ = highs.branch(lp.solver, np.zeros(2), np.ones(2), np.inf, [])
         assert value == 12.5 and inc.all()
         prices = {z.key(): arcs_cost(inst, z.open_arcs) + block_price(inst, block, z.open_arcs)
                   for z in balanced_designs(inst)}
@@ -230,7 +230,7 @@ class TestSolveMaster:
         lp = FlowLP(inst)
         lp.use(blocks)
         na = len(inst.candidate_arcs)
-        best, inc, *_ = highs.branch(lp.solver, np.zeros(na), np.ones(na), np.inf, _TIE, [])
+        best, inc, *_ = highs.branch(lp.solver, np.zeros(na), np.ones(na), np.inf, [])
         lp.exclude(inc)
         other = highs.solve(lp.solver, np.zeros(na), np.ones(na), np.inf, [])
         assert other[0] <= best * (1 + 1e-9)  # so every optimum of it is fractional

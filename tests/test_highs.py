@@ -35,7 +35,7 @@ class TestBranch:
         # comes first, and the up child's leaf (0, 1) ties it
         log = []
         value, at_one, lo, up, other = highs.branch(pair_model(), np.zeros(2), np.ones(2),
-                                                    np.inf, 1e-9, log)
+                                                    np.inf, log)
         assert log[0][0] == pytest.approx(-1.5)
         assert value == pytest.approx(-1.0) and at_one.tolist() == [True, False]
         assert lo.tolist() == [0.0, 0.0] and up.tolist() == [1.0, 0.0]
@@ -48,25 +48,27 @@ class TestBranch:
         # at -3, which wins and leaves -2 as the other leaf
         solver = pair_model((-3.0, -2.0), (2.0, 1.0), 2.5)
         value, at_one, lo, up, other = highs.branch(solver, np.zeros(2), np.ones(2),
-                                                    np.inf, 1e-9, [])
+                                                    np.inf, [])
         assert value == -3.0 and at_one.tolist() == [True, False] and other == -2.0
         assert lo.tolist() == [1.0, 0.0] and up.tolist() == [1.0, 0.0]
 
-    def test_node_within_the_tie_cap_is_searched(self):
+    def test_node_within_the_tie_cap_is_searched(self, monkeypatch):
         # min -2 x0 - 1.5 x1: the leaf (1, 0) at -2 comes first; the up
         # child's LP value -2.5 is searched on, and its leaf (0, 1) at
         # -1.5 is recorded when it lies within the tie cap
         solver = pair_model((-2.0, -1.5))
-        *_, other = highs.branch(solver, np.zeros(2), np.ones(2), np.inf, 0.6, [])
+        monkeypatch.setattr(highs, "TIE", 0.6)
+        *_, other = highs.branch(solver, np.zeros(2), np.ones(2), np.inf, [])
         assert other == -1.5
-        *_, other = highs.branch(solver, np.zeros(2), np.ones(2), np.inf, 0.2, [])
+        monkeypatch.setattr(highs, "TIE", 0.2)
+        *_, other = highs.branch(solver, np.zeros(2), np.ones(2), np.inf, [])
         assert other == np.inf
 
     def test_cap_and_bounds(self):
         log = []
-        assert highs.branch(pair_model(), np.zeros(2), np.ones(2), -1.2, 1e-9, log) is None
+        assert highs.branch(pair_model(), np.zeros(2), np.ones(2), -1.2, log) is None
         value, at_one, *_ = highs.branch(pair_model(), np.array([0.0, 1.0]), np.ones(2), -0.5,
-                                         1e-9, log)
+                                         log)
         assert value == pytest.approx(-1.0) and at_one.tolist() == [False, True]
 
     def test_infeasible_bounds(self):
@@ -91,8 +93,7 @@ class TestCutoff:
         solver, log = chain_model(), []
         res = highs.solve(solver, np.zeros(150), np.full(150, 10.0), value - below, log)
         assert res[0] == pytest.approx(value, rel=1e-12)
-        found = highs.branch(chain_model(), np.zeros(150), np.full(150, 10.0), value - below,
-                             1e-9, [])
+        found = highs.branch(chain_model(), np.zeros(150), np.full(150, 10.0), value - below, [])
         assert (found is None) == (below > 0)
 
     def test_cap_resets_on_every_solve(self):

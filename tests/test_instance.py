@@ -418,6 +418,21 @@ class TestTripIds:
             inst.trip_ids(ids)
 
 
+    @pytest.mark.parametrize("ids, first", [
+        ([[1]], "[1]"), ([0, 1.5], "1.5"), ([0, 99], "99"), ([0, 99, 2.0], "99"),
+        ([0, {}, 99], "{}"), (frozenset({0, 99}), "99"),
+    ], ids=["list_entry", "float", "unknown", "unknown_before_float", "dict_entry", "frozenset"])
+    def test_first_bad_entry_named(self, ids, first):
+        # entry types are checked before the set is built, so an unhashable
+        # entry is a ValidationError, not a TypeError
+        inst = tiny_instance(0)
+        with pytest.raises(ValidationError) as info:
+            inst.trip_ids(ids)
+        assert str(info.value) == f"tset references unknown trip ids, first {first}"
+        with pytest.raises(ValidationError, match="first"):
+            eval_design(inst, Design.minimal(inst), ids)
+
+
 class TestCaches:
     def test_replace_builds_its_own_trip_index(self):
         inst = tiny_instance(0, n_stops=12)

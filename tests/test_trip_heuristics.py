@@ -219,6 +219,30 @@ class TestRhoGagr:
             rho_gagr(tiny_instance(4), time_limit=limit)
 
 
+class TestFirstMinimum:
+    """A design's objective does not depend on the trip set, so with every
+    solve answered by the core trips' design all steps tie, their trip sets
+    grow, and the first step's trip set is the one returned."""
+
+    @pytest.fixture
+    def core_design_only(self, monkeypatch):
+        def core_only(inst, tset, fixed=(), _model=None):
+            return solve_dfd(inst, inst.core_ids, fixed=fixed, _model=_model)
+
+        monkeypatch.setattr(trip_heuristics, "solve_dfd", core_only)
+
+    @pytest.mark.parametrize("run", [lambda inst: eta_grre(inst, eta=1),
+                                     lambda inst: rho_gagr(inst, rho=1, eta=1)],
+                             ids=["grre", "gagr"])
+    def test_first_of_equal_objectives_returned(self, core_design_only, run):
+        inst = tiny_instance(0)
+        design, trace = run(inst)
+        assert len({(r.fingerprint, r.objective) for r in trace.records}) == 1
+        sizes = [r.tset_size for r in trace.records]
+        assert sizes[0] == len(inst.core_ids) < sizes[1]
+        assert trace.tset == inst.core_ids
+
+
 class TestOneDesignPerArcTuple:
     def test_table_built_once_per_arc_tuple(self, monkeypatch):
         # a rho_gagr run solves more masters than it finds designs; every
