@@ -5,15 +5,18 @@ network design (Magnanti & Wong, 1984): a variable z in [0, 1] per
 candidate arc, with hub balance (weak connectivity) and the fixed arcs
 held at 1; per trip a unit flow from origin to destination over the
 edges of its routing graph with every candidate arc open, less the
-edges no optimal flow can use, each bus edge's flow capped by its arc's
-z; and as objective the investment plus riders times each trip's flow
-cost. At integral z a trip's flow costs its routed g, so the model's
-value is the routed objective. The LP relaxation is tight but not
-always integral; a fractional z is settled by depth-first branching on
-the first fractional arc in candidate order, and ties go to the
-smallest sorted arc tuple (see ``solve_master``). Trips that ride a
-direct shuttle under every design (``is_direct_trip``, on metric
-instances only) are constants and get no flow.
+edges whose flow an ungated edge takes at no higher cost (every path
+through them dearer than the direct shuttle, or a bus edge beaten by a
+shuttle from the origin or to the destination, see ``make_cut``), each
+bus edge's flow capped by its arc's z; and as objective the investment
+plus riders times each trip's flow cost. At integral z a trip's flow
+costs its routed g, so the model's value is the routed objective. The
+LP relaxation is tight but not always integral; a fractional z is
+settled by depth-first branching on the first fractional arc in
+candidate order, and ties go to the smallest sorted arc tuple (see
+``solve_master``). Trips that ride a direct shuttle under every design
+(``is_direct_trip``, on metric instances only) are constants and get
+no flow.
 
 The LPs run on HiGHS's compiled core, which ships inside scipy (see
 ``highs``). A heuristic run keeps one ``FlowModel``, which holds the
@@ -105,12 +108,22 @@ def make_cut(trips, inst: Instance) -> list:
     A trip's edges are those of ``router._edges`` for the trip with every
     candidate arc open, renumbered with the origin first, the destination
     last and the other nodes in their graph order.
-    An edge is dropped when every origin-destination path through it
-    costs more than the cheapest origin-destination edge that no arc
-    gates (a shuttle or a bridge, open under every z): at any z the
-    flow on such a path moves to that edge at a lower cost, so the
-    block's value is unchanged. A bus edge between two hub endpoints is
-    not such an edge, since its arc may close.
+    With so and sd the distances from the origin and to the destination,
+    an edge u -> v of cost g is dropped in three cases:
+    - every origin-destination path through it costs more than the
+      direct edge, the cheapest origin-destination edge that no arc
+      gates (a shuttle or a bridge, open under every z);
+    - access: it is a bus edge, and an ungated edge origin -> v costs
+      at most so[u] + g;
+    - egress: it is a bus edge, and an ungated edge u -> destination
+      costs at most g + sd[v].
+    A flow path through a dropped edge can move to the direct edge, or
+    swap its part up to v (or from u) for that ungated edge, at no
+    higher cost and taking no capacity; the first case spares that edge
+    wherever the path it replaces could beat the direct edge. So the
+    block's value is unchanged at every z in [0, 1]^A, fractional
+    included. A bus edge between two hub endpoints is not ungated, since
+    its arc may close.
 
     The trips are built together, as one disjoint union of their graphs
     (trip i's nodes take the ids i * width to i * width + nodes - 1),
@@ -140,10 +153,14 @@ def make_cut(trips, inst: Instance) -> list:
         so = _distances(tail, head, g, k * width, origin)
         sd = _distances(head, tail, g, k * width, dest)
         through = so[tail] + g + sd[head]  # cheapest origin-destination path over each edge
-        direct = np.full(k, np.inf)
-        at = (tail == o_at) & (head == d_at) & (arc < 0)
-        np.minimum.at(direct, trip[at], g[at])
-        keep = through <= direct[trip]
+        free = arc < 0
+        access, egress = np.full(k * width, np.inf), np.full(k * width, np.inf)
+        at = free & (tail == o_at)
+        np.minimum.at(access, head[at], g[at])  # the cheapest ungated edge origin -> node
+        at = free & (head == d_at)
+        np.minimum.at(egress, tail[at], g[at])  # the cheapest ungated edge node -> destination
+        beaten = (access[head] <= so[tail] + g) | (egress[tail] <= g + sd[head])
+        keep = (through <= access[d_at]) & (free | ~beaten)
         used = np.zeros(k * width, dtype=bool)
         used[origin] = used[dest] = True
         used[tail[keep]] = used[head[keep]] = True

@@ -128,6 +128,7 @@ class Design:
     def key(self) -> tuple:
         return tuple(sorted(self.open_arcs))
 
+    @memo
     def fingerprint(self) -> str:
         return ";".join(f"{h}>{l}" for h, l in self.key()) or "-"
 

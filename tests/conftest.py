@@ -310,12 +310,10 @@ def reference_graph(inst, open_arcs, o, d):
     return adj
 
 
-def reference_block(trip, inst):
-    """The trip's flow block from ``reference_graph`` with every candidate
-    arc open, numbered and pruned as ``make_cut`` does for each trip of a
-    batch, one trip at a time: (tail, head, g, arc, nodes)."""
-    from odmts.dfd import _distances
-
+def reference_edges(trip, inst):
+    """The trip's edges in ``reference_graph`` with every candidate arc
+    open, numbered as ``make_cut`` numbers them (origin first, destination
+    last): (tail, head, g, arc, nodes), ``arc`` being -1 off the bus."""
     o, d = trip.origin, trip.destination
     adj = reference_graph(inst, frozenset(inst.candidate_arcs), o, d)
     pos = {u: i for i, u in enumerate([o] + [u for u in adj if u not in (o, d)] + [d])}
@@ -323,11 +321,32 @@ def reference_block(trip, inst):
     edges = [(pos[u], pos[v], g, arc_pos[(u, v)] if modes == (BUS,) else -1)
              for u, out in adj.items() for v, g, _, _, _, modes in out]
     tail, head, g, arc = (np.array(col) for col in zip(*edges))
-    g, n = g.astype(float), len(pos)
+    return tail, head, g.astype(float), arc, len(pos)
+
+
+def reference_block(trip, inst):
+    """The trip's flow block from ``reference_edges``, pruned as
+    ``make_cut`` does for each trip of a batch, one trip at a time:
+    (tail, head, g, arc, nodes). An edge goes when every path through it
+    costs more than the direct shuttle, and a bus edge u -> v also when
+    an ungated edge o -> v costs no more than the cheapest way to v
+    through it, or an ungated edge u -> d no more than the cheapest way
+    on from u through it."""
+    from odmts.dfd import _distances
+
+    tail, head, g, arc, n = reference_edges(trip, inst)
     so, sd = _distances(tail, head, g, n, 0), _distances(head, tail, g, n, n - 1)
     through = so[tail] + g + sd[head]
-    direct = g[(tail == 0) & (head == n - 1) & (arc < 0)]
-    keep = through <= direct.min(initial=np.inf)
+    access, egress = {}, {}  # the cheapest ungated edge o -> v, and u -> d
+    for t, h, c, a in zip(tail, head, g, arc):
+        if a < 0 and t == 0:
+            access[h] = min(access.get(h, np.inf), c)
+        if a < 0 and h == n - 1:
+            egress[t] = min(egress.get(t, np.inf), c)
+    keep = through <= access.get(n - 1, np.inf)
+    for i, (t, h, c, a) in enumerate(zip(tail, head, g, arc)):
+        if a >= 0 and (access.get(h, np.inf) <= so[t] + c or egress.get(t, np.inf) <= c + sd[h]):
+            keep[i] = False
     used = np.zeros(n, dtype=bool)
     used[[0, n - 1]] = True
     used[tail[keep]] = used[head[keep]] = True

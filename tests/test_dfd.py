@@ -2,6 +2,8 @@ import gc
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
 from odmts import (
     CapExceeded,
@@ -22,7 +24,8 @@ from odmts import (
 from odmts import dfd, highs
 from odmts.adoption import arcs_cost
 from odmts.dfd import FlowLP, FlowModel, TripBlock
-from conftest import block_price, make_example_instance, reference_block, tiny_instance
+from conftest import (block_price, make_example_instance, reference_block, reference_edges,
+                      tiny_instance)
 from test_router import EDGE_CASES, grid_instance, non_metric, with_hub_trips
 
 
@@ -55,6 +58,30 @@ def assert_block(block, tail, head, g, arc, nodes):
     assert block.nodes == nodes
     for got, want in zip((block.tail, block.head, block.g, block.arc), (tail, head, g, arc)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def unit_flow_values(blocks, z):
+    """Each (tail, head, g, arc, nodes) block's cheapest unit flow from node
+    0 to node ``nodes - 1``, every bus edge capped by its arc's entry of
+    ``z``, read from one LP over all the blocks (they share no variable,
+    so each block's part of an optimum is optimal for that block)."""
+    rows, cols, vals, rhs, cost, upper, cut = [], [], [], [], [], [], [0]
+    for tail, head, g, arc, nodes in blocks:
+        col = cut[-1] + np.arange(len(g))
+        rows += [len(rhs) + tail, len(rhs) + head]
+        cols += [col, col]
+        vals += [np.ones(len(g)), -np.ones(len(g))]
+        rhs += [1.0] + [0.0] * (nodes - 2) + [-1.0]
+        cost.append(g)
+        upper.append(np.where(arc >= 0, z[arc], np.inf))
+        cut.append(cut[-1] + len(g))
+    cost, upper = np.concatenate(cost), np.concatenate(upper)
+    eq = coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(len(rhs), len(cost)))
+    res = linprog(cost, A_eq=eq, b_eq=rhs, bounds=np.column_stack([np.zeros(len(cost)), upper]),
+                  method="highs")
+    assert res.status == 0, res.message
+    return [float(cost[a:b] @ res.x[a:b]) for a, b in zip(cut[:-1], cut[1:])]
 
 
 # Trips from a hub, to a hub, between two hubs and between two other stops,
@@ -147,6 +174,36 @@ class TestMakeCut:
         for trip, block in zip(inst.trips, make_cut(inst.trips, inst), strict=True):
             assert block.trip is trip
             assert_block(block, *reference_block(trip, inst))
+
+    @pytest.mark.parametrize("case", ["trip-gagr", "arc-s2-desk", "hub_trips", "non_metric"])
+    def test_value_holds_at_fractional_z(self, case):
+        # a pruned edge's flow moves to an ungated edge at no extra cost,
+        # so every block's min-cost unit flow equals the unpruned graph's
+        # at any z in [0, 1]^A, fractional included
+        for inst in EDGE_CASES[case]():
+            blocks = make_cut(inst.trips, inst)
+            assert all(((b.tail == 0) & (b.head == b.nodes - 1) & (b.arc < 0)).any()
+                       for b in blocks)  # the direct edge stays
+            full = [reference_edges(t, inst) for t in inst.trips]
+            rng = np.random.default_rng(len(inst.trips))
+            for _ in range(3):
+                z = rng.uniform(size=len(inst.candidate_arcs))
+                got = unit_flow_values([(b.tail, b.head, b.g, b.arc, b.nodes) for b in blocks], z)
+                assert got == pytest.approx(unit_flow_values(full, z), rel=1e-9, abs=1e-9)
+
+    def test_bus_edge_back_toward_the_origin_hub_dropped(self):
+        # origin 0, hub 1 one km on, hub 2 further, destination 3: the bus
+        # 2 -> 1 lies on a path cheaper than the direct shuttle, but the
+        # shuttle 0 -> 1 beats every way to 1 through it
+        inst = grid_instance([(0, 0), (1, 0), (4, 0), (12, 0)], hubs=(1, 2), trips=[(0, 3)],
+                             theta=0.2)
+        [block] = make_cut(inst.trips, inst)
+        cand = inst.candidate_arcs
+        assert sorted(cand[a] for a in block.arc[block.arc >= 0]) == [(1, 2)]
+        assert ((block.tail == 0) & (block.head == 3) & (block.arc < 0)).sum() == 1
+        assert_block(block, *reference_block(inst.trips[0], inst))
+        for z in balanced_designs(inst):
+            assert block_price(inst, block, z.open_arcs) == route(inst.trips[0], z).g
 
     @pytest.mark.parametrize("build", MIXED.values(), ids=MIXED.keys())
     def test_batch_independence(self, build):
