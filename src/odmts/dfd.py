@@ -22,11 +22,13 @@ The LPs run on HiGHS's compiled core, which ships inside scipy (see
 ``highs``). A heuristic run keeps one ``FlowModel``, which holds the
 run's answers: the direct trips, found for all trips at once; each
 trip's block; one memo of answers, keyed by a solve's flow trips and
-fixed arcs, from which ``solve_dfd`` answers the run's repeats without
-an LP; each answer's direct-trip constant; and one ``Design`` per
-open-arc tuple, so that every answer with that tuple shares the
-design's memos (its route tables, arrays and evaluation). The model's
-one ``FlowLP`` alone holds the solver and runs the exact search
+fixed arcs, from which ``solve_dfd`` answers without an LP the run's
+repeats and the requests an earlier answer implies (the same flow trips
+with more of the answer's arcs fixed, or fewer flow trips with all of
+them fixed, see ``_implied``); each answer's direct-trip constant; and
+one ``Design`` per open-arc tuple, so that every answer with that tuple
+shares the design's memos (its route tables, arrays and evaluation). The
+model's one ``FlowLP`` alone holds the solver and runs the exact search
 (``FlowLP.search``): a block joins it the first time a solve uses its
 trip, blocks outside a solve are switched off, and every solve starts
 warm from the previous basis. A solve builds the blocks it lacks in one
@@ -337,9 +339,9 @@ class FlowModel:
         direct = inst.metric_consistent & (_min_access_egress_km(inst, o, d) >= inst.dist[o, d])
         self.direct = frozenset(t.id for t, on in zip(inst.trips, direct.tolist()) if on)
         self.blocks = {}  # trip id -> block
-        self.solved = {}  # (flow-trip ids, fixed arcs) -> (design, root LP value, flow objective)
+        self.solved = {}  # (flow-trip ids, fixed arcs) -> (design, root value, flow objective)
         self.consts = {}  # (design, direct trip ids) -> riders times g over those trips
-        self.designs = {}  # tuple(open arcs) -> the design solve_master returns for them
+        self.designs = {}  # tuple(open arcs) -> the design of every answer that opens them
         self.lp = FlowLP(inst)
 
 
@@ -355,12 +357,38 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
     cand = inst.candidate_arcs
     model.lp.use(blocks)
     inc, best, root, solves = model.lp.search(np.array([a in fixed for a in cand], dtype=bool))
+    return _design(inst, model, fixed, inc), best, root, solves
+
+
+def _design(inst: Instance, model: FlowModel, fixed: frozenset, is_open) -> Design:
+    """The model's design (``FlowModel.designs``) that opens the arcs
+    ``fixed`` and the candidate arcs whose entry of ``is_open`` is true."""
     # arcs_cost sums in set order, so how this set is built fixes the
     # objective's last bits; this order reproduces bench/references.json
-    opened = frozenset(a for a, on in zip(cand, inc) if on and a not in fixed)
+    opened = frozenset(a for a, on in zip(inst.candidate_arcs, is_open) if on and a not in fixed)
     design = Design(inst, fixed | opened)
-    design = model.designs.setdefault(tuple(design.open_arcs), design)
-    return design, best, root, solves
+    return model.designs.setdefault(tuple(design.open_arcs), design)
+
+
+def _implied(inst: Instance, model: FlowModel, flow: frozenset, fixed: frozenset):
+    """The design for the flow trips ``flow`` with the arcs ``fixed``
+    open, built by ``_design`` as a search would build it, when a stored
+    answer of ``model`` implies it; None otherwise. An answer
+    D for flow trips T and fixed arcs F, with F <= ``fixed`` <= D, is one
+    in two cases:
+    - ``flow`` is T: D stays feasible, and the designs within the tie cap
+      that contain ``fixed`` are among those that contain F, so D is
+      still the smallest sorted tuple among them;
+    - ``fixed`` is D and ``flow`` <= T: opening arcs never raises a
+      trip's routed g, so a design beyond D that beat or tied D on
+      ``flow`` would beat or tie it on T as well."""
+    for (known, held), (design, _, _) in model.solved.items():
+        arcs = design.open_arcs
+        if held <= fixed <= arcs and (flow == known or (fixed == arcs and flow <= known)):
+            # read again, as solve_master reads it: the set's order is the design's
+            return _design(inst, model, _fixed_arcs(inst, fixed),
+                           [a in arcs for a in inst.candidate_arcs])
+    return None
 
 
 @dataclass(frozen=True)
@@ -368,10 +396,12 @@ class DfdSolution:
     """Optimal fixed-demand design with its trip set and solve record.
 
     ``design``, ``objective`` and ``tset`` depend on the solve's inputs
-    alone. On a shared ``FlowModel`` the root LP value in ``bounds`` (in
-    its last bits) and ``iterations`` also depend on the warm basis of
-    earlier solves; a memo answer reports the first solve's root LP value
-    for its flow trips and fixed arcs, and ``iterations`` 0."""
+    alone. On a shared ``FlowModel`` the root value in ``bounds`` and
+    ``iterations`` also depend on earlier solves: the root LP value, in
+    its last bits, on their warm basis; an exact repeat reports the first
+    solve's root value for its flow trips and fixed arcs, and an answer
+    an earlier one implies (see ``solve_dfd``) reports its own objective
+    as the root value; both report ``iterations`` 0."""
 
     design: Design
     objective: float
@@ -399,10 +429,14 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
     heuristic run passes its own to every solve. After the checks of
     ``tset`` and ``fixed``, the model's memo answers the flow trips
     (``tset`` less the model's direct trips) and fixed arcs with the
-    design, its root LP value and its flow objective (investment plus
-    riders times g over the flow trips). On a miss one ``make_cut`` call
-    builds the blocks the model lacks, if any, and ``solve_master``
-    runs; a hit reports ``iterations`` 0. Either way the design is the
+    design, its root value and its flow objective (investment plus
+    riders times g over the flow trips). On a miss a stored answer that
+    implies the request (``_implied``) gives its design, built as a
+    search builds it, with its own objective as the root value; failing
+    that, one ``make_cut`` call builds the blocks the model lacks, if
+    any, and ``solve_master`` runs, and its root LP value is kept. Either
+    way the answer joins the memo, and only ``solve_master`` counts in
+    ``iterations``: 0 for a hit or an implied answer. The design is the
     model's one for its open-arc tuple, so a run evaluates each design
     once. The direct trips' constant, kept on the model per design and
     direct trip ids, is added last."""
@@ -410,14 +444,16 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
     model = FlowModel(inst) if _model is None else _model
     flow, solves = ids - model.direct, 0
     if (flow, fixed) not in model.solved:
-        trips = [inst.trip_by_id(i) for i in sorted(flow)]
-        missing = [t for t in trips if t.id not in model.blocks]
-        if missing:
-            model.blocks.update((b.trip.id, b) for b in make_cut(missing, inst))
-        blocks = [model.blocks[t.id] for t in trips]
-        design, _, root, solves = solve_master(inst, blocks, fixed=fixed, _model=model)
+        design, root = _implied(inst, model, flow, fixed), None
+        if design is None:
+            trips = [inst.trip_by_id(i) for i in sorted(flow)]
+            missing = [t for t in trips if t.id not in model.blocks]
+            if missing:
+                model.blocks.update((b.trip.id, b) for b in make_cut(missing, inst))
+            blocks = [model.blocks[t.id] for t in trips]
+            design, _, root, solves = solve_master(inst, blocks, fixed=fixed, _model=model)
         objective = _riders_g(design, flow, arcs_cost(inst, design.open_arcs))
-        model.solved[flow, fixed] = design, root, objective
+        model.solved[flow, fixed] = design, objective if root is None else root, objective
     design, root, objective = model.solved[flow, fixed]
     # a direct trip rides the same shuttle under every design
     direct = design, ids & model.direct

@@ -29,6 +29,7 @@ from odmts import (
     route,
     solve_dfd,
 )
+from odmts import highs
 from conftest import block_price, oracle_route, random_design, tiny_config
 
 REL_TOL = 1e-9
@@ -326,6 +327,34 @@ def test_criterion_9_desk_scale_benchmark():
         times[name] = elapsed
     report(9, "benchmark (100 stops / 8 hubs / 200 trips) "
               + ", ".join(f"{k} {v:.1f}s" for k, v in times.items()))
+
+
+def test_criterion_9_lp_solves(monkeypatch):
+    # the LP solves of each run on criterion 9's instance, a work counter
+    # that timing noise cannot hide (arc-s1 and arc-s2 answer their last
+    # solves from earlier answers, without an LP)
+    inst = generate_synthetic(BENCHMARK_CONFIG, seed=11)
+    solve, solves = highs.solve, []
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(highs, "solve", counted)
+    runs = {
+        "grad": lambda: rho_grad(inst),
+        "grre": lambda: eta_grre(inst),
+        "gagr": lambda: rho_gagr(inst),
+        "arc-s1": lambda: arc_s1(inst, "a"),
+        "arc-s2": lambda: arc_s2(inst, "d", "a"),
+    }
+    counts = {}
+    for name, fn in runs.items():
+        solves.clear()
+        fn()
+        counts[name] = len(solves)
+    assert counts == {"grad": 16, "grre": 16, "gagr": 38, "arc-s1": 4, "arc-s2": 6}
+    report(9, "LP solves " + ", ".join(f"{k} {v}" for k, v in counts.items()))
 
 
 def test_criterion_10_determinism():

@@ -2,6 +2,7 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import coo_array
 
@@ -422,8 +423,9 @@ class TestSolveDfd:
     def test_repeated_flow_trips_run_no_lp(self):
         # trip sets that differ only in trips riding a direct shuttle under
         # every design have the same flow blocks: the second solve takes
-        # the first one's design without an LP; other fixed arcs miss, yet
-        # give the model's one design for the same arc tuple
+        # the first one's design without an LP; fixing that design's own
+        # arcs is implied by the stored answer, and gives the model's one
+        # design for the same arc tuple without an LP as well
         inst = tiny_instance(0)
         model = FlowModel(inst)
         flow = [t.id for t in inst.trips if t.id not in model.direct]
@@ -436,7 +438,7 @@ class TestSolveDfd:
         assert again.objective == fresh.objective and again.tset == fresh.tset
         assert again.bounds[0][2:] == fresh.bounds[0][2:]
         fixed = solve_dfd(inst, tset, fixed=first.design.open_arcs, _model=model)
-        assert fixed.iterations >= 1 and fixed.design is first.design
+        assert fixed.iterations == 0 and fixed.design is first.design
         assert fixed.design.key() == first.design.key()
 
     def test_exact_repeat_builds_and_solves_nothing(self, monkeypatch):
@@ -649,6 +651,119 @@ class TestSolveDfd:
         assert slow.design.key() == ((1, 2), (2, 1))
         assert fast.design.key() == slow.design.key()
         assert fast.objective == slow.objective == pytest.approx(12.6)
+
+
+class TestImpliedAnswers:
+    """A request that a stored answer (trips T, fixed arcs F) -> D implies:
+    flow trips S <= T and fixed arcs F' with F <= F' <= D, where S is T
+    or F' is D. Its answer is the one a fresh model gives, without an LP."""
+
+    @staticmethod
+    def no_lp(monkeypatch):
+        def called(*args, **kwargs):
+            raise AssertionError("a block was built or an LP solved")
+
+        monkeypatch.setattr(highs, "branch", called)
+        monkeypatch.setattr(highs, "solve", called)
+        monkeypatch.setattr(dfd, "make_cut", called)
+
+    @staticmethod
+    def assert_fresh(sol, inst, tset, fixed):
+        # the design is built as a search builds it: same arc order, so the
+        # same objective to the last bit
+        fresh = solve_dfd(inst, tset, fixed)
+        assert tuple(sol.design.open_arcs) == tuple(fresh.design.open_arcs)
+        assert (sol.objective, sol.tset, sol.bounds[0][2:]) == (fresh.objective, fresh.tset,
+                                                                fresh.bounds[0][2:])
+
+    @staticmethod
+    def start():
+        """tiny_instance(0), a new model on it, every trip id and the
+        sorted flow trip ids."""
+        inst = tiny_instance(0)
+        model = FlowModel(inst)
+        every = [t.id for t in inst.trips]
+        return inst, model, every, sorted(set(every) - model.direct)
+
+    def test_restriction_keeps_the_answer(self, monkeypatch):
+        # the same flow trips with one of the answer's three arcs fixed
+        inst, model, every, _ = self.start()
+        first = solve_dfd(inst, every, _model=model)
+        fixed = first.design.key()[:1]
+        assert len(first.design.open_arcs) == 3 and not inst.fixed_arcs
+        self.no_lp(monkeypatch)
+        sol = solve_dfd(inst, every, fixed, _model=model)
+        again = solve_dfd(inst, every, fixed, _model=model)
+        monkeypatch.undo()
+        assert sol.iterations == again.iterations == 0
+        assert sol.design.key() == first.design.key() and again.design is sol.design
+        assert sol.bounds[0][1] == sol.bounds[0][2] == sol.objective
+        assert len(model.solved) == 2
+        self.assert_fresh(sol, inst, every, fixed)
+
+    def test_bare_answer_holds_for_fewer_trips(self, monkeypatch):
+        # fewer flow trips with all of the answer's arcs fixed, then fewer
+        # still, which the first implied answer implies as well
+        inst, model, every, flow = self.start()
+        first = solve_dfd(inst, every, _model=model)
+        fixed = first.design.key()
+        self.no_lp(monkeypatch)
+        answers = [solve_dfd(inst, flow[:k], fixed, _model=model) for k in (4, 2)]
+        monkeypatch.undo()
+        assert len(model.solved) == 3
+        for sol, k in zip(answers, (4, 2)):
+            assert sol.iterations == 0 and sol.design is first.design
+            assert sol.bounds[0][1] == sol.bounds[0][2] == sol.objective
+            self.assert_fresh(sol, inst, flow[:k], fixed)
+
+    def test_fewer_trips_with_part_of_the_answer_fixed_search(self):
+        # S < T and F' < D: one trip with one of the three arcs fixed opens
+        # two arcs, so the stored answer must not be taken
+        inst, model, every, flow = self.start()
+        first = solve_dfd(inst, every, _model=model)
+        fixed = first.design.key()[:1]
+        sol = solve_dfd(inst, flow[:1], fixed, _model=model)
+        assert sol.iterations >= 1
+        assert sol.design.key() == ((0, 1), (1, 0)) != first.design.key()
+        self.assert_fresh(sol, inst, flow[:1], fixed)
+
+    def test_more_trips_search(self):
+        # S > T with F' = D: one trip opens no arc, all trips open three
+        inst, model, every, flow = self.start()
+        first = solve_dfd(inst, flow[:1], _model=model)
+        sol = solve_dfd(inst, every, first.design.key(), _model=model)
+        assert first.design.key() == () and sol.iterations >= 1
+        assert len(sol.design.open_arcs) == 3
+        self.assert_fresh(sol, inst, every, first.design.key())
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 30), st.data())
+    def test_random_requests_match_a_fresh_solve(self, seed, data):
+        # one shared model through requests whose trips are a new set or
+        # part of an earlier request's, and whose fixed arcs are part of an
+        # earlier answer; each answer equals a fresh model's and the oracle's
+        inst = tiny_instance(seed, n_stops=8, n_hubs=4)
+        model, asked = FlowModel(inst), []
+
+        def part(items):
+            items = sorted(items)
+            if data.draw(st.booleans()):
+                return items
+            keep = data.draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+            return [x for x, on in zip(items, keep) if on]
+
+        for _ in range(6):
+            if asked and data.draw(st.booleans()):
+                tset, arcs = data.draw(st.sampled_from(asked))
+                tset, fixed = part(tset), part(arcs)
+            else:
+                tset, fixed = part(t.id for t in inst.trips), ()
+            sol = solve_dfd(inst, tset, fixed, _model=model)
+            self.assert_fresh(sol, inst, tset, fixed)
+            slow = enumerate_dfd(inst, tset, fixed=fixed)  # 4 hubs: at most 12 candidate arcs
+            assert sol.design.key() == slow.design.key()
+            assert sol.objective == pytest.approx(slow.objective, rel=1e-12)
+            asked.append((sol.tset, sol.design.key()))
 
 
 class TestEnumerateDfd:
