@@ -19,8 +19,6 @@ Expansion rules, applied to the latent trips after each fixing step:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .adoption import _scored, design_objective
@@ -123,7 +121,6 @@ def _arc_stage(inst, rule, z, tbar, bound, k, trace, stage, model, expanded=Fals
     expanded. Every step evaluates and records once.
     """
     while True:
-        t0 = time.perf_counter()
         sol = solve_dfd(inst, tbar, fixed=z.open_arcs, _model=model)
         # pre-sorted, and min keeps the first of equals: the shorter, lex-smaller cycle
         cycles = find_cycles(sol.design.open_arcs - z.open_arcs)
@@ -136,9 +133,7 @@ def _arc_stage(inst, rule, z, tbar, bound, k, trace, stage, model, expanded=Fals
         if fixed or not expanded:
             tbar = tbar | expand(rule, z)
             expanded = True
-        score = _scored(z)
-        trace.add(k, stage, len(tbar), z, score.objective, len(score.adopters),
-                  time.perf_counter() - t0)
+        trace.add(k, stage, z, tbar)
         if not fixed:
             return z, tbar, bound, k
         k += 1
@@ -148,9 +143,9 @@ def arc_s1(inst: Instance, rule: str = "a"):
     """Single-stage arc-based greedy. Returns (design, trace)."""
     check_rules([rule])
     trace = HeuristicTrace()
-    z, tbar, _, _ = _arc_stage(inst, rule, Design.minimal(inst), inst.core_ids, float("inf"), 0,
-                               trace, 1, FlowModel(inst))
-    return z, trace.finish(z, tbar)
+    _arc_stage(inst, rule, Design.minimal(inst), inst.core_ids, float("inf"), 0, trace, 1,
+               FlowModel(inst))
+    return trace.finish()
 
 
 def arc_s2(inst: Instance, rule_stage1: str = "d", rule_stage2: str = "a"):
@@ -166,5 +161,5 @@ def arc_s2(inst: Instance, rule_stage1: str = "d", rule_stage2: str = "a"):
     # second phase starts from an expanded trip set rather than re-solving
     # the exact fixed point stage 1 stopped at
     tbar = tbar | expand(rule_stage2, z)
-    z, tbar, _, _ = _arc_stage(inst, rule_stage2, z, tbar, bound, k, trace, 2, model, expanded=True)
-    return z, trace.finish(z, tbar)
+    _arc_stage(inst, rule_stage2, z, tbar, bound, k, trace, 2, model, expanded=True)
+    return trace.finish()

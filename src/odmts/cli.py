@@ -86,21 +86,18 @@ def _rules(alg: str, rules) -> list:
     return rules
 
 
-def _one_step(design: Design, tset, objective, adopters: int, extra: dict):
-    trace = HeuristicTrace()
-    trace.add(0, 1, len(tset), design, objective, adopters, 0.0)
-    return design, trace.finish(design, tset), extra
-
-
 def _dfd(inst: Instance):
-    sol = solve_dfd(inst, tset := [t.id for t in inst.trips])
-    return _one_step(sol.design, tset, sol.objective, 0, {"bounds": sol.bounds})
+    trace = HeuristicTrace()
+    sol = solve_dfd(inst, [t.id for t in inst.trips])
+    trace.add(0, 1, sol.design, sol.tset)
+    return (*trace.finish(), {"bounds": sol.bounds})
 
 
 def _exact(inst: Instance):
+    trace = HeuristicTrace()
     res = exact_tiny(inst)
-    return _one_step(res.design, res.tset, res.evaluation.objective,
-                     len(res.evaluation.adopters), {"resolve_matches": res.resolve_matches})
+    trace.add(0, 1, res.design, res.tset)
+    return (*trace.finish(), {"resolve_matches": res.resolve_matches})
 
 
 def _grre(inst: Instance, eta):

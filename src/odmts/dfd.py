@@ -352,19 +352,21 @@ def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = No
     Returns (design, v*, root LP value, LP solves). The design is the
     model's own for its open-arc tuple (``FlowModel.designs``), the same
     object on every call that opens those arcs in that order."""
-    fixed = _fixed_arcs(inst, fixed)
+    held = _fixed_arcs(inst, fixed)
     model = FlowModel(inst) if _model is None else _model
     cand = inst.candidate_arcs
     model.lp.use(blocks)
-    inc, best, root, solves = model.lp.search(np.array([a in fixed for a in cand], dtype=bool))
+    inc, best, root, solves = model.lp.search(np.array([a in held for a in cand], dtype=bool))
     return _design(inst, model, fixed, inc), best, root, solves
 
 
-def _design(inst: Instance, model: FlowModel, fixed: frozenset, is_open) -> Design:
+def _design(inst: Instance, model: FlowModel, fixed, is_open) -> Design:
     """The model's design (``FlowModel.designs``) that opens the arcs
-    ``fixed`` and the candidate arcs whose entry of ``is_open`` is true."""
+    ``fixed``, read by ``_fixed_arcs``, and the candidate arcs whose entry
+    of ``is_open`` is true."""
     # arcs_cost sums in set order, so how this set is built fixes the
     # objective's last bits; this order reproduces bench/references.json
+    fixed = _fixed_arcs(inst, fixed)
     opened = frozenset(a for a, on in zip(inst.candidate_arcs, is_open) if on and a not in fixed)
     design = Design(inst, fixed | opened)
     return model.designs.setdefault(tuple(design.open_arcs), design)
@@ -385,9 +387,7 @@ def _implied(inst: Instance, model: FlowModel, flow: frozenset, fixed: frozenset
     for (known, held), (design, _, _) in model.solved.items():
         arcs = design.open_arcs
         if held <= fixed <= arcs and (flow == known or (fixed == arcs and flow <= known)):
-            # read again, as solve_master reads it: the set's order is the design's
-            return _design(inst, model, _fixed_arcs(inst, fixed),
-                           [a in arcs for a in inst.candidate_arcs])
+            return _design(inst, model, fixed, [a in arcs for a in inst.candidate_arcs])
     return None
 
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import csv
+import time
 from dataclasses import dataclass
 
-from .router import Design
+from .adoption import _scored
 
 
 @dataclass(frozen=True)
@@ -20,29 +21,41 @@ class TraceRecord:
 
 
 class HeuristicTrace:
-    """Iteration log of one heuristic run. ``finish`` records the trip set
-    that generated the returned design (the basis for false rejection and
-    adoption rates) and whether the run was truncated."""
+    """The steps of one heuristic run: each step's (design, trip set) in
+    ``steps`` and its record in ``records``. ``finish`` picks the step
+    the run returns and records its trip set (the basis for false
+    rejection and adoption rates) and whether the run was truncated."""
 
     def __init__(self):
         self.records = []
+        self.steps = []
         self.tset = frozenset()
         self.truncated = False
+        self._clock = time.perf_counter()
 
-    def add(self, k, stage, tset_size, design, objective, adopters, wall_time):
-        self.records.append(TraceRecord(k, stage, tset_size, design.fingerprint(), float(objective),
-                                        int(adopters), float(wall_time)))
+    def add(self, k, stage, design, tset) -> None:
+        """Record ``design``, produced by the trip set ``tset``, with its
+        score (``_scored``) and the seconds since the previous record, or
+        since the trace began."""
+        score, tset = _scored(design), frozenset(tset)
+        now = time.perf_counter()
+        self.records.append(TraceRecord(k, stage, len(tset), design.fingerprint(), score.objective,
+                                        len(score.adopters), now - self._clock))
+        self.steps.append((design, tset))
+        self._clock = now
 
     @property
     def objectives(self) -> list:
         return [r.objective for r in self.records]
 
-    def finish(self, design: Design, tset, truncated: bool = False) -> "HeuristicTrace":
-        if not any(r.fingerprint == design.fingerprint() for r in self.records):
-            raise RuntimeError(f"finished on design {design.fingerprint()} never traced")
-        self.tset = frozenset(tset)
+    def finish(self, least: bool = False, truncated: bool = False):
+        """(design, trace) for the last step, or with ``least`` the first
+        step of least objective; ``tset`` becomes that step's trip set."""
+        objectives = self.objectives
+        i = min(range(len(objectives)), key=objectives.__getitem__) if least else -1
+        design, self.tset = self.steps[i]
         self.truncated = truncated
-        return self
+        return design, self
 
 
 TRACE_COLUMNS = ["k", "stage", "tset_size", "open_arcs", "objective", "adopters", "wall_time"]

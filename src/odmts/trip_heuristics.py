@@ -73,31 +73,22 @@ def _ranked_adopters(design, excluded):
     return [i for i in _net_cost_order(design) if i in keep]
 
 
-def _adopt(inst: Instance, rho: int, inner, time_limit: float | None = None):
+def _adopt(inst: Instance, rho: int, inner, time_limit: float | None = None) -> HeuristicTrace:
     """The adoption loop of rho-GRAD and rho-GAGR. Each round runs
     ``inner(tbar)`` on the core trips plus the absorbed ones, which gives
     a design and the trip set that produced it, then absorbs the ``rho``
     cheapest adopters outside the absorbed set. It stops when none is
-    left, or once ``time_limit`` seconds have passed. Returns the rounds'
-    (design, trip set) steps in order, and the trace."""
-    trace, steps, absorbed = HeuristicTrace(), [], set()
+    left, or once ``time_limit`` seconds have passed. Returns the trace
+    of the rounds."""
+    trace, absorbed = HeuristicTrace(), set()
     started = time.perf_counter()
     for k in itertools.count():
-        t0 = time.perf_counter()
         design, tset = inner(inst.core_ids | absorbed)
-        score = _scored(design)
-        trace.add(k, 1, len(tset), design, score.objective, len(score.adopters),
-                  time.perf_counter() - t0)
-        steps.append((design, tset))
+        trace.add(k, 1, design, tset)
         ranked = _ranked_adopters(design, absorbed)
         if not ranked or (time_limit is not None and time.perf_counter() - started >= time_limit):
-            return steps, trace
+            return trace
         absorbed.update(ranked[:rho])
-
-
-def _first_min(steps):
-    """The first (design, trip set) step of least objective."""
-    return min(steps, key=lambda step: _scored(step[0]).objective)
 
 
 def rho_grad(inst: Instance, rho: int | None = None):
@@ -106,10 +97,8 @@ def rho_grad(inst: Instance, rho: int | None = None):
     set that generated the design."""
     rho = _step(inst, "rho", rho)
     model = FlowModel(inst)
-    steps, trace = _adopt(inst, rho,
-                          lambda tbar: (solve_dfd(inst, tbar, _model=model).design, tbar))
-    design, tset = steps[-1]
-    return design, trace.finish(design, tset)
+    trace = _adopt(inst, rho, lambda tbar: (solve_dfd(inst, tbar, _model=model).design, tbar))
+    return trace.finish()
 
 
 def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
@@ -122,21 +111,17 @@ def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
     answers the repeats of every run that shares it."""
     eta = _step(inst, "eta", eta)
     model = FlowModel(inst) if _model is None else _model
-    trace, steps, rejected = HeuristicTrace(), [], set()
+    trace, rejected = HeuristicTrace(), set()
     tbar = frozenset(start_tset) if start_tset is not None else inst.core_ids
     for k in itertools.count():  # step k keeps a quota of eta * (k + 1) ranked adopters
-        t0 = time.perf_counter()
         design = solve_dfd(inst, tbar, _model=model).design
-        score = _scored(design)
-        trace.add(k, 1, len(tbar), design, score.objective, len(score.adopters),
-                  time.perf_counter() - t0)
-        steps.append((design, tbar))
-        rejected |= inst.latent_ids - score.adopters
+        trace.add(k, 1, design, tbar)
+        rejected |= inst.latent_ids - _scored(design).adopters
         ranked = _ranked_adopters(design, rejected)
-        stable = k >= 2 and steps[-2][0].open_arcs == design.open_arcs and eta * k >= len(ranked)
+        stable = (k >= 2 and trace.steps[-2][0].open_arcs == design.open_arcs
+                  and eta * k >= len(ranked))
         if stable or k >= MAX_ITER:
-            design, tset = _first_min(steps)
-            return design, trace.finish(design, tset, truncated=not stable)
+            return trace.finish(least=True, truncated=not stable)
         tbar = inst.core_ids | set(ranked[:eta * (k + 1)])
 
 
@@ -156,6 +141,4 @@ def rho_gagr(inst: Instance, rho: int | None = None, eta: int | None = None,
         design, run = eta_grre(inst, eta=eta, start_tset=tbar, _model=model)
         return design, run.tset
 
-    steps, trace = _adopt(inst, rho, inner, time_limit)
-    design, tset = _first_min(steps)
-    return design, trace.finish(design, tset)
+    return _adopt(inst, rho, inner, time_limit).finish(least=True)

@@ -144,6 +144,20 @@ class TestSolve:
         ))
         assert {r["stage"] for r in rows} == {"1", "2"}
 
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_evaluation_is_a_trace_row(self, tmp_path, instance_file, alg):
+        # every algorithm's trace rows score their designs as evaluate does
+        out = tmp_path / alg
+        rc = main(["solve", "--instance", str(instance_file), "--alg", alg, "--out", str(out)])
+        assert rc == 0
+        ev = json.loads((out / "evaluation.json").read_text())
+        rows = list(csv.DictReader(
+            line for line in (out / "trace.csv").read_text().splitlines()
+            if not line.startswith("#")
+        ))
+        assert (repr(ev["objective"]), str(len(ev["adopters"]))) in {
+            (r["objective"], r["adopters"]) for r in rows}
+
     def test_bad_alg_exits_one(self, instance_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--instance", str(instance_file), "--alg", "bogus"])

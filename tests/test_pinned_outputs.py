@@ -160,7 +160,7 @@ def solve_outputs(out) -> str:
 
 
 SOLVE_PINNED = {
-    "dfd": "bd03d5ea9a15ecc5",
+    "dfd": "326869dde68926fd",
     "exact": "151df9489466fad4",
     "grad": "a5d69d0565bf85fe",
     "grre": "5abf5d64232400a4",

@@ -312,10 +312,20 @@ class TestDeterminism:
 
 
 class TestHeuristicTrace:
-    def test_finish_on_untraced_design_raises(self, example_instance):
-        z0 = Design.minimal(example_instance)
-        z1 = Design(example_instance, frozenset({(1, 2), (2, 1)}))
+    def test_finish_picks_a_step_and_its_trip_set(self, example_instance):
+        z0 = Design.minimal(example_instance)  # objective 18.5
+        z1 = Design(example_instance, frozenset({(1, 2), (2, 1)}))  # objective 17.75
         trace = HeuristicTrace()
-        trace.add(0, 1, 1, z0, 18.5, 0, 0.0)
-        with pytest.raises(RuntimeError, match="never traced"):
-            trace.finish(z1, {0})
+        for k, (design, tset) in enumerate([(z0, [0]), (z1, {0}), (z1, ()), (z0, ())]):
+            trace.add(k, 1, design, tset)
+        assert trace.objectives == [18.5, 17.75, 17.75, 18.5]
+        assert [r.tset_size for r in trace.records] == [1, 1, 0, 0]
+        assert all(r.wall_time >= 0.0 for r in trace.records)
+
+        design, same = trace.finish()
+        assert same is trace and design is z0
+        assert trace.tset == frozenset() and not trace.truncated
+
+        # of the equal least objectives the first step wins, with its trip set
+        design, _ = trace.finish(least=True, truncated=True)
+        assert design is z1 and trace.tset == frozenset({0}) and trace.truncated
