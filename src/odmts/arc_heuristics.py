@@ -104,10 +104,10 @@ def expand(rule: str, design: Design) -> set:
     return {t.id for t in trips}
 
 
-def _arc_stage(inst, rule, z, tbar, bound, k, trace, stage, model, expanded=False):
+def _arc_stage(inst, rule, z, tbar, bound, trace, stage, model, expanded=False):
     """One greedy fixing phase from the fixed design ``z`` and trip set
     ``tbar`` on the run's DFD ``model``; returns the final (z, tbar,
-    bound, k).
+    bound).
 
     Each step scores every new cycle and fixes the best one only if it
     beats ``bound``, the objective of the last fixed design. It expands
@@ -133,17 +133,16 @@ def _arc_stage(inst, rule, z, tbar, bound, k, trace, stage, model, expanded=Fals
         if fixed or not expanded:
             tbar = tbar | expand(rule, z)
             expanded = True
-        trace.add(k, stage, z, tbar)
+        trace.add(stage, z, tbar)
         if not fixed:
-            return z, tbar, bound, k
-        k += 1
+            return z, tbar, bound
 
 
 def arc_s1(inst: Instance, rule: str = "a"):
     """Single-stage arc-based greedy. Returns (design, trace)."""
     check_rules([rule])
     trace = HeuristicTrace()
-    _arc_stage(inst, rule, Design.minimal(inst), inst.core_ids, float("inf"), 0, trace, 1,
+    _arc_stage(inst, rule, Design.minimal(inst), inst.core_ids, float("inf"), trace, 1,
                FlowModel(inst))
     return trace.finish()
 
@@ -155,11 +154,11 @@ def arc_s2(inst: Instance, rule_stage1: str = "d", rule_stage2: str = "a"):
     check_rules([rule_stage1, rule_stage2])
     trace = HeuristicTrace()
     model = FlowModel(inst)
-    z, tbar, bound, k = _arc_stage(inst, rule_stage1, Design.minimal(inst), inst.core_ids,
-                                   float("inf"), 0, trace, 1, model)
+    z, tbar, bound = _arc_stage(inst, rule_stage1, Design.minimal(inst), inst.core_ids,
+                                float("inf"), trace, 1, model)
     # hand the stage-2 rule a first look at the converged design so the
     # second phase starts from an expanded trip set rather than re-solving
     # the exact fixed point stage 1 stopped at
     tbar = tbar | expand(rule_stage2, z)
-    _arc_stage(inst, rule_stage2, z, tbar, bound, k, trace, 2, model, expanded=True)
+    _arc_stage(inst, rule_stage2, z, tbar, bound, trace, 2, model, expanded=True)
     return trace.finish()

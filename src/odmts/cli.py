@@ -89,14 +89,14 @@ def _rules(alg: str, rules) -> list:
 def _dfd(inst: Instance):
     trace = HeuristicTrace()
     sol = solve_dfd(inst, [t.id for t in inst.trips])
-    trace.add(0, 1, sol.design, sol.tset)
-    return (*trace.finish(), {"bounds": sol.bounds})
+    trace.add(1, sol.design, sol.tset)
+    return (*trace.finish(), {})
 
 
 def _exact(inst: Instance):
     trace = HeuristicTrace()
     res = exact_tiny(inst)
-    trace.add(0, 1, res.design, res.tset)
+    trace.add(1, res.design, res.tset)
     return (*trace.finish(), {"resolve_matches": res.resolve_matches})
 
 
@@ -105,9 +105,9 @@ def _grre(inst: Instance, eta):
     return design, trace, {"truncated": trace.truncated}
 
 
-# Each algorithm's solver flags and its run, which takes them as keywords
-# and returns (design, trace, extra): trace.tset is the trip set that
-# produced the design, extra documents bounds. Keys in --alg choice order.
+# Each algorithm's solver flags and its run, which takes them as keywords and
+# returns (design, trace, extra): trace.tset is the trip set that produced the
+# design, extra its own evaluation.json fields. Keys in --alg choice order.
 ALGORITHMS = {
     "dfd": ((), _dfd),
     "exact": ((), _exact),

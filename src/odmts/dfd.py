@@ -15,8 +15,8 @@ LP relaxation is tight but not always integral; a fractional z is
 settled by depth-first branching on the first fractional arc in
 candidate order, and ties go to the smallest sorted arc tuple (see
 ``solve_master``). Trips that ride a direct shuttle under every design
-(``is_direct_trip``, on metric instances only) are constants and get
-no flow.
+(``is_direct_trip``, on metric instances only) cost the same under
+every design and get no flow.
 
 The LPs run on HiGHS's compiled core, which ships inside scipy (see
 ``highs``). A heuristic run keeps one ``FlowModel``, which holds the
@@ -25,13 +25,12 @@ trip's block; one memo of answers, keyed by a solve's flow trips and
 fixed arcs, from which ``solve_dfd`` answers without an LP the run's
 repeats and the requests an earlier answer implies (the same flow trips
 with more of the answer's arcs fixed, or fewer flow trips with all of
-them fixed, see ``_implied``); each answer's direct-trip constant; and
-one ``Design`` per open-arc tuple, so that every answer with that tuple
-shares the design's memos (its route tables, arrays and evaluation). The
-model's one ``FlowLP`` alone holds the solver and runs the exact search
-(``FlowLP.search``): a block joins it the first time a solve uses its
-trip, blocks outside a solve are switched off, and every solve starts
-warm from the previous basis. A solve builds the blocks it lacks in one
+them fixed, see ``_implied``); and one ``Design`` per open-arc tuple, so
+that every answer with that tuple shares the design's memos (its route
+tables, arrays and evaluation). The model's one ``FlowLP`` alone holds
+the solver and runs the exact search (``FlowLP.search``): a block joins
+it the first time a solve uses its trip, blocks outside a solve are
+switched off, and every solve starts warm from the previous basis. A solve builds the blocks it lacks in one
 ``make_cut`` call, on the disjoint union of their graphs, from the
 router's edge arrays (``router._edges``), the rule the per-trip route
 search reads as well.
@@ -339,8 +338,7 @@ class FlowModel:
         direct = inst.metric_consistent & (_min_access_egress_km(inst, o, d) >= inst.dist[o, d])
         self.direct = frozenset(t.id for t, on in zip(inst.trips, direct.tolist()) if on)
         self.blocks = {}  # trip id -> block
-        self.solved = {}  # (flow-trip ids, fixed arcs) -> (design, root value, flow objective)
-        self.consts = {}  # (design, direct trip ids) -> riders times g over those trips
+        self.solved = {}  # (flow-trip ids, fixed arcs) -> design
         self.designs = {}  # tuple(open arcs) -> the design of every answer that opens them
         self.lp = FlowLP(inst)
 
@@ -384,7 +382,7 @@ def _implied(inst: Instance, model: FlowModel, flow: frozenset, fixed: frozenset
     - ``fixed`` is D and ``flow`` <= T: opening arcs never raises a
       trip's routed g, so a design beyond D that beat or tied D on
       ``flow`` would beat or tie it on T as well."""
-    for (known, held), (design, _, _) in model.solved.items():
+    for (known, held), design in model.solved.items():
         arcs = design.open_arcs
         if held <= fixed <= arcs and (flow == known or (fixed == arcs and flow <= known)):
             return _design(inst, model, fixed, [a in arcs for a in inst.candidate_arcs])
@@ -393,20 +391,14 @@ def _implied(inst: Instance, model: FlowModel, flow: frozenset, fixed: frozenset
 
 @dataclass(frozen=True)
 class DfdSolution:
-    """Optimal fixed-demand design with its trip set and solve record.
-
-    ``design``, ``objective`` and ``tset`` depend on the solve's inputs
-    alone. On a shared ``FlowModel`` the root value in ``bounds`` and
-    ``iterations`` also depend on earlier solves: the root LP value, in
-    its last bits, on their warm basis; an exact repeat reports the first
-    solve's root value for its flow trips and fixed arcs, and an answer
-    an earlier one implies (see ``solve_dfd``) reports its own objective
-    as the root value; both report ``iterations`` 0."""
+    """Optimal fixed-demand design with its objective, trip set and LP
+    count. ``design``, ``objective`` and ``tset`` depend on the solve's
+    inputs alone; ``iterations`` counts the call's LP solves, 0 for an
+    answer a shared ``FlowModel`` already held or implied."""
 
     design: Design
     objective: float
     tset: frozenset  # trip ids
-    bounds: tuple  # ((1, root LP value, objective, open arcs, trip blocks),)
     iterations: int  # LP solves
 
 
@@ -422,47 +414,37 @@ def _riders_g(design: Design, ids, total: float) -> float:
 def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -> DfdSolution:
     """Optimal design for the trip ids ``tset`` with ``fixed`` arcs open:
     one flow model over the trips that do not ride a direct shuttle
-    under every design, the others being constants. The objective adds
-    each trip's routed g from the design's ``trip_arrays``.
+    under every design. The objective is the design's investment plus
+    riders times each trip's routed g from the design's ``trip_arrays``,
+    summed in trip id order as ``enumerate_dfd`` sums it.
 
     ``_model`` is the ``FlowModel`` to solve on, a new one by default; a
     heuristic run passes its own to every solve. After the checks of
     ``tset`` and ``fixed``, the model's memo answers the flow trips
-    (``tset`` less the model's direct trips) and fixed arcs with the
-    design, its root value and its flow objective (investment plus
-    riders times g over the flow trips). On a miss a stored answer that
-    implies the request (``_implied``) gives its design, built as a
-    search builds it, with its own objective as the root value; failing
-    that, one ``make_cut`` call builds the blocks the model lacks, if
-    any, and ``solve_master`` runs, and its root LP value is kept. Either
-    way the answer joins the memo, and only ``solve_master`` counts in
-    ``iterations``: 0 for a hit or an implied answer. The design is the
-    model's one for its open-arc tuple, so a run evaluates each design
-    once. The direct trips' constant, kept on the model per design and
-    direct trip ids, is added last."""
+    (``tset`` less the model's direct trips) and fixed arcs with their
+    design. On a miss a stored answer that implies the request
+    (``_implied``) gives its design, built as a search builds it;
+    failing that, one ``make_cut`` call builds the blocks the model
+    lacks, if any, and ``solve_master`` runs. Either way the design joins
+    the memo, and only ``solve_master`` counts in ``iterations``. The
+    design is the model's one for its open-arc tuple, so a run evaluates
+    each design once."""
     ids, fixed = inst.trip_ids(tset), _fixed_arcs(inst, fixed)
     model = FlowModel(inst) if _model is None else _model
     flow, solves = ids - model.direct, 0
-    if (flow, fixed) not in model.solved:
-        design, root = _implied(inst, model, flow, fixed), None
+    design = model.solved.get((flow, fixed))
+    if design is None:
+        design = _implied(inst, model, flow, fixed)
         if design is None:
             trips = [inst.trip_by_id(i) for i in sorted(flow)]
             missing = [t for t in trips if t.id not in model.blocks]
             if missing:
                 model.blocks.update((b.trip.id, b) for b in make_cut(missing, inst))
             blocks = [model.blocks[t.id] for t in trips]
-            design, _, root, solves = solve_master(inst, blocks, fixed=fixed, _model=model)
-        objective = _riders_g(design, flow, arcs_cost(inst, design.open_arcs))
-        model.solved[flow, fixed] = design, objective if root is None else root, objective
-    design, root, objective = model.solved[flow, fixed]
-    # a direct trip rides the same shuttle under every design
-    direct = design, ids & model.direct
-    const = model.consts.get(direct)
-    if const is None:
-        const = model.consts[direct] = _riders_g(*direct, 0.0)
-    record = (1, root + const, objective + const, len(design.open_arcs), len(flow))
-    return DfdSolution(design=design, objective=objective + const, tset=ids,
-                       bounds=(record,), iterations=solves)
+            design, _, _, solves = solve_master(inst, blocks, fixed=fixed, _model=model)
+        model.solved[flow, fixed] = design
+    objective = _riders_g(design, ids, arcs_cost(inst, design.open_arcs))
+    return DfdSolution(design=design, objective=objective, tset=ids, iterations=solves)
 
 
 # -- exhaustive oracle -------------------------------------------------
@@ -499,6 +481,5 @@ def enumerate_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
         return obj
 
     best = min(balanced_designs(inst, fixed=fixed), key=lambda d: (objective(d), d.key()))
-    best_obj = objective(best)
-    return DfdSolution(design=best, objective=best_obj, tset=frozenset(t.id for t in trips),
-                       bounds=((1, best_obj, best_obj, len(best.open_arcs), 0),), iterations=1)
+    return DfdSolution(design=best, objective=objective(best),
+                       tset=frozenset(t.id for t in trips), iterations=1)

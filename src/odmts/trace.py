@@ -33,13 +33,14 @@ class HeuristicTrace:
         self.truncated = False
         self._clock = time.perf_counter()
 
-    def add(self, k, stage, design, tset) -> None:
-        """Record ``design``, produced by the trip set ``tset``, with its
-        score (``_scored``) and the seconds since the previous record, or
-        since the trace began."""
+    def add(self, stage, design, tset) -> None:
+        """Record ``design``, produced by the trip set ``tset``, as step
+        ``len(records)`` (a run numbers its steps from 0 across its
+        stages), with its score (``_scored``) and the seconds since the
+        previous record, or since the trace began."""
         score, tset = _scored(design), frozenset(tset)
         now = time.perf_counter()
-        self.records.append(TraceRecord(k, stage, len(tset), design.fingerprint(), score.objective,
+        self.records.append(TraceRecord(len(self.records), stage, len(tset), design.fingerprint(), score.objective,
                                         len(score.adopters), now - self._clock))
         self.steps.append((design, tset))
         self._clock = now

@@ -82,9 +82,9 @@ def _adopt(inst: Instance, rho: int, inner, time_limit: float | None = None) -> 
     of the rounds."""
     trace, absorbed = HeuristicTrace(), set()
     started = time.perf_counter()
-    for k in itertools.count():
+    while True:
         design, tset = inner(inst.core_ids | absorbed)
-        trace.add(k, 1, design, tset)
+        trace.add(1, design, tset)
         ranked = _ranked_adopters(design, absorbed)
         if not ranked or (time_limit is not None and time.perf_counter() - started >= time_limit):
             return trace
@@ -115,7 +115,7 @@ def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
     tbar = frozenset(start_tset) if start_tset is not None else inst.core_ids
     for k in itertools.count():  # step k keeps a quota of eta * (k + 1) ranked adopters
         design = solve_dfd(inst, tbar, _model=model).design
-        trace.add(k, 1, design, tbar)
+        trace.add(1, design, tbar)
         rejected |= inst.latent_ids - _scored(design).adopters
         ranked = _ranked_adopters(design, rejected)
         stable = (k >= 2 and trace.steps[-2][0].open_arcs == design.open_arcs

@@ -275,7 +275,7 @@ class TestNoImprovingCycle:
         design, trace = arc_s2(self.instance(), "d", "a")
         assert design.open_arcs == frozenset({(2, 6), (6, 2)})
         assert [(r.k, r.stage, r.tset_size) for r in trace.records] == [
-            (0, 1, 10), (1, 1, 10), (1, 2, 13)]
+            (0, 1, 10), (1, 1, 10), (2, 2, 13)]
         assert found == [[(2, 6)], [], [(2, 3)]]
         assert len({r.objective for r in trace.records}) == 1
 

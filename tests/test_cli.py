@@ -143,6 +143,7 @@ class TestSolve:
             if not line.startswith("#")
         ))
         assert {r["stage"] for r in rows} == {"1", "2"}
+        assert [r["k"] for r in rows] == [str(k) for k in range(len(rows))]  # across both stages
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_evaluation_is_a_trace_row(self, tmp_path, instance_file, alg):
@@ -311,13 +312,6 @@ class TestSolve:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: params: bad 'omega': expected a finite")
-
-    def test_dfd_writes_one_bounds_record(self, tmp_path, instance_file):
-        out = tmp_path / "dfd"
-        rc = main(["solve", "--instance", str(instance_file), "--alg", "dfd", "--out", str(out)])
-        assert rc == 0
-        bounds = json.loads((out / "evaluation.json").read_text())["bounds"]
-        assert len(bounds) == 1 and len(bounds[0]) == 5
 
     def test_out_below_a_file_exits_one(self, tmp_path, instance_file, capsys):
         (tmp_path / "file").write_text("")

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -200,3 +202,30 @@ class TestCore:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
+
+    def test_first_solve_loads_only_the_core(self):
+        # in a fresh process the first solve finds the core under scipy's
+        # own package directory and loads that file alone, without scipy
+        code = (
+            "import json, sys, odmts\n"
+            "inst = odmts.generate_synthetic(odmts.GeneratorConfig(\n"
+            "    stops=6, hubs=2, classes=(odmts.TripClass(3, None),)), seed=0)\n"
+            "odmts.solve_dfd(inst, [t.id for t in inst.trips])\n"
+            "core = sys.modules[odmts.highs.MODULE]\n"
+            "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+            "                  core.__file__]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(odmts.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        loaded, where = json.loads(out.stdout)
+        assert highs.MODULE in loaded  # with the core's own submodules, and nothing else
+        assert all(m == highs.MODULE or m.startswith(highs.MODULE + ".") for m in loaded)
+        base = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        assert os.path.dirname(where) == os.path.join(base, "optimize", "_highspy")
+
+    def test_cli_module_prints_its_version(self):
+        src = os.path.dirname(os.path.dirname(odmts.__file__))
+        out = subprocess.run([sys.executable, "-m", "odmts.cli", "--version"], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0 and out.stdout.strip() == odmts.__version__ == "0.1.0"

@@ -316,8 +316,9 @@ class TestHeuristicTrace:
         z0 = Design.minimal(example_instance)  # objective 18.5
         z1 = Design(example_instance, frozenset({(1, 2), (2, 1)}))  # objective 17.75
         trace = HeuristicTrace()
-        for k, (design, tset) in enumerate([(z0, [0]), (z1, {0}), (z1, ()), (z0, ())]):
-            trace.add(k, 1, design, tset)
+        for design, tset in [(z0, [0]), (z1, {0}), (z1, ()), (z0, ())]:
+            trace.add(1, design, tset)
+        assert [r.k for r in trace.records] == [0, 1, 2, 3]
         assert trace.objectives == [18.5, 17.75, 17.75, 18.5]
         assert [r.tset_size for r in trace.records] == [1, 1, 0, 0]
         assert all(r.wall_time >= 0.0 for r in trace.records)
