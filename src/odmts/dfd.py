@@ -414,9 +414,11 @@ def _riders_g(design: Design, ids, total: float) -> float:
 def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -> DfdSolution:
     """Optimal design for the trip ids ``tset`` with ``fixed`` arcs open:
     one flow model over the trips that do not ride a direct shuttle
-    under every design. The objective is the design's investment plus
-    riders times each trip's routed g from the design's ``trip_arrays``,
-    summed in trip id order as ``enumerate_dfd`` sums it.
+    under every design. The objective is the design's investment, summed
+    in sorted arc order, plus riders times each trip's routed g from the
+    design's ``trip_arrays``, summed in trip id order: the sum
+    ``enumerate_dfd`` makes, whatever order the design's arc set was
+    built in.
 
     ``_model`` is the ``FlowModel`` to solve on, a new one by default; a
     heuristic run passes its own to every solve. After the checks of
@@ -443,7 +445,7 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
             blocks = [model.blocks[t.id] for t in trips]
             design, _, _, solves = solve_master(inst, blocks, fixed=fixed, _model=model)
         model.solved[flow, fixed] = design
-    objective = _riders_g(design, ids, arcs_cost(inst, design.open_arcs))
+    objective = _riders_g(design, ids, arcs_cost(inst, design.key()))
     return DfdSolution(design=design, objective=objective, tset=ids, iterations=solves)
 
 
@@ -471,11 +473,12 @@ def balanced_designs(inst: Instance, fixed=()):
 def enumerate_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
     """Brute-force optimum of the fixed-demand problem for the trip ids
     ``tset``; ties resolved to the lexicographically smallest open-arc
-    set."""
+    set. The objective sums the investment in sorted arc order, then
+    riders times g in trip id order."""
     trips = sorted(map(inst.trip_by_id, inst.trip_ids(tset)), key=lambda t: t.id)
 
     def objective(design):
-        obj = arcs_cost(inst, design.open_arcs)
+        obj = arcs_cost(inst, design.key())
         for t in trips:
             obj += t.riders * route(t, design).g
         return obj
