@@ -45,8 +45,7 @@ import numpy as np
 from . import highs
 from .highs import SolveError
 from .instance import Instance, Trip, ValidationError, hub_pairs
-from .router import (Design, _arc_labels, _edges, _min_access_egress_km, _trip_costs, arcs_cost,
-                     route, trip_arrays)
+from .router import Design, _arc_labels, _direct, _edges, _trip_costs, arcs_cost, route, trip_arrays
 
 # Most candidate arcs the exhaustive oracle enumerates designs over.
 ENUMERATION_CAP = 16
@@ -334,8 +333,7 @@ class FlowModel:
 
     def __init__(self, inst: Instance):
         o, d = _trip_costs(inst)[:2]
-        # is_direct_trip of every trip at once
-        direct = inst.metric_consistent & (_min_access_egress_km(inst, o, d) >= inst.dist[o, d])
+        direct = _direct(inst, o, d)  # is_direct_trip of every trip at once
         self.direct = frozenset(t.id for t, on in zip(inst.trips, direct.tolist()) if on)
         self.blocks = {}  # trip id -> block
         self.solved = {}  # (flow-trip ids, fixed arcs) -> design
@@ -394,7 +392,8 @@ class DfdSolution:
     """Optimal fixed-demand design with its objective, trip set and LP
     count. ``design``, ``objective`` and ``tset`` depend on the solve's
     inputs alone; ``iterations`` counts the call's LP solves, 0 for an
-    answer a shared ``FlowModel`` already held or implied."""
+    answer a shared ``FlowModel`` already held or implied and for the
+    exhaustive oracle (``enumerate_dfd``)."""
 
     design: Design
     objective: float
@@ -474,7 +473,7 @@ def enumerate_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
     """Brute-force optimum of the fixed-demand problem for the trip ids
     ``tset``; ties resolved to the lexicographically smallest open-arc
     set. The objective sums the investment in sorted arc order, then
-    riders times g in trip id order."""
+    riders times g in trip id order. No LP runs, so ``iterations`` is 0."""
     trips = sorted(map(inst.trip_by_id, inst.trip_ids(tset)), key=lambda t: t.id)
 
     def objective(design):
@@ -485,4 +484,4 @@ def enumerate_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
 
     best = min(balanced_designs(inst, fixed=fixed), key=lambda d: (objective(d), d.key()))
     return DfdSolution(design=best, objective=objective(best),
-                       tset=frozenset(t.id for t in trips), iterations=1)
+                       tset=frozenset(t.id for t in trips), iterations=0)

@@ -32,15 +32,17 @@ legs, so they are bit-identical to it. ``trip_arrays`` yields these
 sums as arrays; ``route`` takes a trip's four numbers from them and
 decodes only its legs from the table.
 
-The label-setting search over labels ordered lexicographically decides
-a trip instead whenever the table cannot: when its best candidate is
-within a relative 1e-9 of another, or when some hop of its hub path has
-a near-tied alternative. It also routes every trip outside the
-instance's trips. All arc increments are non-negative, so the
-first label settled at a node is optimal. The search runs on a graph of
-the trip endpoints and the hubs, with bridges while hub-to-hub shuttles
-are banned; instances without the triangle property always use it, on
-the full stop graph.
+The router's one search, ``_search``, is label-setting over labels
+ordered lexicographically. It decides a trip instead whenever the table
+cannot: when its best candidate is within a relative 1e-9 of another,
+or when some hop of its hub path has a near-tied alternative. It also
+routes every trip outside the instance's trips, once ``route`` has
+checked that the trip joins two distinct stops of the instance. All arc
+increments are non-negative, so the first label settled at a node is
+optimal. The search runs on the trip's ``_edges``, a graph of the trip
+endpoints and the hubs, with bridges while hub-to-hub shuttles are
+banned; instances without the triangle property always use it, on the
+full stop graph.
 """
 
 from __future__ import annotations
@@ -173,9 +175,9 @@ class Route:
         return bus[0][1], bus[-1][2]
 
 
-_MODE_RANK = {BUS: 0, SHUTTLE: 1}
 # Kinds of a search-graph edge and of a hub-path hop, in the order
-# ``_edges`` lists a node pair's edges and ``_hop_table`` its hops.
+# ``_edges`` lists a node pair's edges and ``_hop_table`` its hops; a
+# leg's mode ranks as its kind, bus before shuttle.
 _BUS_KIND, _SHUTTLE_KIND, _BRIDGE_KIND = range(3)
 
 
@@ -208,8 +210,8 @@ def _edges(inst: Instance, labels, pairs):
     ``arc`` holds a bus edge's label, ``relay`` a bridge's relay stop
     index, both -1 elsewhere. Every trip's grid is padded to H + 2 nodes
     (every stop without the triangle property); no edge touches a pad.
-    ``_build_graph`` reads a batch of one, so the route search and the
-    flow blocks of ``dfd.make_cut`` share one edge rule."""
+    ``_search`` reads a batch of one, so the route search and the flow
+    blocks of ``dfd.make_cut`` share one edge rule."""
     w = weights_of(inst)
     sidx, hidx = inst.stop_index, inst.hub_index
     between = inst.params.shuttle_between_hubs
@@ -255,50 +257,49 @@ def _edges(inst: Instance, labels, pairs):
             np.where(bridge, x, -1))
 
 
-def _build_graph(inst: Instance, open_arcs, o: int, d: int):
-    """The trip's search graph over ``_edges``, u -> [(v, g, f, legs,
-    seq_ext, modes_ext)]. The heap key orders labels completely, so the
-    adjacency order never changes a route."""
+def _search(inst: Instance, open_arcs, o: int, d: int) -> Route:
+    """The label-setting search from stop o to stop d with ``open_arcs``
+    open, over the trip's ``_edges`` (a batch of one). A label is (g, f,
+    leg count, stop sequence, leg modes ranked by kind, node); the heap
+    orders labels by that key, so the first label settled at d is the
+    canonical optimum and the edge order never changes a route. money
+    and shuttle_km add the shuttle legs in route order."""
     nodes, _, tail, head, g, f, arc, relay = _edges(inst, _arc_labels(inst, open_arcs), [(o, d)])
     nodes = nodes[0]
-    adj = {u: [] for u in nodes}
-    for u, v, dg, df, a, x in zip(tail.tolist(), head.tolist(), g.tolist(), f.tolist(),
-                                  arc.tolist(), relay.tolist()):
-        v = nodes[v]
-        if x >= 0:
-            edge = (v, dg, df, 2, (inst.stops[x], v), (SHUTTLE, SHUTTLE))
-        else:
-            edge = (v, dg, df, 1, (v,), (BUS,) if a >= 0 else (SHUTTLE,))
-        adj[nodes[u]].append(edge)
-    return adj
-
-
-def _lex_search(adj, o: int, d: int):
-    """Label-setting search; returns the canonical optimal label at d."""
-    heap = [(0.0, 0.0, 0, (o,), (), o)]
+    # _edges lists the edges tail by tail, so each node's out-edges are one slice
+    first = np.searchsorted(tail, np.arange(len(nodes) + 1)).tolist()
+    edges = [
+        (v, dg, df, (inst.stops[x], nodes[v]), (_SHUTTLE_KIND,) * 2) if x >= 0
+        else (v, dg, df, (nodes[v],), (_BUS_KIND if a >= 0 else _SHUTTLE_KIND,))
+        for v, dg, df, a, x in zip(head.tolist(), g.tolist(), f.tolist(), arc.tolist(),
+                                   relay.tolist())
+    ]
+    goal = nodes.index(d)
+    heap = [(0.0, 0.0, 0, (o,), (), nodes.index(o))]
     settled = set()
     while heap:
         g, f, legs, seq, modes, u = heapq.heappop(heap)
+        if u == goal:
+            break
         if u in settled:
             continue
         settled.add(u)
-        if u == d:
-            return g, f, seq, modes
-        for v, dg, df, dl, seq_ext, modes_ext in adj[u]:
-            if v in settled:
-                continue
-            heapq.heappush(
-                heap,
-                (
-                    g + dg,
-                    f + df,
-                    legs + dl,
-                    seq + seq_ext,
-                    modes + tuple(_MODE_RANK[m] for m in modes_ext),
-                    v,
-                ),
-            )
-    return None
+        for v, dg, df, seq_ext, modes_ext in edges[first[u]:first[u + 1]]:
+            if v not in settled:
+                heapq.heappush(heap, (g + dg, f + df, legs + len(modes_ext), seq + seq_ext,
+                                      modes + modes_ext, v))
+    else:
+        raise RuntimeError(f"stop {d} unreachable from stop {o} despite full shuttle coverage")
+    sidx = inst.stop_index
+    steps = list(zip(seq, seq[1:], modes))
+    money = shuttle_km = 0.0
+    for u, v, mode in steps:
+        if mode == _SHUTTLE_KIND:
+            km = float(inst.dist[sidx[u], sidx[v]])
+            shuttle_km += km
+            money += inst.params.omega * km
+    return Route(tuple((BUS if mode == _BUS_KIND else SHUTTLE, u, v) for u, v, mode in steps),
+                 g, f, money, shuttle_km)
 
 
 # Relative margin within which two candidate costs count as tied.
@@ -494,7 +495,7 @@ def _table(design: Design):
     pick beats the other candidates and whose hub path has no near-tied
     hop; ``route`` searches the others. ``sums`` holds the rows g, f,
     money and shuttle_km of each pick, read-only. g and f add, column by
-    column over all trips at once and in ``_lex_search``'s order, the
+    column over all trips at once and in ``_search``'s order, the
     access leg, the hops of the hub path, then the egress leg (the
     direct shuttle is an access leg with no hops); absent legs and hops
     add an exact 0.0. money and shuttle_km add one shuttle leg at a
@@ -570,34 +571,23 @@ def _table_legs(inst: Instance, paths: _HubPaths, o: int, d: int, pick: int):
 def route(trip: Trip, design: Design) -> Route:
     """Lexicographic minimizer of (g, f) for one trip under a design. An
     instance trip the hub-path table decides is read from it; any other
-    trip, one outside ``inst.trips`` included, is searched."""
+    trip is searched (``_search``), one outside ``inst.trips`` once it
+    is checked to join two distinct stops of the instance."""
     inst = design.instance
     o, d = trip.origin, trip.destination
     i = inst.trip_index.get(trip.id)
-    if inst.metric_consistent and i is not None and inst.trips[i] == trip:
+    if i is None or inst.trips[i] != trip:
+        for stop in (o, d):
+            if stop not in inst.stop_index:
+                raise ValidationError(f"trip {trip.id}: unknown stop {stop}")
+        if o == d:
+            raise ValidationError(f"trip {trip.id}: origin equals destination")
+    elif inst.metric_consistent:
         best, decided, sums = _table(design)
         if decided[i]:
             legs = _table_legs(inst, _hub_paths(design), o, d, int(best[i]))
             return Route(legs, *sums[:, i].tolist())
-    hit = _lex_search(_build_graph(inst, design.open_arcs, o, d), o, d)
-    if hit is None:
-        raise RuntimeError(
-            f"trip {trip.id}: destination unreachable despite full shuttle coverage"
-        )
-    g, f, seq, moderanks = hit
-    sidx = inst.stop_index
-    legs = []
-    money = 0.0
-    shuttle_km = 0.0
-    for i, mrank in enumerate(moderanks):
-        u, v = seq[i], seq[i + 1]
-        mode = BUS if mrank == 0 else SHUTTLE
-        legs.append((mode, u, v))
-        if mode == SHUTTLE:
-            dkm = float(inst.dist[sidx[u], sidx[v]])
-            shuttle_km += dkm
-            money += inst.params.omega * dkm
-    return Route(legs=tuple(legs), g=float(g), f=float(f), money=money, shuttle_km=shuttle_km)
+    return _search(inst, design.open_arcs, o, d)
 
 
 @memo
@@ -623,17 +613,21 @@ def trip_arrays(design: Design):
 
 
 def is_direct_trip(trip: Trip, inst: Instance) -> bool:
-    """True when the instance is metric and no hub pair offers a shorter
-    access-egress distance than the direct shuttle, in which case the
-    trip rides a single shuttle leg under every design. The claim needs
-    both matrices metric: without the triangle property a path through
-    the hubs can beat the direct shuttle whatever the distances say, so
-    no trip of a non-metric instance counts as direct."""
-    if not inst.metric_consistent:
-        return False
+    """True when the trip rides a single shuttle leg under every design
+    (see ``_direct``)."""
     sidx = inst.stop_index
-    o, d = sidx[trip.origin], sidx[trip.destination]
-    return bool(_min_access_egress_km(inst, o, d) >= inst.dist[o, d])
+    return bool(_direct(inst, sidx[trip.origin], sidx[trip.destination]))
+
+
+def _direct(inst: Instance, o, d):
+    """Whether the instance is metric and no hub pair offers a shorter
+    access-egress distance than the direct shuttle from stop index ``o``
+    to stop index ``d``; ``o`` and ``d`` may be equal-length arrays of
+    stop indices, paired element by element. The claim needs both
+    matrices metric: without the triangle property a path through the
+    hubs can beat the direct shuttle whatever the distances say, so no
+    trip of a non-metric instance counts as direct."""
+    return inst.metric_consistent & (_min_access_egress_km(inst, o, d) >= inst.dist[o, d])
 
 
 def _min_access_egress_km(inst: Instance, o, d):

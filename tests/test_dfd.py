@@ -557,6 +557,7 @@ class TestSolveDfd:
         )
         slow = enumerate_dfd(inst, [0, 1])
         assert slow.design.key() == ((1, 3), (3, 1))
+        assert slow.iterations == 0  # the oracle runs no LP
         fast = solve_dfd(inst, [0, 1])
         assert fast.design.key() == slow.design.key()
         assert fast.objective == pytest.approx(16.4, rel=1e-12)

@@ -19,7 +19,7 @@ from odmts import (
 )
 from odmts import cli, router
 from odmts.dfd import balanced_designs
-from odmts.router import BUS, SHUTTLE, _build_graph, _lex_search, trip_arrays
+from odmts.router import BUS, SHUTTLE, _search, trip_arrays
 from conftest import (
     bridge_table, dense_table, make_example_instance, oracle_route, random_design,
     reference_graph, tiny_instance,
@@ -161,11 +161,11 @@ def searches(monkeypatch):
     """The (origin, destination) of every per-trip search ``route`` runs."""
     seen = []
 
-    def counted(adj, o, d):
+    def counted(inst, open_arcs, o, d):
         seen.append((o, d))
-        return _lex_search(adj, o, d)
+        return _search(inst, open_arcs, o, d)
 
-    monkeypatch.setattr(router, "_lex_search", counted)
+    monkeypatch.setattr(router, "_search", counted)
     return seen
 
 
@@ -255,19 +255,10 @@ class TestMonotonicity:
 
 
 def searched(trip, design):
-    """The per-trip search's route, bypassing the table, as
-    (legs, g, f, money, shuttle_km)."""
-    inst = design.instance
-    o, d = trip.origin, trip.destination
-    g, f, seq, modes = _lex_search(_build_graph(inst, design.open_arcs, o, d), o, d)
-    legs = tuple((BUS if m == 0 else SHUTTLE, seq[i], seq[i + 1]) for i, m in enumerate(modes))
-    money = shuttle_km = 0.0
-    for mode, u, v in legs:
-        if mode == SHUTTLE:
-            km = float(inst.dist[inst.stop_index[u], inst.stop_index[v]])
-            shuttle_km += km
-            money += inst.params.omega * km
-    return legs, g, f, money, shuttle_km
+    """The per-trip search's route, bypassing the table (and the
+    ``searches`` count), as (legs, g, f, money, shuttle_km)."""
+    r = _search(design.instance, design.open_arcs, trip.origin, trip.destination)
+    return r.legs, r.g, r.f, r.money, r.shuttle_km
 
 
 def rebuilt(base, trips=None, **params):
@@ -367,6 +358,28 @@ EDGE_CASES = {
 }
 
 
+def edge_graph(inst, open_arcs, o, d):
+    """The trip's ``router._edges`` arrays, a batch of one, in
+    ``reference_graph``'s form; each bus edge's label names its own arc."""
+    arcs = sorted(open_arcs)
+    nodes, trip, tail, head, g, f, arc, relay = router._edges(
+        inst, router._arc_labels(inst, arcs), [(o, d)])
+    nodes = nodes[0]
+    assert not trip.any()
+    adj = {u: [] for u in nodes}
+    for u, v, dg, df, a, x in zip(tail.tolist(), head.tolist(), g.tolist(), f.tolist(),
+                                  arc.tolist(), relay.tolist()):
+        u, v = nodes[u], nodes[v]
+        if a >= 0:
+            assert arcs[a] == (u, v)
+            adj[u].append((v, dg, df, 1, (v,), (BUS,)))
+        elif x >= 0:
+            adj[u].append((v, dg, df, 2, (inst.stops[x], v), (SHUTTLE, SHUTTLE)))
+        else:
+            adj[u].append((v, dg, df, 1, (v,), (SHUTTLE,)))
+    return adj
+
+
 class TestSearchGraph:
     @pytest.mark.parametrize("case", ["tiny_suite", *TABLE_CASES, "non_metric"])
     def test_matches_per_pair_reference(self, case):
@@ -379,7 +392,7 @@ class TestSearchGraph:
                 for t in inst.trips:
                     o, d = t.origin, t.destination
                     want = reference_graph(inst, z.open_arcs, o, d)
-                    assert list(_build_graph(inst, z.open_arcs, o, d).items()) == list(want.items())
+                    assert list(edge_graph(inst, z.open_arcs, o, d).items()) == list(want.items())
 
     def test_no_relay_left(self):
         # a single non-hub stop is the only relay of every hub pair, so a
@@ -392,7 +405,7 @@ class TestSearchGraph:
         for inst in (one, none):
             for t in inst.trips:
                 o, d = t.origin, t.destination
-                got = _build_graph(inst, frozenset(), o, d)
+                got = edge_graph(inst, frozenset(), o, d)
                 assert list(got.items()) == list(reference_graph(inst, frozenset(), o, d).items())
                 assert all(len(e[4]) == 1 for out in got.values() for e in out)
 
@@ -423,6 +436,11 @@ class TestHubPathTable:
             t = Trip(id=tid, origin=o, destination=d, riders=1)
             r = route(t, z)
             assert (r.legs, r.g, r.f, r.money, r.shuttle_km) == searched(t, z)
+        # an ad hoc trip must join two distinct stops of the instance
+        for t, match in ((Trip(id=999, origin=1000, destination=2, riders=1), "unknown stop 1000"),
+                         (Trip(id=998, origin=3, destination=3, riders=1), "origin equals")):
+            with pytest.raises(ValidationError, match=rf"^trip {t.id}: {match}"):
+                route(t, z)
         # the hub-path table reads instance trips only; ad hoc ones are searched
         assert searches == ends
 
