@@ -24,7 +24,7 @@ import numpy as np
 from .adoption import _scored, design_objective
 from .dfd import CapExceeded, FlowModel, solve_dfd
 from .instance import Instance, Trip
-from .router import Design, Route, _min_access_egress_km, route, trip_arrays
+from .router import Design, Route, _min_access_egress_km, _trip_row, route, trip_arrays
 from .trace import HeuristicTrace
 
 RULES = ("a", "b", "c", "d")
@@ -71,10 +71,12 @@ def find_cycles(arcs) -> list:
 
 def adoption_ub(trip: Trip, r: Route, inst: Instance) -> float:
     """Upper bound on the trip's travel time under any design containing
-    the one that produced ``r``. Undefined at theta = 0."""
+    the one that produced ``r``. Undefined at theta = 0. A trip outside
+    ``inst.trips`` is checked first (``router._trip_row``)."""
     theta = inst.params.theta
     if theta == 0.0:
         raise ValueError("travel-time bound undefined at theta = 0")
+    _trip_row(trip, inst)
     scale = (1.0 - theta) / theta * inst.params.omega
     sidx = inst.stop_index
     o, d = sidx[trip.origin], sidx[trip.destination]

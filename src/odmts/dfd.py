@@ -20,25 +20,28 @@ every design and get no flow.
 
 The LPs run on HiGHS's compiled core, which ships inside scipy (see
 ``highs``). A heuristic run keeps one ``FlowModel``, which holds the
-run's answers: the direct trips, found for all trips at once; each
-trip's block; one memo of answers, keyed by a solve's flow trips and
-fixed arcs, from which ``solve_dfd`` answers without an LP the run's
-repeats and the requests an earlier answer implies (the same flow trips
-with more of the answer's arcs fixed, or fewer flow trips with all of
-them fixed, see ``_implied``); and one ``Design`` per open-arc tuple, so
-that every answer with that tuple shares the design's memos (its route
-tables, arrays and evaluation). The model's one ``FlowLP`` alone holds
-the solver and runs the exact search (``FlowLP.search``): a block joins
-it the first time a solve uses its trip, blocks outside a solve are
-switched off, and every solve starts warm from the previous basis. A solve builds the blocks it lacks in one
+run's answers: the direct trips, found for all trips at once; the block
+of every other trip, built at once; one memo of answers, keyed by a
+solve's flow trips and fixed arcs, from which ``solve_dfd`` answers
+without an LP the run's repeats and the requests an earlier answer
+implies (the same flow trips with more of the answer's arcs fixed, or
+fewer flow trips with all of them fixed, see ``_implied``); and one
+``Design`` per open-arc tuple, so that every answer with that tuple
+shares the design's memos (its route tables, arrays and evaluation).
+The model's one ``FlowLP`` alone holds the solver and runs the exact
+search (``FlowLP.search``): a block joins it the first time a solve
+uses its trip, blocks outside a solve are switched off, and every solve
+starts warm from the previous basis. The model builds its blocks in one
 ``make_cut`` call, on the disjoint union of their graphs, from the
 router's edge arrays (``router._edges``), the rule the per-trip route
-search reads as well.
+search reads as well. An answer computes its objective when it is
+first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,7 +98,7 @@ def _distances(tail, head, g, n, source):
 
 def make_cut(trips, inst: Instance) -> list:
     """The flow blocks of ``trips``, in order, built anew on every call
-    (``solve_dfd`` keeps one per trip on its ``FlowModel``).
+    (a ``FlowModel`` builds one per flow trip when it is made).
 
     For fixed z the cheapest unit flow whose bus edges carry at most
     their arc's z is, at integral z, the trip's routed g. By LP duality
@@ -326,16 +329,20 @@ class FlowLP:
 
 class FlowModel:
     """One DFD run's answers on one instance, kept across its solves;
-    ``lp``, the run's one ``FlowLP``, alone holds the solver. A block
-    stays the same object for the model's life, as the LP keys on it.
-    ``designs`` is keyed by the tuple, not the set: ``arcs_cost`` sums in
-    iteration order, so equal sets that iterate differently stay apart."""
+    ``lp``, the run's one ``FlowLP``, alone holds the solver. ``blocks``
+    holds the block of every trip that is not direct, built by one
+    ``make_cut`` call in trip order when the model is made; a block
+    stays the same object for the model's life, as the LP keys on it,
+    and joins the LP when a solve first uses it. ``designs`` is keyed by
+    the tuple, not the set: ``arcs_cost`` sums in iteration order, so
+    equal sets that iterate differently stay apart."""
 
     def __init__(self, inst: Instance):
         o, d = _trip_costs(inst)[:2]
         direct = _direct(inst, o, d)  # is_direct_trip of every trip at once
         self.direct = frozenset(t.id for t, on in zip(inst.trips, direct.tolist()) if on)
-        self.blocks = {}  # trip id -> block
+        flow = [t for t in inst.trips if t.id not in self.direct]
+        self.blocks = {b.trip.id: b for b in make_cut(flow, inst)}  # trip id -> block
         self.solved = {}  # (flow-trip ids, fixed arcs) -> design
         self.designs = {}  # tuple(open arcs) -> the design of every answer that opens them
         self.lp = FlowLP(inst)
@@ -344,28 +351,29 @@ class FlowModel:
 def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = None):
     """Optimal design of the flow model over ``blocks``, with ``fixed``
     arcs open on top of the backbone, by one ``FlowLP.search`` on the LP
-    of ``_model``, the ``FlowModel`` to solve on (a new one by default).
-    Returns (design, v*, root LP value, LP solves). The design is the
-    model's own for its open-arc tuple (``FlowModel.designs``), the same
-    object on every call that opens those arcs in that order."""
+    of ``_model``, the ``FlowModel`` to solve on (by default a new
+    ``FlowLP``, which builds no block of its own). Returns (design, v*,
+    root LP value, LP solves). On a model the design is the model's own
+    for its open-arc tuple (``FlowModel.designs``), the same object on
+    every call that opens those arcs in that order."""
     held = _fixed_arcs(inst, fixed)
-    model = FlowModel(inst) if _model is None else _model
+    lp, designs = (FlowLP(inst), {}) if _model is None else (_model.lp, _model.designs)
     cand = inst.candidate_arcs
-    model.lp.use(blocks)
-    inc, best, root, solves = model.lp.search(np.array([a in held for a in cand], dtype=bool))
-    return _design(inst, model, fixed, inc), best, root, solves
+    lp.use(blocks)
+    inc, best, root, solves = lp.search(np.array([a in held for a in cand], dtype=bool))
+    return _design(inst, designs, fixed, inc), best, root, solves
 
 
-def _design(inst: Instance, model: FlowModel, fixed, is_open) -> Design:
-    """The model's design (``FlowModel.designs``) that opens the arcs
-    ``fixed``, read by ``_fixed_arcs``, and the candidate arcs whose entry
-    of ``is_open`` is true."""
+def _design(inst: Instance, designs: dict, fixed, is_open) -> Design:
+    """The design in ``designs`` (a ``FlowModel.designs``) that opens the
+    arcs ``fixed``, read by ``_fixed_arcs``, and the candidate arcs whose
+    entry of ``is_open`` is true."""
     # arcs_cost sums in set order, so how this set is built fixes the
     # objective's last bits; this order reproduces bench/references.json
     fixed = _fixed_arcs(inst, fixed)
     opened = frozenset(a for a, on in zip(inst.candidate_arcs, is_open) if on and a not in fixed)
     design = Design(inst, fixed | opened)
-    return model.designs.setdefault(tuple(design.open_arcs), design)
+    return designs.setdefault(tuple(design.open_arcs), design)
 
 
 def _implied(inst: Instance, model: FlowModel, flow: frozenset, fixed: frozenset):
@@ -383,22 +391,30 @@ def _implied(inst: Instance, model: FlowModel, flow: frozenset, fixed: frozenset
     for (known, held), design in model.solved.items():
         arcs = design.open_arcs
         if held <= fixed <= arcs and (flow == known or (fixed == arcs and flow <= known)):
-            return _design(inst, model, fixed, [a in arcs for a in inst.candidate_arcs])
+            return _design(inst, model.designs, fixed, [a in arcs for a in inst.candidate_arcs])
     return None
 
 
 @dataclass(frozen=True)
 class DfdSolution:
-    """Optimal fixed-demand design with its objective, trip set and LP
-    count. ``design``, ``objective`` and ``tset`` depend on the solve's
-    inputs alone; ``iterations`` counts the call's LP solves, 0 for an
-    answer a shared ``FlowModel`` already held or implied and for the
-    exhaustive oracle (``enumerate_dfd``)."""
+    """Optimal fixed-demand design with its trip set and LP count.
+    ``design`` and ``tset`` depend on the solve's inputs alone;
+    ``iterations`` counts the call's LP solves, 0 for an answer a shared
+    ``FlowModel`` already held or implied and for the exhaustive oracle
+    (``enumerate_dfd``). ``objective`` is computed on its first read:
+    the design's investment, summed in sorted arc order, plus riders
+    times each trip's routed g from the design's ``trip_arrays``, summed
+    in trip id order; the sum ``enumerate_dfd`` minimizes, whatever
+    order the design's arc set was built in."""
 
     design: Design
-    objective: float
     tset: frozenset  # trip ids
     iterations: int  # LP solves
+
+    @cached_property
+    def objective(self) -> float:
+        inst = self.design.instance
+        return _riders_g(self.design, self.tset, arcs_cost(inst, self.design.key()))
 
 
 def _riders_g(design: Design, ids, total: float) -> float:
@@ -413,11 +429,8 @@ def _riders_g(design: Design, ids, total: float) -> float:
 def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -> DfdSolution:
     """Optimal design for the trip ids ``tset`` with ``fixed`` arcs open:
     one flow model over the trips that do not ride a direct shuttle
-    under every design. The objective is the design's investment, summed
-    in sorted arc order, plus riders times each trip's routed g from the
-    design's ``trip_arrays``, summed in trip id order: the sum
-    ``enumerate_dfd`` makes, whatever order the design's arc set was
-    built in.
+    under every design. The answer's objective is computed when first
+    read (see ``DfdSolution``).
 
     ``_model`` is the ``FlowModel`` to solve on, a new one by default; a
     heuristic run passes its own to every solve. After the checks of
@@ -425,11 +438,11 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
     (``tset`` less the model's direct trips) and fixed arcs with their
     design. On a miss a stored answer that implies the request
     (``_implied``) gives its design, built as a search builds it;
-    failing that, one ``make_cut`` call builds the blocks the model
-    lacks, if any, and ``solve_master`` runs. Either way the design joins
-    the memo, and only ``solve_master`` counts in ``iterations``. The
-    design is the model's one for its open-arc tuple, so a run evaluates
-    each design once."""
+    failing that, ``solve_master`` runs on the model's blocks of the
+    flow trips, in trip id order. Either way the design joins the memo,
+    and only ``solve_master`` counts in ``iterations``. The design is the
+    model's one for its open-arc tuple, so a run evaluates each design
+    once."""
     ids, fixed = inst.trip_ids(tset), _fixed_arcs(inst, fixed)
     model = FlowModel(inst) if _model is None else _model
     flow, solves = ids - model.direct, 0
@@ -437,15 +450,10 @@ def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -
     if design is None:
         design = _implied(inst, model, flow, fixed)
         if design is None:
-            trips = [inst.trip_by_id(i) for i in sorted(flow)]
-            missing = [t for t in trips if t.id not in model.blocks]
-            if missing:
-                model.blocks.update((b.trip.id, b) for b in make_cut(missing, inst))
-            blocks = [model.blocks[t.id] for t in trips]
+            blocks = [model.blocks[i] for i in sorted(flow)]
             design, _, _, solves = solve_master(inst, blocks, fixed=fixed, _model=model)
         model.solved[flow, fixed] = design
-    objective = _riders_g(design, ids, arcs_cost(inst, design.key()))
-    return DfdSolution(design=design, objective=objective, tset=ids, iterations=solves)
+    return DfdSolution(design=design, tset=ids, iterations=solves)
 
 
 # -- exhaustive oracle -------------------------------------------------
@@ -472,8 +480,9 @@ def balanced_designs(inst: Instance, fixed=()):
 def enumerate_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
     """Brute-force optimum of the fixed-demand problem for the trip ids
     ``tset``; ties resolved to the lexicographically smallest open-arc
-    set. The objective sums the investment in sorted arc order, then
-    riders times g in trip id order. No LP runs, so ``iterations`` is 0."""
+    set. The objective minimized sums the investment in sorted arc
+    order, then riders times each trip's routed g in trip id order. No
+    LP runs, so ``iterations`` is 0."""
     trips = sorted(map(inst.trip_by_id, inst.trip_ids(tset)), key=lambda t: t.id)
 
     def objective(design):
@@ -483,5 +492,4 @@ def enumerate_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
         return obj
 
     best = min(balanced_designs(inst, fixed=fixed), key=lambda d: (objective(d), d.key()))
-    return DfdSolution(design=best, objective=objective(best),
-                       tset=frozenset(t.id for t in trips), iterations=0)
+    return DfdSolution(design=best, tset=frozenset(t.id for t in trips), iterations=0)

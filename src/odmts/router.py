@@ -568,21 +568,30 @@ def _table_legs(inst: Instance, paths: _HubPaths, o: int, d: int, pick: int):
     return tuple(legs)
 
 
+def _trip_row(trip: Trip, inst: Instance):
+    """The row of ``trip`` in ``inst.trips``; None for a trip outside
+    them, once it is checked to join two distinct stops of the instance
+    (``ValidationError`` otherwise)."""
+    i = inst.trip_index.get(trip.id)
+    if i is not None and inst.trips[i] == trip:
+        return i
+    for stop in (trip.origin, trip.destination):
+        if stop not in inst.stop_index:
+            raise ValidationError(f"trip {trip.id}: unknown stop {stop}")
+    if trip.origin == trip.destination:
+        raise ValidationError(f"trip {trip.id}: origin equals destination")
+    return None
+
+
 def route(trip: Trip, design: Design) -> Route:
     """Lexicographic minimizer of (g, f) for one trip under a design. An
     instance trip the hub-path table decides is read from it; any other
-    trip is searched (``_search``), one outside ``inst.trips`` once it
-    is checked to join two distinct stops of the instance."""
+    trip is searched (``_search``), one outside ``inst.trips`` once
+    ``_trip_row`` has checked it."""
     inst = design.instance
     o, d = trip.origin, trip.destination
-    i = inst.trip_index.get(trip.id)
-    if i is None or inst.trips[i] != trip:
-        for stop in (o, d):
-            if stop not in inst.stop_index:
-                raise ValidationError(f"trip {trip.id}: unknown stop {stop}")
-        if o == d:
-            raise ValidationError(f"trip {trip.id}: origin equals destination")
-    elif inst.metric_consistent:
+    i = _trip_row(trip, inst)
+    if i is not None and inst.metric_consistent:
         best, decided, sums = _table(design)
         if decided[i]:
             legs = _table_legs(inst, _hub_paths(design), o, d, int(best[i]))
@@ -614,7 +623,9 @@ def trip_arrays(design: Design):
 
 def is_direct_trip(trip: Trip, inst: Instance) -> bool:
     """True when the trip rides a single shuttle leg under every design
-    (see ``_direct``)."""
+    (see ``_direct``); a trip outside ``inst.trips`` is checked first
+    (``_trip_row``)."""
+    _trip_row(trip, inst)
     sidx = inst.stop_index
     return bool(_direct(inst, sidx[trip.origin], sidx[trip.destination]))
 

@@ -20,8 +20,10 @@ from odmts import (
     Trip,
     TripClass,
     generate_synthetic,
+    route,
 )
 from odmts import router
+from odmts.adoption import arcs_cost
 from odmts.router import BUS, SHUTTLE, weights_of
 
 
@@ -369,6 +371,22 @@ def block_price(inst, block, open_arcs):
     for _ in range(block.nodes):
         np.minimum.at(dist, head, dist[tail] + g)
     return float(dist[-1])
+
+
+# -- routed objective of a DFD answer -----------------------------------------
+
+
+def routed_objective(sol):
+    """A DFD answer's objective summed from ``route``: the design's
+    investment in sorted arc order, then riders times each trip's routed
+    g in trip id order, the sum ``enumerate_dfd`` minimizes."""
+    design = sol.design
+    inst = design.instance
+    total = arcs_cost(inst, design.key())
+    for i in sorted(sol.tset):
+        trip = inst.trip_by_id(i)
+        total += trip.riders * route(trip, design).g
+    return total
 
 
 # -- independent cycle oracle ----------------------------------------------

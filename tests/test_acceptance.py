@@ -30,7 +30,7 @@ from odmts import (
     solve_dfd,
 )
 from odmts import highs
-from conftest import block_price, oracle_route, random_design, tiny_config
+from conftest import block_price, oracle_route, random_design, routed_objective, tiny_config
 
 def report(criterion, message):
     print(f"\ncriterion {criterion}: PASS - {message}")
@@ -113,7 +113,7 @@ def test_criterion_1_router_oracle_equivalence():
 def test_criterion_2_dfd_oracle_equivalence():
     t0 = time.perf_counter()
     for inst, fast, slow in dfd_results():
-        assert fast.objective == slow.objective
+        assert fast.objective == slow.objective == routed_objective(slow)
         assert fast.design.open_arcs == slow.design.open_arcs
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

@@ -42,7 +42,9 @@ def test_solve_passes_the_benchmark_checks(tmp_path, solve, matches_trace):
         _, traced, ev, trace = workloads.solve(wl, odmts.load_instance(tmp_path / "inst.json"))
     tracer.end_rep()
     assert traced.key() == design.key()
-    assert tracing.rep_metrics(*tracer.reps[0])["dfd.solves"] > 0
+    metrics = tracing.rep_metrics(*tracer.reps[0])
+    assert metrics["dfd.solves"] > 0
+    assert metrics["dfd.cuts"] == 1  # the run's one FlowModel builds every block at once
 
 
 @pytest.mark.parametrize("module, name", tracing.WRAPPED)

@@ -26,7 +26,7 @@ from odmts import dfd, highs
 from odmts.adoption import arcs_cost
 from odmts.dfd import FlowLP, FlowModel, TripBlock
 from conftest import (block_price, make_example_instance, reference_block, reference_edges,
-                      tiny_instance)
+                      routed_objective, tiny_instance)
 from test_router import EDGE_CASES, grid_instance, non_metric, with_hub_trips
 
 
@@ -406,7 +406,7 @@ class TestSolveDfd:
         assert sol.iterations == 8
         slow = enumerate_dfd(inst, tset)
         assert sol.design.key() == slow.design.key() == ((8, 10), (10, 8))
-        assert sol.objective == slow.objective
+        assert sol.objective == slow.objective == routed_objective(slow)
         trips = [t for t in map(inst.trip_by_id, tset) if not is_direct_trip(t, inst)]
         _, value, root, _ = solve_master(inst, make_cut(trips, inst))
         assert root < value * (1 - 1e-9)
@@ -473,13 +473,11 @@ class TestSolveDfd:
             fresh = solve_dfd(inst, tset)
             assert (sol.objective, sol.tset) == (fresh.objective, fresh.tset)
 
-    def test_shared_model_builds_each_block_once(self, monkeypatch):
-        # each solve builds, in one call, blocks only for the flow trips no
-        # earlier solve used, and reuses the earlier solves' block objects
+    def test_model_builds_every_block_once(self, monkeypatch):
+        # the model builds the block of every flow trip in one make_cut
+        # call, in trip order; solves build nothing and reuse those block
+        # objects, and only the blocks some solve used join the LP
         inst = tiny_instance(2)
-        model = FlowModel(inst)
-        flow = [t.id for t in inst.trips if t.id not in model.direct]
-        first_ids, second_ids = flow[:4], flow[2:] + [t.id for t in inst.trips]
         built = []  # the trip ids of each make_cut call
 
         def counted(trips, inst):
@@ -487,17 +485,38 @@ class TestSolveDfd:
             return make_cut(trips, inst)
 
         monkeypatch.setattr(dfd, "make_cut", counted)
-        solve_dfd(inst, first_ids, _model=model)
-        assert built == [first_ids]
-        first_blocks = dict(model.blocks)
-        built.clear()
-        solve_dfd(inst, second_ids, _model=model)
-        assert built == [flow[4:]]
-        built.clear()
-        solve_dfd(inst, flow[1:5], _model=model)  # every block held: no call
-        assert built == []
-        assert all(model.blocks[i] is b for i, b in first_blocks.items())
-        assert set(model.lp.at) == set(model.blocks.values())
+        model = FlowModel(inst)
+        flow = [t.id for t in inst.trips if t.id not in model.direct]
+        assert built == [flow] and list(model.blocks) == flow and len(flow) > 4
+        blocks = dict(model.blocks)
+        for tset in (flow[:2], flow[1:4] + sorted(model.direct), flow[:3]):
+            assert solve_dfd(inst, tset, _model=model).iterations >= 1
+        assert built == [flow]
+        assert model.blocks.keys() == blocks.keys()
+        assert all(model.blocks[i] is b for i, b in blocks.items())
+        assert set(model.lp.at) == {blocks[i] for i in flow[:4]}
+
+    def test_objective_is_computed_when_read(self, monkeypatch):
+        # a solve leaves the objective alone; its first read computes it
+        # once, and later reads return that value
+        inst = tiny_instance(0)
+        ids = [t.id for t in inst.trips]
+        riders_g, calls = dfd._riders_g, []
+
+        def called(*args):
+            raise AssertionError("objective computed by a solve")
+
+        monkeypatch.setattr(dfd, "_riders_g", called)
+        sol = solve_dfd(inst, ids)
+        assert sol.design.open_arcs and sol.tset == frozenset(ids)
+
+        def counted(*args):
+            calls.append(args)
+            return riders_g(*args)
+
+        monkeypatch.setattr(dfd, "_riders_g", counted)
+        assert sol.objective == sol.objective == routed_objective(sol)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "inst", [tiny_instance(seed) for seed in range(3)] + [non_metric(tiny_instance(0))],
@@ -546,7 +565,7 @@ class TestSolveDfd:
             fast = solve_dfd(inst, tset, fixed, _model=model)
             slow = enumerate_dfd(inst, tset, fixed=fixed)
             assert fast.design.key() == slow.design.key()
-            assert fast.objective == slow.objective
+            assert fast.objective == slow.objective == routed_objective(slow)
 
     def test_exact_tie_takes_smallest_arc_tuple(self):
         # two mirror-image corridors o -> 1 -> 3 -> d and o -> 2 -> 4 -> d
@@ -566,7 +585,7 @@ class TestSolveDfd:
         slow = enumerate_dfd(example_instance, [0], fixed=[(1, 2)])
         fast = solve_dfd(example_instance, [0], fixed=[(1, 2)])
         assert fast.design.key() == slow.design.key() == ((1, 2), (2, 1))
-        assert fast.objective == slow.objective == pytest.approx(17.75)
+        assert fast.objective == slow.objective == routed_objective(slow) == pytest.approx(17.75)
 
     @pytest.mark.parametrize("entry, fixed, match", [
         pytest.param(entry, fixed, match, id=name + suffix)
@@ -611,7 +630,7 @@ class TestSolveDfd:
         fast = solve_dfd(inst, [0])
         assert slow.design.key() == ((1, 2), (2, 1))
         assert fast.design.key() == slow.design.key()
-        assert fast.objective == slow.objective == pytest.approx(12.6)
+        assert fast.objective == slow.objective == routed_objective(slow) == pytest.approx(12.6)
 
 
 class TestImpliedAnswers:
@@ -720,7 +739,7 @@ class TestImpliedAnswers:
             self.assert_fresh(sol, inst, tset, fixed)
             slow = enumerate_dfd(inst, tset, fixed=fixed)  # 4 hubs: at most 12 candidate arcs
             assert sol.design.key() == slow.design.key()
-            assert sol.objective == slow.objective
+            assert sol.objective == slow.objective == routed_objective(slow)
             asked.append((sol.tset, sol.design.key()))
 
 
@@ -731,7 +750,7 @@ class TestEnumerateDfd:
             tset = [t.id for t in inst.trips]
             fast = solve_dfd(inst, tset)
             slow = enumerate_dfd(inst, tset)
-            assert fast.objective == slow.objective
+            assert fast.objective == slow.objective == routed_objective(slow)
             assert fast.design.open_arcs == slow.design.open_arcs
 
     def test_fixed_equals_candidate_set(self, example_instance):

@@ -13,6 +13,7 @@ from odmts import (
     Trip,
     TripClass,
     ValidationError,
+    adoption_ub,
     generate_synthetic,
     is_direct_trip,
     route,
@@ -436,11 +437,14 @@ class TestHubPathTable:
             t = Trip(id=tid, origin=o, destination=d, riders=1)
             r = route(t, z)
             assert (r.legs, r.g, r.f, r.money, r.shuttle_km) == searched(t, z)
-        # an ad hoc trip must join two distinct stops of the instance
+        # an ad hoc trip must join two distinct stops of the instance, for
+        # every reader of a trip's stops
         for t, match in ((Trip(id=999, origin=1000, destination=2, riders=1), "unknown stop 1000"),
-                         (Trip(id=998, origin=3, destination=3, riders=1), "origin equals")):
-            with pytest.raises(ValidationError, match=rf"^trip {t.id}: {match}"):
-                route(t, z)
+                         (Trip(id=998, origin=3, destination=3, riders=1), "origin equals destination")):
+            for call in (route, lambda t, z: is_direct_trip(t, inst),
+                         lambda t, z: adoption_ub(t, r, inst)):
+                with pytest.raises(ValidationError, match=rf"^trip {t.id}: {match}$"):
+                    call(t, z)
         # the hub-path table reads instance trips only; ad hoc ones are searched
         assert searches == ends
 
