@@ -4,7 +4,8 @@ The toolkit covers the fixed-demand network design problem (solved
 exactly as one arc-flow linear program on HiGHS, with an exhaustive
 oracle for tiny instances), the lexicographic multimodal router, the
 rider choice model with adoption-quality metrics, three trip-based and
-two arc-based approximation algorithms, and a CLI/bench harness.
+two arc-based approximation algorithms, and a command-line front end.
+The benchmark harness lives outside the package, in ``bench/``.
 """
 
 from .instance import (

@@ -10,6 +10,9 @@ design grows monotonically, which is what makes expansion rule (d)
 safe: a trip whose travel-time upper bound under the current design
 already beats its tolerance keeps adopting every later design.
 
+ARC-S1 and ARC-S2 are one staged run (``_arc_run``) with one expansion
+rule or two in sequence; a second stage continues where the first stops.
+
 Expansion rules, applied to the latent trips after each fixing step:
     a  every adopter of the current design
     b  adopters whose route is profitable (shuttle cost <= ticket)
@@ -60,9 +63,8 @@ def find_cycles(arcs) -> list:
                 if v == start:
                     out.append(path)
                     if len(out) > CYCLE_CAP:
-                        raise CapExceeded(
-                            f"more than {CYCLE_CAP} elementary cycles; use a smaller expansion step"
-                        )
+                        raise CapExceeded(f"more than {CYCLE_CAP} elementary cycles; narrow the "
+                                          "candidate arcs (params.candidate, generate --nearest-k)")
                 elif v > start and v not in path:
                     stack.append(path + (v,))
     out.sort(key=lambda c: (len(c), c))
@@ -106,61 +108,51 @@ def expand(rule: str, design: Design) -> set:
     return {t.id for t in trips}
 
 
-def _arc_stage(inst, rule, z, tbar, bound, trace, stage, model, expanded=False):
-    """One greedy fixing phase from the fixed design ``z`` and trip set
-    ``tbar`` on the run's DFD ``model``; returns the final (z, tbar,
-    bound).
+def _arc_run(inst: Instance, rules):
+    """Greedy cycle fixing in stages, one per rule of ``rules``, from the
+    minimal design, the core trips and an infinite bound; returns
+    (design, trace).
 
-    Each step scores every new cycle and fixes the best one only if it
-    beats ``bound``, the objective of the last fixed design. It expands
-    the trip set by ``rule`` when it fixes a cycle, or when it stops
-    with ``expanded`` still false: stopping before any cycle was ever
-    fixed, the expansion is applied on the way out so that the reported
-    trip set still covers the returned design (the basis of the correct
-    rejection guarantee). A stop with cycles that do not beat ``bound``
-    never meets ``expanded`` false: stage 1 starts at an infinite bound,
-    so its first step with cycles fixes one, and stage 2 starts
-    expanded. Every step evaluates and records once.
+    Each step fixes the best new cycle of a DFD solve if it beats the
+    bound, the objective of the last fixed design; a stage ends at its
+    first step that fixes nothing. A step expands the trip set by its
+    stage's rule when it fixes a cycle, and at the run's first step in
+    any case, so that the reported trip set covers the returned design
+    (the basis of the correct rejection guarantee). A later stage first
+    expands by its own rule under the design the last one converged on,
+    so that it does not re-solve the exact fixed point that stage stopped at.
+    Every step evaluates and records once.
     """
-    while True:
-        sol = solve_dfd(inst, tbar, fixed=z.open_arcs, _model=model)
-        # pre-sorted, and min keeps the first of equals: the shorter, lex-smaller cycle
-        cycles = find_cycles(sol.design.open_arcs - z.open_arcs)
-        grown = (z.with_arcs(zip(c, c[1:] + c[:1])) for c in cycles)
-        scored = ((design_objective(inst, g), g) for g in grown)
-        best = min(scored, key=lambda b: b[0], default=None)
-        fixed = best is not None and best[0] < bound
-        if fixed:
-            bound, z = best
-        if fixed or not expanded:
+    check_rules(rules)
+    trace, model = HeuristicTrace(), FlowModel(inst)
+    z, tbar, bound = Design.minimal(inst), inst.core_ids, float("inf")
+    for stage, rule in enumerate(rules, 1):
+        if stage > 1:
             tbar = tbar | expand(rule, z)
-            expanded = True
-        trace.add(stage, z, tbar)
-        if not fixed:
-            return z, tbar, bound
+        fixed = True
+        while fixed:
+            sol = solve_dfd(inst, tbar, fixed=z.open_arcs, _model=model)
+            # pre-sorted, and min keeps the first of equals: the shorter, lex-smaller cycle
+            cycles = find_cycles(sol.design.open_arcs - z.open_arcs)
+            grown = (z.with_arcs(zip(c, c[1:] + c[:1])) for c in cycles)
+            scored = ((design_objective(inst, g), g) for g in grown)
+            best = min(scored, key=lambda b: b[0], default=None)
+            fixed = best is not None and best[0] < bound
+            if fixed:
+                bound, z = best
+            if fixed or not trace.records:
+                tbar = tbar | expand(rule, z)
+            trace.add(stage, z, tbar)
+    return trace.finish()
 
 
 def arc_s1(inst: Instance, rule: str = "a"):
     """Single-stage arc-based greedy. Returns (design, trace)."""
-    check_rules([rule])
-    trace = HeuristicTrace()
-    _arc_stage(inst, rule, Design.minimal(inst), inst.core_ids, float("inf"), trace, 1,
-               FlowModel(inst))
-    return trace.finish()
+    return _arc_run(inst, [rule])
 
 
 def arc_s2(inst: Instance, rule_stage1: str = "d", rule_stage2: str = "a"):
     """Two-stage extension: a conservative expansion rule to convergence,
     then a faster one continuing from the resulting fixed design and
     trip set. Stage one must not be rule (a), which subsumes the rest."""
-    check_rules([rule_stage1, rule_stage2])
-    trace = HeuristicTrace()
-    model = FlowModel(inst)
-    z, tbar, bound = _arc_stage(inst, rule_stage1, Design.minimal(inst), inst.core_ids,
-                                float("inf"), trace, 1, model)
-    # hand the stage-2 rule a first look at the converged design so the
-    # second phase starts from an expanded trip set rather than re-solving
-    # the exact fixed point stage 1 stopped at
-    tbar = tbar | expand(rule_stage2, z)
-    _arc_stage(inst, rule_stage2, z, tbar, bound, trace, 2, model, expanded=True)
-    return trace.finish()
+    return _arc_run(inst, [rule_stage1, rule_stage2])

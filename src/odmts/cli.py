@@ -1,4 +1,4 @@
-"""Command-line front end and benchmark harness.
+"""Command-line front end.
 
 Subcommands: ``generate`` (synthetic instances), ``solve`` (one
 algorithm, writing design.json / evaluation.json / trace.csv),
@@ -190,9 +190,11 @@ COMPARE_COLUMNS = [
 
 
 def cmd_compare(args) -> int:
-    algs = [a for a in args.algs.split(",") if a]
-    if not algs:
+    algs = args.algs.split(",")
+    if algs == [""]:
         raise ValueError("empty algorithm list")
+    if "" in algs:
+        raise ValueError(f"empty entry in --algs {args.algs!r}")
     _check_flags(algs, args)
     rows = []
     for inst_path in args.instances:

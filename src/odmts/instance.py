@@ -260,6 +260,16 @@ def _read_params(p: CostParams, n_hubs: int) -> CostParams:
     )
 
 
+def check_trip_stops(trip: Trip, known) -> None:
+    """Raises ``ValidationError`` unless ``trip`` joins two distinct stops
+    of ``known``, a collection of stop ids."""
+    for stop in (trip.origin, trip.destination):
+        if stop not in known:
+            raise ValidationError(f"trip {trip.id}: unknown stop {stop}")
+    if trip.origin == trip.destination:
+        raise ValidationError(f"trip {trip.id}: origin equals destination")
+
+
 def _read_trips(trips, known: set) -> tuple[Trip, ...]:
     """The trips checked, each with int id, stops and riders and, when
     latent, ``_plain`` alpha and t_cur; a trip already so is kept as is."""
@@ -273,12 +283,7 @@ def _read_trips(trips, known: set) -> tuple[Trip, ...]:
         if t.id in seen:
             raise ValidationError(f"duplicate trip id {t.id}")
         seen.add(t.id)
-        if t.origin not in known:
-            raise ValidationError(f"trip {t.id}: unknown stop {t.origin}")
-        if t.destination not in known:
-            raise ValidationError(f"trip {t.id}: unknown stop {t.destination}")
-        if t.origin == t.destination:
-            raise ValidationError(f"trip {t.id}: origin equals destination")
+        check_trip_stops(t, known)
         if not _integral(t.riders) or t.riders < 1:
             raise ValidationError(f"trip {t.id}: riders must be a positive integer")
         if t.riders > 2**53:  # scoring and the LP weigh riders as floats, exact up to 2**53

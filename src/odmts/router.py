@@ -53,7 +53,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instance import Instance, Trip, ValidationError, WeightTable, derive_weights, hub_pairs, memo
+from .instance import (Instance, Trip, ValidationError, WeightTable, check_trip_stops, derive_weights,
+                       hub_pairs, memo)
 
 BUS = "bus"
 SHUTTLE = "shuttle"
@@ -570,16 +571,12 @@ def _table_legs(inst: Instance, paths: _HubPaths, o: int, d: int, pick: int):
 
 def _trip_row(trip: Trip, inst: Instance):
     """The row of ``trip`` in ``inst.trips``; None for a trip outside
-    them, once it is checked to join two distinct stops of the instance
-    (``ValidationError`` otherwise)."""
+    them, once ``check_trip_stops`` passes it against the instance's
+    stops."""
     i = inst.trip_index.get(trip.id)
     if i is not None and inst.trips[i] == trip:
         return i
-    for stop in (trip.origin, trip.destination):
-        if stop not in inst.stop_index:
-            raise ValidationError(f"trip {trip.id}: unknown stop {stop}")
-    if trip.origin == trip.destination:
-        raise ValidationError(f"trip {trip.id}: origin equals destination")
+    check_trip_stops(trip, inst.stop_index)
     return None
 
 

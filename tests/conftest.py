@@ -6,6 +6,7 @@ stop graph, and cycle listings against a depth-first enumeration of
 elementary circuits.
 """
 
+import functools
 import sys
 from unittest import mock
 
@@ -121,6 +122,15 @@ def tiny_config(n_stops=9, n_hubs=3, core=4, mid=4, high=3, max_riders=4):
 
 def tiny_instance(seed, **kw):
     return generate_synthetic(tiny_config(**kw), seed=seed)
+
+
+@functools.cache
+def tiny_suite():
+    """50 instances, 3-4 hubs, <= 10 stops, <= 12 candidate arcs."""
+    out = [tiny_instance(seed, n_stops=8 + seed % 3, n_hubs=3 + seed % 2, core=4, mid=4, high=3)
+           for seed in range(50)]
+    assert all(len(inst.candidate_arcs) <= 12 for inst in out)
+    return out
 
 
 def random_design(inst, rng, base=()):

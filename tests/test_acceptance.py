@@ -30,7 +30,7 @@ from odmts import (
     solve_dfd,
 )
 from odmts import highs
-from conftest import block_price, oracle_route, random_design, routed_objective, tiny_config
+from conftest import block_price, oracle_route, random_design, routed_objective, tiny_config, tiny_suite
 
 def report(criterion, message):
     print(f"\ncriterion {criterion}: PASS - {message}")
@@ -52,27 +52,6 @@ def router_suite():
         rng = np.random.default_rng(1000 + seed)
         cases.append((inst, random_design(inst, rng)))
     return cases
-
-
-_tiny_suite = None
-
-
-def tiny_suite():
-    """50 instances, 3-4 hubs, <= 10 stops, <= 12 candidate arcs."""
-    global _tiny_suite
-    if _tiny_suite is None:
-        out = []
-        for seed in range(50):
-            n_hubs = 3 + seed % 2
-            n_stops = 8 + seed % 3
-            inst = generate_synthetic(
-                tiny_config(n_stops=n_stops, n_hubs=n_hubs, core=4, mid=4, high=3),
-                seed=seed,
-            )
-            assert len(inst.candidate_arcs) <= 12
-            out.append(inst)
-        _tiny_suite = out
-    return _tiny_suite
 
 
 _dfd_results = None

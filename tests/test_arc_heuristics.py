@@ -18,7 +18,7 @@ from odmts import (
     solve_dfd,
 )
 from odmts import arc_heuristics
-from conftest import brute_cycles, make_example_instance, tiny_config, tiny_instance
+from conftest import brute_cycles, make_example_instance, tiny_config, tiny_instance, tiny_suite
 
 
 class TestFindCycles:
@@ -225,6 +225,16 @@ class TestArcS2:
         fp1 = set(s1[-1].fingerprint.split(";")) - {"-"}
         fp2 = set(s2[-1].fingerprint.split(";")) - {"-"}
         assert fp1 <= fp2
+
+    @pytest.mark.parametrize("rule", "bcd")
+    def test_stage_one_is_arc_s1(self, rule):
+        # one staged run: stage 1 of arc_s2 is arc_s1 under the same rule, row for row
+        def rows(records):
+            return [dataclasses.replace(r, wall_time=0.0) for r in records]
+
+        for inst in tiny_suite():
+            stage1 = [r for r in arc_s2(inst, rule, "a")[1].records if r.stage == 1]
+            assert rows(stage1) == rows(arc_s1(inst, rule)[1].records)
 
     def test_da_properties(self):
         for seed in range(6):

@@ -509,6 +509,16 @@ class TestCompare:
         assert rc == 1
         assert capsys.readouterr().err == "error: empty algorithm list\n"
 
+    @pytest.mark.parametrize("algs", ["grad,,grre,", ",dfd", "dfd,"])
+    def test_empty_algs_entry(self, tmp_path, capsys, algs):
+        # refused before the (missing) instance would load, with no CSV written
+        out = tmp_path / "x.csv"
+        rc = main(["compare", "--instances", str(tmp_path / "missing.json"), "--algs", algs,
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: empty entry in --algs {algs!r}\n")
+        assert not out.exists()
+
     def test_body_determinism(self, tmp_path, instance_file):
         outs = []
         for name in ("c1.csv", "c2.csv"):
