@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adoption import _scored, design_objective
-from .dfd import CapExceeded, FlowModel, solve_dfd
+from .dfd import CapExceeded, solve_dfd
 from .instance import Instance, Trip
 from .router import Design, Route, _min_access_egress_km, _trip_row, route, trip_arrays
 from .trace import HeuristicTrace
@@ -124,14 +124,14 @@ def _arc_run(inst: Instance, rules):
     Every step evaluates and records once.
     """
     check_rules(rules)
-    trace, model = HeuristicTrace(), FlowModel(inst)
+    trace = HeuristicTrace()
     z, tbar, bound = Design.minimal(inst), inst.core_ids, float("inf")
     for stage, rule in enumerate(rules, 1):
         if stage > 1:
             tbar = tbar | expand(rule, z)
         fixed = True
         while fixed:
-            sol = solve_dfd(inst, tbar, fixed=z.open_arcs, _model=model)
+            sol = solve_dfd(inst, tbar, fixed=z.open_arcs)
             # pre-sorted, and min keeps the first of equals: the shorter, lex-smaller cycle
             cycles = find_cycles(sol.design.open_arcs - z.open_arcs)
             grown = (z.with_arcs(zip(c, c[1:] + c[:1])) for c in cycles)

@@ -19,27 +19,28 @@ candidate order, and ties go to the smallest sorted arc tuple (see
 every design and get no flow.
 
 The LPs run on HiGHS's compiled core, which ships inside scipy (see
-``highs``). A heuristic run keeps one ``FlowModel``, which holds the
-run's answers: the direct trips, found for all trips at once; the block
-of every other trip, built at once; one memo of answers, keyed by a
-solve's flow trips and fixed arcs, from which ``solve_dfd`` answers
-without an LP the run's repeats and the requests an earlier answer
-implies (the same flow trips with more of the answer's arcs fixed, or
-fewer flow trips with all of them fixed, see ``_implied``); and one
-``Design`` per open-arc tuple, so that every answer with that tuple
-shares the design's memos (its route tables, arrays and evaluation).
-The model's one ``FlowLP`` alone holds the solver and runs the exact
-search (``FlowLP.search``): a block joins it the first time a solve
-uses its trip, blocks outside a solve are switched off, and every solve
-starts warm from the previous basis. The model builds its blocks in one
-``make_cut`` call, on the disjoint union of their graphs, from the
-router's edge arrays (``router._edges``), the rule the per-trip route
-search reads as well. An answer computes its objective when it is
-first read.
+``highs``). An instance keeps one ``FlowModel`` (``flow_model``), which
+holds the answers of every solve on it: the direct trips, found for all
+trips at once; the block of every other trip, built at once; one memo
+of answers, keyed by a solve's flow trips and fixed arcs, from which
+``solve_dfd`` answers without an LP every request that an earlier
+answer implies (a repeat, the same flow trips with more of the answer's
+arcs fixed, or fewer flow trips with all of them fixed, see
+``_implied``); and the live ``Design`` per open-arc tuple, so that the
+answers with that tuple share the design's memos (its route tables,
+arrays and evaluation). The model's one ``FlowLP`` alone holds the
+solver and runs the exact search (``FlowLP.search``): a block joins it
+the first time a solve uses its trip, blocks outside a solve are
+switched off, and every solve starts warm from the previous basis. The
+model builds its blocks in one ``make_cut`` call, on the disjoint union
+of their graphs, from the router's edge arrays (``router._edges``), the
+rule the per-trip route search reads as well. An answer computes its
+objective when it is first read.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import highs
 from .highs import SolveError
-from .instance import Instance, Trip, ValidationError, hub_pairs
+from .instance import Instance, Trip, ValidationError, hub_pairs, memo
 from .router import Design, _arc_labels, _direct, _edges, _trip_costs, arcs_cost, route, trip_arrays
 
 # Most candidate arcs the exhaustive oracle enumerates designs over.
@@ -328,14 +329,14 @@ class FlowLP:
 
 
 class FlowModel:
-    """One DFD run's answers on one instance, kept across its solves;
-    ``lp``, the run's one ``FlowLP``, alone holds the solver. ``blocks``
-    holds the block of every trip that is not direct, built by one
-    ``make_cut`` call in trip order when the model is made; a block
-    stays the same object for the model's life, as the LP keys on it,
-    and joins the LP when a solve first uses it. ``designs`` is keyed by
-    the tuple, not the set: ``arcs_cost`` sums in iteration order, so
-    equal sets that iterate differently stay apart."""
+    """The DFD answers of one instance (see ``flow_model``); ``lp``, its
+    one ``FlowLP``, alone holds the solver. ``blocks`` holds the block
+    of every trip that is not direct, built by one ``make_cut`` call in
+    trip order when the model is made, the same object for the model's
+    life, as the LP keys on it. ``designs`` holds each live answer's
+    design weakly (a design holds the instance that holds the model),
+    keyed by the tuple, not the set: ``arcs_cost`` sums in iteration
+    order, so equal sets that iterate differently stay apart."""
 
     def __init__(self, inst: Instance):
         o, d = _trip_costs(inst)[:2]
@@ -343,55 +344,58 @@ class FlowModel:
         self.direct = frozenset(t.id for t, on in zip(inst.trips, direct.tolist()) if on)
         flow = [t for t in inst.trips if t.id not in self.direct]
         self.blocks = {b.trip.id: b for b in make_cut(flow, inst)}  # trip id -> block
-        self.solved = {}  # (flow-trip ids, fixed arcs) -> design
-        self.designs = {}  # tuple(open arcs) -> the design of every answer that opens them
+        self.solved = {}  # (flow-trip ids, fixed arcs) -> the answer's open arcs
+        self.designs = weakref.WeakValueDictionary()  # tuple(open arcs) -> design
         self.lp = FlowLP(inst)
 
 
-def solve_master(inst: Instance, blocks, fixed=(), _model: FlowModel | None = None):
+@memo
+def flow_model(inst: Instance) -> FlowModel:
+    """The instance's ``FlowModel``, built on first use."""
+    return FlowModel(inst)
+
+
+def solve_master(inst: Instance, blocks, fixed=()):
     """Optimal design of the flow model over ``blocks``, with ``fixed``
     arcs open on top of the backbone, by one ``FlowLP.search`` on the LP
-    of ``_model``, the ``FlowModel`` to solve on (by default a new
-    ``FlowLP``, which builds no block of its own). Returns (design, v*,
-    root LP value, LP solves). On a model the design is the model's own
-    for its open-arc tuple (``FlowModel.designs``), the same object on
-    every call that opens those arcs in that order."""
+    of the instance's ``flow_model``. Returns (design, v*, root LP value,
+    LP solves). The design is the model's live one for its open-arc
+    tuple (``FlowModel.designs``), if there is one."""
     held = _fixed_arcs(inst, fixed)
-    lp, designs = (FlowLP(inst), {}) if _model is None else (_model.lp, _model.designs)
-    cand = inst.candidate_arcs
+    lp = flow_model(inst).lp
     lp.use(blocks)
-    inc, best, root, solves = lp.search(np.array([a in held for a in cand], dtype=bool))
-    return _design(inst, designs, fixed, inc), best, root, solves
+    inc, best, root, solves = lp.search(
+        np.array([a in held for a in inst.candidate_arcs], dtype=bool))
+    return _design(inst, fixed, inc), best, root, solves
 
 
-def _design(inst: Instance, designs: dict, fixed, is_open) -> Design:
-    """The design in ``designs`` (a ``FlowModel.designs``) that opens the
-    arcs ``fixed``, read by ``_fixed_arcs``, and the candidate arcs whose
-    entry of ``is_open`` is true."""
+def _design(inst: Instance, fixed, is_open) -> Design:
+    """The design that opens the arcs ``fixed``, read by ``_fixed_arcs``,
+    and the candidate arcs whose entry of ``is_open`` is true: the live
+    one in the instance's ``FlowModel.designs``, or a new one that joins it."""
     # arcs_cost sums in set order, so how this set is built fixes the
     # objective's last bits; this order reproduces bench/references.json
     fixed = _fixed_arcs(inst, fixed)
     opened = frozenset(a for a, on in zip(inst.candidate_arcs, is_open) if on and a not in fixed)
     design = Design(inst, fixed | opened)
-    return designs.setdefault(tuple(design.open_arcs), design)
+    return flow_model(inst).designs.setdefault(tuple(design.open_arcs), design)
 
 
-def _implied(inst: Instance, model: FlowModel, flow: frozenset, fixed: frozenset):
+def _implied(inst: Instance, flow: frozenset, fixed: frozenset):
     """The design for the flow trips ``flow`` with the arcs ``fixed``
     open, built by ``_design`` as a search would build it, when a stored
-    answer of ``model`` implies it; None otherwise. An answer
-    D for flow trips T and fixed arcs F, with F <= ``fixed`` <= D, is one
-    in two cases:
+    answer of the instance's ``FlowModel`` implies it; None otherwise. An
+    answer D for flow trips T and fixed arcs F, with F <= ``fixed`` <= D,
+    is one in two cases:
     - ``flow`` is T: D stays feasible, and the designs within the tie cap
       that contain ``fixed`` are among those that contain F, so D is
       still the smallest sorted tuple among them;
     - ``fixed`` is D and ``flow`` <= T: opening arcs never raises a
       trip's routed g, so a design beyond D that beat or tied D on
       ``flow`` would beat or tie it on T as well."""
-    for (known, held), design in model.solved.items():
-        arcs = design.open_arcs
+    for (known, held), arcs in flow_model(inst).solved.items():
         if held <= fixed <= arcs and (flow == known or (fixed == arcs and flow <= known)):
-            return _design(inst, model.designs, fixed, [a in arcs for a in inst.candidate_arcs])
+            return _design(inst, fixed, [a in arcs for a in inst.candidate_arcs])
     return None
 
 
@@ -399,8 +403,8 @@ def _implied(inst: Instance, model: FlowModel, flow: frozenset, fixed: frozenset
 class DfdSolution:
     """Optimal fixed-demand design with its trip set and LP count.
     ``design`` and ``tset`` depend on the solve's inputs alone;
-    ``iterations`` counts the call's LP solves, 0 for an answer a shared
-    ``FlowModel`` already held or implied and for the exhaustive oracle
+    ``iterations`` counts the call's LP solves, 0 for an answer that the
+    instance's ``FlowModel`` implied and for the exhaustive oracle
     (``enumerate_dfd``). ``objective`` is computed on its first read:
     the design's investment, summed in sorted arc order, plus riders
     times each trip's routed g from the design's ``trip_arrays``, summed
@@ -426,33 +430,31 @@ def _riders_g(design: Design, ids, total: float) -> float:
     return total
 
 
-def solve_dfd(inst: Instance, tset, fixed=(), _model: FlowModel | None = None) -> DfdSolution:
+def solve_dfd(inst: Instance, tset, fixed=()) -> DfdSolution:
     """Optimal design for the trip ids ``tset`` with ``fixed`` arcs open:
     one flow model over the trips that do not ride a direct shuttle
     under every design. The answer's objective is computed when first
     read (see ``DfdSolution``).
 
-    ``_model`` is the ``FlowModel`` to solve on, a new one by default; a
-    heuristic run passes its own to every solve. After the checks of
-    ``tset`` and ``fixed``, the model's memo answers the flow trips
-    (``tset`` less the model's direct trips) and fixed arcs with their
-    design. On a miss a stored answer that implies the request
-    (``_implied``) gives its design, built as a search builds it;
-    failing that, ``solve_master`` runs on the model's blocks of the
-    flow trips, in trip id order. Either way the design joins the memo,
-    and only ``solve_master`` counts in ``iterations``. The design is the
-    model's one for its open-arc tuple, so a run evaluates each design
-    once."""
+    After the checks of ``tset`` and ``fixed``, the instance's
+    ``flow_model`` answers a repeat of the flow trips (``tset`` less the
+    model's direct trips) and fixed arcs with the live design of its
+    stored arcs; otherwise a stored answer that implies the request
+    (``_implied``, a repeat whose design has died included) gives the
+    design, built as a search builds it; failing that, ``solve_master``
+    runs on the model's blocks of the flow trips, in trip id order. The
+    answer joins the memo; only ``solve_master`` counts in ``iterations``."""
     ids, fixed = inst.trip_ids(tset), _fixed_arcs(inst, fixed)
-    model = FlowModel(inst) if _model is None else _model
+    model = flow_model(inst)
     flow, solves = ids - model.direct, 0
-    design = model.solved.get((flow, fixed))
+    arcs = model.solved.get((flow, fixed))
+    design = None if arcs is None else model.designs.get(tuple(arcs))
     if design is None:
-        design = _implied(inst, model, flow, fixed)
+        design = _implied(inst, flow, fixed)
         if design is None:
             blocks = [model.blocks[i] for i in sorted(flow)]
-            design, _, _, solves = solve_master(inst, blocks, fixed=fixed, _model=model)
-        model.solved[flow, fixed] = design
+            design, _, _, solves = solve_master(inst, blocks, fixed=fixed)
+        model.solved[flow, fixed] = design.open_arcs
     return DfdSolution(design=design, tset=ids, iterations=solves)
 
 

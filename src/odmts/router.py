@@ -424,7 +424,7 @@ class _Candidates(NamedTuple):
 def _trip_costs(inst: Instance):
     """The instance trips' origin and destination stop indices, then
     their table candidates (``_Candidates``), computed on first use (a
-    route or a ``dfd.FlowModel``), not at load.
+    route or the instance's ``dfd.flow_model``), not at load.
 
     A hub endpoint's only access or egress hub is itself, at cost 0; the
     direct shuttle is no candidate where the table holds it already: as

@@ -28,7 +28,7 @@ import itertools
 import time
 
 from .adoption import _scored
-from .dfd import FlowModel, solve_dfd
+from .dfd import solve_dfd
 from .instance import Instance, _finite, _integral, memo
 from .router import trip_arrays
 from .trace import HeuristicTrace
@@ -96,25 +96,20 @@ def rho_grad(inst: Instance, rho: int | None = None):
     Returns (design, trace) for the last round; trace.tset is the trip
     set that generated the design."""
     rho = _step(inst, "rho", rho)
-    model = FlowModel(inst)
-    trace = _adopt(inst, rho, lambda tbar: (solve_dfd(inst, tbar, _model=model).design, tbar))
+    trace = _adopt(inst, rho, lambda tbar: (solve_dfd(inst, tbar).design, tbar))
     return trace.finish()
 
 
-def eta_grre(inst: Instance, eta: int | None = None, start_tset=None,
-             _model: FlowModel | None = None):
+def eta_grre(inst: Instance, eta: int | None = None, start_tset=None):
     """Greedy rejection. Returns (design, trace) for the first step of
     least objective; trace.tset is the trip set that generated it. Stops
     when the design repeats with the quota past the ranked adopters, or
-    truncated after iteration ``MAX_ITER``. ``_model`` is the DFD model
-    of an enclosing ``rho_gagr`` run, a new one by default; ``solve_dfd``
-    answers the repeats of every run that shares it."""
+    truncated after iteration ``MAX_ITER``."""
     eta = _step(inst, "eta", eta)
-    model = FlowModel(inst) if _model is None else _model
     trace, rejected = HeuristicTrace(), set()
     tbar = frozenset(start_tset) if start_tset is not None else inst.core_ids
     for k in itertools.count():  # step k keeps a quota of eta * (k + 1) ranked adopters
-        design = solve_dfd(inst, tbar, _model=model).design
+        design = solve_dfd(inst, tbar).design
         trace.add(1, design, tbar)
         rejected |= inst.latent_ids - _scored(design).adopters
         ranked = _ranked_adopters(design, rejected)
@@ -135,10 +130,11 @@ def rho_gagr(inst: Instance, rho: int | None = None, eta: int | None = None,
         raise ValueError(f"time_limit must be a finite number, inf or None, got {time_limit!r}")
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time_limit must be >= 0, got {time_limit}")
-    model = FlowModel(inst)
+    runs = []  # keeps every inner run's designs alive for the repeats of later runs
 
     def inner(tbar):
-        design, run = eta_grre(inst, eta=eta, start_tset=tbar, _model=model)
+        design, run = eta_grre(inst, eta=eta, start_tset=tbar)
+        runs.append(run)
         return design, run.tset
 
     return _adopt(inst, rho, inner, time_limit).finish(least=True)

@@ -305,11 +305,22 @@ def test_criterion_9_desk_scale_benchmark():
               + ", ".join(f"{k} {v:.1f}s" for k, v in times.items()))
 
 
-def test_criterion_9_lp_solves(monkeypatch):
-    # the LP solves of each run on criterion 9's instance, a work counter
-    # that timing noise cannot hide (arc-s1 and arc-s2 answer their last
-    # solves from earlier answers, without an LP)
-    inst = generate_synthetic(BENCHMARK_CONFIG, seed=11)
+CRITERION_9_RUNS = {
+    "grad": rho_grad,
+    "grre": eta_grre,
+    "gagr": rho_gagr,
+    "arc-s1": lambda inst: arc_s1(inst, "a"),
+    "arc-s2": lambda inst: arc_s2(inst, "d", "a"),
+}
+
+
+def criterion_9_instance():
+    return generate_synthetic(BENCHMARK_CONFIG, seed=11)
+
+
+def criterion_9_runs(monkeypatch, instance):
+    """Each of criterion 9's runs on ``instance()``, in order:
+    name -> (LP solves, design key, trace objectives)."""
     solve, solves = highs.solve, []
 
     def counted(*args):
@@ -317,20 +328,37 @@ def test_criterion_9_lp_solves(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(highs, "solve", counted)
-    runs = {
-        "grad": lambda: rho_grad(inst),
-        "grre": lambda: eta_grre(inst),
-        "gagr": lambda: rho_gagr(inst),
-        "arc-s1": lambda: arc_s1(inst, "a"),
-        "arc-s2": lambda: arc_s2(inst, "d", "a"),
-    }
-    counts = {}
-    for name, fn in runs.items():
+    out = {}
+    for name, run in CRITERION_9_RUNS.items():
         solves.clear()
-        fn()
-        counts[name] = len(solves)
+        design, trace = run(instance())
+        out[name] = (len(solves), design.key(), trace.objectives)
+    monkeypatch.undo()
+    return out
+
+
+def test_criterion_9_lp_solves(monkeypatch):
+    # the LP solves of each run on its own copy of criterion 9's instance,
+    # a work counter that timing noise cannot hide (arc-s1 and arc-s2
+    # answer their last solves from earlier answers, without an LP)
+    runs = criterion_9_runs(monkeypatch, criterion_9_instance)
+    counts = {name: run[0] for name, run in runs.items()}
     assert counts == {"grad": 16, "grre": 16, "gagr": 38, "arc-s1": 4, "arc-s2": 6}
     report(9, "LP solves " + ", ".join(f"{k} {v}" for k, v in counts.items()))
+
+
+def test_criterion_9_lp_solves_on_one_instance(monkeypatch):
+    # the five runs in sequence on one instance, as ``odmts compare`` runs
+    # them, share its DFD model: a later run takes the answers an earlier
+    # one stored, and each run returns what it returns on its own copy
+    inst = criterion_9_instance()
+    shared = criterion_9_runs(monkeypatch, lambda: inst)
+    alone = criterion_9_runs(monkeypatch, criterion_9_instance)
+    counts = {name: run[0] for name, run in shared.items()}
+    assert counts == {"grad": 16, "grre": 12, "gagr": 22, "arc-s1": 2, "arc-s2": 0}
+    assert sum(counts.values()) == 52 and sum(run[0] for run in alone.values()) == 80
+    assert {k: v[1:] for k, v in shared.items()} == {k: v[1:] for k, v in alone.items()}
+    report(9, "LP solves on one instance " + ", ".join(f"{k} {v}" for k, v in counts.items()))
 
 
 def test_criterion_10_determinism():

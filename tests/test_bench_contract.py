@@ -44,7 +44,8 @@ def test_solve_passes_the_benchmark_checks(tmp_path, solve, matches_trace):
     assert traced.key() == design.key()
     metrics = tracing.rep_metrics(*tracer.reps[0])
     assert metrics["dfd.solves"] > 0
-    assert metrics["dfd.cuts"] == 1  # the run's one FlowModel builds every block at once
+    # the loaded instance's one FlowModel builds every block at once
+    assert metrics["dfd.cuts"] == 1
 
 
 @pytest.mark.parametrize("module, name", tracing.WRAPPED)

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,17 +18,21 @@ from odmts import (
     enumerate_dfd,
     is_direct_trip,
     ValidationError,
+    arc_s2,
+    eval_design,
+    design_objective,
     make_cut,
     rho_gagr,
+    rho_grad,
     route,
     solve_dfd,
     solve_master,
 )
 from odmts import dfd, highs
 from odmts.adoption import arcs_cost
-from odmts.dfd import FlowLP, FlowModel, TripBlock
+from odmts.dfd import FlowLP, TripBlock, flow_model
 from conftest import (block_price, make_example_instance, reference_block, reference_edges,
-                      routed_objective, tiny_instance)
+                      random_design, routed_objective, tiny_instance)
 from test_router import EDGE_CASES, grid_instance, non_metric, with_hub_trips
 
 
@@ -379,6 +385,14 @@ class TestSolveDfd:
             assert gc.collect() == 0
             rho_gagr(tiny_instance(2))
             assert gc.collect() == 0
+            # two runs on one instance share its model, which dies with it
+            inst = tiny_instance(5)
+            rho_grad(inst)
+            arc_s2(inst, "d", "a")
+            model = weakref.ref(flow_model(inst))
+            del inst
+            assert model() is None
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
@@ -418,33 +432,33 @@ class TestSolveDfd:
         # arcs is implied by the stored answer, and gives the model's one
         # design for the same arc tuple without an LP as well
         inst = tiny_instance(0)
-        model = FlowModel(inst)
+        model = flow_model(inst)
         flow = [t.id for t in inst.trips if t.id not in model.direct]
         tset = flow + [t.id for t in inst.trips if t.id in model.direct]
-        first = solve_dfd(inst, flow, _model=model)
-        again = solve_dfd(inst, tset, _model=model)
+        first = solve_dfd(inst, flow)
+        again = solve_dfd(inst, tset)
         assert first.iterations >= 1 and again.iterations == 0
         assert again.design is first.design and first.design.open_arcs
-        fresh = solve_dfd(inst, tset)
+        fresh = solve_dfd(dataclasses.replace(inst), tset)  # a copy has a model of its own
+        assert fresh.iterations >= 1
         assert again.objective == fresh.objective and again.tset == fresh.tset
-        fixed = solve_dfd(inst, tset, fixed=first.design.open_arcs, _model=model)
+        fixed = solve_dfd(inst, tset, fixed=first.design.open_arcs)
         assert fixed.iterations == 0 and fixed.design is first.design
         assert fixed.design.key() == first.design.key()
 
     def test_exact_repeat_builds_and_solves_nothing(self, monkeypatch):
-        # a repeat of trip ids and fixed arcs on the same model is the
+        # a repeat of trip ids and fixed arcs on the same instance is the
         # stored answer: no block is looked up and no master runs
         inst = tiny_instance(0)
         ids = [t.id for t in inst.trips]
-        model = FlowModel(inst)
-        first = solve_dfd(inst, ids, _model=model)
+        first = solve_dfd(inst, ids)
 
         def called(*args, **kwargs):
             raise AssertionError("called on a repeat")
 
         monkeypatch.setattr(dfd, "make_cut", called)
         monkeypatch.setattr(dfd, "solve_master", called)
-        again = solve_dfd(inst, reversed(ids), _model=model)
+        again = solve_dfd(inst, reversed(ids))
         assert first.iterations >= 1 and again.iterations == 0
         assert again.design is first.design
         assert (again.objective, again.tset) == (first.objective, first.tset)
@@ -454,23 +468,23 @@ class TestSolveDfd:
         # all trips again: one memo entry answers the second and third
         # solves, and each answer is the one a fresh model gives
         inst = tiny_instance(0)
-        model = FlowModel(inst)
         every = [t.id for t in inst.trips]
         direct = [t.id for t in inst.trips if is_direct_trip(t, inst)]
         fewer = sorted(set(every) - set(direct)) + direct[:1]
-        first = solve_dfd(inst, every, _model=model)
+        first = solve_dfd(inst, every)
 
         def called(*args, **kwargs):
             raise AssertionError("called on a repeat")
 
         monkeypatch.setattr(dfd, "make_cut", called)
         monkeypatch.setattr(dfd, "solve_master", called)
-        answers = [first] + [solve_dfd(inst, tset, _model=model) for tset in (fewer, every)]
-        assert len(model.solved) == 1
+        answers = [first] + [solve_dfd(inst, tset) for tset in (fewer, every)]
+        assert len(flow_model(inst).solved) == 1
         assert [sol.iterations for sol in answers[1:]] == [0, 0]
         monkeypatch.undo()
         for sol, tset in zip(answers, [every, fewer, every]):
-            fresh = solve_dfd(inst, tset)
+            fresh = solve_dfd(dataclasses.replace(inst), tset)
+            assert fresh.iterations >= 1
             assert (sol.objective, sol.tset) == (fresh.objective, fresh.tset)
 
     def test_model_builds_every_block_once(self, monkeypatch):
@@ -485,12 +499,12 @@ class TestSolveDfd:
             return make_cut(trips, inst)
 
         monkeypatch.setattr(dfd, "make_cut", counted)
-        model = FlowModel(inst)
+        model = flow_model(inst)
         flow = [t.id for t in inst.trips if t.id not in model.direct]
         assert built == [flow] and list(model.blocks) == flow and len(flow) > 4
         blocks = dict(model.blocks)
         for tset in (flow[:2], flow[1:4] + sorted(model.direct), flow[:3]):
-            assert solve_dfd(inst, tset, _model=model).iterations >= 1
+            assert solve_dfd(inst, tset).iterations >= 1
         assert built == [flow]
         assert model.blocks.keys() == blocks.keys()
         assert all(model.blocks[i] is b for i, b in blocks.items())
@@ -524,24 +538,42 @@ class TestSolveDfd:
     )
     def test_model_direct_flags(self, inst):
         # the model's direct trips are those for which is_direct_trip holds
-        assert FlowModel(inst).direct == {t.id for t in inst.trips if is_direct_trip(t, inst)}
+        assert flow_model(inst).direct == {t.id for t in inst.trips if is_direct_trip(t, inst)}
+
+    def test_copy_derives_its_own_model(self):
+        # the model is kept on the instance: every call returns it, and a
+        # dataclasses.replace copy builds one of its own
+        inst = tiny_instance(0)
+        assert flow_model(inst) is flow_model(inst)
+        assert flow_model(dataclasses.replace(inst)) is not flow_model(inst)
+
+    def test_evaluation_builds_no_model(self, monkeypatch):
+        # evaluating designs, as eval-sweep does, does no DFD work
+        def called(*args, **kwargs):
+            raise AssertionError("a flow block was built")
+
+        monkeypatch.setattr(dfd, "make_cut", called)
+        inst = tiny_instance(1)
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            design = random_design(inst, rng)
+            design_objective(inst, design)
+            eval_design(inst, design, inst.core_ids)
 
     @pytest.mark.parametrize("tset", [[0, 1.0], [0, True]], ids=["float_id", "bool_id"])
     def test_repeat_checks_its_ids(self, tset):
         # {0, 1.0} and {0, True} equal {0, 1} as sets; the model that
         # answered {0, 1} must not answer them
         inst = tiny_instance(0)
-        model = FlowModel(inst)
-        solve_dfd(inst, [0, 1], _model=model)
+        solve_dfd(inst, [0, 1])
         with pytest.raises(ValidationError, match="unknown trip ids"):
-            solve_dfd(inst, tset, _model=model)
+            solve_dfd(inst, tset)
 
     def test_fixed_pairs_as_lists_on_a_shared_model(self, example_instance):
         # fixed arcs given as lists are read as pairs, first and on a repeat
-        model = FlowModel(example_instance)
-        first = solve_dfd(example_instance, [0], fixed=[[1, 2]], _model=model)
-        again = solve_dfd(example_instance, [0], fixed=[[1, 2]], _model=model)
-        pairs = solve_dfd(example_instance, [0], fixed=[(1, 2)], _model=model)
+        first = solve_dfd(example_instance, [0], fixed=[[1, 2]])
+        again = solve_dfd(example_instance, [0], fixed=[[1, 2]])
+        pairs = solve_dfd(example_instance, [0], fixed=[(1, 2)])
         assert first.design.key() == ((1, 2), (2, 1)) and first.iterations >= 1
         assert again.design is pairs.design is first.design
         assert again.iterations == pairs.iterations == 0
@@ -553,16 +585,16 @@ class TestSolveDfd:
         ids=[f"tiny{seed}" for seed in range(6)] + ["hub_origin33"],
     )
     def test_shared_model_matches_brute_force(self, inst):
-        # one warm model through a seeded run of trip sets and fixed arcs,
-        # as a heuristic run uses it: blocks join, switch off and back on
+        # the instance's one model through a seeded run of trip sets and
+        # fixed arcs, as its heuristic runs use it: blocks join, switch off
+        # and back on
         rng = np.random.default_rng(inst.trips[0].origin + len(inst.trips))
         designs = list(balanced_designs(inst))
         ids = [t.id for t in inst.trips]
-        model = FlowModel(inst)
         for _ in range(50):
             tset = [i for i in ids if rng.random() < 0.6]
             fixed = designs[rng.integers(len(designs))].open_arcs if rng.random() < 0.3 else ()
-            fast = solve_dfd(inst, tset, fixed, _model=model)
+            fast = solve_dfd(inst, tset, fixed)
             slow = enumerate_dfd(inst, tset, fixed=fixed)
             assert fast.design.key() == slow.design.key()
             assert fast.objective == slow.objective == routed_objective(slow)
@@ -650,29 +682,31 @@ class TestImpliedAnswers:
     @staticmethod
     def assert_fresh(sol, inst, tset, fixed):
         # the design is built as a search builds it: same arc order, so the
-        # same objective to the last bit
-        fresh = solve_dfd(inst, tset, fixed)
+        # same objective to the last bit; a copy of the instance has a
+        # fresh model of its own
+        fresh = solve_dfd(dataclasses.replace(inst), tset, fixed)
+        assert fresh.iterations >= 1
         assert tuple(sol.design.open_arcs) == tuple(fresh.design.open_arcs)
         assert (sol.objective, sol.tset) == (fresh.objective, fresh.tset)
 
     @staticmethod
     def start():
-        """tiny_instance(0), a new model on it, every trip id and the
-        sorted flow trip ids."""
+        """tiny_instance(0), its model, every trip id and the sorted flow
+        trip ids."""
         inst = tiny_instance(0)
-        model = FlowModel(inst)
+        model = flow_model(inst)
         every = [t.id for t in inst.trips]
         return inst, model, every, sorted(set(every) - model.direct)
 
     def test_restriction_keeps_the_answer(self, monkeypatch):
         # the same flow trips with one of the answer's three arcs fixed
         inst, model, every, _ = self.start()
-        first = solve_dfd(inst, every, _model=model)
+        first = solve_dfd(inst, every)
         fixed = first.design.key()[:1]
         assert len(first.design.open_arcs) == 3 and not inst.fixed_arcs
         self.no_lp(monkeypatch)
-        sol = solve_dfd(inst, every, fixed, _model=model)
-        again = solve_dfd(inst, every, fixed, _model=model)
+        sol = solve_dfd(inst, every, fixed)
+        again = solve_dfd(inst, every, fixed)
         monkeypatch.undo()
         assert sol.iterations == again.iterations == 0
         assert sol.design.key() == first.design.key() and again.design is sol.design
@@ -683,10 +717,10 @@ class TestImpliedAnswers:
         # fewer flow trips with all of the answer's arcs fixed, then fewer
         # still, which the first implied answer implies as well
         inst, model, every, flow = self.start()
-        first = solve_dfd(inst, every, _model=model)
+        first = solve_dfd(inst, every)
         fixed = first.design.key()
         self.no_lp(monkeypatch)
-        answers = [solve_dfd(inst, flow[:k], fixed, _model=model) for k in (4, 2)]
+        answers = [solve_dfd(inst, flow[:k], fixed) for k in (4, 2)]
         monkeypatch.undo()
         assert len(model.solved) == 3
         for sol, k in zip(answers, (4, 2)):
@@ -697,9 +731,9 @@ class TestImpliedAnswers:
         # S < T and F' < D: one trip with one of the three arcs fixed opens
         # two arcs, so the stored answer must not be taken
         inst, model, every, flow = self.start()
-        first = solve_dfd(inst, every, _model=model)
+        first = solve_dfd(inst, every)
         fixed = first.design.key()[:1]
-        sol = solve_dfd(inst, flow[:1], fixed, _model=model)
+        sol = solve_dfd(inst, flow[:1], fixed)
         assert sol.iterations >= 1
         assert sol.design.key() == ((0, 1), (1, 0)) != first.design.key()
         self.assert_fresh(sol, inst, flow[:1], fixed)
@@ -707,8 +741,8 @@ class TestImpliedAnswers:
     def test_more_trips_search(self):
         # S > T with F' = D: one trip opens no arc, all trips open three
         inst, model, every, flow = self.start()
-        first = solve_dfd(inst, flow[:1], _model=model)
-        sol = solve_dfd(inst, every, first.design.key(), _model=model)
+        first = solve_dfd(inst, flow[:1])
+        sol = solve_dfd(inst, every, first.design.key())
         assert first.design.key() == () and sol.iterations >= 1
         assert len(sol.design.open_arcs) == 3
         self.assert_fresh(sol, inst, every, first.design.key())
@@ -720,7 +754,7 @@ class TestImpliedAnswers:
         # part of an earlier request's, and whose fixed arcs are part of an
         # earlier answer; each answer equals a fresh model's and the oracle's
         inst = tiny_instance(seed, n_stops=8, n_hubs=4)
-        model, asked = FlowModel(inst), []
+        asked = []
 
         def part(items):
             items = sorted(items)
@@ -735,7 +769,7 @@ class TestImpliedAnswers:
                 tset, fixed = part(tset), part(arcs)
             else:
                 tset, fixed = part(t.id for t in inst.trips), ()
-            sol = solve_dfd(inst, tset, fixed, _model=model)
+            sol = solve_dfd(inst, tset, fixed)
             self.assert_fresh(sol, inst, tset, fixed)
             slow = enumerate_dfd(inst, tset, fixed=fixed)  # 4 hubs: at most 12 candidate arcs
             assert sol.design.key() == slow.design.key()

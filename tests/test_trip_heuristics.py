@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from odmts import dfd, router, trip_heuristics
-from odmts.dfd import FlowModel
 from odmts.instance import memo
 from odmts.router import trip_arrays
 from odmts.trip_heuristics import _ranked_adopters
@@ -76,11 +75,10 @@ class TestRhoGrad:
         for rec in trace.records:
             designs.append(rec.fingerprint)
         # reconstruct via a fresh run tracking sets
-        model = FlowModel(inst)
         tset = set(core)
         prev_design = None
         while True:
-            sol = solve_dfd(inst, frozenset(tset), _model=model)
+            sol = solve_dfd(inst, frozenset(tset))
             if prev_design is not None and absorbed:
                 tid = absorbed[-1]
                 t = inst.trip_by_id(tid)
@@ -192,9 +190,9 @@ class TestRhoGagr:
         inst = tiny_instance(2)
         solved = []
 
-        def counting(inst, tset, fixed=(), _model=None):
+        def counting(inst, tset, fixed=()):
             solved.append((frozenset(tset), frozenset(fixed)))
-            return solve_dfd(inst, tset, fixed=fixed, _model=_model)
+            return solve_dfd(inst, tset, fixed=fixed)
 
         monkeypatch.setattr(trip_heuristics, "solve_dfd", counting)
         rho_grad(inst, rho=1)
@@ -226,8 +224,8 @@ class TestFirstMinimum:
 
     @pytest.fixture
     def core_design_only(self, monkeypatch):
-        def core_only(inst, tset, fixed=(), _model=None):
-            return solve_dfd(inst, inst.core_ids, fixed=fixed, _model=_model)
+        def core_only(inst, tset, fixed=()):
+            return solve_dfd(inst, inst.core_ids, fixed=fixed)
 
         monkeypatch.setattr(trip_heuristics, "solve_dfd", core_only)
 
@@ -268,6 +266,21 @@ class TestOneDesignPerArcTuple:
         assert len(solved) > len(tuples) > 1
         assert len({id(d) for d in solved}) == len(tuples)
         assert sorted(built) == sorted(tuples)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_gagr_builds_each_table_once(self, monkeypatch, seed):
+        # the instance's DFD model holds designs weakly; the run keeps its
+        # inner runs, so a later inner run that repeats a request gets
+        # the same design, and no hub-path table is built twice
+        built, table = [], router._table
+
+        def counted_table(design):
+            built.append(tuple(design.open_arcs))
+            return table.__wrapped__(design)
+
+        monkeypatch.setattr(router, "_table", memo(counted_table))
+        rho_gagr(tiny_instance(seed))
+        assert len(built) > 1 and len(built) == len(set(built))
 
     def test_ranked_adopters_is_the_sorted_order(self):
         # the per-design order of all latent ids, filtered, is the sort
